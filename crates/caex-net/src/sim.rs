@@ -442,8 +442,11 @@ impl<M: Kinded + Clone> SimNet<M> {
                 .gen_bool(self.config.faults.duplicate_probability());
 
         let wire_len = payload.wire_len();
-        self.enqueue_remote(from, to, payload.clone(), kind, wire_len);
-        if duplicate {
+        // The payload moves into the queue; only a duplicating fault
+        // plan pays for a second copy.
+        let copy = duplicate.then(|| payload.clone());
+        self.enqueue_remote(from, to, payload, kind, wire_len);
+        if let Some(copy) = copy {
             self.stats.record_fault(FaultEvent::Duplicated.label());
             self.record(
                 self.now,
@@ -452,7 +455,7 @@ impl<M: Kinded + Clone> SimNet<M> {
                 to,
                 kind,
             );
-            self.enqueue_remote(from, to, payload, kind, wire_len);
+            self.enqueue_remote(from, to, copy, kind, wire_len);
         }
     }
 
@@ -659,6 +662,8 @@ impl<M: Kinded + Clone> SimNet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn net(latency: LatencyModel, seed: u64) -> SimNet<&'static str> {
         SimNet::new(
@@ -795,6 +800,47 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 2);
+    }
+
+    /// A payload that counts how often it is cloned.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Counted(Arc::clone(&self.0))
+        }
+    }
+
+    impl Kinded for Counted {
+        fn kind(&self) -> &'static str {
+            "counted"
+        }
+    }
+
+    #[test]
+    fn send_clones_the_payload_only_to_duplicate() {
+        for (probability, clones_per_send) in [(0.0, 0), (1.0, 1)] {
+            let config = NetConfig::default()
+                .with_faults(FaultPlan::none().with_duplicate_probability(probability))
+                .with_latency(LatencyModel::zero());
+            let mut n: SimNet<Counted> = SimNet::new(config, 2);
+            let clones = Arc::new(AtomicUsize::new(0));
+            for _ in 0..3 {
+                n.send(NodeId::new(0), NodeId::new(1), Counted(Arc::clone(&clones)));
+            }
+            assert_eq!(clones.load(Ordering::Relaxed), 3 * clones_per_send);
+            let mut delivered = 0;
+            while n.next_delivery().is_some() {
+                delivered += 1;
+            }
+            assert_eq!(delivered, 3 * (1 + clones_per_send));
+            assert_eq!(
+                n.stats().fault_of_kind(FaultEvent::Duplicated.label()),
+                3 * clones_per_send as u64
+            );
+            assert_eq!(n.stats().sent_of_kind("counted"), 3);
+        }
     }
 
     #[test]

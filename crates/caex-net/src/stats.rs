@@ -58,10 +58,22 @@ pub struct ActionCounters {
     pub dropped: u64,
 }
 
+/// Adds one to `kind`'s counter, allocating the key only the first time
+/// the kind is seen: these run once per message, under the shared
+/// `Mutex<NetStats>` on the thread and wire transports.
+fn bump(counters: &mut BTreeMap<String, u64>, kind: &str) {
+    match counters.get_mut(kind) {
+        Some(count) => *count += 1,
+        None => {
+            counters.insert(kind.to_owned(), 1);
+        }
+    }
+}
+
 impl NetStats {
     /// Records one send of a message of `kind`.
     pub fn record_send(&mut self, kind: &str) {
-        *self.sent.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.sent, kind);
     }
 
     /// Records the channel a send used (load accounting).
@@ -108,12 +120,12 @@ impl NetStats {
 
     /// Records one delivery of a message of `kind`.
     pub fn record_delivery(&mut self, kind: &str) {
-        *self.delivered.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.delivered, kind);
     }
 
     /// Records one drop of a message of `kind`.
     pub fn record_drop(&mut self, kind: &str) {
-        *self.dropped.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.dropped, kind);
     }
 
     /// Records one send attributed to action `action`.
@@ -150,7 +162,7 @@ impl NetStats {
     /// Records one injected fault of `kind` (a
     /// [`FaultEvent::label`](crate::FaultEvent::label) string).
     pub fn record_fault(&mut self, kind: &str) {
-        *self.faults.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.faults, kind);
     }
 
     /// Faults injected of one kind.
@@ -163,7 +175,7 @@ impl NetStats {
     /// broken connection, a suspicion flap (a peer suspected and then
     /// heard from again), a frame replayed after a redial.
     pub fn record_recovery(&mut self, kind: &str) {
-        *self.recovery.entry(kind.to_owned()).or_default() += 1;
+        bump(&mut self.recovery, kind);
     }
 
     /// Recovery actions of one kind.
@@ -328,6 +340,55 @@ mod tests {
         assert_eq!(s.sent_total(), 3);
         assert_eq!(s.delivered_total(), 1);
         assert_eq!(s.dropped_of_kind("b"), 1);
+    }
+
+    /// Interleaves first-sight and repeat calls on every per-kind
+    /// counter: the maps (hence totals, `Display` and the serialised
+    /// form) must come out as the entry-API bookkeeping left them.
+    #[test]
+    fn recording_interleaved_seen_and_unseen_kinds() {
+        let mut stats = NetStats::default();
+        stats.record_send("exception");
+        stats.record_send("ack");
+        stats.record_delivery("exception");
+        stats.record_send("exception");
+        stats.record_drop("ack");
+        stats.record_fault("duplicated");
+        stats.record_delivery("exception");
+        stats.record_recovery("reconnect");
+        stats.record_fault("duplicated");
+        stats.record_drop("commit");
+        stats.record_recovery("reconnect");
+        stats.record_send("ack");
+        let counts = |pairs: &[(&str, u64)]| -> BTreeMap<String, u64> {
+            pairs.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+        };
+        let expected = NetStats {
+            sent: counts(&[("ack", 2), ("exception", 2)]),
+            delivered: counts(&[("exception", 2)]),
+            dropped: counts(&[("ack", 1), ("commit", 1)]),
+            faults: counts(&[("duplicated", 2)]),
+            recovery: counts(&[("reconnect", 2)]),
+            ..NetStats::default()
+        };
+        assert_eq!(stats, expected);
+        assert_eq!((stats.sent_total(), stats.sent_of_kind("ack")), (4, 2));
+        assert_eq!(stats.delivered_of_kind("exception"), 2);
+        assert_eq!(
+            (stats.dropped_total(), stats.dropped_of_kind("commit")),
+            (2, 1)
+        );
+        assert_eq!(stats.fault_of_kind("duplicated"), 2);
+        assert_eq!(stats.recovery_of_kind("reconnect"), 2);
+        assert_eq!(
+            stats.to_string(),
+            "sent=4 delivered=2 dropped=2 max_in_flight=0\n  \
+             ack: sent 2 delivered 0 dropped 1\n  \
+             commit: sent 0 delivered 0 dropped 1\n  \
+             exception: sent 2 delivered 2 dropped 0\n  \
+             fault duplicated: 2\n  \
+             recovery reconnect: 2\n"
+        );
     }
 
     #[test]

@@ -409,8 +409,10 @@ impl Scenario {
         self
     }
 
-    /// Installs a handler table for `(object, action)`; objects without
-    /// one default to [`HandlerTable::recover_all`].
+    /// Installs a handler table for `(object, action)`. Absence *is*
+    /// the recover-all default (every exception of the action's tree
+    /// recovers at zero cost, nested aborts are clean): nothing is
+    /// built for objects without one.
     #[must_use]
     pub fn handlers(mut self, object: NodeId, action: ActionId, table: HandlerTable) -> Self {
         self.handlers.push((object, action, table));

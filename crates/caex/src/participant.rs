@@ -261,8 +261,10 @@ impl Participant {
         self.id
     }
 
-    /// Installs this participant's handler table for `action`. Absent
-    /// tables default to [`HandlerTable::recover_all`] at first use.
+    /// Installs this participant's handler table for `action`. An
+    /// action with no installed table *is* the recover-all default —
+    /// every exception of its tree recovers at zero cost and nested
+    /// aborts are clean — and nothing is built for it.
     pub fn set_handlers(&mut self, action: ActionId, table: HandlerTable) {
         self.handlers.insert(action, table);
     }
@@ -322,18 +324,6 @@ impl Participant {
     #[must_use]
     pub fn has_aborted(&self, action: ActionId) -> bool {
         self.aborted.contains(&action)
-    }
-
-    fn handler_table(&mut self, action: ActionId) -> &mut HandlerTable {
-        let registry = &self.registry;
-        self.handlers.entry(action).or_insert_with(|| {
-            let tree = registry
-                .scope(action)
-                .expect("handler lookup for undeclared action")
-                .tree()
-                .clone();
-            HandlerTable::recover_all(tree)
-        })
     }
 
     fn peers(&self, action: ActionId) -> Vec<NodeId> {
@@ -1312,7 +1302,10 @@ impl Participant {
                 for (idx, nested) in chain.iter().copied().enumerate() {
                     self.aborted.insert(nested);
                     self.buffered.remove(&nested);
-                    let (outcome, cost) = self.handler_table(nested).invoke_abortion();
+                    let (outcome, cost) = match self.handlers.get_mut(&nested) {
+                        Some(table) => table.invoke_abortion(),
+                        None => (AbortionOutcome::Aborted, SimTime::ZERO),
+                    };
                     total_cost += cost;
                     if let AbortionOutcome::Signal(exc) = outcome {
                         // Only the *directly* nested action's signal may
@@ -1580,7 +1573,22 @@ impl Participant {
                 self.missed_commits.insert(action, missed);
             }
         }
-        let (outcome, cost) = self.handler_table(action).invoke(&exc);
+        let (outcome, cost) = match self.handlers.get_mut(&action) {
+            Some(table) => table.invoke(&exc),
+            None => {
+                let tree = self
+                    .registry
+                    .scope(action)
+                    .expect("handler lookup for undeclared action")
+                    .tree();
+                assert!(
+                    tree.contains(exc.id()),
+                    "no handler for exception {}",
+                    exc.id()
+                );
+                (HandlerOutcome::Recovered, SimTime::ZERO)
+            }
+        };
         let signal = match outcome {
             HandlerOutcome::Recovered => None,
             HandlerOutcome::Signal(e) => Some(e),
@@ -2355,5 +2363,107 @@ mod tests {
         p.on_suspect(NodeId::new(1));
         let again = p.on_rejoin(NodeId::new(1));
         assert!(sends(&again).is_empty());
+    }
+
+    /// A0{O0,O1} ⊃ A1{O0} over `tree`, O0 inside both. With `explicit`,
+    /// O0 gets a `recover_all` table for each action; without, none.
+    fn default_handler_participant(
+        tree: &Arc<caex_tree::ExceptionTree>,
+        explicit: bool,
+    ) -> (Participant, ActionId) {
+        let mut reg = ActionRegistry::new();
+        let a0 = reg
+            .declare(ActionScope::top_level("A0", ids(2), Arc::clone(tree)))
+            .unwrap();
+        let a1 = reg
+            .declare(ActionScope::nested(
+                "A1",
+                [NodeId::new(0)],
+                Arc::clone(tree),
+                a0,
+            ))
+            .unwrap();
+        let mut p = Participant::new(NodeId::new(0), Arc::new(reg), NestedStrategy::Abort);
+        if explicit {
+            p.set_handlers(a0, HandlerTable::recover_all(Arc::clone(tree)));
+            p.set_handlers(a1, HandlerTable::recover_all(Arc::clone(tree)));
+        }
+        p.handle(Event::Enter(a0));
+        p.handle(Event::Enter(a1));
+        (p, a0)
+    }
+
+    #[test]
+    fn absent_handler_table_is_the_recover_all_default() {
+        for depth in [3, 6] {
+            let tree = Arc::new(caex_tree::balanced_tree(2, depth));
+            let exc = Exception::new(*tree.leaves().last().unwrap());
+            let (mut bare, a0) = default_handler_participant(&tree, false);
+            let (mut tabled, _) = default_handler_participant(&tree, true);
+            let raised = Event::Msg(Msg::Exception {
+                action: a0,
+                from: NodeId::new(1),
+                exc: exc.clone(),
+            });
+            // Nested-abort path: A1 is aborted cleanly and for free.
+            let aborted = bare.handle(raised.clone());
+            assert_eq!(aborted, tabled.handle(raised), "depth {depth}");
+            let done = Event::AbortionDone {
+                action: a0,
+                signal: None,
+                epoch: 1,
+            };
+            assert!(aborted.contains(&Effect::After {
+                delay: SimTime::ZERO,
+                event: done.clone(),
+            }));
+            assert_eq!(bare.handle(done.clone()), tabled.handle(done));
+            let commit = Event::Msg(Msg::Commit {
+                action: a0,
+                from: NodeId::new(1),
+                exc: exc.clone(),
+            });
+            let committed = bare.handle(commit.clone());
+            assert_eq!(committed, tabled.handle(commit), "depth {depth}");
+            assert_eq!(
+                committed,
+                vec![
+                    Effect::Note(Note::HandlerStarted {
+                        object: NodeId::new(0),
+                        action: a0,
+                        exc,
+                        will_signal: None,
+                    }),
+                    Effect::After {
+                        delay: SimTime::ZERO,
+                        event: Event::HandlerDone {
+                            action: a0,
+                            signal: None,
+                        },
+                    },
+                ]
+            );
+            // The default is implicit: nothing was materialised.
+            assert!(bare.handlers.is_empty(), "depth {depth}");
+            assert_eq!(tabled.handlers.len(), 2);
+            assert!(bare.clone_declarative().is_some());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no handler for exception")]
+    fn default_handlers_reject_an_exception_outside_the_tree() {
+        let tree = Arc::new(caex_tree::balanced_tree(2, 3));
+        let (mut p, a0) = default_handler_participant(&tree, false);
+        p.handle(Event::Msg(Msg::Exception {
+            action: a0,
+            from: NodeId::new(1),
+            exc: Exception::new(tree.root()),
+        }));
+        p.handle(Event::Msg(Msg::Commit {
+            action: a0,
+            from: NodeId::new(1),
+            exc: Exception::new(ExceptionId::new(tree.len() as u32)),
+        }));
     }
 }

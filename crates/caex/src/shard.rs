@@ -567,6 +567,13 @@ fn run_shard(
     }
     admit_ready!();
 
+    // One fan-out for the whole shard; it borrows `metrics`, `flame`
+    // and `obs` until the loop ends.
+    let mut tee = caex_obs::Tee::new().with(&mut metrics);
+    if config.collect_flame {
+        tee = tee.with(&mut flame);
+    }
+    let mut tee = tee.with(obs);
     while let Some(delivery) = net.next_delivery() {
         if net.delivered_count() > config.max_deliveries {
             hit_delivery_limit = true;
@@ -579,18 +586,12 @@ fn run_shard(
         let participant = participants
             .get_mut(&object)
             .expect("delivery to unknown object");
-        let mut tee = caex_obs::Tee::new().with(&mut metrics);
-        if config.collect_flame {
-            tee = tee.with(&mut flame);
-        }
-        let mut tee = tee.with(obs);
         if let caex_net::DeliverySource::Remote(from) = delivery.source {
             bridge.on_receive(object, &delivery.payload, from, at, None, &mut tee);
         }
         let pre = bridge.pre(participant, &delivery.payload);
         let effects = participant.handle(delivery.payload);
         bridge.post(&pre, participant, &effects, at, None, &mut tee);
-        drop(tee);
         if is_handler_done {
             if let Some(slot) = local.and_then(|l| live[l].as_mut()) {
                 slot.handlers_open = slot.handlers_open.saturating_sub(1);
@@ -681,6 +682,7 @@ fn run_shard(
             }
         }
     }
+    drop(tee);
     obs.on_run_end(net.now());
 
     // Per-instance law verdicts from the metrics registry's rounds.

@@ -42,36 +42,41 @@
 #    sim fleet, central, cr), asserting the per-action §4.4 law and
 #    full completion under multiplexing, zero deadline misses at low
 #    load, and the checked-in BENCH_PR10.json against a live
-#    regeneration of the saturation study.
+#    regeneration of the saturation study;
+# 12. the wall-clock benchmark still builds and checks itself: the
+#    standalone `bench/` package's own unit tests, then its smoke suite
+#    (every workload at ~1/20 size, untraced and traced), which exits
+#    nonzero when any operation fails its completion, agreement, LCA
+#    or §4.4 law check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-2 [1/11]: caex-lint over every built-in workload =="
+echo "== tier-2 [1/12]: caex-lint over every built-in workload =="
 cargo run -q -p caex-lint --bin caex-lint
 
-echo "== tier-2 [2/11]: obs watchdog + §4.4 laws over every built-in workload =="
+echo "== tier-2 [2/12]: obs watchdog + §4.4 laws over every built-in workload =="
 cargo test -q --test observability
 
-echo "== tier-2 [3/11]: regenerate TABLES.md and validated BENCH_PR2.json =="
+echo "== tier-2 [3/12]: regenerate TABLES.md and validated BENCH_PR2.json =="
 cargo run -q -p caex-bench --bin tables -- --out TABLES.md --bench-json BENCH_PR2.json \
     > /dev/null
 
-echo "== tier-2 [4/11]: BENCH_PR2.json matches the checked-in pin =="
+echo "== tier-2 [4/12]: BENCH_PR2.json matches the checked-in pin =="
 cargo test -q -p caex-bench --test bench_pr2
 
-echo "== tier-2 [5/11]: wire frame codec fuzz battery =="
+echo "== tier-2 [5/12]: wire frame codec fuzz battery =="
 cargo test -q -p caex-wire --test frame_props
 
-echo "== tier-2 [6/11]: multi-process §4.2 resolution over real sockets =="
+echo "== tier-2 [6/12]: multi-process §4.2 resolution over real sockets =="
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator --scenario example1
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator --scenario example2
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator --scenario example1 \
     --crash 3 --crash-mode exit
 
-echo "== tier-2 [7/11]: exhaustive model checking of the built-in scenarios =="
+echo "== tier-2 [7/12]: exhaustive model checking of the built-in scenarios =="
 cargo run -q --release -p caex-lint --bin caex-lint -- check --model
 
-echo "== tier-2 [8/11]: causal analysis — BENCH_PR7 pin, caex-report, wire trace =="
+echo "== tier-2 [8/12]: causal analysis — BENCH_PR7 pin, caex-report, wire trace =="
 cargo test -q -p caex-bench --test bench_pr7
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
@@ -89,7 +94,7 @@ cargo run -q -p caex-bench --bin caex-report -- analyze \
     --in "$TRACE_DIR/ex2-wire.jsonl" --check --folded "$TRACE_DIR/ex2-wire.folded"
 test -s "$TRACE_DIR/ex2-wire.folded" || { echo "empty folded output"; exit 1; }
 
-echo "== tier-2 [9/11]: resolver failover — crash grids, commit-point kill, zombie =="
+echo "== tier-2 [9/12]: resolver failover — crash grids, commit-point kill, zombie =="
 cargo test -q --release -p caex --test failover
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \
     --scenario example1 --crash 2 --crash-point commit
@@ -97,11 +102,11 @@ cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \
     --scenario example1 --crash 2 --crash-mode stop --crash-point commit \
     --resume-after-ms 800
 
-echo "== tier-2 [10/11]: healed partition — suspect, resume, zero deserters =="
+echo "== tier-2 [10/12]: healed partition — suspect, resume, zero deserters =="
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \
     --scenario example1 --partition 3 --partition-ms 1000
 
-echo "== tier-2 [11/11]: saturation smoke — open-loop load, three engines, pin =="
+echo "== tier-2 [11/12]: saturation smoke — open-loop load, three engines, pin =="
 cargo run -q --release -p caex-load --bin caex-load -- run \
     --arrivals poisson:800 --actions 200 --engine sim --workers 2 --capacity 4 \
     --deadline-ms 20 --seed 10 --assert-law --assert-no-misses
@@ -112,5 +117,9 @@ cargo run -q --release -p caex-load --bin caex-load -- run \
     --arrivals poisson:800 --actions 200 --engine cr --workers 2 --capacity 4 \
     --deadline-ms 20 --seed 10 --assert-no-misses
 cargo test -q -p caex-load --test bench_pr10
+
+echo "== tier-2 [12/12]: wall-clock benchmark — own tests and smoke suite =="
+cargo test -q --offline --manifest-path bench/Cargo.toml
+bench/run.sh --smoke
 
 echo "tier-2 OK"
