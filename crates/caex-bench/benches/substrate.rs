@@ -3,7 +3,7 @@
 //! paper tables; they bound the measurement overhead of the harness
 //! itself.
 
-use caex_net::{NetConfig, NodeId, SimNet};
+use caex_net::{Kinded, NetConfig, NodeId, SimNet};
 use caex_tree::{balanced_tree, chain_tree, ExceptionId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -52,7 +52,52 @@ fn bench_simnet(c: &mut Criterion) {
             });
         });
     }
+    // The `fleet_small` batch shape: 1 000 four-node instances on one
+    // net (4 000 nodes, 12 000 distinct channels, 2 000 action
+    // indices), two sends per channel, each instance's traffic
+    // delivered before the next one sends — few messages in flight,
+    // many channels and actions on the books.
+    group.bench_function("fleet_shape_4000_nodes", |b| {
+        b.iter(|| {
+            let mut net: SimNet<FleetMsg> = SimNet::new(NetConfig::default(), 4_000);
+            let mut count = 0u32;
+            for instance in 0..1_000u32 {
+                for _ in 0..2 {
+                    for from in 0..4u32 {
+                        for to in (0..4u32).filter(|&to| to != from) {
+                            let action = instance * 2 + from / 2;
+                            net.send(
+                                NodeId::new(instance * 4 + from),
+                                NodeId::new(instance * 4 + to),
+                                FleetMsg { action },
+                            );
+                        }
+                    }
+                    while net.next_delivery().is_some() {
+                        count += 1;
+                    }
+                }
+            }
+            black_box(count)
+        });
+    });
     group.finish();
+}
+
+/// A payload attributed to an action, as the protocol's messages are.
+#[derive(Clone)]
+struct FleetMsg {
+    action: u32,
+}
+
+impl Kinded for FleetMsg {
+    fn kind(&self) -> &'static str {
+        "exception"
+    }
+
+    fn action_index(&self) -> Option<u32> {
+        Some(self.action)
+    }
 }
 
 fn bench_store(c: &mut Criterion) {

@@ -34,6 +34,7 @@
 
 mod channels;
 mod fault;
+mod idmap;
 mod latency;
 mod node;
 mod port;
@@ -45,6 +46,7 @@ mod trace;
 
 pub use channels::ChannelState;
 pub use fault::{FaultEvent, FaultPlan, Freeze, Partition, Restart};
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use latency::LatencyModel;
 pub use node::NodeId;
 pub use port::FifoPort;

@@ -1,13 +1,13 @@
 //! The deterministic discrete-event network simulator.
 
 use crate::{
-    FaultEvent, FaultPlan, Kinded, LatencyModel, NetStats, NodeId, SimTime, TraceEvent,
-    TraceEventKind, TraceLog,
+    FaultEvent, FaultPlan, IdMap, IdSet, Kinded, LatencyModel, NetStats, NodeId, SimTime,
+    TraceEvent, TraceEventKind, TraceLog,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Configuration of a [`SimNet`].
 ///
@@ -210,7 +210,7 @@ pub struct SimNet<M> {
     queue: BinaryHeap<Queued<M>>,
     /// Earliest permissible delivery time per ordered (from, to) pair;
     /// enforces FIFO under jittery latency models.
-    channel_clock: HashMap<(NodeId, NodeId), SimTime>,
+    channel_clock: IdMap<(NodeId, NodeId), SimTime>,
     next_seq: u64,
     num_nodes: u32,
     rng: StdRng,
@@ -219,7 +219,7 @@ pub struct SimNet<M> {
     delivered_count: u64,
     /// Nodes whose return from a crash-with-restart down-window has
     /// already been recorded (the `Restarted` fault fires once).
-    restart_logged: std::collections::HashSet<NodeId>,
+    restart_logged: IdSet<NodeId>,
 }
 
 impl<M> SimNet<M> {
@@ -231,14 +231,14 @@ impl<M> SimNet<M> {
             config,
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
-            channel_clock: HashMap::new(),
+            channel_clock: IdMap::default(),
             next_seq: 0,
             num_nodes,
             rng,
             stats: NetStats::default(),
             trace: TraceLog::default(),
             delivered_count: 0,
-            restart_logged: std::collections::HashSet::new(),
+            restart_logged: IdSet::default(),
         }
     }
 
@@ -292,6 +292,12 @@ impl<M> SimNet<M> {
     #[must_use]
     pub fn stats(&self) -> &NetStats {
         &self.stats
+    }
+
+    /// Ends the run and hands the statistics over without copying them.
+    #[must_use]
+    pub fn into_stats(self) -> NetStats {
+        self.stats
     }
 
     /// The recorded trace (empty unless `record_trace` was set).
@@ -520,16 +526,14 @@ impl<M: Kinded + Clone> SimNet<M> {
                 kind,
             );
         } else if self.config.fifo {
-            let channel = (from, to);
-            let earliest = self
-                .channel_clock
-                .get(&channel)
-                .copied()
-                .unwrap_or(SimTime::ZERO);
             // FIFO: a later send on the same channel may not arrive
             // before an earlier one, whatever latency it drew.
-            at = at.max(earliest);
-            self.channel_clock.insert(channel, at);
+            let earliest = self
+                .channel_clock
+                .entry((from, to))
+                .or_insert(SimTime::ZERO);
+            at = at.max(*earliest);
+            *earliest = at;
         }
         // Clock freeze: a delivery landing inside the destination's
         // freeze window waits until the process "resumes".

@@ -1,6 +1,6 @@
 //! Per-kind message statistics.
 
-use crate::NodeId;
+use crate::{IdMap, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,7 +30,7 @@ pub struct NetStats {
     delivered: BTreeMap<String, u64>,
     dropped: BTreeMap<String, u64>,
     /// Messages sent per ordered (source, destination) pair.
-    channels: BTreeMap<(NodeId, NodeId), u64>,
+    channels: IdMap<(NodeId, NodeId), u64>,
     max_in_flight: usize,
     /// Injected faults per fault kind (see
     /// [`FaultEvent::label`](crate::FaultEvent::label)).
@@ -43,8 +43,9 @@ pub struct NetStats {
     recovery: BTreeMap<String, u64>,
     /// Per-action counters, keyed by action index, for networks shared
     /// by a fleet of actions (see [`Kinded::action_index`](crate::Kinded::action_index)).
+    /// Unordered: [`Self::actions_seen`] sorts at read time.
     #[serde(default)]
-    per_action: BTreeMap<u32, ActionCounters>,
+    per_action: IdMap<u32, ActionCounters>,
 }
 
 /// Send/delivery/drop counters for one action sharing a network.
@@ -150,8 +151,10 @@ impl NetStats {
     }
 
     /// Iterates `(action index, counters)` pairs in action order.
-    pub fn actions_seen(&self) -> impl Iterator<Item = (u32, ActionCounters)> + '_ {
-        self.per_action.iter().map(|(&a, &c)| (a, c))
+    pub fn actions_seen(&self) -> impl Iterator<Item = (u32, ActionCounters)> {
+        let mut actions: Vec<_> = self.per_action.iter().map(|(&a, &c)| (a, c)).collect();
+        actions.sort_unstable_by_key(|&(a, _)| a);
+        actions.into_iter()
     }
 
     /// Updates the high-water mark of simultaneously in-flight messages.
@@ -304,7 +307,7 @@ impl fmt::Display for NetStats {
         // Per-action rows only earn space when the net is actually
         // shared: a single action's row would repeat the totals.
         if self.per_action.len() > 1 {
-            for (a, c) in &self.per_action {
+            for (a, c) in self.actions_seen() {
                 writeln!(
                     f,
                     "  A{a}: sent {} delivered {} dropped {}",

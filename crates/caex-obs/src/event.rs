@@ -28,17 +28,22 @@ pub enum ObsState {
 
 impl fmt::Display for ObsState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ObsState::N => "N",
-            ObsState::X => "X",
-            ObsState::S => "S",
-            ObsState::R => "R",
-        };
-        f.write_str(s)
+        f.write_str(self.label())
     }
 }
 
 impl ObsState {
+    /// The paper's single-letter name of the state.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            ObsState::N => "N",
+            ObsState::X => "X",
+            ObsState::S => "S",
+            ObsState::R => "R",
+        }
+    }
+
     /// Parses the single-letter form produced by `Display`.
     #[must_use]
     pub fn parse(s: &str) -> Option<ObsState> {

@@ -5,9 +5,10 @@
 use crate::event::{CorrelationId, ObsEvent, ObsKind, ObsState, Observer};
 use crate::json::{self, JsonValue};
 use caex_action::ActionId;
-use caex_net::{NodeId, SimTime};
+use caex_net::{IdMap, NodeId, SimTime};
+use caex_tree::ExceptionId;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Default microsecond bucket bounds shared by every histogram: powers
@@ -221,10 +222,23 @@ struct RoundStats {
     wall_started: Option<u64>,
     committed_at: Option<SimTime>,
     wall_committed: Option<u64>,
-    by_kind: BTreeMap<String, u64>,
+    /// Per-kind sends in first-seen order (at most a handful of
+    /// kinds); sorted when the round is finalized.
+    by_kind: Vec<(&'static str, u64)>,
     raised: BTreeSet<u32>,
     aborters: BTreeSet<NodeId>,
-    resolved: Option<String>,
+    resolved: Option<ExceptionId>,
+}
+
+/// Adds `by` to `key`'s counter, allocating the key only the first
+/// time it is seen: this runs for every event of every action.
+fn bump(counters: &mut BTreeMap<String, u64>, key: &str, by: u64) {
+    match counters.get_mut(key) {
+        Some(count) => *count += by,
+        None => {
+            counters.insert(key.to_owned(), by);
+        }
+    }
 }
 
 /// The metrics observer: counters, histograms, per-round accounting
@@ -240,11 +254,11 @@ pub struct MetricsRegistry {
     law: Option<fn(u64, u64, u64) -> u64>,
     events_total: BTreeMap<String, u64>,
     messages_total: BTreeMap<String, u64>,
-    rounds: HashMap<(ActionId, u32), RoundStats>,
-    participants: HashMap<ActionId, BTreeSet<NodeId>>,
-    state_since: HashMap<NodeId, (ObsState, SimTime)>,
+    rounds: IdMap<(ActionId, u32), RoundStats>,
+    participants: IdMap<ActionId, BTreeSet<NodeId>>,
+    state_since: IdMap<NodeId, (ObsState, SimTime)>,
     dwell_us: BTreeMap<String, u64>,
-    handler_open: HashMap<NodeId, (SimTime, Option<u64>)>,
+    handler_open: IdMap<NodeId, (SimTime, Option<u64>)>,
     handler_durations: Histogram,
     resolution_latency: Histogram,
     resolution_latency_wall: Histogram,
@@ -396,10 +410,7 @@ impl MetricsRegistry {
 
 impl Observer for MetricsRegistry {
     fn on_event(&mut self, event: &ObsEvent) {
-        *self
-            .events_total
-            .entry(event.kind.label().to_owned())
-            .or_insert(0) += 1;
+        bump(&mut self.events_total, event.kind.label(), 1);
         self.touch_state(event.object, event.at);
 
         match &event.kind {
@@ -414,7 +425,7 @@ impl Observer for MetricsRegistry {
                 if let Some((state, since)) = self.state_since.get_mut(&event.object) {
                     debug_assert_eq!(state, from);
                     let dwell = now.as_micros().saturating_sub(since.as_micros());
-                    *self.dwell_us.entry(from.to_string()).or_insert(0) += dwell;
+                    bump(&mut self.dwell_us, from.label(), dwell);
                     *state = *to;
                     *since = now;
                 }
@@ -448,24 +459,25 @@ impl Observer for MetricsRegistry {
                 }
             }
             ObsKind::MessageSent { kind, .. } => {
-                *self.messages_total.entry((*kind).to_owned()).or_insert(0) += 1;
+                bump(&mut self.messages_total, kind, 1);
                 if event.span.round > 0 {
-                    let kind = (*kind).to_owned();
-                    let round = self.round_mut(event.span);
-                    *round.by_kind.entry(kind).or_insert(0) += 1;
+                    let by_kind = &mut self.round_mut(event.span).by_kind;
+                    match by_kind.iter_mut().find(|(k, _)| k == kind) {
+                        Some((_, count)) => *count += 1,
+                        None => by_kind.push((kind, 1)),
+                    }
                 }
             }
             ObsKind::ResolutionCommit { resolved, .. } => {
                 let at = event.at;
                 let wall = event.wall_micros;
-                let resolved = format!("e{}", resolved.index());
                 let round = self.round_mut(event.span);
                 // First commit wins: with a resolver group > 1 the
                 // replicas commit the same result.
                 if round.committed_at.is_none() {
                     round.committed_at = Some(at);
                     round.wall_committed = wall;
-                    round.resolved = Some(resolved);
+                    round.resolved = Some(*resolved);
                 }
             }
             ObsKind::HandlerStart { .. } => {
@@ -503,7 +515,7 @@ impl Observer for MetricsRegistry {
         // Close every object's final dwell interval.
         for (state, since) in self.state_since.values() {
             let dwell = at.as_micros().saturating_sub(since.as_micros());
-            *self.dwell_us.entry(state.to_string()).or_insert(0) += dwell;
+            bump(&mut self.dwell_us, state.label(), dwell);
         }
 
         // Finalize committed rounds in a stable order.
@@ -524,9 +536,15 @@ impl Observer for MetricsRegistry {
             let messages: u64 = round
                 .by_kind
                 .iter()
-                .filter(|(k, _)| LAW_KINDS.contains(&k.as_str()))
+                .filter(|(k, _)| LAW_KINDS.contains(k))
                 .map(|(_, v)| *v)
                 .sum();
+            let mut by_kind: Vec<(String, u64)> = round
+                .by_kind
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v))
+                .collect();
+            by_kind.sort_unstable();
             let n = self
                 .participants
                 .get(&action)
@@ -548,17 +566,13 @@ impl Observer for MetricsRegistry {
                 latency_us,
                 wall_latency_us,
                 messages,
-                by_kind: round
-                    .by_kind
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect(),
+                by_kind,
                 n,
                 p,
                 q,
                 predicted,
                 law_holds,
-                resolved: round.resolved.clone(),
+                resolved: round.resolved.map(|e| format!("e{}", e.index())),
             });
         }
     }
@@ -775,7 +789,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caex_tree::ExceptionId;
 
     fn ev(at: u64, object: u32, round: u32, kind: ObsKind) -> ObsEvent {
         ObsEvent {
@@ -922,6 +935,42 @@ mod tests {
         assert_eq!(reg.state_dwell_us().get("X"), Some(&20));
         assert_eq!(reg.handler_durations().count(), 1);
         assert_eq!(reg.handler_durations().sum(), 12);
+    }
+
+    /// Interleaves first-sight and repeat kinds and states: the public
+    /// maps must come out as the entry-API bookkeeping left them,
+    /// including the key a zero-length dwell creates.
+    #[test]
+    fn counting_interleaved_seen_and_unseen_kinds_and_states() {
+        let sent = |kind| ObsKind::MessageSent { kind, to: NodeId::new(0) };
+        let moved = |from, to| ObsKind::StateTransition { from, to };
+        let mut reg = MetricsRegistry::new();
+        reg.on_event(&ev(0, 1, 1, sent("exception")));
+        reg.on_event(&ev(0, 2, 0, ObsKind::ActionEnter));
+        reg.on_event(&ev(3, 1, 1, sent("ack")));
+        // Object 1 was first seen at t=0 and leaves N at t=0.
+        reg.on_event(&ev(0, 1, 1, moved(ObsState::N, ObsState::X)));
+        reg.on_event(&ev(4, 2, 1, sent("exception")));
+        reg.on_event(&ev(7, 1, 1, moved(ObsState::X, ObsState::R)));
+        reg.on_event(&ev(8, 2, 0, sent("leave_ready")));
+        reg.on_event(&ev(9, 1, 1, moved(ObsState::R, ObsState::X)));
+        reg.on_event(&ev(9, 2, 0, ObsKind::ActionEnter));
+        reg.on_event(&ev(12, 1, 1, moved(ObsState::X, ObsState::N)));
+        let counts = |pairs: &[(&str, u64)]| -> BTreeMap<String, u64> {
+            pairs.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+        };
+        assert_eq!(
+            reg.events_total(),
+            &counts(&[("action_enter", 2), ("message_sent", 4), ("state_transition", 4)])
+        );
+        assert_eq!(
+            reg.messages_total(),
+            &counts(&[("ack", 1), ("exception", 2), ("leave_ready", 1)])
+        );
+        assert_eq!(reg.state_dwell_us(), &counts(&[("N", 0), ("R", 2), ("X", 10)]));
+        // Run end closes both objects' last interval, both in N.
+        reg.on_run_end(SimTime::from_micros(20));
+        assert_eq!(reg.state_dwell_us(), &counts(&[("N", 28), ("R", 2), ("X", 10)]));
     }
 
     #[test]

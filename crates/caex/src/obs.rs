@@ -23,10 +23,9 @@
 
 use crate::{Effect, Event, Note, PState, Participant};
 use caex_action::ActionId;
-use caex_net::{Kinded, NodeId, SimTime};
+use caex_net::{IdMap, IdSet, Kinded, NodeId, SimTime};
 use caex_obs::{CorrelationId, ObsEvent, ObsKind, ObsState, Observer};
 use caex_tree::Exception;
-use std::collections::HashMap;
 
 /// Maps the participant's optional [`PState`] onto the observable
 /// four-state alphabet (`None` is the paper's `N`).
@@ -66,14 +65,14 @@ struct RoundState {
 /// Translates `Participant::handle` calls into [`ObsEvent`]s.
 #[derive(Debug, Default)]
 pub struct ObsBridge {
-    rounds: HashMap<ActionId, RoundState>,
-    open_handlers: HashMap<NodeId, ActionId>,
+    rounds: IdMap<ActionId, RoundState>,
+    open_handlers: IdMap<NodeId, ActionId>,
     /// Peers currently observed as suspected, keyed on the emitted
     /// events — makes the suspicion translations idempotent, since a
     /// suspicion can surface twice (once through the drive loop's
     /// detector polling, once through the engine's own proof-of-life
     /// path inside an event handle).
-    suspected_peers: std::collections::HashSet<NodeId>,
+    suspected_peers: IdSet<NodeId>,
 }
 
 impl ObsBridge {

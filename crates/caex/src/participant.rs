@@ -14,9 +14,9 @@
 
 use crate::{Effect, Event, LeaveMode, Msg, NestedStrategy, Note};
 use caex_action::{AbortionOutcome, ActionId, ActionRegistry, HandlerOutcome, HandlerTable};
-use caex_net::{NodeId, SimTime};
+use caex_net::{IdMap, IdSet, NodeId, SimTime};
 use caex_tree::{Exception, ExceptionId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -113,28 +113,28 @@ pub enum Silence {
 pub struct Participant {
     id: NodeId,
     registry: Arc<ActionRegistry>,
-    handlers: HashMap<ActionId, HandlerTable>,
+    handlers: IdMap<ActionId, HandlerTable>,
     /// `SA`: entered actions, outermost first; the last is the *active*
     /// action.
     entered: Vec<ActionId>,
-    aborted: HashSet<ActionId>,
-    completed: HashSet<ActionId>,
+    aborted: IdSet<ActionId>,
+    completed: IdSet<ActionId>,
     /// Actions whose resolution committed here, with the committed
     /// exception — kept so a crash-orphaned peer that probes after the
     /// resolver deserted can be answered with the outcome.
-    resolved: HashMap<ActionId, Exception>,
+    resolved: IdMap<ActionId, Exception>,
     /// Messages for actions this object has not yet entered (belated
     /// participation, §3.3 problem 4).
-    buffered: HashMap<ActionId, Vec<Msg>>,
+    buffered: IdMap<ActionId, Vec<Msg>>,
     /// Completions requested while a deeper action was still at its
     /// exit line; replayed as the nesting unwinds.
-    deferred_completes: HashSet<ActionId>,
+    deferred_completes: IdSet<ActionId>,
     res: Option<Resolution>,
     strategy: NestedStrategy,
     /// For [`NestedStrategy::Wait`]: remaining run time of each nested
     /// action; `None` means it can never complete (e.g. it waits on a
     /// belated participant) — the Fig. 1(a) deadlock.
-    nested_remaining: HashMap<ActionId, Option<SimTime>>,
+    nested_remaining: IdMap<ActionId, Option<SimTime>>,
     /// Invalidates stale `AbortionDone` continuations after an outer
     /// resolution overrides an in-progress abortion.
     abort_epoch: u64,
@@ -144,30 +144,30 @@ pub struct Participant {
     /// Centralized or decentralized synchronized leave.
     leave_mode: LeaveMode,
     /// Distributed leave: actions whose exit line this object reached.
-    leave_requested: HashSet<ActionId>,
+    leave_requested: IdSet<ActionId>,
     /// Distributed leave: peers' `LeaveReady` announcements per action.
-    leave_ready: HashMap<ActionId, BTreeSet<NodeId>>,
+    leave_ready: IdMap<ActionId, BTreeSet<NodeId>>,
     /// Peers reported crashed by the transport's failure detector;
     /// permanently excluded from every peer set (see [`Self::on_deserter`]).
-    deserters: HashSet<NodeId>,
+    deserters: IdSet<NodeId>,
     /// Peers the transport's accrual detector currently *suspects*
     /// (silence past the suspicion threshold, not yet confirmed dead).
     /// Unlike `deserters` this set shrinks again when the peer is heard
     /// from ([`Self::on_rejoin`]); a suspect keeps all its obligations.
-    suspects: HashSet<NodeId>,
+    suspects: IdSet<NodeId>,
     /// Resolutions that committed here while some participant was
     /// suspected: the suspects that may have missed the commit, per
     /// action. Drained by [`Self::on_rejoin`]'s commit-forwarding round.
-    missed_commits: HashMap<ActionId, BTreeSet<NodeId>>,
+    missed_commits: IdMap<ActionId, BTreeSet<NodeId>>,
     /// Actions whose orphaned resolution context this object discarded
     /// (`stand_down_if_orphaned`) without learning the outcome. A
     /// forwarded `Commit` for such an action is still accepted — the
     /// close of the p = 1 partial-commit hole.
-    stood_down: HashSet<ActionId>,
+    stood_down: IdSet<ActionId>,
     /// Actions whose committed resolution was re-broadcast once in
     /// answer to a crash-orphaned peer's probe; at most one announce
     /// per action keeps the recovery traffic bounded.
-    recovery_announced: HashSet<ActionId>,
+    recovery_announced: IdSet<ActionId>,
     /// Resolver failover (default on). When off, the machine is the
     /// paper's literal §4.2 algorithm: desertion reports are recorded
     /// but trigger no re-election, no recovery probing and no zombie
@@ -195,26 +195,26 @@ impl Participant {
         Participant {
             id,
             registry,
-            handlers: HashMap::new(),
+            handlers: IdMap::default(),
             entered: Vec::new(),
-            aborted: HashSet::new(),
-            completed: HashSet::new(),
-            resolved: HashMap::new(),
-            buffered: HashMap::new(),
-            deferred_completes: HashSet::new(),
+            aborted: IdSet::default(),
+            completed: IdSet::default(),
+            resolved: IdMap::default(),
+            buffered: IdMap::default(),
+            deferred_completes: IdSet::default(),
             res: None,
             strategy,
-            nested_remaining: HashMap::new(),
+            nested_remaining: IdMap::default(),
             abort_epoch: 0,
             resolver_group: 1,
             leave_mode: LeaveMode::default(),
-            leave_requested: HashSet::new(),
-            leave_ready: HashMap::new(),
-            deserters: HashSet::new(),
-            suspects: HashSet::new(),
-            missed_commits: HashMap::new(),
-            stood_down: HashSet::new(),
-            recovery_announced: HashSet::new(),
+            leave_requested: IdSet::default(),
+            leave_ready: IdMap::default(),
+            deserters: IdSet::default(),
+            suspects: IdSet::default(),
+            missed_commits: IdMap::default(),
+            stood_down: IdSet::default(),
+            recovery_announced: IdSet::default(),
             failover: true,
         }
     }
@@ -368,7 +368,7 @@ impl Participant {
     /// excluded.
     pub fn protocol_digest<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
-        fn sorted<T: Copy + Ord>(set: &HashSet<T>) -> Vec<T> {
+        fn sorted<T: Copy + Ord>(set: &IdSet<T>) -> Vec<T> {
             let mut v: Vec<T> = set.iter().copied().collect();
             v.sort_unstable();
             v
@@ -439,7 +439,7 @@ impl Participant {
     /// its worlds always clone).
     #[must_use]
     pub fn clone_declarative(&self) -> Option<Participant> {
-        let mut handlers = HashMap::with_capacity(self.handlers.len());
+        let mut handlers = IdMap::with_capacity_and_hasher(self.handlers.len(), Default::default());
         for (&action, table) in &self.handlers {
             handlers.insert(action, table.clone_declarative()?);
         }

@@ -28,9 +28,9 @@
 
 use crate::{Effect, Event, LeaveMode, NestedStrategy, Note, Participant, Scenario};
 use caex_action::{ActionId, ActionRegistry, HandlerTable};
-use caex_net::{NetConfig, NetStats, NodeId, SimNet, SimTime};
+use caex_net::{IdMap, NetConfig, NetStats, NodeId, SimNet, SimTime};
 use caex_tree::Exception;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// One relocatable action structure plus its scripted timeline, ready
@@ -413,14 +413,18 @@ struct ShardOutput {
 
 fn merge_outputs(outputs: Vec<ShardOutput>, collect_flame: bool) -> FleetReport {
     let mut outcomes = Vec::new();
-    let mut stats = NetStats::default();
+    let mut stats: Option<NetStats> = None;
     let mut shard_finished = Vec::new();
     let mut deadlocked = Vec::new();
     let mut hit_delivery_limit = false;
     let mut folded_merged: BTreeMap<String, u64> = BTreeMap::new();
     for out in outputs {
         outcomes.extend(out.outcomes);
-        stats.merge(&out.stats);
+        // The first shard's record is kept as it is; the rest fold in.
+        match &mut stats {
+            None => stats = Some(out.stats),
+            Some(stats) => stats.merge(&out.stats),
+        }
         shard_finished.push(out.finished_at);
         deadlocked.extend(out.deadlocked);
         hit_delivery_limit |= out.hit_delivery_limit;
@@ -445,7 +449,7 @@ fn merge_outputs(outputs: Vec<ShardOutput>, collect_flame: bool) -> FleetReport 
     });
     FleetReport {
         outcomes,
-        stats,
+        stats: stats.unwrap_or_default(),
         shard_finished,
         deadlocked,
         hit_delivery_limit,
@@ -479,18 +483,6 @@ fn run_shard(
         .map(|n| n.index() + 1)
         .max()
         .unwrap_or(0);
-    // Node ranges must be disjoint: one node serves one instance.
-    {
-        let mut owners: HashMap<NodeId, usize> = HashMap::new();
-        for (i, inst) in &batch {
-            for &n in &inst.nodes {
-                assert!(
-                    owners.insert(n, *i).is_none(),
-                    "node {n} assigned to two instances in shard {shard}"
-                );
-            }
-        }
-    }
 
     let mut net_config = config.net.clone();
     net_config.seed = net_config
@@ -504,24 +496,30 @@ fn run_shard(
     };
     let mut flame = caex_obs::FlameBuilder::new();
 
+    // Per-node tables are dense: the shard's node ids are `< num_nodes`.
+    let slot_of = |node: NodeId| node.index() as usize;
     // node -> local slot in `batch`; action id -> local slot.
-    let mut node_owner: HashMap<NodeId, usize> = HashMap::new();
-    let mut action_owner: HashMap<ActionId, usize> = HashMap::new();
+    let mut node_owner: Vec<Option<usize>> = vec![None; num_nodes as usize];
+    let mut action_owner: IdMap<ActionId, usize> = IdMap::default();
     for (local, (_, inst)) in batch.iter().enumerate() {
         for &n in &inst.nodes {
-            node_owner.insert(n, local);
+            // Node ranges must be disjoint: one node serves one instance.
+            assert!(
+                node_owner[slot_of(n)].replace(local).is_none(),
+                "node {n} assigned to two instances in shard {shard}"
+            );
         }
         for a in inst.action_range() {
             action_owner.insert(ActionId::new(a), local);
         }
     }
 
-    let mut participants: HashMap<NodeId, Participant> = HashMap::new();
+    let mut participants: Vec<Option<Participant>> = (0..num_nodes).map(|_| None).collect();
     let mut live: Vec<Option<Live>> = (0..batch.len()).map(|_| None).collect();
     let mut pending: VecDeque<usize> = (0..batch.len()).collect();
     let mut active = 0usize;
     let mut bridge = crate::ObsBridge::new();
-    let mut leave_requests: HashMap<ActionId, std::collections::BTreeSet<NodeId>> = HashMap::new();
+    let mut leave_requests: IdMap<ActionId, BTreeSet<NodeId>> = IdMap::default();
     let mut hit_delivery_limit = false;
 
     // Admission: fill free slots in arrival order. Steps are offsets
@@ -542,11 +540,12 @@ fn run_shard(
                     p.set_resolver_group(inst.resolver_group);
                     p.set_leave_mode(inst.leave_mode);
                     p.set_failover(inst.failover);
-                    participants.insert(n, p);
+                    participants[slot_of(n)] = Some(p);
                 }
                 for (object, action, table) in handlers {
                     participants
-                        .get_mut(&object)
+                        .get_mut(slot_of(object))
+                        .and_then(Option::as_mut)
                         .expect("handler for unknown object")
                         .set_handlers(action, table);
                 }
@@ -581,10 +580,10 @@ fn run_shard(
         }
         let at = delivery.at;
         let object = delivery.to;
-        let local = node_owner.get(&object).copied();
+        let local = node_owner[slot_of(object)];
         let is_handler_done = matches!(delivery.payload, Event::HandlerDone { .. });
-        let participant = participants
-            .get_mut(&object)
+        let participant = participants[slot_of(object)]
+            .as_mut()
             .expect("delivery to unknown object");
         if let caex_net::DeliverySource::Remote(from) = delivery.source {
             bridge.on_receive(object, &delivery.payload, from, at, None, &mut tee);
@@ -665,11 +664,11 @@ fn run_shard(
                     slot.finished.is_none()
                         && slot.committed.is_some()
                         && slot.handlers_open == 0
-                        && batch[l]
-                            .1
-                            .nodes
-                            .iter()
-                            .all(|n| participants.get(n).is_none_or(Participant::is_normal))
+                        && batch[l].1.nodes.iter().all(|&n| {
+                            participants[slot_of(n)]
+                                .as_ref()
+                                .is_none_or(Participant::is_normal)
+                        })
                 }
                 None => false,
             };
@@ -686,22 +685,23 @@ fn run_shard(
     obs.on_run_end(net.now());
 
     // Per-instance law verdicts from the metrics registry's rounds.
-    let mut law_predicted: HashMap<usize, u64> = HashMap::new();
-    let mut law_holds: HashMap<usize, bool> = HashMap::new();
+    let mut law_predicted: Vec<Option<u64>> = vec![None; batch.len()];
+    let mut law_holds: Vec<Option<bool>> = vec![None; batch.len()];
     for r in metrics.resolutions() {
         if let Some(&l) = action_owner.get(&r.action) {
             if let Some(pred) = r.predicted {
-                *law_predicted.entry(l).or_insert(0) += pred;
+                *law_predicted[l].get_or_insert(0) += pred;
             }
             if let Some(holds) = r.law_holds {
-                let entry = law_holds.entry(l).or_insert(true);
-                *entry = *entry && holds;
+                let verdict = law_holds[l].get_or_insert(true);
+                *verdict = *verdict && holds;
             }
         }
     }
 
     let deadlocked: Vec<NodeId> = participants
-        .values()
+        .iter()
+        .flatten()
         .filter(|p| !p.is_normal())
         .map(Participant::id)
         .collect();
@@ -726,8 +726,8 @@ fn run_shard(
                 resolver: slot.and_then(|s| s.resolver),
                 resolved: slot.and_then(|s| s.resolved.clone()),
                 messages,
-                law_predicted: law_predicted.get(&l).copied(),
-                law_holds: law_holds.get(&l).copied(),
+                law_predicted: law_predicted[l],
+                law_holds: law_holds[l],
                 deadline: inst.deadline.map(|d| inst.arrival + d),
             }
         })
@@ -735,8 +735,8 @@ fn run_shard(
 
     ShardOutput {
         outcomes,
-        stats: net.stats().clone(),
         finished_at: net.now(),
+        stats: net.into_stats(),
         deadlocked,
         hit_delivery_limit,
         folded: config.collect_flame.then(|| flame.folded()),

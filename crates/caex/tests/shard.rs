@@ -96,6 +96,105 @@ fn example2_through_the_fleet_matches_the_scenario_engine() {
     assert_eq!(fleet.outcomes[0].resolver, Some(NodeId::new(2)));
 }
 
+/// A 64-instance `general_at(4, 2, 1)` fleet, arrivals 10 µs apart,
+/// through the default one-shard, capacity-8 engine with a metrics
+/// registry attached.
+fn fleet64() -> (caex::shard::FleetReport, caex_obs::MetricsRegistry) {
+    let instances = (0..64u32)
+        .map(|i| {
+            let w = workloads::general_at(4, 2, 1, i * 4, i * 2, NetConfig::default());
+            ActionInstance::from_scenario(w.scenario, SimTime::from_micros(u64::from(i) * 10))
+        })
+        .collect();
+    let config = FleetConfig {
+        law: Some(analysis::messages_general),
+        ..Default::default()
+    };
+    let mut metrics = caex_obs::MetricsRegistry::new().with_law(analysis::messages_general);
+    let report = FleetEngine::new(config).run_observed(instances, &mut metrics);
+    (report, metrics)
+}
+
+/// The engine's bookkeeping maps are unordered inside; everything a
+/// caller can read is the same on every run and comes out ordered, and
+/// the rendered text is pinned to what the ordered maps used to print.
+#[test]
+fn fleet_of_64_is_deterministic_and_prints_as_pinned() {
+    let (first, first_metrics) = fleet64();
+    let (second, second_metrics) = fleet64();
+    assert_eq!(first.stats, second.stats);
+    assert_eq!(
+        format!("{:?}", first.outcomes),
+        format!("{:?}", second.outcomes)
+    );
+    assert_eq!(first_metrics.prometheus(), second_metrics.prometheus());
+
+    let seen: Vec<u32> = first.stats.actions_seen().map(|(a, _)| a).collect();
+    // Only the top-level actions (even ids) carry protocol messages.
+    assert_eq!(seen, (0..64).map(|i| i * 2).collect::<Vec<u32>>());
+    assert_eq!(first.committed_count(), 64);
+    assert!(first.law_all_hold());
+
+    let text = format!(
+        "== stats ==\n{}== prometheus ==\n{}== snapshot ==\n{}\n",
+        first.stats,
+        first_metrics.prometheus(),
+        first_metrics.snapshot().to_json()
+    );
+    assert_eq!(text, include_str!("fixtures/fleet64.txt"));
+}
+
+/// One shard hands its `NetStats` over as it is and further shards
+/// fold into it: the merged counters do not depend on the shard count.
+#[test]
+fn merged_stats_do_not_depend_on_the_shard_count() {
+    let run = |shards| {
+        let instances = (0..64u32)
+            .map(|i| {
+                let w = workloads::general_at(4, 2, 1, i * 4, i * 2, NetConfig::default());
+                ActionInstance::from_scenario(w.scenario, SimTime::from_micros(u64::from(i) * 10))
+            })
+            .collect();
+        let config = FleetConfig {
+            shards,
+            ..Default::default()
+        };
+        let stats = FleetEngine::new(config).run(instances).stats;
+        let kinds: Vec<(String, u64)> = stats
+            .sent_by_kind()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect();
+        let loads: Vec<u64> = (0..256u32)
+            .map(|n| stats.channel_load(NodeId::new(n), NodeId::new(n ^ 1)))
+            .collect();
+        (
+            stats.sent_total(),
+            stats.delivered_total(),
+            kinds,
+            stats.actions_seen().collect::<Vec<_>>(),
+            loads,
+        )
+    };
+    let one = run(1);
+    assert_eq!(one.0, 64 * 24);
+    assert_eq!(one, run(3));
+}
+
+#[test]
+#[should_panic(expected = "node O5 assigned to two instances in shard 0")]
+fn instances_sharing_a_node_are_rejected() {
+    // Nodes 0..6 and 5..11 overlap in O5.
+    let instances = [0u32, 5]
+        .into_iter()
+        .enumerate()
+        .map(|(i, node_base)| {
+            let w = workloads::general_at(6, 1, 0, node_base, i as u32, NetConfig::default());
+            ActionInstance::from_scenario(w.scenario, SimTime::ZERO)
+        })
+        .collect();
+    let _ = FleetEngine::new(FleetConfig::default()).run(instances);
+}
+
 /// Valid §4.4 shapes: `N` participants, `1 <= P`, `P + Q <= N`, plus a
 /// relocation offset pair for the fleet instance.
 fn arb_shape() -> impl Strategy<Value = (u32, u32, u32, u32, u32)> {
