@@ -294,10 +294,11 @@ impl<M> SimNet<M> {
         &self.stats
     }
 
-    /// Ends the run and hands the statistics over without copying them.
+    /// Ends the run and hands the statistics and the trace over without
+    /// copying them.
     #[must_use]
-    pub fn into_stats(self) -> NetStats {
-        self.stats
+    pub fn into_parts(self) -> (NetStats, TraceLog) {
+        (self.stats, self.trace)
     }
 
     /// The recorded trace (empty unless `record_trace` was set).

@@ -9,8 +9,10 @@
 //! full address map — so by the time any process starts dialing, every
 //! listener already exists and mesh formation has no port races. After
 //! the [`crate::wire::WirePort::barrier`], each child plays its
-//! zero-clamped script through [`caex::drive::drive_node`] and prints
-//! a single `CAEX-WIRE-REPORT {json}` line; the coordinator aggregates
+//! zero-clamped script through [`caex::drive::drive_node`] (every event
+//! applied through [`caex::ObsBridge::handle`], the observed step all
+//! hosts share, stamped with wall-clock microseconds) and prints a
+//! single `CAEX-WIRE-REPORT {json}` line; the coordinator aggregates
 //! those, optionally replays the merged observability streams through
 //! the [`caex_obs::Watchdog`], and checks the run against the §4.4
 //! closed form (or the simulator baseline) — message counts measured
@@ -28,8 +30,9 @@
 use crate::scenario::{SimBaseline, WireScenario};
 use crate::wire::{WireAddr, WireBound, WireConfig, WirePort};
 use caex::drive::drive_node;
-use caex::{Event, LeaveMode, NestedStrategy, Note, ObsBridge, Participant};
-use caex_net::{NodeId, SimTime};
+use caex::obs::wall_stamp;
+use caex::{LeaveMode, NestedStrategy, Note, ObsBridge, Participant};
+use caex_net::NodeId;
 use caex_obs::json::{self, JsonValue};
 use caex_obs::{causal, ObsEvent, Observer, TcpExporter, Watchdog};
 use caex_tree::ExceptionId;
@@ -427,38 +430,6 @@ fn rendezvous_exchange(
         .collect()
 }
 
-/// Applies `handle` under the observability bridge, mirroring the
-/// threaded engine's instrumentation (wall-clock micros since `start`
-/// become the event's `SimTime` and `wall_micros`). Transport
-/// deliveries (`from` is `Some`) additionally emit the
-/// `MessageReceived` event causal analysis pairs with the sender's
-/// `MessageSent`.
-fn handle_observed(
-    participant: &mut Participant,
-    event: Event,
-    from: Option<caex_net::NodeId>,
-    bridge: &mut ObsBridge,
-    start: Instant,
-    obs: &mut dyn Observer,
-) -> Vec<caex::Effect> {
-    if let Some(from) = from {
-        let wall = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        bridge.on_receive(
-            participant.id(),
-            &event,
-            from,
-            SimTime::from_micros(wall),
-            Some(wall),
-            obs,
-        );
-    }
-    let pre = bridge.pre(participant, &event);
-    let fx = participant.handle(event);
-    let wall = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    bridge.post(&pre, participant, &fx, SimTime::from_micros(wall), Some(wall), obs);
-    fx
-}
-
 /// Runs one node end-to-end over an already-connected port: barrier,
 /// script, drive loop, report. Shared by the child process entry point
 /// and the in-process [`run_local`] mesh.
@@ -497,8 +468,15 @@ fn drive_wire_node(
         start,
         idle_timeout,
         |p, ev, from| {
-            let fx =
-                handle_observed(p, ev, from, &mut bridge.borrow_mut(), start, *obs.borrow_mut());
+            // Wall-clock micros since `start` stamp the events, as on
+            // the threaded engine.
+            let fx = bridge.borrow_mut().handle(
+                p,
+                ev,
+                from,
+                || wall_stamp(start),
+                *obs.borrow_mut(),
+            );
             // Commit-point crash: the resolver dies the moment its
             // state machine decides to commit, before any `Commit`
             // leaves this process. A `Stop` victim freezes *here*,
@@ -524,26 +502,21 @@ fn drive_wire_node(
         },
         |n| {
             // Detector transitions reach this callback without passing
-            // through `ObsBridge::post` (the drive loop polls the
+            // through `ObsBridge::handle` (the drive loop polls the
             // transport directly); bridge them here. The translation
             // is idempotent, so the engine's own proof-of-life rejoin
-            // — which *does* flow through `post` — never doubles.
+            // — which *does* flow through `handle` — never doubles.
             if matches!(n, Note::PeerSuspected { .. } | Note::PeerRejoined { .. }) {
-                let wall = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                bridge.borrow_mut().note_out_of_band(
-                    id,
-                    &n,
-                    SimTime::from_micros(wall),
-                    Some(wall),
-                    *obs.borrow_mut(),
-                );
+                let (at, wall) = wall_stamp(start);
+                bridge
+                    .borrow_mut()
+                    .note_out_of_band(id, &n, at, wall, *obs.borrow_mut());
             }
             notes.push(n);
         },
     );
     let obs = obs.into_inner();
-    let end = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    obs.on_run_end(SimTime::from_micros(end));
+    obs.on_run_end(wall_stamp(start).0);
     let stats = port.stats();
     let stats = stats.lock();
     NodeReport {

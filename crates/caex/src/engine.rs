@@ -1,10 +1,13 @@
-//! Scenario scripting and the discrete-event execution engine.
+//! Scenario scripting and the single-script front-end of the simulator
+//! host: a [`Scenario`] sets one script up on a [`SimHost`] (failure
+//! detector schedule, handler tables, nested run times, acceptance
+//! tests), steps it to quiescence and collects a [`RunReport`].
 
-use crate::{Effect, Event, LeaveMode, NestedStrategy, Note, Participant};
+use crate::host::{AcceptanceTest, Script, SimHost, Sink};
+use crate::{Event, LeaveMode, Msg, NestedStrategy, Note};
 use caex_action::{ActionId, ActionRegistry, HandlerTable};
-use caex_net::{NetConfig, NetStats, NodeId, SimNet, SimTime, TraceLog};
+use caex_net::{NetConfig, NetStats, NodeId, SimTime, TraceLog};
 use caex_tree::Exception;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -37,7 +40,7 @@ pub struct HandlerStart {
 }
 
 /// Everything a scenario run produced.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunReport {
     /// Committed resolutions in commit order.
     pub resolutions: Vec<ResolutionRecord>,
@@ -228,30 +231,19 @@ impl fmt::Display for RunReport {
 /// assert!(report.is_clean());
 /// ```
 pub struct Scenario {
-    registry: Arc<ActionRegistry>,
+    pub(crate) script: Script,
     config: NetConfig,
-    strategy: NestedStrategy,
-    steps: Vec<(SimTime, NodeId, Event)>,
-    handlers: Vec<(NodeId, ActionId, HandlerTable)>,
-    nested_remaining: Vec<(NodeId, ActionId, Option<SimTime>)>,
     max_deliveries: u64,
-    resolver_group: u32,
-    leave_mode: LeaveMode,
     acceptance: Vec<(ActionId, AcceptanceTest)>,
-    failover: bool,
     detection_delay: SimTime,
 }
-
-/// An exit-line acceptance test: `None` accepts, `Some(exc)` rejects
-/// with the exception to raise (Fig. 2b).
-type AcceptanceTest = Box<dyn FnMut() -> Option<Exception>>;
 
 impl fmt::Debug for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Scenario")
-            .field("actions", &self.registry.len())
-            .field("steps", &self.steps.len())
-            .field("strategy", &self.strategy)
+            .field("actions", &self.script.registry.len())
+            .field("steps", &self.script.steps.len())
+            .field("strategy", &self.script.strategy)
             .finish()
     }
 }
@@ -261,17 +253,19 @@ impl Scenario {
     #[must_use]
     pub fn new(registry: Arc<ActionRegistry>) -> Self {
         Scenario {
-            registry,
+            script: Script {
+                registry,
+                steps: Vec::new(),
+                handlers: Vec::new(),
+                nested_remaining: Vec::new(),
+                strategy: NestedStrategy::Abort,
+                resolver_group: 1,
+                leave_mode: LeaveMode::Managed,
+                failover: true,
+            },
             config: NetConfig::default(),
-            strategy: NestedStrategy::Abort,
-            steps: Vec::new(),
-            handlers: Vec::new(),
-            nested_remaining: Vec::new(),
             max_deliveries: 1_000_000,
-            resolver_group: 1,
-            leave_mode: LeaveMode::Managed,
             acceptance: Vec::new(),
-            failover: true,
             detection_delay: SimTime::from_micros(100),
         }
     }
@@ -301,7 +295,7 @@ impl Scenario {
     /// (`LeaveReady` broadcasts) coordination of synchronized leaves.
     #[must_use]
     pub fn with_leave_mode(mut self, mode: LeaveMode) -> Self {
-        self.leave_mode = mode;
+        self.script.leave_mode = mode;
         self
     }
 
@@ -314,7 +308,7 @@ impl Scenario {
     #[must_use]
     pub fn with_resolver_group(mut self, k: u32) -> Self {
         assert!(k >= 1, "resolver group must contain at least one object");
-        self.resolver_group = k;
+        self.script.resolver_group = k;
         self
     }
 
@@ -330,7 +324,7 @@ impl Scenario {
     /// [`NestedStrategy::Abort`]).
     #[must_use]
     pub fn with_strategy(mut self, strategy: NestedStrategy) -> Self {
-        self.strategy = strategy;
+        self.script.strategy = strategy;
         self
     }
 
@@ -354,7 +348,7 @@ impl Scenario {
     /// CAEX018 proves can deadlock when the elected resolver dies.
     #[must_use]
     pub fn with_failover(mut self, enabled: bool) -> Self {
-        self.failover = enabled;
+        self.script.failover = enabled;
         self
     }
 
@@ -371,7 +365,7 @@ impl Scenario {
     /// Schedules `object` to enter `action` at `time`.
     #[must_use]
     pub fn enter_at(mut self, time: SimTime, object: NodeId, action: ActionId) -> Self {
-        self.steps.push((time, object, Event::Enter(action)));
+        self.script.steps.push((time, object, Event::Enter(action)));
         self
     }
 
@@ -384,13 +378,14 @@ impl Scenario {
     #[must_use]
     pub fn enter_all_at(mut self, time: SimTime, action: ActionId) -> Self {
         let participants = self
+            .script
             .registry
             .scope(action)
             .expect("enter_all_at of undeclared action")
             .participants()
             .to_vec();
         for p in participants {
-            self.steps.push((time, p, Event::Enter(action)));
+            self.script.steps.push((time, p, Event::Enter(action)));
         }
         self
     }
@@ -398,14 +393,14 @@ impl Scenario {
     /// Schedules `object` to raise `exc` in its then-active action.
     #[must_use]
     pub fn raise_at(mut self, time: SimTime, object: NodeId, exc: Exception) -> Self {
-        self.steps.push((time, object, Event::Raise(exc)));
+        self.script.steps.push((time, object, Event::Raise(exc)));
         self
     }
 
     /// Schedules `object` to complete `action` at `time`.
     #[must_use]
     pub fn complete_at(mut self, time: SimTime, object: NodeId, action: ActionId) -> Self {
-        self.steps.push((time, object, Event::Complete(action)));
+        self.script.steps.push((time, object, Event::Complete(action)));
         self
     }
 
@@ -415,7 +410,7 @@ impl Scenario {
     /// built for objects without one.
     #[must_use]
     pub fn handlers(mut self, object: NodeId, action: ActionId, table: HandlerTable) -> Self {
-        self.handlers.push((object, action, table));
+        self.script.handlers.push((object, action, table));
         self
     }
 
@@ -428,7 +423,7 @@ impl Scenario {
         action: ActionId,
         remaining: Option<SimTime>,
     ) -> Self {
-        self.nested_remaining.push((object, action, remaining));
+        self.script.nested_remaining.push((object, action, remaining));
         self
     }
 
@@ -437,19 +432,19 @@ impl Scenario {
     /// timeline against the declarations without executing it.
     #[must_use]
     pub fn registry(&self) -> &Arc<ActionRegistry> {
-        &self.registry
+        &self.script.registry
     }
 
     /// The scripted timeline as `(time, object, event)` triples, in
     /// script order (the engine sorts by time at run time; this view
     /// preserves insertion order).
     pub fn scripted(&self) -> impl Iterator<Item = (SimTime, NodeId, &Event)> {
-        self.steps.iter().map(|(t, o, e)| (*t, *o, e))
+        self.script.steps.iter().map(|(t, o, e)| (*t, *o, e))
     }
 
     /// The installed handler tables as `(object, action)` bindings.
     pub fn handler_tables(&self) -> impl Iterator<Item = (NodeId, ActionId, &HandlerTable)> {
-        self.handlers.iter().map(|(o, a, t)| (*o, *a, t))
+        self.script.handlers.iter().map(|(o, a, t)| (*o, *a, t))
     }
 
     /// The declared [`nested_remaining`](Self::nested_remaining) run
@@ -459,32 +454,32 @@ impl Scenario {
     pub fn nested_remaining_declared(
         &self,
     ) -> impl Iterator<Item = (NodeId, ActionId, Option<SimTime>)> + '_ {
-        self.nested_remaining.iter().copied()
+        self.script.nested_remaining.iter().copied()
     }
 
     /// The nested-action strategy participants will run under.
     #[must_use]
     pub fn strategy(&self) -> NestedStrategy {
-        self.strategy
+        self.script.strategy
     }
 
     /// The leave-coordination mode participants will run under.
     #[must_use]
     pub fn leave_mode(&self) -> LeaveMode {
-        self.leave_mode
+        self.script.leave_mode
     }
 
     /// The resolver-group size `k` participants will run under.
     #[must_use]
     pub fn resolver_group_size(&self) -> u32 {
-        self.resolver_group
+        self.script.resolver_group
     }
 
     /// Whether resolver failover is enabled (see
     /// [`Scenario::with_failover`]).
     #[must_use]
     pub fn failover(&self) -> bool {
-        self.failover
+        self.script.failover
     }
 
     /// The simulated failure-detector latency (see
@@ -519,7 +514,7 @@ impl Scenario {
         Vec<(SimTime, NodeId, Event)>,
         Vec<(NodeId, ActionId, HandlerTable)>,
     ) {
-        (self.registry, self.steps, self.handlers)
+        (self.script.registry, self.script.steps, self.script.handlers)
     }
 
     /// Executes the scenario to quiescence and reports.
@@ -542,8 +537,9 @@ impl Scenario {
     ///
     /// Panics on the same scenario programming errors as [`Scenario::run`].
     #[must_use]
-    pub fn run_observed(self, obs: &mut dyn caex_obs::Observer) -> RunReport {
+    pub fn run_observed(mut self, obs: &mut dyn caex_obs::Observer) -> RunReport {
         let num_nodes = self
+            .script
             .registry
             .iter()
             .flat_map(|(_, s)| s.participants().iter().copied())
@@ -555,26 +551,16 @@ impl Scenario {
         // config moves into the net, then deliver a `DeserterSuspected`
         // to every survivor one detection delay after each down edge.
         let mut suspicions: Vec<(SimTime, NodeId)> = Vec::new();
-        if self.failover {
+        if self.script.failover {
             suspicions.extend(self.config.faults.crashes().map(|(n, at)| (at, n)));
             suspicions.extend(self.config.faults.restarts().map(|(n, down, _)| (down, n)));
         }
-        let mut net: SimNet<Event> = SimNet::new(self.config, num_nodes);
-        let mut participants: HashMap<NodeId, Participant> = (0..num_nodes)
-            .map(NodeId::new)
-            .map(|id| {
-                let mut p = Participant::new(id, Arc::clone(&self.registry), self.strategy);
-                p.set_resolver_group(self.resolver_group);
-                p.set_leave_mode(self.leave_mode);
-                p.set_failover(self.failover);
-                (id, p)
-            })
-            .collect();
+        let mut host = SimHost::new(self.config, num_nodes, self.max_deliveries, self.acceptance);
         for &(down_at, victim) in &suspicions {
             let report_at = down_at + self.detection_delay;
             for survivor in (0..num_nodes).map(NodeId::new) {
                 if survivor != victim {
-                    net.schedule_local(
+                    host.net.schedule_local(
                         report_at,
                         survivor,
                         Event::DeserterSuspected { peer: victim },
@@ -582,162 +568,61 @@ impl Scenario {
                 }
             }
         }
-        for (object, action, table) in self.handlers {
-            participants
-                .get_mut(&object)
-                .expect("handler for unknown object")
-                .set_handlers(action, table);
-        }
-        for (object, action, remaining) in self.nested_remaining {
-            participants
-                .get_mut(&object)
-                .expect("nested_remaining for unknown object")
-                .set_nested_remaining(action, remaining);
-        }
-        for (time, object, event) in self.steps {
-            net.schedule_local(time, object, event);
-        }
+        host.admit(&mut self.script, (0..num_nodes).map(NodeId::new), SimTime::ZERO);
 
-        let mut notes = Vec::new();
-        let mut resolutions = Vec::new();
-        let mut handler_starts = Vec::new();
-        let mut failures = Vec::new();
-        let mut multicasts = std::collections::BTreeMap::new();
-        let mut wire_bytes = 0u64;
-        let mut hit_delivery_limit = false;
-        // Synchronized exit lines: action -> objects waiting to leave.
-        let mut leave_requests: HashMap<ActionId, std::collections::BTreeSet<NodeId>> =
-            HashMap::new();
-        let mut acceptance: HashMap<ActionId, AcceptanceTest> =
-            self.acceptance.into_iter().collect();
-        let mut bridge = crate::ObsBridge::new();
+        let mut report = RunReport::default();
+        while host.step(obs, &mut report).is_some() {}
+        obs.on_run_end(host.net.now());
 
-        while let Some(delivery) = net.next_delivery() {
-            if net.delivered_count() > self.max_deliveries {
-                hit_delivery_limit = true;
-                break;
+        report.deadlocked = host.deadlocked();
+        report.hit_delivery_limit = host.hit_delivery_limit;
+        report.finished_at = host.net.now();
+        (report.stats, report.trace) = host.net.into_parts();
+        report
+    }
+}
+
+/// The report collects itself from the host's steps.
+impl Sink for RunReport {
+    fn sent(&mut self, msg: &Msg) {
+        self.wire_bytes += crate::codec::encoded_len(msg) as u64;
+    }
+
+    fn note(&mut self, at: SimTime, note: Note) {
+        match &note {
+            Note::ResolutionCommitted {
+                action,
+                resolver,
+                resolved,
+                raised,
+            } => self.resolutions.push(ResolutionRecord {
+                action: *action,
+                resolver: *resolver,
+                resolved: resolved.clone(),
+                raised: raised.clone(),
+                at,
+            }),
+            Note::HandlerStarted {
+                object,
+                action,
+                exc,
+                ..
+            } => self.handler_starts.push(HandlerStart {
+                object: *object,
+                action: *action,
+                exc: exc.clone(),
+                at,
+            }),
+            Note::ActionFailed {
+                object,
+                action,
+                exc,
+            } => self.failures.push((*object, *action, exc.clone())),
+            Note::Multicast { kind, .. } => {
+                *self.multicasts.entry((*kind).to_owned()).or_insert(0) += 1;
             }
-            let at = delivery.at;
-            let object = delivery.to;
-            let participant = participants
-                .get_mut(&object)
-                .expect("delivery to unknown object");
-            if let caex_net::DeliverySource::Remote(from) = delivery.source {
-                bridge.on_receive(object, &delivery.payload, from, at, None, obs);
-            }
-            let pre = bridge.pre(participant, &delivery.payload);
-            let effects = participant.handle(delivery.payload);
-            bridge.post(&pre, participant, &effects, at, None, obs);
-            for effect in effects {
-                match effect {
-                    Effect::Send { to, msg } => {
-                        wire_bytes += crate::codec::encoded_len(&msg) as u64;
-                        net.send(object, to, Event::Msg(msg));
-                    }
-                    Effect::After { delay, event } => net.schedule_local_in(delay, object, event),
-                    Effect::Note(note) => {
-                        match &note {
-                            Note::ResolutionCommitted {
-                                action,
-                                resolver,
-                                resolved,
-                                raised,
-                            } => resolutions.push(ResolutionRecord {
-                                action: *action,
-                                resolver: *resolver,
-                                resolved: resolved.clone(),
-                                raised: raised.clone(),
-                                at,
-                            }),
-                            Note::HandlerStarted {
-                                object: o,
-                                action,
-                                exc,
-                                ..
-                            } => handler_starts.push(HandlerStart {
-                                object: *o,
-                                action: *action,
-                                exc: exc.clone(),
-                                at,
-                            }),
-                            Note::ActionFailed {
-                                object: o,
-                                action,
-                                exc,
-                            } => failures.push((*o, *action, exc.clone())),
-                            Note::Multicast { kind, .. } => {
-                                *multicasts.entry((*kind).to_owned()).or_insert(0u64) += 1;
-                            }
-                            Note::LeaveRequested { object: o, action }
-                                if self.leave_mode == LeaveMode::Managed =>
-                            {
-                                // The centralized action manager's
-                                // synchronized exit: grant the leave once
-                                // every participant is at the line.
-                                let waiting = leave_requests.entry(*action).or_default();
-                                waiting.insert(*o);
-                                let everyone = self
-                                    .registry
-                                    .scope(*action)
-                                    .expect("declared action")
-                                    .participants();
-                                if waiting.len() == everyone.len() {
-                                    // Fig. 2b: the acceptance test runs
-                                    // at the exit line. Rejection turns
-                                    // into a raised exception at the
-                                    // highest-numbered participant; an
-                                    // exhausted (or absent) test accepts.
-                                    let verdict = acceptance.get_mut(action).and_then(|t| t());
-                                    match verdict {
-                                        Some(exc) => {
-                                            waiting.clear();
-                                            let tester =
-                                                *everyone.last().expect("actions are non-empty");
-                                            net.schedule_local(
-                                                net.now(),
-                                                tester,
-                                                Event::Raise(exc),
-                                            );
-                                        }
-                                        None => {
-                                            for &member in everyone {
-                                                net.schedule_local(
-                                                    net.now(),
-                                                    member,
-                                                    Event::LeaveGranted(*action),
-                                                );
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                        notes.push(note);
-                    }
-                }
-            }
+            _ => {}
         }
-
-        let deadlocked: Vec<NodeId> = participants
-            .values()
-            .filter(|p| !p.is_normal())
-            .map(Participant::id)
-            .collect();
-        obs.on_run_end(net.now());
-
-        RunReport {
-            resolutions,
-            handler_starts,
-            failures,
-            notes,
-            stats: net.stats().clone(),
-            finished_at: net.now(),
-            deadlocked,
-            hit_delivery_limit,
-            trace: net.trace().clone(),
-            multicasts,
-            wire_bytes,
-        }
+        self.notes.push(note);
     }
 }

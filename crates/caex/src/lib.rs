@@ -37,10 +37,14 @@
 //!
 //! - [`Participant`] — the §4.2 state machine (states `N/X/S/R`, lists
 //!   `LE/LO/LP`, stack `SA`), pure and transport-agnostic;
-//! - [`Scenario`]/[`RunReport`] — scripted executions over the
-//!   deterministic [`caex_net::SimNet`] simulator;
+//! - [`Scenario`]/[`RunReport`] and [`shard::FleetEngine`] — scripted
+//!   executions over the deterministic [`caex_net::SimNet`] simulator:
+//!   two front-ends (one script; a fleet of scripts admitted into
+//!   slots) of one crate-private simulator host;
 //! - [`ThreadRunner`](thread_engine::ThreadRunner) — the same machine on
-//!   real threads over crossbeam channels;
+//!   real threads over crossbeam channels, driven by [`drive`];
+//! - [`ObsBridge`] — the observed step (`ObsBridge::handle`) every host
+//!   applies events through;
 //! - [`workloads`] — the paper's canonical workloads (§4.4 cases, §4.3
 //!   examples);
 //! - [`analysis`] — the closed-form §4.4 message-count laws;
@@ -82,6 +86,7 @@ pub mod workloads;
 
 mod effect;
 mod engine;
+mod host;
 mod message;
 mod participant;
 

@@ -1,14 +1,16 @@
 //! The bridge between the engines' [`Note`]/[`Effect`] stream and the
 //! typed [`caex_obs`] event stream.
 //!
-//! [`ObsBridge`] wraps every `Participant::handle` call: [`ObsBridge::pre`]
-//! snapshots the participant's observable state before the event is
-//! applied, [`ObsBridge::post`] compares it with the state afterwards and
-//! translates the emitted effects into [`ObsEvent`]s — opening and
-//! closing `(action, round)` correlation spans along the way. One
-//! bridge instance serves a whole run: the per-action round counters
-//! are global, which is what makes the correlation ids line up across
-//! participants.
+//! [`ObsBridge::handle`] *is* the observed step of every host (the
+//! simulator host behind `Scenario` and `FleetEngine`, the thread
+//! engine, `caex-wire`'s per-process harness): it emits the receive
+//! event of a transport delivery, snapshots the participant's
+//! observable state, applies the event through `Participant::handle`,
+//! compares the state afterwards and translates the emitted effects
+//! into [`ObsEvent`]s — opening and closing `(action, round)`
+//! correlation spans along the way. One bridge instance serves a whole
+//! run: the per-action round counters are global, which is what makes
+//! the correlation ids line up across participants.
 //!
 //! Two translations are synthesized rather than copied from notes:
 //!
@@ -26,6 +28,16 @@ use caex_action::ActionId;
 use caex_net::{IdMap, IdSet, Kinded, NodeId, SimTime};
 use caex_obs::{CorrelationId, ObsEvent, ObsKind, ObsState, Observer};
 use caex_tree::Exception;
+use std::time::Instant;
+
+/// The stamp a wall-clock host's clock hands to [`ObsBridge::handle`]:
+/// microseconds since `start`, as the event's time and its
+/// `wall_micros`.
+#[must_use]
+pub fn wall_stamp(start: Instant) -> (SimTime, Option<u64>) {
+    let wall = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+    (SimTime::from_micros(wall), Some(wall))
+}
 
 /// Maps the participant's optional [`PState`] onto the observable
 /// four-state alphabet (`None` is the paper's `N`).
@@ -40,8 +52,7 @@ pub fn obs_state(state: Option<PState>) -> ObsState {
 }
 
 /// Pre-`handle` snapshot of everything `post` needs to diff.
-#[derive(Debug, Clone)]
-pub struct PreSnapshot {
+struct PreSnapshot {
     object: NodeId,
     state: Option<PState>,
     aborting: bool,
@@ -106,6 +117,32 @@ impl ObsBridge {
         }
     }
 
+    /// The observed step: applies `event` to `participant` and streams
+    /// what happened to `obs`. `from` names the sender of a transport
+    /// delivery (`None` for a local event). `clock` is read once for
+    /// the receive event of a transport delivery and once after the
+    /// handle for everything else; it yields the event time and, on
+    /// hosts with a wall clock, the real elapsed microseconds
+    /// ([`wall_stamp`]). A simulator returns its delivery time twice.
+    pub fn handle(
+        &mut self,
+        participant: &mut Participant,
+        event: Event,
+        from: Option<NodeId>,
+        mut clock: impl FnMut() -> (SimTime, Option<u64>),
+        obs: &mut dyn Observer,
+    ) -> Vec<Effect> {
+        if let Some(from) = from {
+            let (at, wall) = clock();
+            self.on_receive(participant.id(), &event, from, at, wall, obs);
+        }
+        let pre = Self::pre(participant, &event);
+        let fx = participant.handle(event);
+        let (at, wall) = clock();
+        self.post(&pre, participant, &fx, at, wall, obs);
+        fx
+    }
+
     /// Emits the [`ObsKind::MessageReceived`] event for a protocol
     /// message delivered to `object` from `from`, just before the
     /// participant handles it. Local (non-message) events emit
@@ -120,7 +157,7 @@ impl ObsBridge {
     /// (no [`ObsKind::ResolutionStart`]; that event stays with the
     /// raiser) so correlation ids line up across processes, and a
     /// received `commit` closes a silently opened round again.
-    pub fn on_receive(
+    fn on_receive(
         &mut self,
         object: NodeId,
         event: &Event,
@@ -161,8 +198,7 @@ impl ObsBridge {
     }
 
     /// Snapshots `participant` before it handles `event`.
-    #[must_use]
-    pub fn pre(&self, participant: &Participant, event: &Event) -> PreSnapshot {
+    fn pre(participant: &Participant, event: &Event) -> PreSnapshot {
         PreSnapshot {
             object: participant.id(),
             state: participant.state(),
@@ -186,7 +222,7 @@ impl ObsBridge {
     /// streams the resulting events to `obs`. `wall` carries real
     /// elapsed microseconds on engines with a wall clock.
     #[allow(clippy::too_many_lines)]
-    pub fn post(
+    fn post(
         &mut self,
         snap: &PreSnapshot,
         participant: &Participant,
@@ -279,8 +315,8 @@ impl ObsBridge {
     /// loops poll the transport's failure detector directly and fold
     /// [`Participant::on_suspect`] / [`Participant::on_rejoin`] /
     /// [`Participant::on_deserter`] effects in without going through
-    /// [`ObsBridge::post`]. The suspicion translations are idempotent,
-    /// so a note that also flowed through `post` is not emitted twice.
+    /// [`ObsBridge::handle`]. The suspicion translations are idempotent,
+    /// so a note that also flowed through `handle` is not emitted twice.
     pub fn note_out_of_band(
         &mut self,
         object: NodeId,

@@ -225,6 +225,16 @@ impl Participant {
         self.leave_mode = mode;
     }
 
+    /// The leave-coordination mode this object runs under.
+    pub(crate) fn leave_mode(&self) -> LeaveMode {
+        self.leave_mode
+    }
+
+    /// The action structure this object participates in.
+    pub(crate) fn registry(&self) -> &ActionRegistry {
+        &self.registry
+    }
+
     /// Enables or disables resolver failover (on by default). With
     /// failover off, [`Self::on_deserter`] only records the deserter —
     /// no obligation waiving, no re-election, no recovery probing, no

@@ -9,15 +9,17 @@
 //!
 //! - [`ActionInstance`] — one action structure plus its scripted
 //!   timeline, relocated to a private `NodeId` range and a private
-//!   [`ActionId`] range (via [`ActionRegistry::with_base`]), so every
-//!   instance keys its protocol state, metrics and observability by
-//!   its own `(ActionId, round)` spans;
+//!   [`ActionId`] range (via
+//!   [`caex_action::ActionRegistry::with_base`]), so every instance
+//!   keys its protocol state, metrics and observability by its own
+//!   `(ActionId, round)` spans;
 //! - [`FleetEngine`] — shards instances round-robin across worker
-//!   threads; each shard is one [`SimNet`] event loop interleaving all
-//!   of its instances' deliveries in virtual-time order, with
-//!   admission control (`capacity` concurrent slots per shard) so that
-//!   offered load beyond capacity queues, exactly like a bounded
-//!   worker pool;
+//!   threads; each shard is the multi-script front-end of the crate's
+//!   one simulator host (the same `step` [`Scenario::run`] drives),
+//!   interleaving all of its instances' deliveries in virtual-time
+//!   order, with admission control (`capacity` concurrent slots per
+//!   shard) so that offered load beyond capacity queues, exactly like
+//!   a bounded worker pool;
 //! - [`ActionOutcome`] / [`FleetReport`] — per-action arrival,
 //!   admission, commit and completion times, message counts and the
 //!   §4.4 `(N−1)(2P+3Q+1)` law verdict, plus fleet-wide stats.
@@ -26,12 +28,12 @@
 //! wall-clock speedup, but reports are bit-identical for a given seed
 //! regardless of the host's scheduling.
 
-use crate::{Effect, Event, LeaveMode, NestedStrategy, Note, Participant, Scenario};
-use caex_action::{ActionId, ActionRegistry, HandlerTable};
-use caex_net::{IdMap, NetConfig, NetStats, NodeId, SimNet, SimTime};
+use crate::host::{Script, SimHost, Sink, SHARD_DELIVERY_CAP};
+use crate::{Event, Note, Scenario};
+use caex_action::ActionId;
+use caex_net::{IdMap, NetConfig, NetStats, NodeId, SimTime};
 use caex_tree::Exception;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One relocatable action structure plus its scripted timeline, ready
 /// to be multiplexed by a [`FleetEngine`].
@@ -41,14 +43,9 @@ use std::sync::Arc;
 /// the §4.4 workload to per-instance node/action bases).
 #[derive(Debug)]
 pub struct ActionInstance {
-    registry: Arc<ActionRegistry>,
-    /// Scripted events as offsets from the instance's admission time.
-    steps: Vec<(SimTime, NodeId, Event)>,
-    handlers: Vec<(NodeId, ActionId, HandlerTable)>,
-    strategy: NestedStrategy,
-    resolver_group: u32,
-    leave_mode: LeaveMode,
-    failover: bool,
+    /// The scenario's script; its step times are offsets from the
+    /// instance's admission time.
+    script: Script,
     /// Open-loop arrival time (absolute virtual time).
     arrival: SimTime,
     /// Latency budget from arrival, if the request carries a deadline.
@@ -67,14 +64,16 @@ impl ActionInstance {
     ///
     /// Panics unless the scenario declares exactly one top-level
     /// action (an instance is one request; script several instances
-    /// for several requests).
+    /// for several requests), and if it carries exit-line acceptance
+    /// tests: the closures are not `Send`, so a multi-shard fleet
+    /// cannot honour them.
     #[must_use]
     pub fn from_scenario(scenario: Scenario, arrival: SimTime) -> Self {
-        let strategy = scenario.strategy();
-        let resolver_group = scenario.resolver_group_size();
-        let leave_mode = scenario.leave_mode();
-        let failover = scenario.failover();
-        let (registry, steps, handlers) = scenario.into_script();
+        if let Some(action) = scenario.acceptance_actions().first() {
+            panic!("an ActionInstance cannot carry the exit-line acceptance test of {action}");
+        }
+        let script = scenario.script;
+        let registry = &script.registry;
         let top = registry.top_level();
         assert_eq!(
             top.len(),
@@ -89,13 +88,7 @@ impl ActionInstance {
             .participants()
             .to_vec();
         ActionInstance {
-            registry,
-            steps,
-            handlers,
-            strategy,
-            resolver_group,
-            leave_mode,
-            failover,
+            script,
             arrival,
             deadline: None,
             key,
@@ -132,7 +125,8 @@ impl ActionInstance {
     /// The instance's action-id range as `base..base+len`.
     #[must_use]
     pub fn action_range(&self) -> std::ops::Range<u32> {
-        self.registry.base()..self.registry.base() + self.registry.len() as u32
+        let registry = &self.script.registry;
+        registry.base()..registry.base() + registry.len() as u32
     }
 }
 
@@ -151,8 +145,6 @@ pub struct FleetConfig {
     pub capacity: usize,
     /// Network model template applied per shard.
     pub net: NetConfig,
-    /// Per-shard delivery cap (livelock guard).
-    pub max_deliveries: u64,
     /// §4.4 message law injected into the per-round metrics check,
     /// e.g. [`crate::analysis::messages_general`].
     pub law: Option<fn(u64, u64, u64) -> u64>,
@@ -167,7 +159,6 @@ impl Default for FleetConfig {
             shards: 1,
             capacity: 8,
             net: NetConfig::default(),
-            max_deliveries: 50_000_000,
             law: None,
             collect_flame: false,
         }
@@ -458,6 +449,7 @@ fn merge_outputs(outputs: Vec<ShardOutput>, collect_flame: bool) -> FleetReport 
 }
 
 /// Tracking state for one admitted instance.
+#[derive(Default)]
 struct Live {
     admitted: SimTime,
     committed: Option<SimTime>,
@@ -467,10 +459,65 @@ struct Live {
     handlers_open: u64,
 }
 
-/// Runs one shard's event loop: interleave all assigned instances'
+/// A shard's view of its instances, fed by the host's steps. The
+/// per-node table is dense: the shard's node ids are `< num_nodes`.
+struct Tracker {
+    /// node -> local slot in the batch.
+    node_owner: Vec<Option<usize>>,
+    /// action id -> local slot in the batch.
+    action_owner: IdMap<ActionId, usize>,
+    live: Vec<Option<Live>>,
+}
+
+impl Tracker {
+    fn owner_of_node(&self, node: NodeId) -> Option<usize> {
+        self.node_owner[node.index() as usize]
+    }
+
+    fn live_of_action(&mut self, action: ActionId) -> Option<&mut Live> {
+        let local = *self.action_owner.get(&action)?;
+        self.live[local].as_mut()
+    }
+}
+
+impl Sink for Tracker {
+    fn delivering(&mut self, to: NodeId, event: &Event) {
+        if matches!(event, Event::HandlerDone { .. }) {
+            if let Some(slot) = self.owner_of_node(to).and_then(|l| self.live[l].as_mut()) {
+                slot.handlers_open = slot.handlers_open.saturating_sub(1);
+            }
+        }
+    }
+
+    fn note(&mut self, at: SimTime, note: Note) {
+        match note {
+            Note::ResolutionCommitted {
+                action,
+                resolver,
+                resolved,
+                ..
+            } => {
+                if let Some(slot) = self.live_of_action(action) {
+                    if slot.committed.is_none() {
+                        slot.committed = Some(at);
+                        slot.resolver = Some(resolver);
+                        slot.resolved = Some(resolved);
+                    }
+                }
+            }
+            Note::HandlerStarted { action, .. } => {
+                if let Some(slot) = self.live_of_action(action) {
+                    slot.handlers_open += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Runs one shard to quiescence: interleave all assigned instances'
 /// deliveries in virtual-time order, admitting instances into
 /// `capacity` slots in arrival order.
-#[allow(clippy::too_many_lines)]
 fn run_shard(
     mut batch: Vec<(usize, ActionInstance)>,
     shard: usize,
@@ -488,7 +535,7 @@ fn run_shard(
     net_config.seed = net_config
         .seed
         .wrapping_add(SHARD_SEED_STRIDE.wrapping_mul(shard as u64));
-    let mut net: SimNet<Event> = SimNet::new(net_config, num_nodes);
+    let mut host = SimHost::new(net_config, num_nodes, SHARD_DELIVERY_CAP, Vec::new());
 
     let mut metrics = match config.law {
         Some(law) => caex_obs::MetricsRegistry::new().with_law(law),
@@ -496,31 +543,26 @@ fn run_shard(
     };
     let mut flame = caex_obs::FlameBuilder::new();
 
-    // Per-node tables are dense: the shard's node ids are `< num_nodes`.
-    let slot_of = |node: NodeId| node.index() as usize;
-    // node -> local slot in `batch`; action id -> local slot.
-    let mut node_owner: Vec<Option<usize>> = vec![None; num_nodes as usize];
-    let mut action_owner: IdMap<ActionId, usize> = IdMap::default();
+    let mut tracker = Tracker {
+        node_owner: vec![None; num_nodes as usize],
+        action_owner: IdMap::default(),
+        live: (0..batch.len()).map(|_| None).collect(),
+    };
     for (local, (_, inst)) in batch.iter().enumerate() {
         for &n in &inst.nodes {
             // Node ranges must be disjoint: one node serves one instance.
             assert!(
-                node_owner[slot_of(n)].replace(local).is_none(),
+                tracker.node_owner[n.index() as usize].replace(local).is_none(),
                 "node {n} assigned to two instances in shard {shard}"
             );
         }
         for a in inst.action_range() {
-            action_owner.insert(ActionId::new(a), local);
+            tracker.action_owner.insert(ActionId::new(a), local);
         }
     }
 
-    let mut participants: Vec<Option<Participant>> = (0..num_nodes).map(|_| None).collect();
-    let mut live: Vec<Option<Live>> = (0..batch.len()).map(|_| None).collect();
     let mut pending: VecDeque<usize> = (0..batch.len()).collect();
     let mut active = 0usize;
-    let mut bridge = crate::ObsBridge::new();
-    let mut leave_requests: IdMap<ActionId, BTreeSet<NodeId>> = IdMap::default();
-    let mut hit_delivery_limit = false;
 
     // Admission: fill free slots in arrival order. Steps are offsets
     // from admission time, so an instance admitted after its arrival
@@ -530,36 +572,10 @@ fn run_shard(
         () => {
             while active < config.capacity {
                 let Some(local) = pending.pop_front() else { break };
-                // Handler tables are moved into participants once, at
-                // admission (`HandlerTable` is not `Clone`).
-                let handlers = std::mem::take(&mut batch[local].1.handlers);
-                let (_, inst) = &batch[local];
-                let start = inst.arrival.max(net.now());
-                for &n in &inst.nodes {
-                    let mut p = Participant::new(n, Arc::clone(&inst.registry), inst.strategy);
-                    p.set_resolver_group(inst.resolver_group);
-                    p.set_leave_mode(inst.leave_mode);
-                    p.set_failover(inst.failover);
-                    participants[slot_of(n)] = Some(p);
-                }
-                for (object, action, table) in handlers {
-                    participants
-                        .get_mut(slot_of(object))
-                        .and_then(Option::as_mut)
-                        .expect("handler for unknown object")
-                        .set_handlers(action, table);
-                }
-                for (offset, object, event) in &inst.steps {
-                    net.schedule_local(start + *offset, *object, event.clone());
-                }
-                live[local] = Some(Live {
-                    admitted: start,
-                    committed: None,
-                    finished: None,
-                    resolver: None,
-                    resolved: None,
-                    handlers_open: 0,
-                });
+                let inst = &mut batch[local].1;
+                let start = inst.arrival.max(host.net.now());
+                host.admit(&mut inst.script, inst.nodes.iter().copied(), start);
+                tracker.live[local] = Some(Live { admitted: start, ..Live::default() });
                 active += 1;
             }
         };
@@ -573,122 +589,30 @@ fn run_shard(
         tee = tee.with(&mut flame);
     }
     let mut tee = tee.with(obs);
-    while let Some(delivery) = net.next_delivery() {
-        if net.delivered_count() > config.max_deliveries {
-            hit_delivery_limit = true;
-            break;
-        }
-        let at = delivery.at;
-        let object = delivery.to;
-        let local = node_owner[slot_of(object)];
-        let is_handler_done = matches!(delivery.payload, Event::HandlerDone { .. });
-        let participant = participants[slot_of(object)]
-            .as_mut()
-            .expect("delivery to unknown object");
-        if let caex_net::DeliverySource::Remote(from) = delivery.source {
-            bridge.on_receive(object, &delivery.payload, from, at, None, &mut tee);
-        }
-        let pre = bridge.pre(participant, &delivery.payload);
-        let effects = participant.handle(delivery.payload);
-        bridge.post(&pre, participant, &effects, at, None, &mut tee);
-        if is_handler_done {
-            if let Some(slot) = local.and_then(|l| live[l].as_mut()) {
-                slot.handlers_open = slot.handlers_open.saturating_sub(1);
-            }
-        }
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => net.send(object, to, Event::Msg(msg)),
-                Effect::After { delay, event } => net.schedule_local_in(delay, object, event),
-                Effect::Note(note) => match &note {
-                    Note::ResolutionCommitted {
-                        action,
-                        resolver,
-                        resolved,
-                        ..
-                    } => {
-                        if let Some(slot) = action_owner
-                            .get(action)
-                            .copied()
-                            .and_then(|l| live[l].as_mut())
-                        {
-                            if slot.committed.is_none() {
-                                slot.committed = Some(at);
-                                slot.resolver = Some(*resolver);
-                                slot.resolved = Some(resolved.clone());
-                            }
-                        }
-                    }
-                    Note::HandlerStarted { action, .. } => {
-                        if let Some(slot) = action_owner
-                            .get(action)
-                            .copied()
-                            .and_then(|l| live[l].as_mut())
-                        {
-                            slot.handlers_open += 1;
-                        }
-                    }
-                    Note::LeaveRequested { object: o, action } => {
-                        let instance_mode = local
-                            .map(|l| batch[l].1.leave_mode)
-                            .unwrap_or(LeaveMode::Managed);
-                        if instance_mode == LeaveMode::Managed {
-                            let waiting = leave_requests.entry(*action).or_default();
-                            waiting.insert(*o);
-                            let registry = &batch[local.expect("leave from owned node")].1.registry;
-                            let everyone = registry
-                                .scope(*action)
-                                .expect("declared action")
-                                .participants();
-                            if waiting.len() == everyone.len() {
-                                for &member in everyone {
-                                    net.schedule_local(
-                                        net.now(),
-                                        member,
-                                        Event::LeaveGranted(*action),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                },
-            }
-        }
+    while let Some((at, object)) = host.step(&mut tee, &mut tracker) {
         // Completion check for the instance that just made progress:
         // resolution committed, every handler it started has finished,
         // and all of its participants are back to normal.
-        if let Some(l) = local {
-            let done = match live[l].as_ref() {
-                Some(slot) => {
-                    slot.finished.is_none()
-                        && slot.committed.is_some()
-                        && slot.handlers_open == 0
-                        && batch[l].1.nodes.iter().all(|&n| {
-                            participants[slot_of(n)]
-                                .as_ref()
-                                .is_none_or(Participant::is_normal)
-                        })
-                }
-                None => false,
-            };
-            if done {
-                if let Some(slot) = live[l].as_mut() {
-                    slot.finished = Some(at);
-                }
-                active -= 1;
-                admit_ready!();
-            }
+        let Some(l) = tracker.owner_of_node(object) else { continue };
+        let Some(slot) = tracker.live[l].as_mut() else { continue };
+        if slot.finished.is_none()
+            && slot.committed.is_some()
+            && slot.handlers_open == 0
+            && batch[l].1.nodes.iter().all(|&n| host.is_normal(n))
+        {
+            slot.finished = Some(at);
+            active -= 1;
+            admit_ready!();
         }
     }
     drop(tee);
-    obs.on_run_end(net.now());
+    obs.on_run_end(host.net.now());
 
     // Per-instance law verdicts from the metrics registry's rounds.
     let mut law_predicted: Vec<Option<u64>> = vec![None; batch.len()];
     let mut law_holds: Vec<Option<bool>> = vec![None; batch.len()];
     for r in metrics.resolutions() {
-        if let Some(&l) = action_owner.get(&r.action) {
+        if let Some(&l) = tracker.action_owner.get(&r.action) {
             if let Some(pred) = r.predicted {
                 *law_predicted[l].get_or_insert(0) += pred;
             }
@@ -699,21 +623,14 @@ fn run_shard(
         }
     }
 
-    let deadlocked: Vec<NodeId> = participants
-        .iter()
-        .flatten()
-        .filter(|p| !p.is_normal())
-        .map(Participant::id)
-        .collect();
-
     let outcomes = batch
         .iter()
         .enumerate()
         .map(|(l, (global, inst))| {
-            let slot = live[l].as_ref();
+            let slot = tracker.live[l].as_ref();
             let messages = inst
                 .action_range()
-                .map(|a| net.stats().action_counters(a).sent)
+                .map(|a| host.net.stats().action_counters(a).sent)
                 .sum();
             ActionOutcome {
                 instance: *global,
@@ -735,10 +652,10 @@ fn run_shard(
 
     ShardOutput {
         outcomes,
-        finished_at: net.now(),
-        stats: net.into_stats(),
-        deadlocked,
-        hit_delivery_limit,
+        finished_at: host.net.now(),
+        deadlocked: host.deadlocked(),
+        hit_delivery_limit: host.hit_delivery_limit,
         folded: config.collect_flame.then(|| flame.folded()),
+        stats: host.net.into_parts().0,
     }
 }

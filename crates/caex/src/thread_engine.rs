@@ -5,7 +5,10 @@
 //! per participating object — demonstrating that the algorithm is an
 //! executable protocol, not a simulation artefact. Virtual handler
 //! costs become real (micro-)sleeps; scenario steps fire from a local
-//! timer queue on each thread.
+//! timer queue on each thread. The per-node loop is [`crate::drive`];
+//! each event is applied through [`crate::ObsBridge::handle`], the
+//! observed step this engine shares with the simulator host and
+//! `caex-wire`, stamped with wall-clock microseconds.
 //!
 //! Termination uses an idle timeout: a thread that has seen no traffic
 //! and has no due local events for the configured window assumes
@@ -14,7 +17,8 @@
 //! thing); the simulator engine remains the measurement instrument.
 
 use crate::drive::drive_node_until;
-use crate::{Effect, Event, LeaveMode, NestedStrategy, Note, Participant};
+use crate::obs::wall_stamp;
+use crate::{Event, LeaveMode, NestedStrategy, Note, Participant};
 use caex_action::{ActionId, ActionRegistry, HandlerTable};
 use caex_net::{NetStats, NodeId, SimTime, ThreadNet};
 use caex_tree::Exception;
@@ -82,45 +86,6 @@ impl caex_obs::Observer for BufObs<'_> {
 }
 
 type ObsSink = Mutex<(crate::ObsBridge, Vec<caex_obs::ObsEvent>)>;
-
-/// Runs one `Participant::handle` under the shared bridge. The lock is
-/// held across the handle so bridge round state, event order, and the
-/// wall timestamps stay globally consistent — acceptable serialization
-/// for a demo-grade engine (handler costs are queued, not slept, so
-/// the critical section is short).
-fn handle_observed(
-    participant: &mut Participant,
-    event: Event,
-    from: Option<NodeId>,
-    sink: &ObsSink,
-    start: Instant,
-) -> Vec<Effect> {
-    let mut guard = sink.lock();
-    let (bridge, events) = &mut *guard;
-    if let Some(from) = from {
-        let wall = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        bridge.on_receive(
-            participant.id(),
-            &event,
-            from,
-            SimTime::from_micros(wall),
-            Some(wall),
-            &mut BufObs(events),
-        );
-    }
-    let pre = bridge.pre(participant, &event);
-    let fx = participant.handle(event);
-    let wall = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    bridge.post(
-        &pre,
-        participant,
-        &fx,
-        SimTime::from_micros(wall),
-        Some(wall),
-        &mut BufObs(events),
-    );
-    fx
-}
 
 /// Builder/driver for a threaded execution.
 ///
@@ -392,7 +357,16 @@ impl ThreadRunner {
                     start,
                     idle_timeout,
                     halt_at,
-                    |p, ev, from| handle_observed(p, ev, from, &sink, start),
+                    // The lock is held across the handle so bridge round
+                    // state, event order and the wall timestamps stay
+                    // globally consistent — acceptable serialization for
+                    // a demo-grade engine (handler costs are queued, not
+                    // slept, so the critical section is short).
+                    |p, ev, from| {
+                        let mut guard = sink.lock();
+                        let (bridge, events) = &mut *guard;
+                        bridge.handle(p, ev, from, || wall_stamp(start), &mut BufObs(events))
+                    },
                     |note| notes.lock().push(note),
                 );
             }));
@@ -409,8 +383,7 @@ impl ThreadRunner {
         for event in &events {
             obs.on_event(event);
         }
-        let end = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        obs.on_run_end(SimTime::from_micros(end));
+        obs.on_run_end(wall_stamp(start).0);
         let notes = Arc::try_unwrap(notes)
             .map(Mutex::into_inner)
             .unwrap_or_else(|arc| arc.lock().clone());

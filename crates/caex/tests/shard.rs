@@ -1,16 +1,19 @@
 //! Golden equivalence of the fleet engine at `K = 1`: a one-instance,
 //! one-shard, one-slot [`FleetEngine`] must reproduce exactly what
 //! [`Scenario::run`] produces for the same action — same message
-//! counts, same resolution pick, same observability stream. This is
-//! the safety net under the multi-action sharding refactor: the load
-//! generator's engine *is* the single-action engine when the fleet
-//! degenerates.
+//! counts, same resolution pick, same observability stream. Both are
+//! front-ends of one simulator host; this pins that what each adds
+//! around the host's step (script set-up against admission, `RunReport`
+//! against `ActionOutcome`) leaves the run itself alone.
 
 use caex::shard::{ActionInstance, FleetConfig, FleetEngine};
-use caex::{analysis, workloads};
+use caex::{analysis, workloads, NestedStrategy, Note, Scenario};
+use caex_action::{ActionRegistry, ActionScope};
 use caex_net::{NetConfig, NodeId, SimTime};
 use caex_obs::{ObsEvent, Observer};
+use caex_tree::{chain_tree, Exception, ExceptionId};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Collects the raw event stream.
 #[derive(Default)]
@@ -94,6 +97,70 @@ fn example2_through_the_fleet_matches_the_scenario_engine() {
     // O2 resolves in A1 after the nested resolution is eliminated
     // (§4.3 Example 2's narration).
     assert_eq!(fleet.outcomes[0].resolver, Some(NodeId::new(2)));
+}
+
+/// Fig. 1a: O0 raises in A1 = {O0, O1} while O1 is inside the nested
+/// A2 = {O1}, under the `Wait` strategy; A2 has `remaining` left to run
+/// (`None`: it never completes).
+fn fig1a_wait(remaining: Option<SimTime>) -> Scenario {
+    let tree = Arc::new(chain_tree(2));
+    let mut reg = ActionRegistry::new();
+    let nodes = [NodeId::new(0), NodeId::new(1)];
+    let a1 = reg
+        .declare(ActionScope::top_level("A1", nodes, Arc::clone(&tree)))
+        .unwrap();
+    let a2 = reg
+        .declare(ActionScope::nested("A2", [nodes[1]], tree, a1))
+        .unwrap();
+    Scenario::new(Arc::new(reg))
+        .with_strategy(NestedStrategy::Wait)
+        .enter_all_at(SimTime::ZERO, a1)
+        .enter_at(SimTime::from_micros(1), nodes[1], a2)
+        .nested_remaining(nodes[1], a2, remaining)
+        .raise_at(
+            SimTime::from_micros(10),
+            nodes[0],
+            Exception::new(ExceptionId::new(1)),
+        )
+}
+
+fn waits_forever(report: &caex::RunReport) -> Vec<bool> {
+    report
+        .notes
+        .iter()
+        .filter_map(|n| match n {
+            Note::WaitingForNested { forever, .. } => Some(*forever),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn declared_nested_run_time_reaches_the_fleet() {
+    let remaining = SimTime::from_millis(50);
+    let (de, fe, fleet, direct) = both_ways(|| fig1a_wait(Some(remaining)));
+    assert_golden_equivalence(&de, &fe, &fleet, &direct);
+    assert_eq!(waits_forever(&direct), [false]);
+    assert!(fleet.outcomes[0].committed.expect("resolves") >= remaining);
+    assert!(fleet.deadlocked.is_empty());
+}
+
+#[test]
+fn nested_action_that_never_completes_deadlocks_the_fleet_too() {
+    let (de, fe, fleet, direct) = both_ways(|| fig1a_wait(None));
+    assert_golden_equivalence(&de, &fe, &fleet, &direct);
+    assert_eq!(waits_forever(&direct), [true]);
+    assert_eq!(fleet.outcomes[0].committed, None);
+    assert_eq!(fleet.deadlocked, direct.deadlocked);
+    assert!(fleet.deadlocked.contains(&NodeId::new(0)));
+}
+
+#[test]
+#[should_panic(expected = "cannot carry the exit-line acceptance test of A0")]
+fn exit_line_acceptance_tests_are_refused_not_dropped() {
+    let (workload, ids) = workloads::example1(NetConfig::default());
+    let scenario = workload.scenario.with_exit_acceptance(ids.a1, || None);
+    let _ = ActionInstance::from_scenario(scenario, SimTime::ZERO);
 }
 
 /// A 64-instance `general_at(4, 2, 1)` fleet, arrivals 10 µs apart,

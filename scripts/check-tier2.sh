@@ -25,12 +25,15 @@
 #    sim Example 2 matches the pinned numbers, and a real multi-process
 #    wire run's skew-stitched trace passes the happens-before `--check`
 #    invariants (acyclic, every receive matched, phase sums exact);
-# 9. resolver failover: the release-mode crash-grid battery (every role
-#    killed at every protocol step of Examples 1/2, plus the random
-#    (n,p,q) proptest and the thread engine), then two real
-#    multi-process runs — the elected resolver killed at its commit
-#    point, and a SIGSTOP zombie resumed after re-election whose stale
-#    commits must be fenced;
+# 9. resolver failover and the simulator host's safety net: the
+#    release-mode crash-grid battery (every role killed at every
+#    protocol step of Examples 1/2, plus the random (n,p,q) proptest
+#    and the thread engine), the two-front-ends-one-host equivalence
+#    suite (`shard`: K=1 fleet == `Scenario::run`, obs stream included)
+#    with the algorithm and property suites that exercise the host's
+#    step, then two real multi-process runs — the elected resolver
+#    killed at its commit point, and a SIGSTOP zombie resumed after
+#    re-election whose stale commits must be fenced;
 # 10. partition tolerance: a release-mode healed-partition wire run —
 #    one participant SIGSTOPped for a full second mid-resolution, far
 #    past the old fixed crash timeout, then SIGCONTed. The phi-accrual
@@ -94,8 +97,9 @@ cargo run -q -p caex-bench --bin caex-report -- analyze \
     --in "$TRACE_DIR/ex2-wire.jsonl" --check --folded "$TRACE_DIR/ex2-wire.folded"
 test -s "$TRACE_DIR/ex2-wire.folded" || { echo "empty folded output"; exit 1; }
 
-echo "== tier-2 [9/12]: resolver failover — crash grids, commit-point kill, zombie =="
+echo "== tier-2 [9/12]: resolver failover + host equivalence — crash grids, shard, commit-point kill, zombie =="
 cargo test -q --release -p caex --test failover
+cargo test -q --release -p caex --test shard --test algorithm --test proptests
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \
     --scenario example1 --crash 2 --crash-point commit
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \

@@ -81,10 +81,20 @@ fn crash_of_the_prospective_resolver_stalls_cleanly_without_failover() {
             // In case3(5) the raisers are O0..O4; resolver is O4.
             FaultPlan::none().with_crash(NodeId::new(4), SimTime::from_micros(50)),
         );
-    let report = workloads::case3(5, config).with_failover(false).run();
+    let run = || {
+        workloads::case3(5, config.clone())
+            .with_failover(false)
+            .run()
+    };
+    let report = run();
     assert!(report.resolutions.is_empty());
     assert!(!report.is_clean());
     assert!(agreement_holds(&report));
+    // The stuck objects (the frozen victim included) are listed in
+    // ascending node order, and print the same on every run.
+    let everyone: Vec<NodeId> = (0..5).map(NodeId::new).collect();
+    assert_eq!(report.deadlocked, everyone);
+    assert_eq!(run().to_string(), report.to_string());
 }
 
 #[test]
