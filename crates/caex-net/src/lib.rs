@@ -35,6 +35,7 @@
 mod channels;
 mod fault;
 mod idmap;
+mod labels;
 mod latency;
 mod node;
 mod port;
@@ -47,6 +48,7 @@ mod trace;
 pub use channels::ChannelState;
 pub use fault::{FaultEvent, FaultPlan, Freeze, Partition, Restart};
 pub use idmap::{IdHasher, IdMap, IdSet};
+pub use labels::LabelCounts;
 pub use latency::LatencyModel;
 pub use node::NodeId;
 pub use port::FifoPort;

@@ -448,11 +448,10 @@ impl<M: Kinded + Clone> SimNet<M> {
                 .rng
                 .gen_bool(self.config.faults.duplicate_probability());
 
-        let wire_len = payload.wire_len();
         // The payload moves into the queue; only a duplicating fault
         // plan pays for a second copy.
         let copy = duplicate.then(|| payload.clone());
-        self.enqueue_remote(from, to, payload, kind, wire_len);
+        self.enqueue_remote(from, to, payload, kind);
         if let Some(copy) = copy {
             self.stats.record_fault(FaultEvent::Duplicated.label());
             self.record(
@@ -462,18 +461,11 @@ impl<M: Kinded + Clone> SimNet<M> {
                 to,
                 kind,
             );
-            self.enqueue_remote(from, to, copy, kind, wire_len);
+            self.enqueue_remote(from, to, copy, kind);
         }
     }
 
-    fn enqueue_remote(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: M,
-        kind: &'static str,
-        wire_len: usize,
-    ) {
+    fn enqueue_remote(&mut self, from: NodeId, to: NodeId, payload: M, kind: &'static str) {
         let model = self
             .config
             .link_latency
@@ -488,7 +480,9 @@ impl<M: Kinded + Clone> SimNet<M> {
         let mut at = self.now + latency;
         if let Some(bandwidth) = self.config.bandwidth_bytes_per_ms {
             // Serialization delay: micros = bytes * 1000 / (bytes/ms).
-            let micros = (wire_len as u64 * 1_000).div_ceil(bandwidth);
+            // Only a bandwidth-limited link walks the payload for its
+            // encoded length.
+            let micros = (payload.wire_len() as u64 * 1_000).div_ceil(bandwidth);
             at += SimTime::from_micros(micros);
         }
         // Healing partition: a send crossing the boundary is buffered

@@ -1,6 +1,6 @@
 //! Per-kind message statistics.
 
-use crate::{IdMap, NodeId};
+use crate::{IdMap, LabelCounts, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,21 +26,21 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStats {
-    sent: BTreeMap<String, u64>,
-    delivered: BTreeMap<String, u64>,
-    dropped: BTreeMap<String, u64>,
+    sent: LabelCounts,
+    delivered: LabelCounts,
+    dropped: LabelCounts,
     /// Messages sent per ordered (source, destination) pair.
     channels: IdMap<(NodeId, NodeId), u64>,
     max_in_flight: usize,
     /// Injected faults per fault kind (see
     /// [`FaultEvent::label`](crate::FaultEvent::label)).
     #[serde(default)]
-    faults: BTreeMap<String, u64>,
+    faults: LabelCounts,
     /// Recovery actions per kind (`"reconnect"`, `"suspicion_flap"`,
     /// `"replayed_frame"`, …) — the transport surviving a fault rather
     /// than suffering one.
     #[serde(default)]
-    recovery: BTreeMap<String, u64>,
+    recovery: LabelCounts,
     /// Per-action counters, keyed by action index, for networks shared
     /// by a fleet of actions (see [`Kinded::action_index`](crate::Kinded::action_index)).
     /// Unordered: [`Self::actions_seen`] sorts at read time.
@@ -59,22 +59,10 @@ pub struct ActionCounters {
     pub dropped: u64,
 }
 
-/// Adds one to `kind`'s counter, allocating the key only the first time
-/// the kind is seen: these run once per message, under the shared
-/// `Mutex<NetStats>` on the thread and wire transports.
-fn bump(counters: &mut BTreeMap<String, u64>, kind: &str) {
-    match counters.get_mut(kind) {
-        Some(count) => *count += 1,
-        None => {
-            counters.insert(kind.to_owned(), 1);
-        }
-    }
-}
-
 impl NetStats {
     /// Records one send of a message of `kind`.
-    pub fn record_send(&mut self, kind: &str) {
-        bump(&mut self.sent, kind);
+    pub fn record_send(&mut self, kind: &'static str) {
+        self.sent.add(kind, 1);
     }
 
     /// Records the channel a send used (load accounting).
@@ -120,13 +108,13 @@ impl NetStats {
     }
 
     /// Records one delivery of a message of `kind`.
-    pub fn record_delivery(&mut self, kind: &str) {
-        bump(&mut self.delivered, kind);
+    pub fn record_delivery(&mut self, kind: &'static str) {
+        self.delivered.add(kind, 1);
     }
 
     /// Records one drop of a message of `kind`.
-    pub fn record_drop(&mut self, kind: &str) {
-        bump(&mut self.dropped, kind);
+    pub fn record_drop(&mut self, kind: &'static str) {
+        self.dropped.add(kind, 1);
     }
 
     /// Records one send attributed to action `action`.
@@ -164,80 +152,80 @@ impl NetStats {
 
     /// Records one injected fault of `kind` (a
     /// [`FaultEvent::label`](crate::FaultEvent::label) string).
-    pub fn record_fault(&mut self, kind: &str) {
-        bump(&mut self.faults, kind);
+    pub fn record_fault(&mut self, kind: &'static str) {
+        self.faults.add(kind, 1);
     }
 
     /// Faults injected of one kind.
     #[must_use]
     pub fn fault_of_kind(&self, kind: &str) -> u64 {
-        self.faults.get(kind).copied().unwrap_or(0)
+        self.faults.get(kind)
     }
 
     /// Records one recovery action of `kind` — a reconnect after a
     /// broken connection, a suspicion flap (a peer suspected and then
     /// heard from again), a frame replayed after a redial.
-    pub fn record_recovery(&mut self, kind: &str) {
-        bump(&mut self.recovery, kind);
+    pub fn record_recovery(&mut self, kind: &'static str) {
+        self.recovery.add(kind, 1);
     }
 
     /// Recovery actions of one kind.
     #[must_use]
     pub fn recovery_of_kind(&self, kind: &str) -> u64 {
-        self.recovery.get(kind).copied().unwrap_or(0)
+        self.recovery.get(kind)
     }
 
     /// Total recovery actions (all kinds).
     #[must_use]
     pub fn recoveries_total(&self) -> u64 {
-        self.recovery.values().sum()
+        self.recovery.total()
     }
 
     /// Total faults injected (all kinds).
     #[must_use]
     pub fn faults_total(&self) -> u64 {
-        self.faults.values().sum()
+        self.faults.total()
     }
 
     /// Total messages sent (all kinds).
     #[must_use]
     pub fn sent_total(&self) -> u64 {
-        self.sent.values().sum()
+        self.sent.total()
     }
 
     /// Total messages delivered (all kinds).
     #[must_use]
     pub fn delivered_total(&self) -> u64 {
-        self.delivered.values().sum()
+        self.delivered.total()
     }
 
     /// Total messages dropped (all kinds).
     #[must_use]
     pub fn dropped_total(&self) -> u64 {
-        self.dropped.values().sum()
+        self.dropped.total()
     }
 
     /// Messages sent of one kind.
     #[must_use]
     pub fn sent_of_kind(&self, kind: &str) -> u64 {
-        self.sent.get(kind).copied().unwrap_or(0)
+        self.sent.get(kind)
     }
 
     /// Messages delivered of one kind.
     #[must_use]
     pub fn delivered_of_kind(&self, kind: &str) -> u64 {
-        self.delivered.get(kind).copied().unwrap_or(0)
+        self.delivered.get(kind)
     }
 
     /// Messages dropped of one kind.
     #[must_use]
     pub fn dropped_of_kind(&self, kind: &str) -> u64 {
-        self.dropped.get(kind).copied().unwrap_or(0)
+        self.dropped.get(kind)
     }
 
     /// Iterates `(kind, sent)` pairs in kind order.
     pub fn sent_by_kind(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.sent.iter().map(|(k, &v)| (k.as_str(), v))
+        self.sent.sorted().into_iter()
     }
 
     /// The largest number of messages that were in flight at once.
@@ -248,24 +236,14 @@ impl NetStats {
 
     /// Merges another stats record into this one (kind-wise sums).
     pub fn merge(&mut self, other: &NetStats) {
-        for (k, v) in &other.sent {
-            *self.sent.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.delivered {
-            *self.delivered.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.dropped {
-            *self.dropped.entry(k.clone()).or_default() += v;
-        }
+        self.sent.merge(&other.sent);
+        self.delivered.merge(&other.delivered);
+        self.dropped.merge(&other.dropped);
         for (k, v) in &other.channels {
             *self.channels.entry(*k).or_default() += v;
         }
-        for (k, v) in &other.faults {
-            *self.faults.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.recovery {
-            *self.recovery.entry(k.clone()).or_default() += v;
-        }
+        self.faults.merge(&other.faults);
+        self.recovery.merge(&other.recovery);
         for (&a, c) in &other.per_action {
             let mine = self.per_action.entry(a).or_default();
             mine.sent += c.sent;
@@ -290,10 +268,9 @@ impl fmt::Display for NetStats {
         // kind that was only ever dropped still shows up.
         let kinds: std::collections::BTreeSet<&str> = self
             .sent
-            .keys()
-            .chain(self.delivered.keys())
-            .chain(self.dropped.keys())
-            .map(String::as_str)
+            .labels()
+            .chain(self.delivered.labels())
+            .chain(self.dropped.labels())
             .collect();
         for kind in kinds {
             writeln!(
@@ -315,10 +292,10 @@ impl fmt::Display for NetStats {
                 )?;
             }
         }
-        for (kind, count) in &self.faults {
+        for (kind, count) in self.faults.sorted() {
             writeln!(f, "  fault {kind}: {count}")?;
         }
-        for (kind, count) in &self.recovery {
+        for (kind, count) in self.recovery.sorted() {
             writeln!(f, "  recovery {kind}: {count}")?;
         }
         Ok(())
@@ -363,8 +340,12 @@ mod tests {
         stats.record_drop("commit");
         stats.record_recovery("reconnect");
         stats.record_send("ack");
-        let counts = |pairs: &[(&str, u64)]| -> BTreeMap<String, u64> {
-            pairs.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+        let counts = |pairs: &[(&'static str, u64)]| -> LabelCounts {
+            let mut counts = LabelCounts::default();
+            for &(k, v) in pairs {
+                counts.add(k, v);
+            }
+            counts
         };
         let expected = NetStats {
             sent: counts(&[("ack", 2), ("exception", 2)]),

@@ -5,7 +5,7 @@
 use crate::event::{CorrelationId, ObsEvent, ObsKind, ObsState, Observer};
 use crate::json::{self, JsonValue};
 use caex_action::ActionId;
-use caex_net::{IdMap, NodeId, SimTime};
+use caex_net::{IdMap, LabelCounts, NodeId, SimTime};
 use caex_tree::ExceptionId;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -222,23 +222,11 @@ struct RoundStats {
     wall_started: Option<u64>,
     committed_at: Option<SimTime>,
     wall_committed: Option<u64>,
-    /// Per-kind sends in first-seen order (at most a handful of
-    /// kinds); sorted when the round is finalized.
-    by_kind: Vec<(&'static str, u64)>,
+    /// Per-kind sends.
+    by_kind: LabelCounts,
     raised: BTreeSet<u32>,
     aborters: BTreeSet<NodeId>,
     resolved: Option<ExceptionId>,
-}
-
-/// Adds `by` to `key`'s counter, allocating the key only the first
-/// time it is seen: this runs for every event of every action.
-fn bump(counters: &mut BTreeMap<String, u64>, key: &str, by: u64) {
-    match counters.get_mut(key) {
-        Some(count) => *count += by,
-        None => {
-            counters.insert(key.to_owned(), by);
-        }
-    }
 }
 
 /// The metrics observer: counters, histograms, per-round accounting
@@ -252,12 +240,12 @@ fn bump(counters: &mut BTreeMap<String, u64>, key: &str, by: u64) {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     law: Option<fn(u64, u64, u64) -> u64>,
-    events_total: BTreeMap<String, u64>,
-    messages_total: BTreeMap<String, u64>,
+    events_total: LabelCounts,
+    messages_total: LabelCounts,
     rounds: IdMap<(ActionId, u32), RoundStats>,
     participants: IdMap<ActionId, BTreeSet<NodeId>>,
     state_since: IdMap<NodeId, (ObsState, SimTime)>,
-    dwell_us: BTreeMap<String, u64>,
+    dwell_us: LabelCounts,
     handler_open: IdMap<NodeId, (SimTime, Option<u64>)>,
     handler_durations: Histogram,
     resolution_latency: Histogram,
@@ -282,16 +270,16 @@ impl MetricsRegistry {
         self
     }
 
-    /// Total events seen per kind label.
+    /// Total events seen per kind label, as a map built for this call.
     #[must_use]
-    pub fn events_total(&self) -> &BTreeMap<String, u64> {
-        &self.events_total
+    pub fn events_total(&self) -> BTreeMap<&'static str, u64> {
+        self.events_total.to_map()
     }
 
-    /// Total messages sent per wire kind.
+    /// Total messages sent per wire kind, as a map built for this call.
     #[must_use]
-    pub fn messages_total(&self) -> &BTreeMap<String, u64> {
-        &self.messages_total
+    pub fn messages_total(&self) -> BTreeMap<&'static str, u64> {
+        self.messages_total.to_map()
     }
 
     /// Finalized per-round metrics (populated by `on_run_end`).
@@ -300,10 +288,11 @@ impl MetricsRegistry {
         &self.resolutions
     }
 
-    /// Per-state dwell time in µs, summed over all objects.
+    /// Per-state dwell time in µs, summed over all objects, as a map
+    /// built for this call.
     #[must_use]
-    pub fn state_dwell_us(&self) -> &BTreeMap<String, u64> {
-        &self.dwell_us
+    pub fn state_dwell_us(&self) -> BTreeMap<&'static str, u64> {
+        self.dwell_us.to_map()
     }
 
     /// The resolution-latency histogram (sim time, µs).
@@ -342,17 +331,17 @@ impl MetricsRegistry {
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
         out.push_str("# TYPE caex_events_total counter\n");
-        for (kind, count) in &self.events_total {
+        for (kind, count) in self.events_total.sorted() {
             let kind = escape_label_value(kind);
             let _ = writeln!(out, "caex_events_total{{kind=\"{kind}\"}} {count}");
         }
         out.push_str("# TYPE caex_messages_total counter\n");
-        for (kind, count) in &self.messages_total {
+        for (kind, count) in self.messages_total.sorted() {
             let kind = escape_label_value(kind);
             let _ = writeln!(out, "caex_messages_total{{kind=\"{kind}\"}} {count}");
         }
         out.push_str("# TYPE caex_state_dwell_us counter\n");
-        for (state, us) in &self.dwell_us {
+        for (state, us) in self.dwell_us.sorted() {
             let state = escape_label_value(state);
             let _ = writeln!(out, "caex_state_dwell_us{{state=\"{state}\"}} {us}");
         }
@@ -389,17 +378,9 @@ impl MetricsRegistry {
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            events_total: self
-                .events_total
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            messages_total: self
-                .messages_total
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            state_dwell_us: self.dwell_us.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            events_total: owned_pairs(&self.events_total),
+            messages_total: owned_pairs(&self.messages_total),
+            state_dwell_us: owned_pairs(&self.dwell_us),
             resolutions: self.resolutions.clone(),
             resolution_latency: self.resolution_latency.snapshot(),
             resolution_latency_wall: self.resolution_latency_wall.snapshot(),
@@ -410,7 +391,7 @@ impl MetricsRegistry {
 
 impl Observer for MetricsRegistry {
     fn on_event(&mut self, event: &ObsEvent) {
-        bump(&mut self.events_total, event.kind.label(), 1);
+        self.events_total.add(event.kind.label(), 1);
         self.touch_state(event.object, event.at);
 
         match &event.kind {
@@ -425,7 +406,7 @@ impl Observer for MetricsRegistry {
                 if let Some((state, since)) = self.state_since.get_mut(&event.object) {
                     debug_assert_eq!(state, from);
                     let dwell = now.as_micros().saturating_sub(since.as_micros());
-                    bump(&mut self.dwell_us, from.label(), dwell);
+                    self.dwell_us.add(from.label(), dwell);
                     *state = *to;
                     *since = now;
                 }
@@ -459,13 +440,9 @@ impl Observer for MetricsRegistry {
                 }
             }
             ObsKind::MessageSent { kind, .. } => {
-                bump(&mut self.messages_total, kind, 1);
+                self.messages_total.add(kind, 1);
                 if event.span.round > 0 {
-                    let by_kind = &mut self.round_mut(event.span).by_kind;
-                    match by_kind.iter_mut().find(|(k, _)| k == kind) {
-                        Some((_, count)) => *count += 1,
-                        None => by_kind.push((kind, 1)),
-                    }
+                    self.round_mut(event.span).by_kind.add(kind, 1);
                 }
             }
             ObsKind::ResolutionCommit { resolved, .. } => {
@@ -515,7 +492,7 @@ impl Observer for MetricsRegistry {
         // Close every object's final dwell interval.
         for (state, since) in self.state_since.values() {
             let dwell = at.as_micros().saturating_sub(since.as_micros());
-            bump(&mut self.dwell_us, state.label(), dwell);
+            self.dwell_us.add(state.label(), dwell);
         }
 
         // Finalize committed rounds in a stable order.
@@ -533,18 +510,8 @@ impl Observer for MetricsRegistry {
                 (Some(s), Some(c)) => Some(c.saturating_sub(s)),
                 _ => None,
             };
-            let messages: u64 = round
-                .by_kind
-                .iter()
-                .filter(|(k, _)| LAW_KINDS.contains(k))
-                .map(|(_, v)| *v)
-                .sum();
-            let mut by_kind: Vec<(String, u64)> = round
-                .by_kind
-                .iter()
-                .map(|&(k, v)| (k.to_owned(), v))
-                .collect();
-            by_kind.sort_unstable();
+            let messages: u64 = LAW_KINDS.iter().map(|kind| round.by_kind.get(kind)).sum();
+            let by_kind = owned_pairs(&round.by_kind);
             let n = self
                 .participants
                 .get(&action)
@@ -596,6 +563,15 @@ pub struct MetricsSnapshot {
     pub resolution_latency_wall: HistogramSnapshot,
     /// Handler duration histogram (sim µs).
     pub handler_durations: HistogramSnapshot,
+}
+
+/// `counts` as owned pairs in label order, the snapshots' form.
+fn owned_pairs(counts: &LabelCounts) -> Vec<(String, u64)> {
+    counts
+        .sorted()
+        .into_iter()
+        .map(|(label, count)| (label.to_owned(), count))
+        .collect()
 }
 
 /// Escapes a Prometheus label value per the text exposition format:
@@ -956,21 +932,21 @@ mod tests {
         reg.on_event(&ev(9, 1, 1, moved(ObsState::R, ObsState::X)));
         reg.on_event(&ev(9, 2, 0, ObsKind::ActionEnter));
         reg.on_event(&ev(12, 1, 1, moved(ObsState::X, ObsState::N)));
-        let counts = |pairs: &[(&str, u64)]| -> BTreeMap<String, u64> {
-            pairs.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+        let counts = |pairs: &[(&'static str, u64)]| -> BTreeMap<&'static str, u64> {
+            pairs.iter().copied().collect()
         };
         assert_eq!(
             reg.events_total(),
-            &counts(&[("action_enter", 2), ("message_sent", 4), ("state_transition", 4)])
+            counts(&[("action_enter", 2), ("message_sent", 4), ("state_transition", 4)])
         );
         assert_eq!(
             reg.messages_total(),
-            &counts(&[("ack", 1), ("exception", 2), ("leave_ready", 1)])
+            counts(&[("ack", 1), ("exception", 2), ("leave_ready", 1)])
         );
-        assert_eq!(reg.state_dwell_us(), &counts(&[("N", 0), ("R", 2), ("X", 10)]));
+        assert_eq!(reg.state_dwell_us(), counts(&[("N", 0), ("R", 2), ("X", 10)]));
         // Run end closes both objects' last interval, both in N.
         reg.on_run_end(SimTime::from_micros(20));
-        assert_eq!(reg.state_dwell_us(), &counts(&[("N", 28), ("R", 2), ("X", 10)]));
+        assert_eq!(reg.state_dwell_us(), counts(&[("N", 28), ("R", 2), ("X", 10)]));
     }
 
     #[test]

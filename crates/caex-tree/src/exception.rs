@@ -3,6 +3,7 @@
 use crate::ExceptionId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Coarse severity attached to an exception occurrence.
 ///
@@ -67,8 +68,10 @@ impl fmt::Display for Severity {
 pub struct Exception {
     id: ExceptionId,
     severity: Severity,
-    origin: Option<String>,
-    detail: Option<String>,
+    // Shared text: an occurrence is cloned into every message of a
+    // multicast and into every `LE` it reaches.
+    origin: Option<Arc<str>>,
+    detail: Option<Arc<str>>,
 }
 
 impl Exception {
@@ -111,7 +114,7 @@ impl Exception {
     /// Sets the origin label, consuming and returning `self` for chaining.
     #[must_use]
     pub fn with_origin(mut self, origin: impl Into<String>) -> Self {
-        self.origin = Some(origin.into());
+        self.origin = Some(Arc::from(origin.into()));
         self
     }
 
@@ -125,7 +128,7 @@ impl Exception {
     /// Sets the diagnostic payload, consuming and returning `self`.
     #[must_use]
     pub fn with_detail(mut self, detail: impl Into<String>) -> Self {
-        self.detail = Some(detail.into());
+        self.detail = Some(Arc::from(detail.into()));
         self
     }
 }

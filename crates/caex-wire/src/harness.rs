@@ -470,12 +470,14 @@ fn drive_wire_node(
         |p, ev, from| {
             // Wall-clock micros since `start` stamp the events, as on
             // the threaded engine.
-            let fx = bridge.borrow_mut().handle(
+            let mut fx = Vec::new();
+            bridge.borrow_mut().handle(
                 p,
                 ev,
                 from,
                 || wall_stamp(start),
                 *obs.borrow_mut(),
+                &mut fx,
             );
             // Commit-point crash: the resolver dies the moment its
             // state machine decides to commit, before any `Commit`

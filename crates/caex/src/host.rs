@@ -64,6 +64,9 @@ pub(crate) struct SimHost {
     /// Dense: node ids are `< net.num_nodes()`.
     participants: Vec<Option<Participant>>,
     bridge: ObsBridge,
+    /// The effects of the step in progress; drained by every
+    /// [`Self::step`], so its allocation is made once per run.
+    effects: Vec<Effect>,
     /// Synchronized exit lines: action -> objects waiting to leave.
     leave_requests: IdMap<ActionId, BTreeSet<NodeId>>,
     acceptance: IdMap<ActionId, AcceptanceTest>,
@@ -83,6 +86,7 @@ impl SimHost {
             net: SimNet::new(config, num_nodes),
             participants: (0..num_nodes).map(|_| None).collect(),
             bridge: ObsBridge::new(),
+            effects: Vec::new(),
             leave_requests: IdMap::default(),
             acceptance: acceptance.into_iter().collect(),
             max_deliveries,
@@ -167,10 +171,10 @@ impl SimHost {
         let participant = self.participants[object.index() as usize]
             .as_mut()
             .expect("delivery to unknown object");
-        let effects = self
-            .bridge
-            .handle(participant, delivery.payload, from, || (at, None), obs);
-        for effect in effects {
+        let mut effects = std::mem::take(&mut self.effects);
+        self.bridge
+            .handle(participant, delivery.payload, from, || (at, None), obs, &mut effects);
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     sink.sent(&msg);
@@ -185,6 +189,7 @@ impl SimHost {
                 }
             }
         }
+        self.effects = effects;
         Some((at, object))
     }
 

@@ -5,12 +5,13 @@
 //! simulator host behind `Scenario` and `FleetEngine`, the thread
 //! engine, `caex-wire`'s per-process harness): it emits the receive
 //! event of a transport delivery, snapshots the participant's
-//! observable state, applies the event through `Participant::handle`,
-//! compares the state afterwards and translates the emitted effects
-//! into [`ObsEvent`]s — opening and closing `(action, round)`
-//! correlation spans along the way. One bridge instance serves a whole
-//! run: the per-action round counters are global, which is what makes
-//! the correlation ids line up across participants.
+//! observable state, applies the event through
+//! `Participant::handle_into`, compares the state afterwards and
+//! translates the emitted effects into [`ObsEvent`]s — opening and
+//! closing `(action, round)` correlation spans along the way. One
+//! bridge instance serves a whole run: the per-action round counters
+//! are global, which is what makes the correlation ids line up across
+//! participants.
 //!
 //! Two translations are synthesized rather than copied from notes:
 //!
@@ -117,13 +118,15 @@ impl ObsBridge {
         }
     }
 
-    /// The observed step: applies `event` to `participant` and streams
-    /// what happened to `obs`. `from` names the sender of a transport
-    /// delivery (`None` for a local event). `clock` is read once for
-    /// the receive event of a transport delivery and once after the
-    /// handle for everything else; it yields the event time and, on
-    /// hosts with a wall clock, the real elapsed microseconds
-    /// ([`wall_stamp`]). A simulator returns its delivery time twice.
+    /// The observed step: applies `event` to `participant`, appends
+    /// the effects to `fx` (the host's buffer, so a host that drains it
+    /// every step allocates it once) and streams what happened to
+    /// `obs`. `from` names the sender of a transport delivery (`None`
+    /// for a local event). `clock` is read once for the receive event
+    /// of a transport delivery and once after the handle for
+    /// everything else; it yields the event time and, on hosts with a
+    /// wall clock, the real elapsed microseconds ([`wall_stamp`]). A
+    /// simulator returns its delivery time twice.
     pub fn handle(
         &mut self,
         participant: &mut Participant,
@@ -131,16 +134,17 @@ impl ObsBridge {
         from: Option<NodeId>,
         mut clock: impl FnMut() -> (SimTime, Option<u64>),
         obs: &mut dyn Observer,
-    ) -> Vec<Effect> {
+        fx: &mut Vec<Effect>,
+    ) {
         if let Some(from) = from {
             let (at, wall) = clock();
             self.on_receive(participant.id(), &event, from, at, wall, obs);
         }
         let pre = Self::pre(participant, &event);
-        let fx = participant.handle(event);
+        let first = fx.len();
+        participant.handle_into(event, fx);
         let (at, wall) = clock();
-        self.post(&pre, participant, &fx, at, wall, obs);
-        fx
+        self.post(&pre, participant, &fx[first..], at, wall, obs);
     }
 
     /// Emits the [`ObsKind::MessageReceived`] event for a protocol
@@ -391,15 +395,19 @@ impl ObsBridge {
                     round,
                     ObsKind::ResolverElected { resolver: *resolver },
                 ));
-                let mut distinct: Vec<_> = raised.iter().map(|(_, e)| e.id()).collect();
-                distinct.sort_unstable();
-                distinct.dedup();
+                // Distinct raised classes: count each id at its first
+                // occurrence (`raised` holds a handful of entries).
+                let distinct = raised
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, (_, e))| raised[..*i].iter().all(|(_, seen)| seen.id() != e.id()))
+                    .count();
                 obs.on_event(&mk(
                     *action,
                     round,
                     ObsKind::ResolutionCommit {
                         resolved: resolved.id(),
-                        raised: distinct.len() as u32,
+                        raised: distinct as u32,
                     },
                 ));
                 self.close_round(*action);

@@ -176,6 +176,24 @@ pub struct Participant {
     failover: bool,
 }
 
+/// Everyone in `action`'s scope except `me` and the reported
+/// deserters. A free function over the fields it reads, so a caller
+/// can walk the peers while it updates its resolution context.
+fn live_peers<'a>(
+    registry: &'a ActionRegistry,
+    deserters: &'a IdSet<NodeId>,
+    me: NodeId,
+    action: ActionId,
+) -> impl Iterator<Item = NodeId> + 'a {
+    registry
+        .scope(action)
+        .expect("peers of undeclared action")
+        .participants()
+        .iter()
+        .copied()
+        .filter(move |p| *p != me && !deserters.contains(p))
+}
+
 impl fmt::Debug for Participant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Participant")
@@ -336,14 +354,9 @@ impl Participant {
         self.aborted.contains(&action)
     }
 
-    fn peers(&self, action: ActionId) -> Vec<NodeId> {
-        let mut peers = self
-            .registry
-            .scope(action)
-            .expect("peers of undeclared action")
-            .peers_of(self.id);
-        peers.retain(|p| !self.deserters.contains(p));
-        peers
+    /// The live peers of `action` in participant (ascending) order.
+    fn peers(&self, action: ActionId) -> impl Iterator<Item = NodeId> + '_ {
+        live_peers(&self.registry, &self.deserters, self.id, action)
     }
 
     /// The peers reported so far via [`Self::on_deserter`].
@@ -870,23 +883,33 @@ impl Participant {
     /// structural rules the paper assumes the runtime enforces.
     pub fn handle(&mut self, event: Event) -> Vec<Effect> {
         let mut fx = Vec::new();
+        self.handle_into(event, &mut fx);
+        fx
+    }
+
+    /// [`Self::handle`], appending the effects to a buffer the host
+    /// owns and reuses instead of returning a fresh `Vec` per event.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::handle`].
+    pub fn handle_into(&mut self, event: Event, fx: &mut Vec<Effect>) {
         match event {
-            Event::Enter(action) => self.on_enter(action, &mut fx),
-            Event::Complete(action) => self.on_complete(action, &mut fx),
-            Event::LeaveGranted(action) => self.on_leave_granted(action, &mut fx),
-            Event::Raise(exc) => self.on_raise(exc, &mut fx),
-            Event::Msg(msg) => self.on_msg(msg, &mut fx),
+            Event::Enter(action) => self.on_enter(action, fx),
+            Event::Complete(action) => self.on_complete(action, fx),
+            Event::LeaveGranted(action) => self.on_leave_granted(action, fx),
+            Event::Raise(exc) => self.on_raise(exc, fx),
+            Event::Msg(msg) => self.on_msg(msg, fx),
             Event::AbortionDone {
                 action,
                 signal,
                 epoch,
-            } => self.on_abortion_done(action, signal, epoch, &mut fx),
-            Event::HandlerDone { action, signal } => self.on_handler_done(action, signal, &mut fx),
+            } => self.on_abortion_done(action, signal, epoch, fx),
+            Event::HandlerDone { action, signal } => self.on_handler_done(action, signal, fx),
             Event::DeserterSuspected { peer } => fx.extend(self.on_deserter(peer)),
             Event::PeerSuspected { peer } => fx.extend(self.on_suspect(peer)),
             Event::PeerRejoined { peer } => fx.extend(self.on_rejoin(peer)),
         }
-        fx
     }
 
     fn on_enter(&mut self, action: ActionId, fx: &mut Vec<Effect>) {
@@ -993,9 +1016,9 @@ impl Participant {
         if !self.leave_requested.contains(&action) || self.res.is_some() {
             return;
         }
-        let peers = self.peers(action);
         let ready = self.leave_ready.entry(action).or_default();
-        if peers.iter().all(|p| ready.contains(p)) {
+        if live_peers(&self.registry, &self.deserters, self.id, action).all(|p| ready.contains(&p))
+        {
             self.on_leave_granted(action, fx);
         }
     }
@@ -1052,21 +1075,21 @@ impl Participant {
     fn raise_in(&mut self, action: ActionId, exc: Exception, fx: &mut Vec<Effect>) {
         let mut res = Resolution::new(action, PState::Exceptional);
         res.le.push((self.id, exc.clone()));
-        let peers = self.peers(action);
-        res.pending_acks = peers.iter().copied().collect();
+        res.pending_acks = self.peers(action).collect();
+        let alone = res.pending_acks.is_empty();
         self.res = Some(res);
         fx.push(Effect::Note(Note::Raised {
             object: self.id,
             action,
             exc: exc.clone(),
         }));
-        if !peers.is_empty() {
+        if !alone {
             fx.push(Effect::Note(Note::Multicast {
                 object: self.id,
                 kind: "exception",
             }));
         }
-        for to in peers {
+        for to in self.peers(action) {
             fx.push(Effect::Send {
                 to,
                 msg: Msg::Exception {
@@ -1271,7 +1294,7 @@ impl Participant {
     /// resolving action, and discard any nested resolution in progress.
     fn trigger_abortion(&mut self, outer: ActionId, fx: &mut Vec<Effect>) {
         debug_assert!(self.entered.contains(&outer));
-        if !self.peers(outer).is_empty() {
+        if self.peers(outer).next().is_some() {
             fx.push(Effect::Note(Note::Multicast {
                 object: self.id,
                 kind: "have_nested",
@@ -1402,17 +1425,16 @@ impl Participant {
             return;
         }
         res.aborting = false;
-        let peers = self.peers(action);
+        let peers = || live_peers(&self.registry, &self.deserters, self.id, action);
         // NestedCompleted expects an ACK from every peer.
-        let res = self.res.as_mut().expect("checked above");
-        res.pending_acks.extend(peers.iter().copied());
-        if !peers.is_empty() {
+        res.pending_acks.extend(peers());
+        if peers().next().is_some() {
             fx.push(Effect::Note(Note::Multicast {
                 object: self.id,
                 kind: "nested_completed",
             }));
         }
-        for &to in &peers {
+        for to in peers() {
             fx.push(Effect::Send {
                 to,
                 msg: Msg::NestedCompleted {
@@ -1525,7 +1547,7 @@ impl Participant {
             resolved: resolved.clone(),
             raised,
         }));
-        if !self.peers(action).is_empty() {
+        if self.peers(action).next().is_some() {
             fx.push(Effect::Note(Note::Multicast {
                 object: self.id,
                 kind: "commit",
@@ -1576,7 +1598,6 @@ impl Participant {
         if self.failover && !self.suspects.is_empty() {
             let missed: BTreeSet<NodeId> = self
                 .peers(action)
-                .into_iter()
                 .filter(|p| self.suspects.contains(p))
                 .collect();
             if !missed.is_empty() {

@@ -365,7 +365,10 @@ impl ThreadRunner {
                     |p, ev, from| {
                         let mut guard = sink.lock();
                         let (bridge, events) = &mut *guard;
-                        bridge.handle(p, ev, from, || wall_stamp(start), &mut BufObs(events))
+                        let mut fx = Vec::new();
+                        let clock = || wall_stamp(start);
+                        bridge.handle(p, ev, from, clock, &mut BufObs(events), &mut fx);
+                        fx
                     },
                     |note| notes.lock().push(note),
                 );

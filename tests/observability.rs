@@ -229,6 +229,21 @@ fn example2_golden_metrics_snapshot_roundtrips() {
     assert_eq!(parsed, snapshot);
 }
 
+/// Everything that renders the per-label counters — `NetStats`'s
+/// `Display`, the Prometheus text and the snapshot JSON — byte for byte
+/// as the ordered string-keyed maps printed it at `39a46f5`.
+#[test]
+fn example2_rendered_counters_are_pinned() {
+    let (report, metrics, _, _) = observe(workloads::example2(NetConfig::default()).0);
+    let text = format!(
+        "== stats ==\n{}== prometheus ==\n{}== snapshot ==\n{}\n",
+        report.stats,
+        metrics.prometheus(),
+        metrics.snapshot().to_json()
+    );
+    assert_eq!(text, include_str!("fixtures/example2_counters.txt"));
+}
+
 /// Example 2's Chrome trace: loadable JSON, one track per participant,
 /// every `B` matched by an `E` on the same track with non-decreasing
 /// timestamps.
