@@ -8,7 +8,7 @@
 //! §3.3 domino analysis. Each function here *executes* the protocol on
 //! the corresponding workload and returns rows pairing the measured
 //! value with the paper's prediction. The `tables` binary prints them;
-//! the criterion benches time them; unit tests pin the shapes.
+//! unit tests pin the shapes (wall-clock timing lives in `bench/`).
 
 
 pub mod causal_bench;
@@ -668,14 +668,14 @@ pub fn threaded_smoke(n: u32) -> usize {
             Arc::clone(&tree),
         ))
         .unwrap();
-    let report = ThreadRunner::new(Arc::new(reg))
+    let scenario = Scenario::new(Arc::new(reg))
         .enter_all_at(SimTime::ZERO, a1)
         .raise_at(
             SimTime::from_millis(1),
             NodeId::new(0),
             Exception::new(ExceptionId::new(1)),
-        )
-        .run();
+        );
+    let report = ThreadRunner::new(scenario).run();
     report.handled_exceptions(a1).len()
 }
 

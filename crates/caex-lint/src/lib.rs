@@ -186,18 +186,4 @@ impl Linter {
         model::lint_cr_domino_into(&mut sink, tree, reduced, initial);
         sink.finish()
     }
-
-    /// The full battery over a threaded
-    /// [`ThreadRunner`](caex::thread_engine::ThreadRunner)'s script:
-    /// the same static replay the simulator's scenarios get, so a
-    /// timeline destined for real threads (or, via `caex-wire`, real
-    /// processes) is vetted before anything spawns.
-    #[must_use]
-    pub fn lint_thread_runner(&self, runner: &caex::thread_engine::ThreadRunner) -> LintReport {
-        let mut sink = diag::Sink::new(&self.config);
-        scenario::lint_script_into(&mut sink, runner);
-        let mut report = sink.finish();
-        report.dedup();
-        report
-    }
 }

@@ -67,7 +67,7 @@
 
 use crate::diag::{LintCode, Severity, Sink};
 use caex::{Effect, Event, LeaveMode, Msg, Note, Participant, Scenario};
-use caex_action::{ActionId, ActionRegistry, HandlerTable};
+use caex_action::{ActionId, ActionRegistry};
 use caex_net::{ChannelState, NodeId, SimTime};
 use caex_tree::{ExceptionId, ExceptionTree, ReducedTree};
 use std::collections::hash_map::DefaultHasher;
@@ -219,19 +219,16 @@ enum Step {
     Crash { node: NodeId },
 }
 
-/// The checkable essence of a [`Scenario`]: registry, declarative
-/// handler templates and the sorted script. Extraction fails (the
+/// The checkable essence of a [`Scenario`]: one participant per node,
+/// configured by the scenario's own script from declarative copies of
+/// its handler tables, and the sorted timeline. Extraction fails (the
 /// scenario is *skipped*, not failed) when the scenario holds state
 /// the checker cannot replicate.
 struct Spec {
     registry: Arc<ActionRegistry>,
-    strategy: caex::NestedStrategy,
     leave_mode: LeaveMode,
-    resolver_group: u32,
-    failover: bool,
-    num_nodes: u32,
-    handlers: Vec<(NodeId, ActionId, HandlerTable)>,
-    nested_remaining: Vec<(NodeId, ActionId, Option<SimTime>)>,
+    /// Every world starts from a declarative copy of these.
+    parts: BTreeMap<NodeId, Participant>,
     script: Vec<(SimTime, NodeId, Event)>,
 }
 
@@ -244,43 +241,29 @@ impl Spec {
                  checker cannot enumerate"
             ));
         }
-        let mut handlers = Vec::new();
-        for (object, action, table) in scenario.handler_tables() {
-            match table.clone_declarative() {
-                Some(copy) => handlers.push((object, action, copy)),
-                None => {
-                    return Err(format!(
-                        "handler table of {object} for {action} contains opaque closures; \
-                         declare outcomes with on_outcome/on_abort_outcome to make the \
-                         scenario checkable"
-                    ))
-                }
-            }
-        }
-        let mut script: Vec<(SimTime, NodeId, Event)> = scenario
-            .scripted()
-            .map(|(t, o, e)| (t, o, e.clone()))
+        let mut copy = scenario
+            .script()
+            .clone_declarative()
+            .map_err(|(object, action)| {
+                format!(
+                    "handler table of {object} for {action} contains opaque closures; \
+                     declare outcomes with on_outcome/on_abort_outcome to make the \
+                     scenario checkable"
+                )
+            })?;
+        let parts = (0..copy.num_nodes())
+            .map(NodeId::new)
+            .map(|id| (id, copy.participant(id)))
             .collect();
+        let mut script = copy.steps;
         // Stable: equal-time events keep script order, as the engine's
         // scheduler does.
         script.sort_by_key(|(t, _, _)| *t);
-        let registry = Arc::clone(Scenario::registry(scenario));
-        let num_nodes = registry
-            .iter()
-            .flat_map(|(_, s)| s.participants().iter().copied())
-            .map(|n| n.index() + 1)
-            .max()
-            .unwrap_or(0);
         Ok(Spec {
-            strategy: scenario.strategy(),
+            registry: Arc::clone(scenario.registry()),
             leave_mode: scenario.leave_mode(),
-            resolver_group: scenario.resolver_group_size(),
-            failover: scenario.failover(),
-            num_nodes,
-            handlers,
-            nested_remaining: scenario.nested_remaining_declared().collect(),
+            parts,
             script,
-            registry,
         })
     }
 
@@ -291,6 +274,19 @@ impl Spec {
             Step::Script { index } => self.script[index as usize].1,
         }
     }
+}
+
+/// Checkable scenarios hold only declarative handler tables
+/// ([`Spec::from_scenario`] rejects the rest), so participants always
+/// clone.
+fn clone_parts(parts: &BTreeMap<NodeId, Participant>) -> BTreeMap<NodeId, Participant> {
+    parts
+        .iter()
+        .map(|(&id, p)| {
+            let copy = p.clone_declarative().expect("checkable participants clone");
+            (id, copy)
+        })
+        .collect()
 }
 
 /// One concrete global state. The DFS carries worlds directly:
@@ -323,19 +319,9 @@ struct World<'s> {
 
 impl<'s> World<'s> {
     fn new(spec: &'s Spec) -> World<'s> {
-        let parts = (0..spec.num_nodes)
-            .map(NodeId::new)
-            .map(|id| {
-                let mut p = Participant::new(id, Arc::clone(&spec.registry), spec.strategy);
-                p.set_resolver_group(spec.resolver_group);
-                p.set_leave_mode(spec.leave_mode);
-                p.set_failover(spec.failover);
-                (id, p)
-            })
-            .collect::<BTreeMap<_, _>>();
-        let mut world = World {
+        World {
             spec,
-            parts,
+            parts: clone_parts(&spec.parts),
             channels: ChannelState::new(),
             local: BTreeMap::new(),
             grants: BTreeMap::new(),
@@ -348,42 +334,16 @@ impl<'s> World<'s> {
             committed_class: BTreeMap::new(),
             faults: Vec::new(),
             log: None,
-        };
-        for (object, action, table) in &spec.handlers {
-            let copy = table
-                .clone_declarative()
-                .expect("templates are declarative by construction");
-            world
-                .parts
-                .get_mut(object)
-                .expect("handler for unknown object")
-                .set_handlers(*action, copy);
         }
-        for &(object, action, remaining) in &spec.nested_remaining {
-            world
-                .parts
-                .get_mut(&object)
-                .expect("nested_remaining for unknown object")
-                .set_nested_remaining(action, remaining);
-        }
-        world
     }
 
-    /// A deep copy of this state for DFS branching. Checkable
-    /// scenarios hold only declarative handler tables
-    /// ([`Spec::from_scenario`] rejects the rest), so participants
-    /// always clone. The log is never forked: counterexamples are
-    /// re-rendered by replaying their trace.
+    /// A deep copy of this state for DFS branching. The log is never
+    /// forked: counterexamples are re-rendered by replaying their
+    /// trace.
     fn fork(&self) -> World<'s> {
         World {
             spec: self.spec,
-            parts: self
-                .parts
-                .iter()
-                .map(|(&id, p)| {
-                    (id, p.clone_declarative().expect("checkable participants clone"))
-                })
-                .collect(),
+            parts: clone_parts(&self.parts),
             channels: self.channels.clone(),
             local: self.local.clone(),
             grants: self.grants.clone(),
@@ -1089,7 +1049,7 @@ pub(crate) fn check_scenario_into(
     };
     let subject = format!(
         "model({} objects, {} script events)",
-        spec.num_nodes,
+        spec.parts.len(),
         spec.script.len()
     );
 
@@ -1278,7 +1238,7 @@ mod tests {
     use super::*;
     use crate::LintConfig;
     use caex::workloads;
-    use caex_action::ActionScope;
+    use caex_action::{ActionScope, HandlerTable};
     use caex_net::NetConfig;
     use caex_tree::{chain_tree, Exception};
 

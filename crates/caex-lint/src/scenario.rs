@@ -11,63 +11,14 @@
 //! left to the declaration family.
 
 use crate::diag::{LintCode, Sink};
-use caex::thread_engine::ThreadRunner;
 use caex::{Event, NestedStrategy, Scenario};
-use caex_action::{ActionId, ActionRegistry, HandlerTable};
+use caex_action::ActionId;
 use caex_net::{NodeId, SimTime};
 use caex_tree::ExceptionId;
 use std::collections::HashMap;
 
-/// The script surface the replay battery needs — implemented by both
-/// the simulator's [`Scenario`] and the threaded [`ThreadRunner`], so
-/// one static analysis covers both engines' scripts.
-pub(crate) trait ScriptSource {
-    fn registry(&self) -> &ActionRegistry;
-    fn scripted(&self) -> Box<dyn Iterator<Item = (SimTime, NodeId, &Event)> + '_>;
-    fn handler_tables(&self) -> Box<dyn Iterator<Item = (NodeId, ActionId, &HandlerTable)> + '_>;
-    /// Declared `nested_remaining` run times; engines without the
-    /// declaration surface none.
-    fn nested_remaining(&self) -> Vec<(NodeId, ActionId, Option<SimTime>)> {
-        Vec::new()
-    }
-    /// The nested-action strategy the script runs under.
-    fn strategy(&self) -> NestedStrategy {
-        NestedStrategy::default()
-    }
-}
-
-impl ScriptSource for Scenario {
-    fn registry(&self) -> &ActionRegistry {
-        Scenario::registry(self).as_ref()
-    }
-    fn scripted(&self) -> Box<dyn Iterator<Item = (SimTime, NodeId, &Event)> + '_> {
-        Box::new(Scenario::scripted(self))
-    }
-    fn handler_tables(&self) -> Box<dyn Iterator<Item = (NodeId, ActionId, &HandlerTable)> + '_> {
-        Box::new(Scenario::handler_tables(self))
-    }
-    fn nested_remaining(&self) -> Vec<(NodeId, ActionId, Option<SimTime>)> {
-        Scenario::nested_remaining_declared(self).collect()
-    }
-    fn strategy(&self) -> NestedStrategy {
-        Scenario::strategy(self)
-    }
-}
-
-impl ScriptSource for ThreadRunner {
-    fn registry(&self) -> &ActionRegistry {
-        ThreadRunner::registry(self).as_ref()
-    }
-    fn scripted(&self) -> Box<dyn Iterator<Item = (SimTime, NodeId, &Event)> + '_> {
-        Box::new(ThreadRunner::scripted(self))
-    }
-    fn handler_tables(&self) -> Box<dyn Iterator<Item = (NodeId, ActionId, &HandlerTable)> + '_> {
-        Box::new(ThreadRunner::handler_tables(self))
-    }
-}
-
-pub(crate) fn lint_script_into(sink: &mut Sink<'_>, scenario: &dyn ScriptSource) {
-    let registry = scenario.registry();
+pub(crate) fn lint_script_into(sink: &mut Sink<'_>, scenario: &Scenario) {
+    let registry = scenario.registry().as_ref();
 
     // Sort the whole scripted timeline once (stable, so equal-time
     // events keep script order, matching the engine) and distribute it
@@ -250,7 +201,7 @@ pub(crate) fn lint_script_into(sink: &mut Sink<'_>, scenario: &dyn ScriptSource)
     // — the Fig. 1(a) configuration where the enclosing resolution
     // waits forever.
     let strategy = scenario.strategy();
-    for (object, action, remaining) in scenario.nested_remaining() {
+    for (object, action, remaining) in scenario.nested_remaining_declared() {
         let Ok(scope) = registry.scope(action) else {
             sink.emit(
                 LintCode::NonParticipantStep,

@@ -330,6 +330,24 @@ fn caex012_enter_imbalance_is_deny() {
         severity_of(&report, LintCode::EnterImbalance),
         Some(Severity::Deny)
     );
+
+    // The same in a script (what the thread engine and the wire mesh
+    // run too): O1 completes an action it never entered.
+    let mut reg = ActionRegistry::new();
+    let a = reg
+        .declare(ActionScope::top_level(
+            "a",
+            [NodeId::new(0), NodeId::new(1)],
+            Arc::new(chain_tree(2)),
+        ))
+        .expect("valid");
+    let scenario = Scenario::new(Arc::new(reg))
+        .enter_at(SimTime::ZERO, NodeId::new(0), a)
+        .complete_at(SimTime::from_micros(5), NodeId::new(1), a)
+        .complete_at(SimTime::from_micros(9), NodeId::new(0), a);
+    assert!(Linter::new()
+        .lint_scenario(&scenario)
+        .fired(LintCode::EnterImbalance));
 }
 
 #[test]
@@ -397,76 +415,4 @@ fn config_allow_and_deny_warnings_reconfigure() {
 
     let strict = Linter::with_config(LintConfig::new().deny_warnings());
     assert!(strict.lint_tree(&chain_tree(6), None).has_denials());
-}
-
-// --- threaded runner scripts get the same replay battery ------------
-
-#[test]
-fn caex010_fires_on_threaded_runner_raise() {
-    use caex::thread_engine::ThreadRunner;
-    let tree = Arc::new(chain_tree(2));
-    let mut reg = ActionRegistry::new();
-    let a = reg
-        .declare(ActionScope::top_level(
-            "a",
-            [NodeId::new(0)],
-            Arc::clone(&tree),
-        ))
-        .expect("valid");
-    let runner = ThreadRunner::new(Arc::new(reg))
-        .enter_all_at(SimTime::ZERO, a)
-        .raise_at(
-            SimTime::from_micros(5),
-            NodeId::new(0),
-            Exception::new(ExceptionId::new(42)),
-        );
-    let report = Linter::new().lint_thread_runner(&runner);
-    assert_eq!(
-        severity_of(&report, LintCode::UndeclaredRaise),
-        Some(Severity::Deny)
-    );
-}
-
-#[test]
-fn caex012_fires_on_threaded_runner_stray_complete() {
-    use caex::thread_engine::ThreadRunner;
-    let tree = Arc::new(chain_tree(2));
-    let mut reg = ActionRegistry::new();
-    let a = reg
-        .declare(ActionScope::top_level(
-            "a",
-            [NodeId::new(0), NodeId::new(1)],
-            Arc::clone(&tree),
-        ))
-        .expect("valid");
-    // O1 completes an action it never entered: an enter imbalance.
-    let runner = ThreadRunner::new(Arc::new(reg))
-        .enter_at(SimTime::ZERO, NodeId::new(0), a)
-        .complete_at(SimTime::from_micros(5), NodeId::new(1), a)
-        .complete_at(SimTime::from_micros(9), NodeId::new(0), a);
-    let report = Linter::new().lint_thread_runner(&runner);
-    assert!(report.fired(LintCode::EnterImbalance));
-}
-
-#[test]
-fn clean_threaded_runner_script_has_no_denials() {
-    use caex::thread_engine::ThreadRunner;
-    let tree = Arc::new(chain_tree(3));
-    let mut reg = ActionRegistry::new();
-    let a = reg
-        .declare(ActionScope::top_level(
-            "a",
-            [NodeId::new(0), NodeId::new(1), NodeId::new(2)],
-            Arc::clone(&tree),
-        ))
-        .expect("valid");
-    let runner = ThreadRunner::new(Arc::new(reg))
-        .enter_all_at(SimTime::ZERO, a)
-        .raise_at(
-            SimTime::from_micros(10),
-            NodeId::new(0),
-            Exception::new(ExceptionId::new(1)),
-        );
-    let report = Linter::new().lint_thread_runner(&runner);
-    assert!(!report.has_denials(), "{}", report.render());
 }

@@ -8,15 +8,19 @@
 //! the rendezvous and blocks until the coordinator answers with the
 //! full address map — so by the time any process starts dialing, every
 //! listener already exists and mesh formation has no port races. After
-//! the [`crate::wire::WirePort::barrier`], each child plays its
-//! zero-clamped script through [`caex::drive::drive_node`] (every event
-//! applied through [`caex::ObsBridge::handle`], the observed step all
-//! hosts share, stamped with wall-clock microseconds) and prints a
-//! single `CAEX-WIRE-REPORT {json}` line; the coordinator aggregates
-//! those, optionally replays the merged observability streams through
-//! the [`caex_obs::Watchdog`], and checks the run against the §4.4
-//! closed form (or the simulator baseline) — message counts measured
-//! from real socket traffic, not simulated deliveries.
+//! the [`crate::wire::WirePort::barrier`], each child takes its
+//! participant and its steps from the zero-clamped script
+//! ([`caex::Script::participant`], the set-up every host shares), plays
+//! them through [`caex::drive::drive_node`] (every event, the failure
+//! detector's reports included, applied through
+//! [`caex::ObsBridge::handle`], the observed step all hosts share,
+//! stamped with wall-clock microseconds) and prints a single
+//! `CAEX-WIRE-REPORT {json}` line; the coordinator aggregates those,
+//! optionally replays the merged observability streams through the
+//! [`caex_obs::Watchdog`], and checks the run against the §4.4 closed
+//! form and the simulator baseline (messages, agreed exception,
+//! elected resolver, raised set) — message counts measured from real
+//! socket traffic, not simulated deliveries.
 //!
 //! Crash-injection runs (`--crash <id>`) suppress the victim's script
 //! entirely — it joins the mesh and the barrier, then either
@@ -31,7 +35,7 @@ use crate::scenario::{SimBaseline, WireScenario};
 use crate::wire::{WireAddr, WireBound, WireConfig, WirePort};
 use caex::drive::drive_node;
 use caex::obs::wall_stamp;
-use caex::{LeaveMode, NestedStrategy, Note, ObsBridge, Participant};
+use caex::{Note, ObsBridge, Script};
 use caex_net::NodeId;
 use caex_obs::json::{self, JsonValue};
 use caex_obs::{causal, ObsEvent, Observer, TcpExporter, Watchdog};
@@ -193,6 +197,9 @@ pub struct NodeReport {
     pub deserters: Vec<u32>,
     /// `(action, exception)` pairs whose handlers started here.
     pub handled: Vec<(u32, u32)>,
+    /// Resolutions this node committed as the elected resolver:
+    /// `(action, raised exception ids, ascending)`.
+    pub committed: Vec<(u32, Vec<u32>)>,
     /// Per-peer clock-skew estimates `(peer, min(recv − sent) µs)` —
     /// floor one-way delay plus the peer's clock offset relative to
     /// this process (see `WirePort::skew_estimates`).
@@ -201,117 +208,92 @@ pub struct NodeReport {
 
 impl NodeReport {
     fn to_json(&self) -> JsonValue {
+        let num = |n: u32| JsonValue::num(u64::from(n));
+        let nums = |ns: &[u32]| JsonValue::Arr(ns.iter().map(|n| num(*n)).collect());
+        let pair = |a: (&str, JsonValue), b: (&str, JsonValue)| {
+            JsonValue::Obj(vec![(a.0.into(), a.1), (b.0.into(), b.1)])
+        };
+        let handled = self
+            .handled
+            .iter()
+            .map(|(a, e)| pair(("action", num(*a)), ("exc", num(*e))));
+        let committed = self
+            .committed
+            .iter()
+            .map(|(a, raised)| pair(("action", num(*a)), ("raised", nums(raised))));
+        #[allow(clippy::cast_precision_loss)] // µs offsets stay far below 2^53
+        let skew = self
+            .skew
+            .iter()
+            .map(|(peer, us)| pair(("peer", num(*peer)), ("us", JsonValue::Num(*us as f64))));
         JsonValue::Obj(vec![
-            ("id".into(), JsonValue::num(u64::from(self.id))),
+            ("id".into(), num(self.id)),
             ("sent".into(), JsonValue::num(self.sent)),
             ("delivered".into(), JsonValue::num(self.delivered)),
             ("dropped".into(), JsonValue::num(self.dropped)),
             ("drained".into(), JsonValue::num(self.drained)),
             ("desertions".into(), JsonValue::num(self.desertions)),
-            (
-                "deserters".into(),
-                JsonValue::Arr(
-                    self.deserters
-                        .iter()
-                        .map(|d| JsonValue::num(u64::from(*d)))
-                        .collect(),
-                ),
-            ),
-            (
-                "handled".into(),
-                JsonValue::Arr(
-                    self.handled
-                        .iter()
-                        .map(|(a, e)| {
-                            JsonValue::Obj(vec![
-                                ("action".into(), JsonValue::num(u64::from(*a))),
-                                ("exc".into(), JsonValue::num(u64::from(*e))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "skew".into(),
-                JsonValue::Arr(
-                    self.skew
-                        .iter()
-                        .map(|(peer, us)| {
-                            #[allow(clippy::cast_precision_loss)] // µs offsets stay far below 2^53
-                            JsonValue::Obj(vec![
-                                ("peer".into(), JsonValue::num(u64::from(*peer))),
-                                ("us".into(), JsonValue::Num(*us as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("deserters".into(), nums(&self.deserters)),
+            ("handled".into(), JsonValue::Arr(handled.collect())),
+            ("committed".into(), JsonValue::Arr(committed.collect())),
+            ("skew".into(), JsonValue::Arr(skew.collect())),
         ])
     }
 
     fn from_json(v: &JsonValue) -> Result<NodeReport, String> {
+        fn u32_of(x: Option<&JsonValue>, k: &str) -> Result<u32, String> {
+            x.and_then(JsonValue::as_u64)
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| format!("report: bad or missing number `{k}`"))
+        }
+        fn num(v: &JsonValue, k: &str) -> Result<u32, String> {
+            u32_of(v.get(k), k)
+        }
+        fn array<'a>(v: &'a JsonValue, k: &str) -> Result<&'a [JsonValue], String> {
+            v.get(k)
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| format!("report missing array `{k}`"))
+        }
+        fn list(v: &JsonValue, k: &str) -> Result<Vec<u32>, String> {
+            array(v, k)?.iter().map(|x| u32_of(Some(x), k)).collect()
+        }
         let field = |k: &str| {
             v.get(k)
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| format!("report missing numeric `{k}`"))
         };
-        let list = |k: &str| -> Result<Vec<u32>, String> {
-            v.get(k)
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("report missing array `{k}`"))?
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| format!("bad entry in `{k}`"))
-                })
-                .collect()
-        };
-        let handled = v
-            .get("handled")
-            .and_then(JsonValue::as_array)
-            .ok_or("report missing array `handled`")?
+        let handled = array(v, "handled")?
             .iter()
-            .map(|h| {
-                let num = |k: &str| {
-                    h.get(k)
-                        .and_then(JsonValue::as_u64)
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| format!("bad handled entry `{k}`"))
-                };
-                Ok((num("action")?, num("exc")?))
-            })
+            .map(|h| Ok((num(h, "action")?, num(h, "exc")?)))
+            .collect::<Result<Vec<_>, String>>()?;
+        let committed = array(v, "committed")?
+            .iter()
+            .map(|c| Ok((num(c, "action")?, list(c, "raised")?)))
             .collect::<Result<Vec<_>, String>>()?;
         // Absent in pre-v2 report lines; default to no estimates.
-        let skew = v
-            .get("skew")
-            .and_then(JsonValue::as_array)
+        let skew = array(v, "skew")
             .unwrap_or(&[])
             .iter()
             .map(|s| {
-                let peer = s
-                    .get("peer")
-                    .and_then(JsonValue::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("bad skew entry `peer`")?;
                 #[allow(clippy::cast_possible_truncation)] // µs offsets fit i64 exactly
                 let us = s
                     .get("us")
                     .and_then(JsonValue::as_f64)
                     .map(|f| f as i64)
                     .ok_or("bad skew entry `us`")?;
-                Ok((peer, us))
+                Ok((num(s, "peer")?, us))
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(NodeReport {
-            id: u32::try_from(field("id")?).map_err(|_| "id out of range".to_owned())?,
+            id: num(v, "id")?,
             sent: field("sent")?,
             delivered: field("delivered")?,
             dropped: field("dropped")?,
             drained: field("drained")?,
             desertions: field("desertions")?,
-            deserters: list("deserters")?,
+            deserters: list(v, "deserters")?,
             handled,
+            committed,
             skew,
         })
     }
@@ -436,7 +418,7 @@ fn rendezvous_exchange(
 #[allow(clippy::too_many_arguments)]
 fn drive_wire_node(
     port: &WirePort,
-    scenario: &WireScenario,
+    script: &mut Script,
     id: NodeId,
     idle_timeout: Duration,
     suppress_steps: bool,
@@ -444,19 +426,12 @@ fn drive_wire_node(
     obs: &mut dyn Observer,
     start: Instant,
 ) -> NodeReport {
-    let mut participant = Participant::new(id, std::sync::Arc::clone(&scenario.registry), NestedStrategy::Abort);
-    if scenario.uses_completion() {
-        participant.set_leave_mode(LeaveMode::Distributed);
-    }
     // Handler tables cannot be cloned (they hold closures), so each
-    // process rebuilds the scenario and takes only its own tables.
-    let steps = if suppress_steps { Vec::new() } else { scenario.steps_for(id) };
+    // process rebuilds the scenario and takes only its own node's.
+    let mut participant = script.participant(id);
+    let steps = if suppress_steps { Vec::new() } else { script.steps_for(id) };
     let mut notes: Vec<Note> = Vec::new();
-    // The event-handle path and the note callback both need the bridge
-    // and the observer (the drive loop folds failure-detector effects
-    // in outside any event handle), so both live behind `RefCell`s.
-    let bridge = std::cell::RefCell::new(ObsBridge::new());
-    let obs = std::cell::RefCell::new(obs);
+    let mut bridge = ObsBridge::new();
     // Anchor the wire's send-time stamps to the same epoch as the
     // observation clock, so peer skew estimates translate directly
     // into per-stream timestamp corrections.
@@ -471,14 +446,7 @@ fn drive_wire_node(
             // Wall-clock micros since `start` stamp the events, as on
             // the threaded engine.
             let mut fx = Vec::new();
-            bridge.borrow_mut().handle(
-                p,
-                ev,
-                from,
-                || wall_stamp(start),
-                *obs.borrow_mut(),
-                &mut fx,
-            );
+            bridge.handle(p, ev, from, || wall_stamp(start), &mut *obs, &mut fx);
             // Commit-point crash: the resolver dies the moment its
             // state machine decides to commit, before any `Commit`
             // leaves this process. A `Stop` victim freezes *here*,
@@ -502,22 +470,8 @@ fn drive_wire_node(
             }
             fx
         },
-        |n| {
-            // Detector transitions reach this callback without passing
-            // through `ObsBridge::handle` (the drive loop polls the
-            // transport directly); bridge them here. The translation
-            // is idempotent, so the engine's own proof-of-life rejoin
-            // — which *does* flow through `handle` — never doubles.
-            if matches!(n, Note::PeerSuspected { .. } | Note::PeerRejoined { .. }) {
-                let (at, wall) = wall_stamp(start);
-                bridge
-                    .borrow_mut()
-                    .note_out_of_band(id, &n, at, wall, *obs.borrow_mut());
-            }
-            notes.push(n);
-        },
+        |n| notes.push(n),
     );
-    let obs = obs.into_inner();
     obs.on_run_end(wall_stamp(start).0);
     let stats = port.stats();
     let stats = stats.lock();
@@ -538,6 +492,17 @@ fn drive_wire_node(
                 _ => None,
             })
             .collect(),
+        committed: notes
+            .iter()
+            .filter_map(|n| match n {
+                Note::ResolutionCommitted { action, raised, .. } => {
+                    let mut ids: Vec<u32> = raised.iter().map(|(_, e)| e.id().index()).collect();
+                    ids.sort_unstable();
+                    Some((action.index(), ids))
+                }
+                _ => None,
+            })
+            .collect(),
         skew: port
             .skew_estimates()
             .into_iter()
@@ -554,7 +519,7 @@ fn drive_wire_node(
 /// Any setup failure (bad spec, socket error, barrier timeout) is
 /// returned as a message; the binary maps it to a nonzero exit.
 pub fn run_participant(opts: &ParticipantOptions) -> Result<(), String> {
-    let scenario = WireScenario::build(&opts.scenario)?;
+    let mut scenario = WireScenario::build(&opts.scenario)?;
     let bound = WireBound::bind(opts.id, &bind_addr(opts.transport, &opts.sock_dir, opts.id), opts.config.clone())
         .map_err(|e| format!("bind: {e}"))?;
     let addrs = rendezvous_exchange(opts.rendezvous, opts.id, bound.local_addr())?;
@@ -604,10 +569,10 @@ pub fn run_participant(opts: &ParticipantOptions) -> Result<(), String> {
 
     let report = match exporter.as_mut() {
         Some(obs) => drive_wire_node(
-            &port, &scenario, opts.id, opts.idle_timeout, barrier_crash, commit_crash, obs, start,
+            &port, &mut scenario.script, opts.id, opts.idle_timeout, barrier_crash, commit_crash, obs, start,
         ),
         None => drive_wire_node(
-            &port, &scenario, opts.id, opts.idle_timeout, barrier_crash, commit_crash, &mut (), start,
+            &port, &mut scenario.script, opts.id, opts.idle_timeout, barrier_crash, commit_crash, &mut (), start,
         ),
     };
     drop(exporter); // close the obs stream before reporting
@@ -1183,6 +1148,29 @@ pub fn run_coordinator(opts: &CoordinatorOptions) -> Result<RunSummary, String> 
                 baseline.agreed.map(|e| e.index())
             ));
         }
+        // Who resolved, and over how many raised exceptions: equal
+        // counts and an equal outcome can hide a different run (a
+        // handler table that never fired, a signal never raised).
+        let commit = reports.iter().find_map(|r| {
+            let (_, raised) = r.committed.iter().find(|(a, _)| *a == action)?;
+            Some((NodeId::new(r.id), raised.len()))
+        });
+        let resolver = commit.map(|(resolver, _)| resolver);
+        if resolver != baseline.resolver {
+            let name = |r: Option<NodeId>| r.map_or("nobody".to_owned(), |r| r.to_string());
+            failures.push(format!(
+                "resolver {}, simulator says {}",
+                name(resolver),
+                name(baseline.resolver)
+            ));
+        }
+        let raised = commit.map_or(0, |(_, raised)| raised);
+        if raised != baseline.raised.len() {
+            failures.push(format!(
+                "raised set of {raised}, simulator says {}",
+                baseline.raised.len()
+            ));
+        }
         if handled_count != scenario.participants.len() {
             failures.push(format!(
                 "{handled_count} handlers started, expected one per participant ({})",
@@ -1259,11 +1247,11 @@ pub fn run_local(
         joins.push(thread::spawn(move || -> Result<NodeReport, String> {
             // Each thread rebuilds the scenario: handler tables hold
             // closures and cannot be cloned across threads.
-            let scenario = WireScenario::build(&spec)?;
+            let mut script = WireScenario::build(&spec)?.script;
             let id = NodeId::new(i as u32);
             let port = bound.connect(&addrs).map_err(|e| format!("connect {id}: {e}"))?;
             port.barrier(Duration::from_secs(10))?;
-            Ok(drive_wire_node(&port, &scenario, id, idle, false, None, &mut (), start))
+            Ok(drive_wire_node(&port, &mut script, id, idle, false, None, &mut (), start))
         }));
     }
     let mut reports = Vec::with_capacity(n as usize);

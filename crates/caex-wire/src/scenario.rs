@@ -17,17 +17,21 @@
 //! the simulator's concurrency assumption regardless of skew, and the
 //! real socket traffic can be held to `(N−1)(2P+3Q+1)`.
 //!
+//! The re-timing is all this module does to a workload: what runs is
+//! the scenario's own [`caex::Script`] ([`caex::Scenario::for_port_host`]),
+//! and each process configures its participant from it the way every
+//! host does ([`caex::Script::participant`]).
+//!
 //! Steps scheduled one virtual second or later (Example 2's belated
 //! re-entry probe, scheduled long after resolution) model "afterwards"
 //! and are dropped rather than clamped: folding them into the initial
 //! burst would change the protocol run.
 
-use caex::workloads::{self, ExampleIds};
-use caex::{analysis, Event, Scenario};
-use caex_action::{ActionId, ActionRegistry, HandlerTable};
+use caex::workloads;
+use caex::{analysis, Script};
+use caex_action::ActionId;
 use caex_net::{NetConfig, NodeId, SimTime};
 use caex_tree::ExceptionId;
-use std::sync::Arc;
 
 /// Steps at or past this virtual time are "long after resolution" and
 /// are dropped from wire scripts instead of being clamped into the
@@ -44,19 +48,20 @@ pub struct SimBaseline {
     pub total_messages: u64,
     /// The exception every handler agreed on, if resolution ran.
     pub agreed: Option<ExceptionId>,
+    /// The resolver the resolving action elected.
+    pub resolver: Option<NodeId>,
+    /// The raised set it resolved, one id per raiser, ascending.
+    pub raised: Vec<ExceptionId>,
 }
 
-/// A workload compiled for the socket mesh: zero-clamped script,
-/// per-object handler tables, and the applicable §4.4/§4.5 law.
+/// A workload compiled for the socket mesh: the zero-clamped script
+/// and the applicable §4.4/§4.5 law.
 pub struct WireScenario {
     /// Spec string this was built from (`example1`, `general:5,2,1`, …).
     pub name: String,
-    /// The action structure.
-    pub registry: Arc<ActionRegistry>,
-    /// All steps, clamped to [`SimTime::ZERO`] in script order.
-    pub steps: Vec<(SimTime, NodeId, Event)>,
-    /// Handler tables per `(object, action)`.
-    pub handlers: Vec<(NodeId, ActionId, HandlerTable)>,
+    /// What runs, every step clamped to [`SimTime::ZERO`] in script
+    /// order; each process takes its own participant and steps from it.
+    pub script: Script,
     /// The action resolution is expected to run in.
     pub action: ActionId,
     /// Declared participants of that action.
@@ -75,7 +80,7 @@ impl std::fmt::Debug for WireScenario {
         f.debug_struct("WireScenario")
             .field("name", &self.name)
             .field("num_nodes", &self.num_nodes)
-            .field("steps", &self.steps.len())
+            .field("steps", &self.script.steps.len())
             .field("expected_messages", &self.expected_messages)
             .finish()
     }
@@ -101,36 +106,29 @@ fn parse_general(tail: &str) -> Result<(u32, u32, u32), String> {
     Ok((n, p, q))
 }
 
-fn compile(
-    name: &str,
-    scenario: Scenario,
-    action: ActionId,
-    participants: Vec<NodeId>,
-    expected_messages: Option<u64>,
-    pq: Option<(u32, u32)>,
-) -> WireScenario {
-    let (registry, raw_steps, handlers) = scenario.into_script();
-    let steps = raw_steps
-        .into_iter()
-        .filter(|(t, _, _)| *t < belated())
-        .map(|(_, o, e)| (SimTime::ZERO, o, e))
-        .collect();
-    let num_nodes = registry
-        .iter()
-        .flat_map(|(_, s)| s.participants().iter().copied())
-        .map(|n| n.index() + 1)
-        .max()
-        .unwrap_or(0);
-    WireScenario {
-        name: name.to_string(),
-        registry,
-        steps,
-        handlers,
-        action,
-        participants,
-        num_nodes,
-        expected_messages,
-        pq,
+/// The workload a spec names, with its §4.4 closed-form count and the
+/// §4.5 `(p, q)` where it has them.
+#[allow(clippy::type_complexity)]
+fn workload(spec: &str) -> Result<(workloads::Workload, Option<u64>, Option<(u32, u32)>), String> {
+    match spec {
+        "example1" => Ok((
+            workloads::example1(NetConfig::default()).0,
+            Some(analysis::messages_general(3, 2, 0)),
+            Some((2, 0)),
+        )),
+        // Cross-level scenario: no closed-form count; the sim baseline
+        // is the oracle instead.
+        "example2" => Ok((workloads::example2(NetConfig::default()).0, None, None)),
+        other => {
+            let Some(tail) = other.strip_prefix("general:") else {
+                return Err(format!(
+                    "unknown scenario `{other}` (want example1, example2 or general:n,p,q)"
+                ));
+            };
+            let (n, p, q) = parse_general(tail)?;
+            let count = analysis::messages_general(u64::from(n), u64::from(p), u64::from(q));
+            Ok((workloads::general(n, p, q, NetConfig::default()), Some(count), Some((p, q))))
+        }
     }
 }
 
@@ -143,50 +141,21 @@ impl WireScenario {
     /// Rejects unknown specs and malformed/invalid `general`
     /// parameters.
     pub fn build(spec: &str) -> Result<WireScenario, String> {
-        match spec {
-            "example1" => {
-                let (workload, _ids): (workloads::Workload, ExampleIds) =
-                    workloads::example1(NetConfig::default());
-                Ok(compile(
-                    spec,
-                    workload.scenario,
-                    workload.action,
-                    workload.participants,
-                    Some(analysis::messages_general(3, 2, 0)),
-                    Some((2, 0)),
-                ))
-            }
-            "example2" => {
-                let (workload, _ids) = workloads::example2(NetConfig::default());
-                // Cross-level scenario: no closed-form count; the sim
-                // baseline is the oracle instead.
-                Ok(compile(
-                    spec,
-                    workload.scenario,
-                    workload.action,
-                    workload.participants,
-                    None,
-                    None,
-                ))
-            }
-            other => {
-                let Some(tail) = other.strip_prefix("general:") else {
-                    return Err(format!(
-                        "unknown scenario `{other}` (want example1, example2 or general:n,p,q)"
-                    ));
-                };
-                let (n, p, q) = parse_general(tail)?;
-                let workload = workloads::general(n, p, q, NetConfig::default());
-                Ok(compile(
-                    other,
-                    workload.scenario,
-                    workload.action,
-                    workload.participants,
-                    Some(analysis::messages_general(u64::from(n), u64::from(p), u64::from(q))),
-                    Some((p, q)),
-                ))
-            }
+        let (workload, expected_messages, pq) = workload(spec)?;
+        let mut script = workload.scenario.for_port_host();
+        script.steps.retain(|(t, _, _)| *t < belated());
+        for (time, _, _) in &mut script.steps {
+            *time = SimTime::ZERO;
         }
+        Ok(WireScenario {
+            name: spec.to_string(),
+            num_nodes: script.num_nodes(),
+            script,
+            action: workload.action,
+            participants: workload.participants,
+            expected_messages,
+            pq,
+        })
     }
 
     /// Runs the *simulator* on the same spec and returns its verdict —
@@ -196,51 +165,20 @@ impl WireScenario {
     ///
     /// Propagates [`WireScenario::build`]'s spec errors.
     pub fn sim_baseline(spec: &str) -> Result<SimBaseline, String> {
-        let (workload, action) = match spec {
-            "example1" => {
-                let (w, _) = workloads::example1(NetConfig::default());
-                let a = w.action;
-                (w, a)
-            }
-            "example2" => {
-                let (w, _) = workloads::example2(NetConfig::default());
-                let a = w.action;
-                (w, a)
-            }
-            other => {
-                let tail = other
-                    .strip_prefix("general:")
-                    .ok_or_else(|| format!("unknown scenario `{other}`"))?;
-                let (n, p, q) = parse_general(tail)?;
-                let w = workloads::general(n, p, q, NetConfig::default());
-                let a = w.action;
-                (w, a)
-            }
-        };
+        let (workload, ..) = workload(spec)?;
+        let action = workload.action;
         let report = workload.run();
+        let resolution = report.resolution_for(action);
+        let mut raised: Vec<ExceptionId> = resolution
+            .map(|r| r.raised.iter().map(|(_, e)| e.id()).collect())
+            .unwrap_or_default();
+        raised.sort_unstable();
         Ok(SimBaseline {
             total_messages: report.total_messages(),
             agreed: report.agreed_exception(action).map(|e| e.id()),
+            resolver: resolution.map(|r| r.resolver),
+            raised,
         })
-    }
-
-    /// The clamped steps belonging to `object`, in script order.
-    #[must_use]
-    pub fn steps_for(&self, object: NodeId) -> Vec<(SimTime, Event)> {
-        self.steps
-            .iter()
-            .filter(|(_, o, _)| *o == object)
-            .map(|(t, _, e)| (*t, e.clone()))
-            .collect()
-    }
-
-    /// Whether any step is a completion — decides the participant's
-    /// leave mode, mirroring the threaded engine.
-    #[must_use]
-    pub fn uses_completion(&self) -> bool {
-        self.steps
-            .iter()
-            .any(|(_, _, e)| matches!(e, Event::Complete(_)))
     }
 }
 
@@ -256,10 +194,10 @@ mod tests {
         assert_eq!(sc.num_nodes, 4);
         assert_eq!(sc.expected_messages, Some(10));
         assert_eq!(sc.pq, Some((2, 0)));
-        assert!(sc.steps.iter().all(|(t, _, _)| *t == SimTime::ZERO));
+        assert!(sc.script.steps.iter().all(|(t, _, _)| *t == SimTime::ZERO));
         // Each of the three objects has at least an enter step.
         for i in 0..3 {
-            assert!(!sc.steps_for(sc.participants[i]).is_empty());
+            assert!(!sc.script.steps_for(sc.participants[i]).is_empty());
         }
     }
 
@@ -271,9 +209,9 @@ mod tests {
         assert_eq!(sc.expected_messages, None);
         assert_eq!(sc.pq, None);
         assert!(
-            sc.steps.len() < raw_steps,
+            sc.script.steps.len() < raw_steps,
             "the belated O3 re-entry must be dropped ({} vs {raw_steps})",
-            sc.steps.len()
+            sc.script.steps.len()
         );
     }
 
@@ -293,5 +231,13 @@ mod tests {
         let base = WireScenario::sim_baseline("general:4,2,1").unwrap();
         assert_eq!(base.total_messages, analysis::messages_general(4, 2, 1));
         assert_eq!(base.agreed, Some(ExceptionId::new(1)));
+        assert_eq!(base.raised.len(), 2);
+    }
+
+    #[test]
+    fn example2_baseline_names_the_paper_resolver_and_raised_set() {
+        let base = WireScenario::sim_baseline("example2").unwrap();
+        assert_eq!(base.resolver, Some(NodeId::new(2)));
+        assert_eq!(base.raised, [ExceptionId::new(1), ExceptionId::new(3)]);
     }
 }

@@ -8,14 +8,16 @@
 //! processes. The loop owns the node's local timer queue (scenario
 //! steps and `Effect::After` continuations), relays `Effect::Send`s
 //! into the port, and folds the transport's failure detector into the
-//! protocol by turning [`FifoPort::take_crashed`] reports into
-//! [`Participant::on_deserter`] calls — so a crashed peer surfaces as
-//! a *deserter* instead of hanging resolution. Accrual detectors
-//! additionally surface [`FifoPort::take_suspected`] /
-//! [`FifoPort::take_rejoined`] transitions, which map onto
-//! [`Participant::on_suspect`] / [`Participant::on_rejoin`] — the
-//! rejoin path re-forwards any commit the peer missed while it was
-//! unreachable.
+//! protocol as ordinary local events through the same `handle` hook as
+//! everything else: a [`FifoPort::take_crashed`] report becomes
+//! [`Event::DeserterSuspected`] — so a crashed peer surfaces as a
+//! *deserter* instead of hanging resolution — and an accrual
+//! detector's [`FifoPort::take_suspected`] /
+//! [`FifoPort::take_rejoined`] transitions become
+//! [`Event::PeerSuspected`] / [`Event::PeerRejoined`] (the rejoin
+//! re-forwards any commit the peer missed while it was unreachable).
+//! Every event a port host applies therefore passes the hook — for an
+//! instrumented caller, [`crate::ObsBridge::handle`].
 //!
 //! Timer semantics: due local events always fire before the next
 //! receive. Two nodes that schedule steps at the same offset from a
@@ -73,8 +75,9 @@ pub struct DriveSummary {
 /// that wraps [`Participant::handle`] with the observability bridge;
 /// an un-instrumented caller passes `|p, ev, _| p.handle(ev)`. Its
 /// third argument is the sending node for events received off the
-/// transport and `None` for locally timed events, so instrumented
-/// callers can emit receive-side causality events. Every emitted
+/// transport and `None` for local events (timed steps and
+/// failure-detector reports), so instrumented callers can emit
+/// receive-side causality events. Every emitted
 /// [`Note`] (including those from desertion handling) is fed to
 /// `note`.
 ///
@@ -170,15 +173,15 @@ where
         // then confirmations (exclusion) — so a peer that flapped and
         // died in one poll window is handled in causal order.
         for peer in port.take_suspected() {
-            effects.extend(participant.on_suspect(peer));
+            effects.extend(handle(participant, Event::PeerSuspected { peer }, None));
             last_activity = Instant::now();
         }
         for peer in port.take_rejoined() {
-            effects.extend(participant.on_rejoin(peer));
+            effects.extend(handle(participant, Event::PeerRejoined { peer }, None));
             last_activity = Instant::now();
         }
         for peer in port.take_crashed() {
-            effects.extend(participant.on_deserter(peer));
+            effects.extend(handle(participant, Event::DeserterSuspected { peer }, None));
             summary.deserted += 1;
             last_activity = Instant::now();
         }
@@ -266,5 +269,80 @@ mod tests {
             .filter(|n| matches!(n, Note::HandlerStarted { .. }))
             .count();
         assert_eq!(handled, 2, "both objects handled the resolved exception");
+    }
+
+    /// A silent transport whose detector reports, once, that node 1 was
+    /// suspected, came back and then died.
+    struct FlappingPort(std::cell::Cell<bool>);
+
+    impl FlappingPort {
+        fn once(&self) -> Vec<NodeId> {
+            if self.0.get() {
+                vec![NodeId::new(1)]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    impl FifoPort<Event> for FlappingPort {
+        fn id(&self) -> NodeId {
+            NodeId::new(0)
+        }
+        fn num_nodes(&self) -> u32 {
+            2
+        }
+        fn send(&self, _to: NodeId, _payload: Event) -> bool {
+            true
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, Event), RecvTimeoutError> {
+            thread::sleep(timeout.min(Duration::from_millis(1)));
+            Err(RecvTimeoutError::Timeout)
+        }
+        fn take_suspected(&self) -> Vec<NodeId> {
+            self.once()
+        }
+        fn take_rejoined(&self) -> Vec<NodeId> {
+            self.once()
+        }
+        fn take_crashed(&self) -> Vec<NodeId> {
+            let fired = self.once();
+            self.0.set(false);
+            fired
+        }
+    }
+
+    #[test]
+    fn detector_reports_reach_the_handle_hook_as_local_events() {
+        let registry = Arc::new(ActionRegistry::new());
+        let mut p = Participant::new(NodeId::new(0), registry, NestedStrategy::Abort);
+        let mut seen = Vec::new();
+        let mut notes = Vec::new();
+        let summary = drive_node(
+            &FlappingPort(std::cell::Cell::new(true)),
+            &mut p,
+            Vec::new(),
+            Instant::now(),
+            Duration::from_millis(20),
+            |p, ev, from| {
+                seen.push((ev.clone(), from));
+                p.handle(ev)
+            },
+            |n| notes.push(n),
+        );
+        let peer = NodeId::new(1);
+        assert_eq!(
+            seen,
+            vec![
+                (Event::PeerSuspected { peer }, None),
+                (Event::PeerRejoined { peer }, None),
+                (Event::DeserterSuspected { peer }, None),
+            ]
+        );
+        assert_eq!(summary.deserted, 1);
+        // Same effects as the direct calls had: one note per transition.
+        assert!(matches!(notes[0], Note::PeerSuspected { .. }));
+        assert!(matches!(notes[1], Note::PeerRejoined { .. }));
+        assert_eq!(p.deserters().len(), 1);
     }
 }

@@ -1,12 +1,14 @@
 //! Scenario scripting and the single-script front-end of the simulator
-//! host: a [`Scenario`] sets one script up on a [`SimHost`] (failure
-//! detector schedule, handler tables, nested run times, acceptance
-//! tests), steps it to quiescence and collects a [`RunReport`].
+//! host: a [`Scenario`] builds one [`Script`], admits it to a
+//! [`SimHost`] (failure-detector reports from the fault plan,
+//! acceptance tests), steps it to quiescence and collects a
+//! [`RunReport`] — or hands the script to a port-driven host
+//! ([`Scenario::for_port_host`]).
 
-use crate::host::{AcceptanceTest, Script, SimHost, Sink};
-use crate::{Event, LeaveMode, Msg, NestedStrategy, Note};
+use crate::host::{AcceptanceTest, SimHost, Sink};
+use crate::{Event, LeaveMode, Msg, NestedStrategy, Note, Script};
 use caex_action::{ActionId, ActionRegistry, HandlerTable};
-use caex_net::{NetConfig, NetStats, NodeId, SimTime, TraceLog};
+use caex_net::{LabelCounts, NetConfig, NetStats, NodeId, SimTime, TraceLog};
 use caex_tree::Exception;
 use std::fmt;
 use std::sync::Arc;
@@ -64,7 +66,7 @@ pub struct RunReport {
     /// Protocol fan-outs by kind — the message count the §4.5 reliable
     /// multicast regime would need (each fan-out = one multicast, no
     /// ACKs).
-    pub multicasts: std::collections::BTreeMap<String, u64>,
+    pub multicasts: LabelCounts,
     /// Total bytes the protocol messages would occupy on the wire
     /// (per the [`crate::codec`] encoding) — §2.1's "narrow bandwidth"
     /// accounting.
@@ -146,14 +148,14 @@ impl RunReport {
     /// multicast implementation (one per protocol fan-out, ACK-free).
     #[must_use]
     pub fn multicasts_total(&self) -> u64 {
-        self.multicasts.values().sum()
+        self.multicasts.total()
     }
 
     /// Multicasts of one kind (`"exception"`, `"have_nested"`,
     /// `"nested_completed"`, `"commit"`).
     #[must_use]
     pub fn multicasts_of(&self, kind: &str) -> u64 {
-        self.multicasts.get(kind).copied().unwrap_or(0)
+        self.multicasts.get(kind)
     }
 
     /// Count of stale messages discarded.
@@ -231,8 +233,8 @@ impl fmt::Display for RunReport {
 /// assert!(report.is_clean());
 /// ```
 pub struct Scenario {
-    pub(crate) script: Script,
-    config: NetConfig,
+    script: Script,
+    pub(crate) config: NetConfig,
     max_deliveries: u64,
     acceptance: Vec<(ActionId, AcceptanceTest)>,
     detection_delay: SimTime,
@@ -499,12 +501,16 @@ impl Scenario {
         self.acceptance.iter().map(|(a, _)| *a).collect()
     }
 
-    /// Decomposes the scenario into its owned script parts — action
-    /// structure, scripted timeline, handler-table bindings — so
-    /// another runtime (the threaded engine, `caex-wire`'s per-process
-    /// harness) can execute the same script. Engine-specific settings
-    /// (network config, delivery limit, leave mode, acceptance tests)
-    /// are dropped: they belong to the simulator, not the script.
+    /// The script this scenario runs: what static analyses read the
+    /// mesh size from and the model checker copies its worlds from.
+    #[must_use]
+    pub fn script(&self) -> &Script {
+        &self.script
+    }
+
+    /// The registry, timeline and handler tables as a tuple. Kept only
+    /// because `bench/` destructures it; hosts take the whole
+    /// [`Script`] ([`Scenario::for_port_host`]).
     #[must_use]
     #[allow(clippy::type_complexity)]
     pub fn into_script(
@@ -515,6 +521,59 @@ impl Scenario {
         Vec<(NodeId, ActionId, HandlerTable)>,
     ) {
         (self.script.registry, self.script.steps, self.script.handlers)
+    }
+
+    /// The script, for a host that cannot run exit-line acceptance
+    /// tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario carries one: `host` cannot honour it, and
+    /// stripping it would change what the scenario means.
+    pub(crate) fn script_for(self, host: &str) -> Script {
+        if let Some((action, _)) = self.acceptance.first() {
+            panic!("{host} cannot carry the exit-line acceptance test of {action}");
+        }
+        self.script
+    }
+
+    /// With failover on, the engine plays the failure detector: every
+    /// planned crash or restart's down edge is reported to every
+    /// survivor one detection delay later.
+    fn report_planned_crashes(&mut self) {
+        let faults = &self.config.faults;
+        let down = faults
+            .crashes()
+            .map(|(n, at)| (at, n))
+            .chain(faults.restarts().map(|(n, down, _)| (down, n)));
+        self.script.report_crashes(down, self.detection_delay);
+    }
+
+    /// The script as a port-driven host runs it — one
+    /// [`crate::drive`] loop per node over real channels or sockets
+    /// (the thread engine, `caex-wire`): the fault plan's crashes
+    /// reported as on the simulator, and, since such a host has no
+    /// central manager to grant a joint leave, scripted completions
+    /// switched to [`LeaveMode::Distributed`]. The network
+    /// configuration and the delivery limit stay behind: they describe
+    /// the simulator's net.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario carries an exit-line acceptance test
+    /// (only the simulator's manager can run one).
+    #[must_use]
+    pub fn for_port_host(mut self) -> Script {
+        self.report_planned_crashes();
+        let mut script = self.script_for("a host without an action manager");
+        if script
+            .steps
+            .iter()
+            .any(|(_, _, e)| matches!(e, Event::Complete(_)))
+        {
+            script.leave_mode = LeaveMode::Distributed;
+        }
+        script
     }
 
     /// Executes the scenario to quiescence and reports.
@@ -538,36 +597,9 @@ impl Scenario {
     /// Panics on the same scenario programming errors as [`Scenario::run`].
     #[must_use]
     pub fn run_observed(mut self, obs: &mut dyn caex_obs::Observer) -> RunReport {
-        let num_nodes = self
-            .script
-            .registry
-            .iter()
-            .flat_map(|(_, s)| s.participants().iter().copied())
-            .map(|n| n.index() + 1)
-            .max()
-            .unwrap_or(0);
-        // The engine plays the failure detector (with failover on):
-        // collect the fault plan's crash/restart schedule before the
-        // config moves into the net, then deliver a `DeserterSuspected`
-        // to every survivor one detection delay after each down edge.
-        let mut suspicions: Vec<(SimTime, NodeId)> = Vec::new();
-        if self.script.failover {
-            suspicions.extend(self.config.faults.crashes().map(|(n, at)| (at, n)));
-            suspicions.extend(self.config.faults.restarts().map(|(n, down, _)| (down, n)));
-        }
+        let num_nodes = self.script.num_nodes();
+        self.report_planned_crashes();
         let mut host = SimHost::new(self.config, num_nodes, self.max_deliveries, self.acceptance);
-        for &(down_at, victim) in &suspicions {
-            let report_at = down_at + self.detection_delay;
-            for survivor in (0..num_nodes).map(NodeId::new) {
-                if survivor != victim {
-                    host.net.schedule_local(
-                        report_at,
-                        survivor,
-                        Event::DeserterSuspected { peer: victim },
-                    );
-                }
-            }
-        }
         host.admit(&mut self.script, (0..num_nodes).map(NodeId::new), SimTime::ZERO);
 
         let mut report = RunReport::default();
@@ -618,9 +650,7 @@ impl Sink for RunReport {
                 action,
                 exc,
             } => self.failures.push((*object, *action, exc.clone())),
-            Note::Multicast { kind, .. } => {
-                *self.multicasts.entry((*kind).to_owned()).or_insert(0) += 1;
-            }
+            Note::Multicast { kind, .. } => self.multicasts.add(kind, 1),
             _ => {}
         }
         self.notes.push(note);

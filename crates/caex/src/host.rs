@@ -13,16 +13,15 @@
 //! script over the whole net, a [`crate::RunReport`] as the sink) and
 //! [`crate::shard::FleetEngine`] (many scripts admitted into slots,
 //! per-instance outcomes as the sink). The port-driven hosts
-//! ([`crate::drive`]) are not behind it: they share the observed step,
-//! not the loop.
+//! ([`crate::drive`]) are not behind it: they share script admission
+//! ([`Script::participant`]) and the observed step, not the loop.
 
-use crate::{Effect, Event, LeaveMode, Msg, NestedStrategy, Note, ObsBridge, Participant};
-use caex_action::{ActionId, ActionRegistry, HandlerTable};
+use crate::{Effect, Event, LeaveMode, Msg, Note, ObsBridge, Participant, Script};
+use caex_action::ActionId;
 use caex_net::{DeliverySource, IdMap, NetConfig, NodeId, SimNet, SimTime};
 use caex_obs::Observer;
 use caex_tree::Exception;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// An exit-line acceptance test: `None` accepts, `Some(exc)` rejects
 /// with the exception to raise (Fig. 2b).
@@ -30,21 +29,6 @@ pub(crate) type AcceptanceTest = Box<dyn FnMut() -> Option<Exception>>;
 
 /// Per-shard delivery cap of a fleet run (livelock guard).
 pub(crate) const SHARD_DELIVERY_CAP: u64 = 50_000_000;
-
-/// What runs, as opposed to over which network: an action structure,
-/// its scripted timeline and the per-participant settings. A
-/// [`crate::Scenario`] carries one; so does each fleet instance.
-#[derive(Debug)]
-pub(crate) struct Script {
-    pub(crate) registry: Arc<ActionRegistry>,
-    pub(crate) steps: Vec<(SimTime, NodeId, Event)>,
-    pub(crate) handlers: Vec<(NodeId, ActionId, HandlerTable)>,
-    pub(crate) nested_remaining: Vec<(NodeId, ActionId, Option<SimTime>)>,
-    pub(crate) strategy: NestedStrategy,
-    pub(crate) resolver_group: u32,
-    pub(crate) leave_mode: LeaveMode,
-    pub(crate) failover: bool,
-}
 
 /// What a front-end learns from each [`SimHost::step`].
 pub(crate) trait Sink {
@@ -94,10 +78,9 @@ impl SimHost {
         }
     }
 
-    /// Brings `script` to life at `start`: a fresh participant on each
-    /// of `nodes`, the handler tables (moved out of the script —
-    /// `HandlerTable` is not `Clone`) and nested run times installed,
-    /// the steps scheduled as offsets from `start`.
+    /// Brings `script` to life at `start`: the script's participant
+    /// ([`Script::participant`]) on each of `nodes`, the steps
+    /// scheduled as offsets from `start`.
     pub(crate) fn admit(
         &mut self,
         script: &mut Script,
@@ -105,31 +88,12 @@ impl SimHost {
         start: SimTime,
     ) {
         for n in nodes {
-            let mut p = Participant::new(n, Arc::clone(&script.registry), script.strategy);
-            p.set_resolver_group(script.resolver_group);
-            p.set_leave_mode(script.leave_mode);
-            p.set_failover(script.failover);
-            self.participants[n.index() as usize] = Some(p);
+            self.participants[n.index() as usize] = Some(script.participant(n));
         }
-        for (object, action, table) in std::mem::take(&mut script.handlers) {
-            self.participant_mut(object)
-                .expect("handler for unknown object")
-                .set_handlers(action, table);
-        }
-        for &(object, action, remaining) in &script.nested_remaining {
-            self.participant_mut(object)
-                .expect("nested_remaining for unknown object")
-                .set_nested_remaining(action, remaining);
-        }
+        assert!(script.handlers.is_empty(), "handler for unknown object");
         for (offset, object, event) in std::mem::take(&mut script.steps) {
             self.net.schedule_local(start + offset, object, event);
         }
-    }
-
-    fn participant_mut(&mut self, node: NodeId) -> Option<&mut Participant> {
-        self.participants
-            .get_mut(node.index() as usize)
-            .and_then(Option::as_mut)
     }
 
     /// `true` unless `node` hosts a participant that is mid-resolution.

@@ -37,14 +37,18 @@
 //!
 //! - [`Participant`] — the §4.2 state machine (states `N/X/S/R`, lists
 //!   `LE/LO/LP`, stack `SA`), pure and transport-agnostic;
+//! - [`Script`] — what a run executes (action structure, timeline,
+//!   per-participant settings) and the one place a participant is
+//!   configured from it ([`Script::participant`]), shared by every host;
 //! - [`Scenario`]/[`RunReport`] and [`shard::FleetEngine`] — scripted
 //!   executions over the deterministic [`caex_net::SimNet`] simulator:
 //!   two front-ends (one script; a fleet of scripts admitted into
 //!   slots) of one crate-private simulator host;
-//! - [`ThreadRunner`](thread_engine::ThreadRunner) — the same machine on
-//!   real threads over crossbeam channels, driven by [`drive`];
+//! - [`ThreadRunner`](thread_engine::ThreadRunner) — the same
+//!   [`Scenario`] on real threads over crossbeam channels, driven by
+//!   [`drive`];
 //! - [`ObsBridge`] — the observed step (`ObsBridge::handle`) every host
-//!   applies events through;
+//!   applies events through, failure-detector reports included;
 //! - [`workloads`] — the paper's canonical workloads (§4.4 cases, §4.3
 //!   examples);
 //! - [`analysis`] — the closed-form §4.4 message-count laws;
@@ -89,9 +93,11 @@ mod engine;
 mod host;
 mod message;
 mod participant;
+mod script;
 
 pub use effect::{Effect, LeaveMode, NestedStrategy, Note};
 pub use engine::{HandlerStart, ResolutionRecord, RunReport, Scenario};
 pub use message::{Event, Msg};
 pub use obs::ObsBridge;
 pub use participant::{PState, Participant, Silence};
+pub use script::Script;

@@ -8,10 +8,13 @@
 //! observable state, applies the event through
 //! `Participant::handle_into`, compares the state afterwards and
 //! translates the emitted effects into [`ObsEvent`]s — opening and
-//! closing `(action, round)` correlation spans along the way. One
-//! bridge instance serves a whole run: the per-action round counters
-//! are global, which is what makes the correlation ids line up across
-//! participants.
+//! closing `(action, round)` correlation spans along the way. That
+//! includes a port host's failure-detector reports, which
+//! [`crate::drive`] applies as the local events
+//! `PeerSuspected`/`PeerRejoined`/`DeserterSuspected`: nothing reaches
+//! a participant past the bridge. One bridge instance serves a whole
+//! run: the per-action round counters are global, which is what makes
+//! the correlation ids line up across participants.
 //!
 //! Two translations are synthesized rather than copied from notes:
 //!
@@ -26,7 +29,7 @@
 
 use crate::{Effect, Event, Note, PState, Participant};
 use caex_action::ActionId;
-use caex_net::{IdMap, IdSet, Kinded, NodeId, SimTime};
+use caex_net::{IdMap, Kinded, NodeId, SimTime};
 use caex_obs::{CorrelationId, ObsEvent, ObsKind, ObsState, Observer};
 use caex_tree::Exception;
 use std::time::Instant;
@@ -79,12 +82,6 @@ struct RoundState {
 pub struct ObsBridge {
     rounds: IdMap<ActionId, RoundState>,
     open_handlers: IdMap<NodeId, ActionId>,
-    /// Peers currently observed as suspected, keyed on the emitted
-    /// events — makes the suspicion translations idempotent, since a
-    /// suspicion can surface twice (once through the drive loop's
-    /// detector polling, once through the engine's own proof-of-life
-    /// path inside an event handle).
-    suspected_peers: IdSet<NodeId>,
 }
 
 impl ObsBridge {
@@ -315,30 +312,6 @@ impl ObsBridge {
         }
     }
 
-    /// Streams one note produced *outside* an event handle — the drive
-    /// loops poll the transport's failure detector directly and fold
-    /// [`Participant::on_suspect`] / [`Participant::on_rejoin`] /
-    /// [`Participant::on_deserter`] effects in without going through
-    /// [`ObsBridge::handle`]. The suspicion translations are idempotent,
-    /// so a note that also flowed through `handle` is not emitted twice.
-    pub fn note_out_of_band(
-        &mut self,
-        object: NodeId,
-        note: &Note,
-        at: SimTime,
-        wall: Option<u64>,
-        obs: &mut dyn Observer,
-    ) {
-        let mk = |action: ActionId, round: u32, kind: ObsKind| ObsEvent {
-            at,
-            wall_micros: wall,
-            object,
-            span: CorrelationId { action, round },
-            kind,
-        };
-        self.translate_note(note, &mk, obs);
-    }
-
     fn translate_note(
         &mut self,
         note: &Note,
@@ -436,22 +409,18 @@ impl ObsBridge {
             }
             // Suspicion is a node-level observation with no action
             // span of its own; the zero action is the span-less
-            // convention (round 0 keeps it out of the law checks).
-            // The guards make translation idempotent: notes can reach
-            // the bridge both through an event handle and out-of-band
-            // from a drive loop, and only the first sighting counts.
-            Note::PeerSuspected { peer, .. }
-                if self.suspected_peers.insert(*peer) =>
-            {
+            // convention (round 0 keeps it out of the law checks). The
+            // participant's own `suspects` set makes each transition
+            // emit exactly one note, whichever path noticed it (the
+            // detector's report or proof of life inside a message).
+            Note::PeerSuspected { peer, .. } => {
                 obs.on_event(&mk(
                     ActionId::new(0),
                     0,
                     ObsKind::PeerSuspected { peer: *peer },
                 ));
             }
-            Note::PeerRejoined { peer, .. }
-                if self.suspected_peers.remove(peer) =>
-            {
+            Note::PeerRejoined { peer, .. } => {
                 obs.on_event(&mk(
                     ActionId::new(0),
                     0,

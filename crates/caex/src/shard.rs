@@ -28,8 +28,8 @@
 //! wall-clock speedup, but reports are bit-identical for a given seed
 //! regardless of the host's scheduling.
 
-use crate::host::{Script, SimHost, Sink, SHARD_DELIVERY_CAP};
-use crate::{Event, Note, Scenario};
+use crate::host::{SimHost, Sink, SHARD_DELIVERY_CAP};
+use crate::{Event, Note, Scenario, Script};
 use caex_action::ActionId;
 use caex_net::{IdMap, NetConfig, NetStats, NodeId, SimTime};
 use caex_tree::Exception;
@@ -69,10 +69,7 @@ impl ActionInstance {
     /// cannot honour them.
     #[must_use]
     pub fn from_scenario(scenario: Scenario, arrival: SimTime) -> Self {
-        if let Some(action) = scenario.acceptance_actions().first() {
-            panic!("an ActionInstance cannot carry the exit-line acceptance test of {action}");
-        }
-        let script = scenario.script;
+        let script = scenario.script_for("an ActionInstance");
         let registry = &script.registry;
         let top = registry.top_level();
         assert_eq!(

@@ -257,11 +257,11 @@ mod leave {
     fn threaded_distributed_completion_works() {
         use caex::thread_engine::ThreadRunner;
         let (reg, a) = setup(3);
-        let mut runner = ThreadRunner::new(reg).enter_all_at(SimTime::ZERO, a);
+        let mut scenario = Scenario::new(reg).enter_all_at(SimTime::ZERO, a);
         for i in 0..3 {
-            runner = runner.complete_at(SimTime::from_millis(1), NodeId::new(i), a);
+            scenario = scenario.complete_at(SimTime::from_millis(1), NodeId::new(i), a);
         }
-        let report = runner.run();
+        let report = ThreadRunner::new(scenario).run();
         let completions = report
             .notes
             .iter()

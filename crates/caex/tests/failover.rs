@@ -10,7 +10,7 @@
 //! test replays the same failover on real OS threads.
 
 use caex::thread_engine::ThreadRunner;
-use caex::{analysis, workloads, Note, RunReport};
+use caex::{analysis, workloads, Note, RunReport, Scenario};
 use caex_action::{ActionRegistry, ActionScope};
 use caex_net::{FaultPlan, LatencyModel, NetConfig, NodeId, SimTime};
 use caex_tree::{chain_tree, Exception, ExceptionId};
@@ -242,17 +242,20 @@ fn thread_engine_crash_injection_fails_over_on_real_threads() {
         ))
         .expect("valid");
     let victim = NodeId::new(2);
-    let report = ThreadRunner::new(Arc::new(reg))
+    // Halt the prospective resolver while node 1's ACK is still
+    // outstanding; detection (50ms later — thread scheduling is
+    // coarse) hands the election to node 0, which commits once node 1
+    // enters.
+    let crash = FaultPlan::none().with_crash(victim, SimTime::from_millis(20));
+    let scenario = Scenario::new(Arc::new(reg))
+        .with_config(NetConfig::default().with_faults(crash))
+        .with_detection_delay(SimTime::from_millis(50))
         .enter_at(SimTime::ZERO, NodeId::new(0), a1)
         .enter_at(SimTime::ZERO, victim, a1)
         .enter_at(SimTime::from_millis(100), NodeId::new(1), a1)
         .raise_at(SimTime::from_millis(1), NodeId::new(0), Exception::new(ExceptionId::new(1)))
-        .raise_at(SimTime::from_millis(1), victim, Exception::new(ExceptionId::new(2)))
-        // Halt the prospective resolver while node 1's ACK is still
-        // outstanding; detection (default 50ms later) hands the
-        // election to node 0, which commits once node 1 enters.
-        .crash_at(SimTime::from_millis(20), victim)
-        .run();
+        .raise_at(SimTime::from_millis(1), victim, Exception::new(ExceptionId::new(2)));
+    let report = ThreadRunner::new(scenario).run();
     let agreed = report.agreed_exception(a1).expect("survivors resolve");
     // resolve(E1, E2) on chain_tree(2) — the same exception the dead
     // resolver would have committed.

@@ -10,6 +10,7 @@
 //! Run with: `cargo run --example threads`
 
 use caex::thread_engine::ThreadRunner;
+use caex::Scenario;
 use caex_action::{ActionRegistry, ActionScope};
 use caex_net::{NodeId, SimTime};
 use caex_tree::{balanced_tree, Exception};
@@ -27,7 +28,8 @@ fn main() {
         ))
         .unwrap();
 
-    let report = ThreadRunner::new(Arc::new(registry))
+    // The scenario the simulator would take; here it runs on threads.
+    let scenario = Scenario::new(Arc::new(registry))
         .enter_all_at(SimTime::ZERO, action)
         .raise_at(
             SimTime::from_millis(2),
@@ -43,8 +45,8 @@ fn main() {
             SimTime::from_millis(2),
             NodeId::new(4),
             Exception::new(leaves[3]).with_origin("thread-4"),
-        )
-        .run();
+        );
+    let report = ThreadRunner::new(scenario).run();
 
     println!("=== Threaded run over crossbeam channels ===");
     let handled = report.handled_exceptions(action);

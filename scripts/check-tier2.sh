@@ -32,9 +32,13 @@
 #    suite (`shard`: K=1 fleet == `Scenario::run`, obs stream included)
 #    with the algorithm and property suites that exercise the host's
 #    step and the allocation budget of a fleet action
-#    (`alloc_budget`), then two real multi-process runs — the elected
-#    resolver killed at its commit point, and a SIGSTOP zombie resumed
-#    after re-election whose stale commits must be fenced;
+#    (`alloc_budget`), the port hosts' side of "one script, admitted
+#    one way" (`extensions`: threaded distributed completion;
+#    `cross_host`: Example 2 over Unix sockets is the simulator's
+#    Example 2; `fixtures`: the script lints), then two real
+#    multi-process runs — the elected resolver killed at its commit
+#    point, and a SIGSTOP zombie resumed after re-election whose stale
+#    commits must be fenced;
 # 10. partition tolerance: a release-mode healed-partition wire run —
 #    one participant SIGSTOPped for a full second mid-resolution, far
 #    past the old fixed crash timeout, then SIGCONTed. The phi-accrual
@@ -100,7 +104,10 @@ test -s "$TRACE_DIR/ex2-wire.folded" || { echo "empty folded output"; exit 1; }
 
 echo "== tier-2 [9/12]: resolver failover + host equivalence — crash grids, shard, commit-point kill, zombie =="
 cargo test -q --release -p caex --test failover
-cargo test -q --release -p caex --test shard --test algorithm --test proptests --test alloc_budget
+cargo test -q --release -p caex --test shard --test algorithm --test proptests --test alloc_budget \
+    --test extensions
+cargo test -q --release -p caex-wire --test cross_host
+cargo test -q --release -p caex-lint --test fixtures
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \
     --scenario example1 --crash 2 --crash-point commit
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \

@@ -167,6 +167,7 @@ fn cr_baseline_critical_path_shows_domino_cost() {
 #[test]
 fn thread_engine_graph_is_causally_sound() {
     use caex::thread_engine::ThreadRunner;
+    use caex::Scenario;
     use caex_action::{ActionRegistry, ActionScope};
     use caex_tree::{chain_tree, Exception, ExceptionId};
     use std::sync::Arc;
@@ -181,14 +182,14 @@ fn thread_engine_graph_is_causally_sound() {
         ))
         .unwrap();
     let mut recorder = Recorder::new();
-    let _ = ThreadRunner::new(Arc::new(reg))
+    let scenario = Scenario::new(Arc::new(reg))
         .enter_all_at(SimTime::ZERO, a1)
         .raise_at(
             SimTime::from_millis(1),
             NodeId::new(0),
             Exception::new(ExceptionId::new(1)),
-        )
-        .run_observed(&mut recorder);
+        );
+    let _ = ThreadRunner::new(scenario).run_observed(&mut recorder);
     let graph = CausalGraph::build(&recorder.events);
     assert!(graph.is_acyclic());
     assert!(

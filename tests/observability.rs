@@ -288,6 +288,7 @@ fn jsonl_exports_one_line_per_event() {
 #[test]
 fn thread_engine_observed_matches_law_with_wall_clock() {
     use caex::thread_engine::ThreadRunner;
+    use caex::Scenario;
     use caex_action::{ActionRegistry, ActionScope};
     use caex_net::NodeId;
     use caex_tree::{chain_tree, Exception, ExceptionId};
@@ -306,7 +307,7 @@ fn thread_engine_observed_matches_law_with_wall_clock() {
     let mut watchdog = Watchdog::new();
     {
         let mut tee = Tee::new().with(&mut metrics).with(&mut watchdog);
-        let _ = ThreadRunner::new(Arc::new(reg))
+        let scenario = Scenario::new(Arc::new(reg))
             .enter_all_at(SimTime::ZERO, a1)
             .raise_at(
                 SimTime::from_millis(1),
@@ -317,8 +318,8 @@ fn thread_engine_observed_matches_law_with_wall_clock() {
                 SimTime::from_millis(1),
                 NodeId::new(2),
                 Exception::new(ExceptionId::new(2)),
-            )
-            .run_observed(&mut tee);
+            );
+        let _ = ThreadRunner::new(scenario).run_observed(&mut tee);
     }
     assert!(watchdog.is_clean(), "{:?}", watchdog.violations());
     assert_eq!(metrics.resolutions().len(), 1);
