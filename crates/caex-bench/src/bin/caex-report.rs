@@ -83,17 +83,8 @@ fn record_main(args: &Args) -> Result<(), String> {
     let workload = args.get("workload").ok_or("--workload is required")?;
     let out = args.get("out").ok_or("--out is required")?;
     let mut recorder = Recorder::new();
-    match workload {
-        "example1" => {
-            let (w, _) = workloads::example1(NetConfig::default());
-            let _ = w.scenario.run_observed(&mut recorder);
-        }
-        "example2" => {
-            let (w, _) = workloads::example2(NetConfig::default());
-            let _ = w.scenario.run_observed(&mut recorder);
-        }
-        other => return Err(format!("unknown workload `{other}` (example1|example2)")),
-    }
+    let scenario = workloads::by_name(workload, NetConfig::default())?.scenario;
+    let _ = scenario.run_observed(&mut recorder);
     write_jsonl(Path::new(out), &recorder.events)?;
     eprintln!(
         "caex-report: recorded {} events of {workload} to {out}",

@@ -49,10 +49,25 @@ struct Flags {
     switches: Vec<String>,
 }
 
-const SWITCHES: &[&str] = &["assert-law", "assert-no-misses"];
+/// `run`'s flags that take a value, and its boolean switches.
+const RUN_FLAGS: &[&str] = &[
+    "arrivals",
+    "actions",
+    "engine",
+    "workers",
+    "capacity",
+    "deadline-ms",
+    "seed",
+    "out",
+    "folded",
+];
+const RUN_SWITCHES: &[&str] = &["assert-law", "assert-no-misses"];
+const SATURATION_FLAGS: &[&str] = &["seed", "out"];
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parses `args`, refusing anything but the sub-command's value
+    /// flags `known` and boolean `switches`.
+    fn parse(args: &[String], known: &[&str], switches_known: &[&str]) -> Result<Flags, String> {
         let mut pairs = Vec::new();
         let mut switches = Vec::new();
         let mut it = args.iter();
@@ -60,11 +75,15 @@ impl Flags {
             let key = arg
                 .strip_prefix("--")
                 .ok_or_else(|| format!("unexpected argument `{arg}`"))?;
-            if SWITCHES.contains(&key) {
+            if switches_known.contains(&key) {
                 switches.push(key.to_owned());
-            } else {
+            } else if known.contains(&key) {
                 let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
                 pairs.push((key.to_owned(), value.clone()));
+            } else {
+                let all = known.iter().chain(switches_known);
+                let all: Vec<String> = all.map(|k| format!("--{k}")).collect();
+                return Err(format!("unknown flag --{key} (known: {})", all.join(" ")));
             }
         }
         Ok(Flags { pairs, switches })
@@ -87,19 +106,27 @@ impl Flags {
             Some(v) => v.parse().map_err(|_| format!("bad --{key} value `{v}`")),
         }
     }
+
+    /// A count the engines need at least one of.
+    fn at_least_one(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.num(key, default)? {
+            0 => Err(format!("--{key} must be at least 1")),
+            n => Ok(n),
+        }
+    }
 }
 
 fn run_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, RUN_FLAGS, RUN_SWITCHES)?;
     let arrivals = ArrivalSpec::parse(flags.get("arrivals").unwrap_or("poisson:1000"))?;
     let engine = Engine::parse(flags.get("engine").unwrap_or("sim"))?;
     let deadline_ms: u64 = flags.num("deadline-ms", 20)?;
     let config = LoadConfig {
         engine,
         arrivals,
-        actions: flags.num("actions", 200)?,
-        shards: flags.num("workers", 1)?,
-        capacity: flags.num("capacity", 2)?,
+        actions: flags.at_least_one("actions", 200)?,
+        shards: flags.at_least_one("workers", 1)?,
+        capacity: flags.at_least_one("capacity", 2)?,
         deadline: (deadline_ms > 0).then(|| SimTime::from_millis(deadline_ms)),
         seed: flags.num("seed", 10)?,
         collect_flame: flags.get("folded").is_some(),
@@ -182,7 +209,7 @@ fn run_main(args: &[String]) -> Result<(), String> {
 }
 
 fn saturation_main(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, SATURATION_FLAGS, &[])?;
     if let Some(seed) = flags.get("seed") {
         let pinned = caex_load::suite::BENCH_SEED;
         let seed: u64 = seed.parse().map_err(|_| format!("bad --seed `{seed}`"))?;

@@ -1,6 +1,7 @@
 //! Behavioural tests of the load generator: seeded reproducibility,
 //! low-load cleanliness, burst arrivals, sharding speed-up in virtual
-//! time, and flame-stack collection under load.
+//! time, flame-stack collection under load, and the binary refusing
+//! hostile flags.
 
 use caex_load::arrivals::ArrivalSpec;
 use caex_load::suite::{bench_pr10_json, run_load, Engine, LoadConfig};
@@ -125,4 +126,34 @@ fn json_document_is_reproducible_across_processes() {
     let a = bench_pr10_json(&cells).to_string();
     let b = bench_pr10_json(&caex_load::suite::bench_pr10_seeded(5)).to_string();
     assert_eq!(a, b);
+}
+
+/// The binary refuses `args` with exit status 1 and one `caex-load: …`
+/// line on stderr — no panic, no result row.
+fn refused(args: &[&str]) -> String {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_caex-load"))
+        .args(args)
+        .output()
+        .expect("run caex-load");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(output.stdout.is_empty(), "{args:?} printed a result");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.starts_with("caex-load: "), "{args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn zero_counts_are_refused_not_panicked_on() {
+    for flag in ["--actions", "--capacity", "--workers"] {
+        assert!(refused(&["run", flag, "0"]).contains("must be at least 1"));
+    }
+}
+
+#[test]
+fn unknown_flags_are_refused_with_the_known_ones_listed() {
+    let run = refused(&["run", "--rate", "5"]);
+    assert!(run.contains("unknown flag --rate") && run.contains("--arrivals"), "{run}");
+    let saturation = refused(&["saturation", "--bogus", "1"]);
+    assert!(saturation.contains("unknown flag --bogus") && saturation.contains("--out"));
 }

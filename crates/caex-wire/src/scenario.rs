@@ -86,52 +86,6 @@ impl std::fmt::Debug for WireScenario {
     }
 }
 
-/// Parses a `general:n,p,q` spec tail.
-fn parse_general(tail: &str) -> Result<(u32, u32, u32), String> {
-    let parts: Vec<&str> = tail.split(',').collect();
-    if parts.len() != 3 {
-        return Err(format!("general spec needs n,p,q — got `{tail}`"));
-    }
-    let mut nums = [0u32; 3];
-    for (slot, part) in nums.iter_mut().zip(&parts) {
-        *slot = part
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad number `{part}` in general spec: {e}"))?;
-    }
-    let [n, p, q] = nums;
-    if p < 1 || p + q > n {
-        return Err(format!("general:{n},{p},{q} violates 1 ≤ p and p + q ≤ n"));
-    }
-    Ok((n, p, q))
-}
-
-/// The workload a spec names, with its §4.4 closed-form count and the
-/// §4.5 `(p, q)` where it has them.
-#[allow(clippy::type_complexity)]
-fn workload(spec: &str) -> Result<(workloads::Workload, Option<u64>, Option<(u32, u32)>), String> {
-    match spec {
-        "example1" => Ok((
-            workloads::example1(NetConfig::default()).0,
-            Some(analysis::messages_general(3, 2, 0)),
-            Some((2, 0)),
-        )),
-        // Cross-level scenario: no closed-form count; the sim baseline
-        // is the oracle instead.
-        "example2" => Ok((workloads::example2(NetConfig::default()).0, None, None)),
-        other => {
-            let Some(tail) = other.strip_prefix("general:") else {
-                return Err(format!(
-                    "unknown scenario `{other}` (want example1, example2 or general:n,p,q)"
-                ));
-            };
-            let (n, p, q) = parse_general(tail)?;
-            let count = analysis::messages_general(u64::from(n), u64::from(p), u64::from(q));
-            Ok((workloads::general(n, p, q, NetConfig::default()), Some(count), Some((p, q))))
-        }
-    }
-}
-
 impl WireScenario {
     /// Builds a wire scenario from a spec string: `example1`,
     /// `example2`, or `general:n,p,q`.
@@ -141,7 +95,8 @@ impl WireScenario {
     /// Rejects unknown specs and malformed/invalid `general`
     /// parameters.
     pub fn build(spec: &str) -> Result<WireScenario, String> {
-        let (workload, expected_messages, pq) = workload(spec)?;
+        let workload = workloads::by_name(spec, NetConfig::default())?;
+        let npq = workload.npq;
         let mut script = workload.scenario.for_port_host();
         script.steps.retain(|(t, _, _)| *t < belated());
         for (time, _, _) in &mut script.steps {
@@ -153,8 +108,9 @@ impl WireScenario {
             script,
             action: workload.action,
             participants: workload.participants,
-            expected_messages,
-            pq,
+            expected_messages: npq
+                .map(|(n, p, q)| analysis::messages_general(n.into(), p.into(), q.into())),
+            pq: npq.map(|(_, p, q)| (p, q)),
         })
     }
 
@@ -165,7 +121,7 @@ impl WireScenario {
     ///
     /// Propagates [`WireScenario::build`]'s spec errors.
     pub fn sim_baseline(spec: &str) -> Result<SimBaseline, String> {
-        let (workload, ..) = workload(spec)?;
+        let workload = workloads::by_name(spec, NetConfig::default())?;
         let action = workload.action;
         let report = workload.run();
         let resolution = report.resolution_for(action);
@@ -223,6 +179,9 @@ mod tests {
         assert!(WireScenario::build("general:3,0,0").is_err());
         assert!(WireScenario::build("general:3,2,2").is_err());
         assert!(WireScenario::build("general:nope").is_err());
+        // `p + q` must not wrap, and the mesh is one process per node.
+        assert!(WireScenario::build("general:4294967295,4294967295,1").is_err());
+        assert!(WireScenario::build("general:4294967295,1,1").is_err());
         assert!(WireScenario::build("bogus").is_err());
     }
 

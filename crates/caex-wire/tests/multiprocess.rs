@@ -4,11 +4,17 @@
 //! message count, and a participant killed mid-resolution must surface
 //! as a deserter via heartbeat timeout while resolution still
 //! completes among the survivors.
+//!
+//! Every test that forms a mesh of OS processes is `#[ignore]`d: its
+//! outcome depends on process scheduling and wall-clock detector
+//! timing, which tier-1 (`cargo test -q`) must not. `scripts/check-tier2.sh`
+//! runs them with `-- --ignored`.
 
 use caex_net::NodeId;
 use caex_wire::harness::{run_coordinator, CoordinatorOptions, CrashMode, Transport};
 use caex_wire::scenario::WireScenario;
 use std::path::PathBuf;
+use std::process::Command;
 
 fn wire_binary() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_caex-wire"))
@@ -21,6 +27,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 #[test]
+#[ignore = "forms a mesh of OS processes; scripts/check-tier2.sh runs it"]
 fn example1_across_processes_matches_the_law_and_the_simulator() {
     let summary = run_coordinator(&CoordinatorOptions::new("example1", wire_binary()))
         .expect("coordinated run");
@@ -34,6 +41,7 @@ fn example1_across_processes_matches_the_law_and_the_simulator() {
 }
 
 #[test]
+#[ignore = "forms a mesh of OS processes; scripts/check-tier2.sh runs it"]
 fn example1_across_processes_over_unix_sockets() {
     let mut opts = CoordinatorOptions::new("example1", wire_binary());
     opts.transport = Transport::Unix;
@@ -44,6 +52,7 @@ fn example1_across_processes_over_unix_sockets() {
 }
 
 #[test]
+#[ignore = "forms a mesh of OS processes; scripts/check-tier2.sh runs it"]
 fn example2_across_processes_matches_the_simulator() {
     let summary = run_coordinator(&CoordinatorOptions::new("example2", wire_binary()))
         .expect("coordinated run");
@@ -57,6 +66,7 @@ fn example2_across_processes_matches_the_simulator() {
 }
 
 #[test]
+#[ignore = "forms a mesh of OS processes; scripts/check-tier2.sh runs it"]
 fn general_grid_cell_across_processes_holds_the_law() {
     let summary = run_coordinator(&CoordinatorOptions::new("general:4,2,1", wire_binary()))
         .expect("coordinated run");
@@ -83,11 +93,13 @@ fn crash_run(mode: CrashMode, tag: &str) {
 }
 
 #[test]
+#[ignore = "forms a mesh of OS processes; scripts/check-tier2.sh runs it"]
 fn killed_participant_becomes_a_deserter_and_resolution_completes() {
     crash_run(CrashMode::Exit, "exit");
 }
 
 #[test]
+#[ignore = "forms a mesh of OS processes; scripts/check-tier2.sh runs it"]
 fn frozen_participant_is_detected_by_heartbeat_timeout() {
     // SIGSTOP freezes the victim without closing its sockets — only
     // the heartbeat timeout can catch this one.
@@ -95,6 +107,7 @@ fn frozen_participant_is_detected_by_heartbeat_timeout() {
 }
 
 #[test]
+#[ignore = "forms a mesh of OS processes; scripts/check-tier2.sh runs it"]
 fn transient_partition_heals_with_full_agreement_and_zero_deserters() {
     // Node 3 SIGSTOPs itself right after the barrier and is SIGCONTed
     // by the coordinator after a full second — well past the old fixed
@@ -119,6 +132,7 @@ fn transient_partition_heals_with_full_agreement_and_zero_deserters() {
 }
 
 #[test]
+#[ignore = "forms a mesh of OS processes; scripts/check-tier2.sh runs it"]
 fn resolver_killed_at_the_commit_point_fails_over() {
     // Node 2 is Example 1's max raiser, hence the elected §4.2
     // resolver. A commit-point crash kills it after it has collected
@@ -142,6 +156,7 @@ fn resolver_killed_at_the_commit_point_fails_over() {
 }
 
 #[test]
+#[ignore = "forms a mesh of OS processes; scripts/check-tier2.sh runs it"]
 fn zombie_resolver_resumed_after_reelection_cannot_split_the_decision() {
     // The stop-mode victim freezes *inside* its commit step, holding
     // unsent Commit messages. Long after the survivors have deserted
@@ -177,4 +192,21 @@ fn zombie_resolver_resumed_after_reelection_cannot_split_the_decision() {
         zombie.handled,
         summary.resolved
     );
+}
+
+/// Forms no mesh: the coordinator refuses the spec before it binds a
+/// socket or spawns a process, with one line and exit status 1 — `p + q`
+/// used to wrap to 0 and panic, `n` used to be allocated for and abort.
+#[test]
+fn hostile_general_specs_are_refused_before_any_process_is_spawned() {
+    for spec in ["general:4294967295,4294967295,1", "general:4294967295,1,1"] {
+        let output = Command::new(wire_binary())
+            .args(["--role", "coordinator", "--scenario", spec])
+            .output()
+            .expect("run caex-wire");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{spec}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{spec}: {stderr}");
+        assert!(stderr.starts_with("caex-wire: general:"), "{spec}: {stderr}");
+    }
 }

@@ -19,14 +19,13 @@
 //! paper's §4.5 points at group membership services for the real
 //! thing); the simulator engine remains the measurement instrument.
 
-use crate::drive::drive_node_until;
+use crate::drive::{drive, PortHost};
 use crate::obs::wall_stamp;
 use crate::{Event, Note, Scenario};
 use caex_action::ActionId;
 use caex_net::{NetStats, NodeId, ThreadNet};
 use caex_tree::Exception;
 use parking_lot::Mutex;
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -190,62 +189,53 @@ impl ThreadRunner {
         let mut script = self.scenario.for_port_host();
         let net: ThreadNet<Event> = ThreadNet::new(script.num_nodes());
         let stats = net.stats();
-        let notes = Arc::new(Mutex::new(Vec::new()));
-        let sink: Arc<ObsSink> = Arc::new(Mutex::new((crate::ObsBridge::new(), Vec::new())));
+        let notes = Mutex::new(Vec::new());
+        let sink: ObsSink = Mutex::new((crate::ObsBridge::new(), Vec::new()));
         let start = Instant::now();
 
         let idle_timeout = self.idle_timeout;
-        let mut joins = Vec::new();
-        for port in net.into_ports() {
-            let node = port.id();
-            let mut participant = script.participant(node);
-            let steps = script.steps_for(node);
-            let halt_at = faults
-                .crashes_at(node)
-                .map(|at| start + Duration::from_micros(at.as_micros()));
-            let notes = Arc::clone(&notes);
-            let sink = Arc::clone(&sink);
-            joins.push(thread::spawn(move || {
-                drive_node_until(
-                    &port,
-                    &mut participant,
-                    steps,
-                    start,
-                    idle_timeout,
-                    halt_at,
-                    // The lock is held across the handle so bridge round
-                    // state, event order and the wall timestamps stay
-                    // globally consistent — acceptable serialization for
-                    // a demo-grade engine (handler costs are queued, not
-                    // slept, so the critical section is short).
-                    |p, ev, from| {
-                        let mut guard = sink.lock();
-                        let (bridge, events) = &mut *guard;
-                        let mut fx = Vec::new();
-                        let clock = || wall_stamp(start);
-                        bridge.handle(p, ev, from, clock, &mut BufObs(events), &mut fx);
-                        fx
-                    },
-                    |note| notes.lock().push(note),
-                );
-            }));
-        }
-        for j in joins {
-            j.join().expect("participant thread panicked");
-        }
-        let (_, events) = Arc::try_unwrap(sink)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| {
-                let guard = arc.lock();
-                (crate::ObsBridge::new(), guard.1.clone())
-            });
+        // The scope joins every worker and passes a worker's panic on.
+        thread::scope(|workers| {
+            for port in net.into_ports() {
+                let node = port.id();
+                let mut participant = script.participant(node);
+                let steps = script.steps_for(node);
+                let halt_at = faults
+                    .crashes_at(node)
+                    .map(|at| start + Duration::from_micros(at.as_micros()));
+                let (notes, sink) = (&notes, &sink);
+                workers.spawn(move || {
+                    let mut host = PortHost::new(
+                        &mut participant,
+                        steps,
+                        start,
+                        idle_timeout,
+                        // The lock is held across the handle so bridge round
+                        // state, event order and the wall timestamps stay
+                        // globally consistent — acceptable serialization for
+                        // a demo-grade engine (handler costs are queued, not
+                        // slept, so the critical section is short).
+                        |p, ev, from| {
+                            let mut guard = sink.lock();
+                            let (bridge, events) = &mut *guard;
+                            let mut fx = Vec::new();
+                            let clock = || wall_stamp(start);
+                            bridge.handle(p, ev, from, clock, &mut BufObs(events), &mut fx);
+                            fx
+                        },
+                        |note| notes.lock().push(note),
+                    );
+                    host.halt_at(halt_at);
+                    drive(&port, host);
+                });
+            }
+        });
+        let (_, events) = sink.into_inner();
         for event in &events {
             obs.on_event(event);
         }
         obs.on_run_end(wall_stamp(start).0);
-        let notes = Arc::try_unwrap(notes)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| arc.lock().clone());
+        let notes = notes.into_inner();
         let stats = stats.lock().clone();
         ThreadReport { notes, stats }
     }

@@ -22,6 +22,10 @@ pub struct Workload {
     pub action: ActionId,
     /// The declared participants of that action.
     pub participants: Vec<NodeId>,
+    /// The `(n, p, q)` of the §4.4 general family this workload is an
+    /// instance of ([`crate::analysis::messages_general`]'s arguments);
+    /// `None` where no closed form applies.
+    pub npq: Option<(u32, u32, u32)>,
 }
 
 impl Workload {
@@ -132,6 +136,47 @@ pub fn general_at(
         scenario,
         action: top,
         participants: (node_base..node_base + n).map(NodeId::new).collect(),
+        npq: Some((n, p, q)),
+    }
+}
+
+/// The largest `general:n,p,q` mesh [`by_name`] builds: the port hosts
+/// give every node an OS thread or a whole process.
+pub const MAX_NAMED_NODES: u32 = 256;
+
+/// Looks a workload up by its spec string — `example1`, `example2` or
+/// `general:n,p,q` — the one table the command lines share.
+///
+/// # Errors
+///
+/// Rejects an unknown name, a malformed `general` tail, parameters
+/// outside `1 ≤ p`, `p + q ≤ n` and a mesh above [`MAX_NAMED_NODES`].
+pub fn by_name(spec: &str, config: NetConfig) -> Result<Workload, String> {
+    match spec {
+        "example1" => Ok(example1(config).0),
+        "example2" => Ok(example2(config).0),
+        other => {
+            let Some(tail) = other.strip_prefix("general:") else {
+                return Err(format!(
+                    "unknown workload `{other}` (want example1, example2 or general:n,p,q)"
+                ));
+            };
+            let nums = tail
+                .split(',')
+                .map(|part| part.trim().parse::<u32>().map_err(|e| (part, e)))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|(part, e)| format!("bad number `{part}` in general spec: {e}"))?;
+            let [n, p, q] = nums[..] else {
+                return Err(format!("general spec needs n,p,q — got `{tail}`"));
+            };
+            if p < 1 || u64::from(p) + u64::from(q) > u64::from(n) {
+                return Err(format!("general:{n},{p},{q} violates 1 ≤ p and p + q ≤ n"));
+            }
+            if n > MAX_NAMED_NODES {
+                return Err(format!("general:{n},{p},{q} exceeds {MAX_NAMED_NODES} nodes"));
+            }
+            Ok(general(n, p, q, config))
+        }
     }
 }
 
@@ -209,6 +254,7 @@ pub fn fig3(config: NetConfig) -> Workload {
         scenario,
         action: a1,
         participants: (0..4).map(NodeId::new).collect(),
+        npq: None,
     }
 }
 
@@ -278,6 +324,7 @@ pub fn example1(config: NetConfig) -> (Workload, ExampleIds) {
             scenario,
             action: a1,
             participants: (1..=3).map(NodeId::new).collect(),
+            npq: Some((3, 2, 0)),
         },
         ExampleIds {
             a1,
@@ -378,6 +425,7 @@ pub fn example2(config: NetConfig) -> (Workload, ExampleIds) {
             scenario,
             action: a1,
             participants: (1..=4).map(NodeId::new).collect(),
+            npq: None, // cross-level: the simulator is the oracle instead
         },
         ExampleIds {
             a1,
@@ -410,5 +458,29 @@ mod tests {
     fn workload_exposes_participants() {
         let w = case1(4, NetConfig::default());
         assert_eq!(w.participants.len(), 4);
+    }
+
+    #[test]
+    fn by_name_is_the_table_and_refuses_what_is_not_in_it() {
+        let name = |spec| by_name(spec, NetConfig::default());
+        assert_eq!(name("example1").unwrap().npq, Some((3, 2, 0)));
+        assert_eq!(name("example2").unwrap().npq, None);
+        let general = name("general: 5, 2,1").unwrap();
+        assert_eq!((general.participants.len(), general.npq), (5, Some((5, 2, 1))));
+        assert!(name("general:256,1,0").is_ok());
+        for (spec, why) in [
+            ("example3", "unknown workload"),
+            ("general:5,2", "needs n,p,q"),
+            ("general:5,two,1", "bad number `two`"),
+            ("general:-1,1,0", "bad number `-1`"),
+            ("general:3,0,0", "violates"),
+            ("general:3,2,2", "violates"),
+            ("general:4294967295,4294967295,1", "violates"),
+            ("general:4294967295,1,1", "exceeds 256 nodes"),
+            ("general:257,1,0", "exceeds 256 nodes"),
+        ] {
+            let err = name(spec).expect_err(spec);
+            assert!(err.contains(why), "{spec}: {err}");
+        }
     }
 }

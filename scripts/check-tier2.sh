@@ -13,7 +13,9 @@
 # 5. the wire frame codec survives its fuzz-style property battery;
 # 6. a real multi-process smoke run: one OS process per participant
 #    over loopback TCP, held to the §4.4 count and the §4.5 watchdog,
-#    plus a crash run that must surface the victim as a deserter;
+#    plus a crash run that must surface the victim as a deserter, and
+#    the process-mesh tests tier-1 skips as `#[ignore]`
+#    (`caex-wire/tests/multiprocess.rs`);
 # 7. the model checker exhaustively verifies every small built-in
 #    family (CAEX015-CAEX018), sweeps resolver crashes through the
 #    paper's Examples 1 and 2, cross-checks each verdict against the
@@ -80,6 +82,7 @@ cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator --scen
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator --scenario example2
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator --scenario example1 \
     --crash 3 --crash-mode exit
+cargo test -q -p caex-wire --test multiprocess -- --ignored
 
 echo "== tier-2 [7/12]: exhaustive model checking of the built-in scenarios =="
 cargo run -q --release -p caex-lint --bin caex-lint -- check --model
