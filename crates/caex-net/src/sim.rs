@@ -7,7 +7,7 @@ use crate::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Configuration of a [`SimNet`].
 ///
@@ -151,12 +151,20 @@ struct Queued<M> {
     to: NodeId,
     source: DeliverySource,
     payload: M,
-    label: &'static str,
+}
+
+impl<M> Queued<M> {
+    /// Delivery order: earliest first, then lowest sequence number.
+    /// Sequence numbers are unique, making the order total and runs
+    /// deterministic.
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
 }
 
 impl<M> PartialEq for Queued<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<M> Eq for Queued<M> {}
@@ -167,10 +175,63 @@ impl<M> PartialOrd for Queued<M> {
 }
 impl<M> Ord for Queued<M> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (then lowest
-        // sequence number) event pops first. Sequence numbers are unique,
-        // making the order total and runs deterministic.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        // BinaryHeap is a max-heap; invert so the smallest key pops first.
+        other.key().cmp(&self.key())
+    }
+}
+
+/// The pending events, popped in [`Queued::key`] order.
+///
+/// A remote send's `at` is `now` plus a latency, and `now` never goes
+/// back, so under a constant latency remote entries arrive already in
+/// delivery order. Such an entry is appended to the `lane` — sequence
+/// numbers only grow, so an entry whose `at` is not before the lane's
+/// back keeps the lane sorted by key — and leaves it again from the
+/// front, never sifted. Everything else goes on the `heap`: a remote
+/// entry due before the lane's back (jitter, a reorder window, traffic
+/// behind an entry a freeze or a healing partition deferred), and every
+/// local event — a scripted step far in the future would otherwise park
+/// at the lane's back and turn the traffic before it away. `pop` takes
+/// the smaller of the two heads, so the order is the one a single heap
+/// of all entries gives.
+#[derive(Debug)]
+struct EventQueue<M> {
+    lane: VecDeque<Queued<M>>,
+    heap: BinaryHeap<Queued<M>>,
+}
+
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue {
+            lane: VecDeque::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lane.len() + self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.lane.is_empty() && self.heap.is_empty()
+    }
+
+    fn push(&mut self, entry: Queued<M>) {
+        let in_order = matches!(entry.source, DeliverySource::Remote(_))
+            && self.lane.back().is_none_or(|back| back.at <= entry.at);
+        if in_order {
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    fn pop(&mut self) -> Option<Queued<M>> {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(lane), Some(heap)) if heap.key() < lane.key() => self.heap.pop(),
+            (Some(_), _) => self.lane.pop_front(),
+            (None, _) => self.heap.pop(),
+        }
     }
 }
 
@@ -207,7 +268,7 @@ impl<M> Ord for Queued<M> {
 pub struct SimNet<M> {
     config: NetConfig,
     now: SimTime,
-    queue: BinaryHeap<Queued<M>>,
+    queue: EventQueue<M>,
     /// Earliest permissible delivery time per ordered (from, to) pair;
     /// enforces FIFO under jittery latency models.
     channel_clock: IdMap<(NodeId, NodeId), SimTime>,
@@ -230,7 +291,7 @@ impl<M> SimNet<M> {
         SimNet {
             config,
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             channel_clock: IdMap::default(),
             next_seq: 0,
             num_nodes,
@@ -327,14 +388,7 @@ impl<M> SimNet<M> {
         }
     }
 
-    fn enqueue(
-        &mut self,
-        at: SimTime,
-        to: NodeId,
-        source: DeliverySource,
-        payload: M,
-        label: &'static str,
-    ) {
+    fn enqueue(&mut self, at: SimTime, to: NodeId, source: DeliverySource, payload: M) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(Queued {
@@ -343,7 +397,6 @@ impl<M> SimNet<M> {
             to,
             source,
             payload,
-            label,
         });
         let in_flight = self.queue.len();
         self.stats.observe_in_flight(in_flight);
@@ -360,8 +413,7 @@ impl<M: Kinded> SimNet<M> {
     pub fn schedule_local(&mut self, at: SimTime, node: NodeId, payload: M) {
         self.assert_node(node);
         let at = at.max(self.now);
-        let kind = payload.kind();
-        self.enqueue(at, node, DeliverySource::Local, payload, kind);
+        self.enqueue(at, node, DeliverySource::Local, payload);
     }
 
     /// Schedules a local event `delay` after the current time.
@@ -543,7 +595,7 @@ impl<M: Kinded + Clone> SimNet<M> {
             );
             at = resumed;
         }
-        self.enqueue(at, to, DeliverySource::Remote(from), payload, kind);
+        self.enqueue(at, to, DeliverySource::Remote(from), payload);
     }
 
     /// Sends `payload` from `from` to every node in `to` (cloned per
@@ -570,6 +622,7 @@ impl<M: Kinded + Clone> SimNet<M> {
         while let Some(ev) = self.queue.pop() {
             debug_assert!(ev.at >= self.now, "time went backwards");
             self.now = ev.at;
+            let kind = ev.payload.kind();
             // First event a restarted node lives through: note that the
             // "zombie" is back (its messages now test commit fencing).
             if !self.is_crashed(ev.to)
@@ -586,12 +639,12 @@ impl<M: Kinded + Clone> SimNet<M> {
                     TraceEventKind::Fault(FaultEvent::Restarted),
                     ev.to,
                     ev.to,
-                    ev.label,
+                    kind,
                 );
             }
             if let DeliverySource::Remote(from) = ev.source {
                 if self.is_crashed(ev.to) {
-                    self.stats.record_drop(ev.label);
+                    self.stats.record_drop(kind);
                     if let Some(a) = ev.payload.action_index() {
                         self.stats.record_action_drop(a);
                     }
@@ -602,15 +655,15 @@ impl<M: Kinded + Clone> SimNet<M> {
                         TraceEventKind::Fault(FaultEvent::DestinationCrashed),
                         from,
                         ev.to,
-                        ev.label,
+                        kind,
                     );
                     continue;
                 }
-                self.stats.record_delivery(ev.label);
+                self.stats.record_delivery(kind);
                 if let Some(a) = ev.payload.action_index() {
                     self.stats.record_action_delivery(a);
                 }
-                self.record(ev.at, TraceEventKind::Delivered, from, ev.to, ev.label);
+                self.record(ev.at, TraceEventKind::Delivered, from, ev.to, kind);
             } else {
                 if self.is_crashed(ev.to) {
                     self.stats
@@ -620,11 +673,11 @@ impl<M: Kinded + Clone> SimNet<M> {
                         TraceEventKind::Fault(FaultEvent::DestinationCrashed),
                         ev.to,
                         ev.to,
-                        ev.label,
+                        kind,
                     );
                     continue;
                 }
-                self.record(ev.at, TraceEventKind::LocalEvent, ev.to, ev.to, ev.label);
+                self.record(ev.at, TraceEventKind::LocalEvent, ev.to, ev.to, kind);
             }
             self.delivered_count += 1;
             return Some(Delivery {
@@ -1098,5 +1151,193 @@ mod tests {
         assert_eq!(d.payload, "back");
         assert!(!n.is_crashed(victim));
         assert_eq!(n.stats().fault_of_kind("restarted"), 1);
+    }
+
+    // The event queue: in-order remote entries wait in the lane, the
+    // rest on the heap; the delivery order is the heap's alone.
+
+    fn deliveries(n: &mut SimNet<&'static str>) -> Vec<(u64, &'static str)> {
+        let drained = n.drain().into_iter();
+        drained.map(|d| (d.at.as_micros(), d.payload)).collect()
+    }
+
+    #[test]
+    fn sends_behind_one_a_freeze_deferred_are_delivered_first_when_due_first() {
+        let frozen = NodeId::new(1);
+        let config = NetConfig::default()
+            .with_latency(LatencyModel::Constant(SimTime::from_micros(10)))
+            .with_faults(FaultPlan::none().with_clock_freeze(
+                frozen,
+                SimTime::ZERO,
+                SimTime::from_micros(300),
+            ));
+        let mut n: SimNet<&'static str> = SimNet::new(config, 4);
+        // Deferred to t=300 and first into the empty lane; what follows
+        // is due at t=10 and has to pass it on the heap.
+        n.send(NodeId::new(0), frozen, "stalled");
+        n.send(NodeId::new(0), NodeId::new(2), "a");
+        n.send(NodeId::new(2), NodeId::new(3), "b");
+        assert_eq!(n.next_delivery().unwrap().payload, "a");
+        // Sent at t=10, due at t=20: still before the lane's only entry.
+        n.send(NodeId::new(2), NodeId::new(0), "c");
+        n.schedule_local(SimTime::from_micros(290), NodeId::new(3), "tick");
+        let early: Vec<_> = (0..3).map(|_| n.next_delivery().unwrap().payload).collect();
+        assert_eq!(early, vec!["b", "c", "tick"]);
+        // Sent at t=290, due at t=300 like "stalled": behind it.
+        n.send(NodeId::new(3), frozen, "behind");
+        assert_eq!(deliveries(&mut n), vec![(300, "stalled"), (300, "behind")]);
+        assert_eq!(n.stats().fault_of_kind("clock_frozen"), 1);
+    }
+
+    #[test]
+    fn sends_behind_one_a_healing_partition_deferred_are_delivered_first_when_due_first() {
+        let config = NetConfig::default()
+            .with_latency(LatencyModel::Constant(SimTime::from_micros(10)))
+            .with_faults(FaultPlan::none().with_healing_partition(
+                [NodeId::new(0)],
+                SimTime::ZERO,
+                SimTime::from_micros(500),
+            ));
+        let mut n: SimNet<&'static str> = SimNet::new(config, 3);
+        n.send(NodeId::new(0), NodeId::new(1), "buffered-1");
+        n.send(NodeId::new(1), NodeId::new(2), "same-side-1");
+        n.send(NodeId::new(0), NodeId::new(2), "buffered-2");
+        n.send(NodeId::new(2), NodeId::new(1), "same-side-2");
+        assert_eq!(n.in_flight(), 4);
+        assert_eq!(
+            deliveries(&mut n),
+            vec![
+                (10, "same-side-1"),
+                (10, "same-side-2"),
+                (500, "buffered-1"),
+                (500, "buffered-2"),
+            ]
+        );
+        assert_eq!(n.stats().fault_of_kind("partition_healed"), 2);
+    }
+
+    #[test]
+    fn a_local_event_due_between_two_lane_entries_is_delivered_between_them() {
+        let mut n = net(LatencyModel::Constant(SimTime::from_micros(10)), 0);
+        n.send(NodeId::new(0), NodeId::new(1), "first"); // t=10
+        n.schedule_local(SimTime::from_micros(5), NodeId::new(0), "advance");
+        assert_eq!(n.next_delivery().unwrap().payload, "advance");
+        // Equal times fall back on the sequence number, whichever
+        // structure holds the entry.
+        n.schedule_local(SimTime::from_micros(15), NodeId::new(2), "tie-before");
+        n.send(NodeId::new(0), NodeId::new(1), "second"); // t=15
+        n.schedule_local(SimTime::from_micros(12), NodeId::new(2), "between");
+        n.schedule_local(SimTime::from_micros(15), NodeId::new(2), "tie-after");
+        assert_eq!(
+            deliveries(&mut n),
+            vec![
+                (10, "first"),
+                (12, "between"),
+                (15, "tie-before"),
+                (15, "second"),
+                (15, "tie-after"),
+            ]
+        );
+    }
+
+    #[test]
+    fn in_flight_counts_the_lane_and_the_heap() {
+        let mut n = net(LatencyModel::Constant(SimTime::from_micros(10)), 0);
+        n.send(NodeId::new(0), NodeId::new(1), "lane-1");
+        n.send(NodeId::new(1), NodeId::new(2), "lane-2");
+        n.schedule_local(SimTime::from_micros(50), NodeId::new(3), "heap-1");
+        n.schedule_local(SimTime::from_micros(60), NodeId::new(3), "heap-2");
+        assert_eq!(n.in_flight(), 4);
+        assert_eq!(n.stats().max_in_flight(), 4);
+        n.next_delivery().unwrap();
+        n.next_delivery().unwrap();
+        // Only the heap holds anything now ...
+        assert_eq!(n.in_flight(), 2);
+        assert!(!n.is_quiescent());
+        n.next_delivery().unwrap();
+        n.send(NodeId::new(3), NodeId::new(0), "lane-3"); // t=60
+        n.next_delivery().unwrap();
+        // ... and now only the lane.
+        assert_eq!(n.in_flight(), 1);
+        assert!(!n.is_quiescent());
+        n.next_delivery().unwrap();
+        assert!(n.is_quiescent());
+        assert_eq!(n.in_flight(), 0);
+        assert_eq!(n.stats().max_in_flight(), 4);
+    }
+
+    /// §4.3 Example 1 (`caex::workloads::example1`, N = 3, two raisers,
+    /// ten messages) as the calls its host makes, recorded from the
+    /// single-heap queue: every delivery, the count in flight after it
+    /// and the high-water mark are that queue's. The fleet-sized pins of
+    /// the same counter are `crates/caex/tests/fixtures/fleet64.txt`
+    /// (96) and `tests/fixtures/example2_counters.txt` (22).
+    #[test]
+    fn example_1_replayed_reads_the_single_heaps_in_flight_counts() {
+        enum Call {
+            Local(u64, u32, &'static str),
+            Send(u32, u32, &'static str),
+            /// Time, receiver, payload, in flight afterwards.
+            Deliver(u64, u32, &'static str, usize),
+        }
+        use Call::{Deliver, Local, Send};
+        let calls = [
+            Local(0, 1, "enter"),
+            Local(0, 2, "enter"),
+            Local(0, 3, "enter"),
+            Local(10, 1, "raise"),
+            Local(10, 2, "raise"),
+            Deliver(0, 1, "enter", 4),
+            Deliver(0, 2, "enter", 3),
+            Deliver(0, 3, "enter", 2),
+            Deliver(10, 1, "raise", 1),
+            Send(1, 2, "exception"),
+            Send(1, 3, "exception"),
+            Deliver(10, 2, "raise", 2),
+            Send(2, 1, "exception"),
+            Send(2, 3, "exception"),
+            Deliver(110, 2, "exception", 3),
+            Send(2, 1, "ack"),
+            Deliver(110, 3, "exception", 3),
+            Send(3, 1, "ack"),
+            Deliver(110, 1, "exception", 3),
+            Send(1, 2, "ack"),
+            Deliver(110, 3, "exception", 3),
+            Send(3, 2, "ack"),
+            Deliver(210, 1, "ack", 3),
+            Deliver(210, 1, "ack", 2),
+            Deliver(210, 2, "ack", 1),
+            Deliver(210, 2, "ack", 0),
+            Send(2, 1, "commit"),
+            Send(2, 3, "commit"),
+            Local(210, 2, "handler_done"),
+            Deliver(210, 2, "handler_done", 2),
+            Deliver(310, 1, "commit", 1),
+            Local(310, 1, "handler_done"),
+            Deliver(310, 3, "commit", 1),
+            Local(310, 3, "handler_done"),
+            Deliver(310, 1, "handler_done", 1),
+            Deliver(310, 3, "handler_done", 0),
+        ];
+        let mut n: SimNet<&'static str> = SimNet::new(NetConfig::default(), 4);
+        for call in calls {
+            match call {
+                Local(at, node, payload) => {
+                    n.schedule_local(SimTime::from_micros(at), NodeId::new(node), payload);
+                }
+                Send(from, to, payload) => n.send(NodeId::new(from), NodeId::new(to), payload),
+                Deliver(at, to, payload, in_flight) => {
+                    let d = n.next_delivery().unwrap();
+                    assert_eq!(
+                        (d.at.as_micros(), d.to.index(), d.payload),
+                        (at, to, payload)
+                    );
+                    assert_eq!(n.in_flight(), in_flight);
+                }
+            }
+        }
+        assert!(n.is_quiescent());
+        assert_eq!(n.stats().max_in_flight(), 5);
+        assert_eq!(n.stats().sent_total(), 10);
     }
 }

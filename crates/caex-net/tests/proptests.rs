@@ -1,9 +1,10 @@
 //! Property tests of the simulator's substrate guarantees: FIFO per
 //! ordered pair, reliability in the benign regime, determinism, and
 //! monotone virtual time — the §4.2 assumptions the algorithm builds
-//! on, fuzzed.
+//! on, fuzzed — and of the event queue's total order under every
+//! latency model and deferring fault.
 
-use caex_net::{LatencyModel, NetConfig, NodeId, SimNet, SimTime};
+use caex_net::{FaultPlan, LatencyModel, NetConfig, NodeId, SimNet, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -66,6 +67,121 @@ fn run(
         }
     }
     out
+}
+
+/// One call on the net. Its position in the script is the tag its
+/// payload carries, which orders entries exactly as the net's own
+/// sequence numbers do (no fault below makes two entries of one call).
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    Send { from: u32, to: u32 },
+    Local { at: u64, node: u32 },
+    Deliver,
+}
+
+const QUEUE_NODES: u32 = 4;
+
+fn arb_calls() -> impl Strategy<Value = Vec<Call>> {
+    let send = || (0..QUEUE_NODES, 0..QUEUE_NODES).prop_map(|(from, to)| Call::Send { from, to });
+    prop::collection::vec(
+        prop_oneof![
+            send(),
+            send(),
+            (0u64..2_000, 0..QUEUE_NODES).prop_map(|(at, node)| Call::Local { at, node }),
+            Just(Call::Deliver),
+        ],
+        1..160,
+    )
+}
+
+/// Every latency model, FIFO on and off, and the faults that move a
+/// delivery time without dropping the entry: a reorder window, a clock
+/// freeze and a healing partition.
+fn arb_queue_config() -> impl Strategy<Value = NetConfig> {
+    (
+        (0u8..3, 0u64..300, 1u64..300),
+        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        any::<u64>(),
+    )
+        .prop_map(queue_config)
+}
+
+type QueueKnobs = ((u8, u64, u64), (bool, bool, bool, bool), u64);
+
+fn queue_config(((model, a, b), (fifo, reorder, freeze, heal), seed): QueueKnobs) -> NetConfig {
+    let us = SimTime::from_micros;
+    let latency = match model {
+        0 => LatencyModel::Constant(us(a)),
+        1 => LatencyModel::Uniform {
+            min: us(a),
+            max: us(a + b),
+        },
+        _ => LatencyModel::Exponential {
+            min: us(a),
+            mean: us(b),
+        },
+    };
+    let mut faults = FaultPlan::none();
+    if reorder {
+        faults = faults.with_reorder_window(0.3, us(400));
+    }
+    if freeze {
+        faults = faults.with_clock_freeze(NodeId::new(1), us(100), us(700));
+    }
+    if heal {
+        faults = faults.with_healing_partition([NodeId::new(0)], us(50), us(900));
+    }
+    NetConfig::default()
+        .with_latency(latency)
+        .with_fifo(fifo)
+        .with_faults(faults)
+        .with_seed(seed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The queue's order is total and independent of how it stores an
+    /// entry: whatever the interleaving of sends, local events and
+    /// deliveries, the delivery sequence is strictly sorted by (time,
+    /// call index), every entry is delivered exactly once, and the
+    /// in-flight count is entries made minus entries delivered.
+    #[test]
+    fn deliveries_are_sorted_by_time_then_call_index(
+        calls in arb_calls(),
+        config in arb_queue_config(),
+    ) {
+        let mut net: SimNet<Payload> = SimNet::new(config, QUEUE_NODES);
+        let mut made = Vec::new();
+        let mut delivered = Vec::new();
+        for (i, call) in calls.iter().enumerate() {
+            let payload = Payload { seq: i as u32, tag: 0 };
+            match *call {
+                Call::Send { from, to } => {
+                    net.send(NodeId::new(from), NodeId::new(to), payload);
+                    made.push(payload.seq);
+                }
+                Call::Local { at, node } => {
+                    net.schedule_local(SimTime::from_micros(at), NodeId::new(node), payload);
+                    made.push(payload.seq);
+                }
+                Call::Deliver => {
+                    delivered.extend(net.next_delivery().map(|d| (d.at, d.payload.seq)));
+                }
+            }
+            prop_assert_eq!(net.in_flight(), made.len() - delivered.len());
+            prop_assert_eq!(net.is_quiescent(), made.len() == delivered.len());
+        }
+        prop_assert!(net.stats().max_in_flight() <= made.len());
+        delivered.extend(net.drain().into_iter().map(|d| (d.at, d.payload.seq)));
+        prop_assert!(net.is_quiescent());
+        for pair in delivered.windows(2) {
+            prop_assert!(pair[0] < pair[1], "{:?} delivered before {:?}", pair[0], pair[1]);
+        }
+        let mut seen: Vec<u32> = delivered.iter().map(|&(_, seq)| seq).collect();
+        seen.sort_unstable();
+        prop_assert_eq!(seen, made);
+    }
 }
 
 proptest! {

@@ -37,7 +37,8 @@
 #    (`alloc_budget`), the port hosts' side of "one script, admitted
 #    one way" (`extensions`: threaded distributed completion;
 #    `cross_host`: Example 2 over Unix sockets is the simulator's
-#    Example 2; `fixtures`: the script lints), then two real
+#    Example 2; `fixtures`: the script lints), the event queue's
+#    total-order property test (`caex-net` `proptests`), then two real
 #    multi-process runs — the elected resolver killed at its commit
 #    point, and a SIGSTOP zombie resumed after re-election whose stale
 #    commits must be fenced;
@@ -110,6 +111,7 @@ cargo test -q --release -p caex --test failover
 cargo test -q --release -p caex --test shard --test algorithm --test proptests --test alloc_budget \
     --test extensions
 cargo test -q --release -p caex-wire --test cross_host
+cargo test -q --release -p caex-net --test proptests
 cargo test -q --release -p caex-lint --test fixtures
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \
     --scenario example1 --crash 2 --crash-point commit
