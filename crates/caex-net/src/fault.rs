@@ -10,8 +10,8 @@
 use crate::{NodeId, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// A fault the plan injected into a concrete message or node, reported
-/// through the trace.
+/// A fault the plan injected into a concrete message or node, counted
+/// per kind in [`NetStats`](crate::NetStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum FaultEvent {

@@ -7,9 +7,9 @@
 //!
 //! - [`SimNet`] — a deterministic discrete-event simulator with a
 //!   virtual clock, per-ordered-pair FIFO channels, pluggable latency
-//!   models, optional fault injection, per-kind message statistics and a
-//!   full delivery trace. All the paper's complexity measurements run on
-//!   it because it counts real messages exactly and reproducibly.
+//!   models, optional fault injection and per-kind message statistics.
+//!   All the paper's complexity measurements run on it because it counts
+//!   real messages exactly and reproducibly.
 //! - [`ThreadNet`] — a multi-threaded transport over crossbeam channels,
 //!   demonstrating the same algorithm outside simulation.
 //!
@@ -43,7 +43,6 @@ mod sim;
 mod stats;
 mod thread_net;
 mod time;
-mod trace;
 
 pub use channels::ChannelState;
 pub use fault::{FaultEvent, FaultPlan, Freeze, Partition, Restart};
@@ -56,7 +55,6 @@ pub use sim::{Delivery, DeliverySource, NetConfig, SimNet};
 pub use stats::NetStats;
 pub use thread_net::{NodePort, RecvTimeoutError, ThreadNet};
 pub use time::SimTime;
-pub use trace::{TraceEvent, TraceEventKind, TraceLog};
 
 /// Classifies message payloads for per-kind statistics.
 ///

@@ -1,9 +1,6 @@
 //! The deterministic discrete-event network simulator.
 
-use crate::{
-    FaultEvent, FaultPlan, IdMap, IdSet, Kinded, LatencyModel, NetStats, NodeId, SimTime,
-    TraceEvent, TraceEventKind, TraceLog,
-};
+use crate::{FaultEvent, FaultPlan, IdMap, IdSet, Kinded, LatencyModel, NetStats, NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -18,8 +15,7 @@ use std::collections::{BinaryHeap, VecDeque};
 ///
 /// let config = NetConfig::default()
 ///     .with_latency(LatencyModel::Constant(SimTime::from_micros(250)))
-///     .with_seed(42)
-///     .with_trace(true);
+///     .with_seed(42);
 /// assert_eq!(config.seed, 42);
 /// ```
 #[derive(Debug, Clone)]
@@ -30,8 +26,6 @@ pub struct NetConfig {
     pub faults: FaultPlan,
     /// Seed for the latency/fault RNG; equal seeds give equal runs.
     pub seed: u64,
-    /// Whether to record a full [`TraceLog`].
-    pub record_trace: bool,
     /// Per-ordered-pair FIFO delivery (default `true` — the §4.2
     /// substrate assumption). Setting `false` lets a later message
     /// overtake an earlier one on the same channel; protocols that rely
@@ -55,7 +49,6 @@ impl Default for NetConfig {
             latency: LatencyModel::default(),
             faults: FaultPlan::none(),
             seed: 0,
-            record_trace: false,
             fifo: true,
             bandwidth_bytes_per_ms: None,
             link_latency: Vec::new(),
@@ -82,13 +75,6 @@ impl NetConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables trace recording.
-    #[must_use]
-    pub fn with_trace(mut self, record: bool) -> Self {
-        self.record_trace = record;
         self
     }
 
@@ -276,7 +262,6 @@ pub struct SimNet<M> {
     num_nodes: u32,
     rng: StdRng,
     stats: NetStats,
-    trace: TraceLog,
     delivered_count: u64,
     /// Nodes whose return from a crash-with-restart down-window has
     /// already been recorded (the `Restarted` fault fires once).
@@ -297,7 +282,6 @@ impl<M> SimNet<M> {
             num_nodes,
             rng,
             stats: NetStats::default(),
-            trace: TraceLog::default(),
             delivered_count: 0,
             restart_logged: IdSet::default(),
         }
@@ -355,17 +339,10 @@ impl<M> SimNet<M> {
         &self.stats
     }
 
-    /// Ends the run and hands the statistics and the trace over without
-    /// copying them.
+    /// Ends the run and hands the statistics over without copying them.
     #[must_use]
-    pub fn into_parts(self) -> (NetStats, TraceLog) {
-        (self.stats, self.trace)
-    }
-
-    /// The recorded trace (empty unless `record_trace` was set).
-    #[must_use]
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
+    pub fn into_stats(self) -> NetStats {
+        self.stats
     }
 
     fn assert_node(&self, node: NodeId) {
@@ -374,18 +351,6 @@ impl<M> SimNet<M> {
             "node {node} outside network of {} nodes",
             self.num_nodes
         );
-    }
-
-    fn record(&mut self, at: SimTime, kind: TraceEventKind, from: NodeId, to: NodeId, label: &str) {
-        if self.config.record_trace {
-            self.trace.push(TraceEvent {
-                at,
-                kind,
-                from,
-                to,
-                label: label.to_owned(),
-            });
-        }
     }
 
     fn enqueue(&mut self, at: SimTime, to: NodeId, source: DeliverySource, payload: M) {
@@ -441,13 +406,6 @@ impl<M: Kinded + Clone> SimNet<M> {
 
         if self.is_crashed(from) {
             self.stats.record_fault(FaultEvent::SourceCrashed.label());
-            self.record(
-                self.now,
-                TraceEventKind::Fault(FaultEvent::SourceCrashed),
-                from,
-                to,
-                kind,
-            );
             return;
         }
 
@@ -457,7 +415,6 @@ impl<M: Kinded + Clone> SimNet<M> {
         if let Some(a) = action {
             self.stats.record_action_send(a);
         }
-        self.record(self.now, TraceEventKind::Sent, from, to, kind);
 
         // Partitions sever at send time: messages already in flight
         // when a partition begins still arrive (they left the sender).
@@ -467,13 +424,6 @@ impl<M: Kinded + Clone> SimNet<M> {
                 self.stats.record_action_drop(a);
             }
             self.stats.record_fault(FaultEvent::Partitioned.label());
-            self.record(
-                self.now,
-                TraceEventKind::Fault(FaultEvent::Partitioned),
-                from,
-                to,
-                kind,
-            );
             return;
         }
 
@@ -485,13 +435,6 @@ impl<M: Kinded + Clone> SimNet<M> {
                 self.stats.record_action_drop(a);
             }
             self.stats.record_fault(FaultEvent::Dropped.label());
-            self.record(
-                self.now,
-                TraceEventKind::Fault(FaultEvent::Dropped),
-                from,
-                to,
-                kind,
-            );
             return;
         }
 
@@ -503,21 +446,14 @@ impl<M: Kinded + Clone> SimNet<M> {
         // The payload moves into the queue; only a duplicating fault
         // plan pays for a second copy.
         let copy = duplicate.then(|| payload.clone());
-        self.enqueue_remote(from, to, payload, kind);
+        self.enqueue_remote(from, to, payload);
         if let Some(copy) = copy {
             self.stats.record_fault(FaultEvent::Duplicated.label());
-            self.record(
-                self.now,
-                TraceEventKind::Fault(FaultEvent::Duplicated),
-                from,
-                to,
-                kind,
-            );
-            self.enqueue_remote(from, to, copy, kind);
+            self.enqueue_remote(from, to, copy);
         }
     }
 
-    fn enqueue_remote(&mut self, from: NodeId, to: NodeId, payload: M, kind: &'static str) {
+    fn enqueue_remote(&mut self, from: NodeId, to: NodeId, payload: M) {
         let model = self
             .config
             .link_latency
@@ -544,13 +480,6 @@ impl<M: Kinded + Clone> SimNet<M> {
         if let Some(healed) = self.config.faults.heal_deferral(from, to, self.now) {
             self.stats.record_fault(FaultEvent::PartitionHealed.label());
             self.stats.record_recovery("replayed_frame");
-            self.record(
-                self.now,
-                TraceEventKind::Fault(FaultEvent::PartitionHealed),
-                from,
-                to,
-                kind,
-            );
             at = at.max(healed);
         }
         // Bounded reordering: with probability p this message escapes
@@ -565,13 +494,6 @@ impl<M: Kinded + Clone> SimNet<M> {
                 at += SimTime::from_micros(self.rng.gen_range(0..=window));
             }
             self.stats.record_fault(FaultEvent::Reordered.label());
-            self.record(
-                self.now,
-                TraceEventKind::Fault(FaultEvent::Reordered),
-                from,
-                to,
-                kind,
-            );
         } else if self.config.fifo {
             // FIFO: a later send on the same channel may not arrive
             // before an earlier one, whatever latency it drew.
@@ -586,13 +508,6 @@ impl<M: Kinded + Clone> SimNet<M> {
         // freeze window waits until the process "resumes".
         if let Some(resumed) = self.config.faults.freeze_deferral(to, at) {
             self.stats.record_fault(FaultEvent::ClockFrozen.label());
-            self.record(
-                self.now,
-                TraceEventKind::Fault(FaultEvent::ClockFrozen),
-                from,
-                to,
-                kind,
-            );
             at = resumed;
         }
         self.enqueue(at, to, DeliverySource::Remote(from), payload);
@@ -615,14 +530,13 @@ impl<M: Kinded + Clone> SimNet<M> {
 
     /// Pops the next event, advancing the virtual clock to its time.
     ///
-    /// Deliveries to crashed nodes are suppressed (traced as
+    /// Deliveries to crashed nodes are suppressed (counted as
     /// [`FaultEvent::DestinationCrashed`]) and the following event is
     /// tried, so `None` really means quiescence.
     pub fn next_delivery(&mut self) -> Option<Delivery<M>> {
         while let Some(ev) = self.queue.pop() {
             debug_assert!(ev.at >= self.now, "time went backwards");
             self.now = ev.at;
-            let kind = ev.payload.kind();
             // First event a restarted node lives through: note that the
             // "zombie" is back (its messages now test commit fencing).
             if !self.is_crashed(ev.to)
@@ -634,15 +548,9 @@ impl<M: Kinded + Clone> SimNet<M> {
                 && self.restart_logged.insert(ev.to)
             {
                 self.stats.record_fault(FaultEvent::Restarted.label());
-                self.record(
-                    ev.at,
-                    TraceEventKind::Fault(FaultEvent::Restarted),
-                    ev.to,
-                    ev.to,
-                    kind,
-                );
             }
-            if let DeliverySource::Remote(from) = ev.source {
+            if let DeliverySource::Remote(_) = ev.source {
+                let kind = ev.payload.kind();
                 if self.is_crashed(ev.to) {
                     self.stats.record_drop(kind);
                     if let Some(a) = ev.payload.action_index() {
@@ -650,34 +558,16 @@ impl<M: Kinded + Clone> SimNet<M> {
                     }
                     self.stats
                         .record_fault(FaultEvent::DestinationCrashed.label());
-                    self.record(
-                        ev.at,
-                        TraceEventKind::Fault(FaultEvent::DestinationCrashed),
-                        from,
-                        ev.to,
-                        kind,
-                    );
                     continue;
                 }
                 self.stats.record_delivery(kind);
                 if let Some(a) = ev.payload.action_index() {
                     self.stats.record_action_delivery(a);
                 }
-                self.record(ev.at, TraceEventKind::Delivered, from, ev.to, kind);
-            } else {
-                if self.is_crashed(ev.to) {
-                    self.stats
-                        .record_fault(FaultEvent::DestinationCrashed.label());
-                    self.record(
-                        ev.at,
-                        TraceEventKind::Fault(FaultEvent::DestinationCrashed),
-                        ev.to,
-                        ev.to,
-                        kind,
-                    );
-                    continue;
-                }
-                self.record(ev.at, TraceEventKind::LocalEvent, ev.to, ev.to, kind);
+            } else if self.is_crashed(ev.to) {
+                self.stats
+                    .record_fault(FaultEvent::DestinationCrashed.label());
+                continue;
             }
             self.delivered_count += 1;
             return Some(Delivery {
@@ -719,10 +609,7 @@ mod tests {
 
     fn net(latency: LatencyModel, seed: u64) -> SimNet<&'static str> {
         SimNet::new(
-            NetConfig::default()
-                .with_latency(latency)
-                .with_seed(seed)
-                .with_trace(true),
+            NetConfig::default().with_latency(latency).with_seed(seed),
             4,
         )
     }
@@ -825,19 +712,14 @@ mod tests {
 
     #[test]
     fn drop_fault_loses_messages() {
-        let config = NetConfig::default()
-            .with_faults(FaultPlan::none().with_drop_probability(1.0))
-            .with_trace(true);
+        let config =
+            NetConfig::default().with_faults(FaultPlan::none().with_drop_probability(1.0));
         let mut n: SimNet<&'static str> = SimNet::new(config, 2);
         n.send(NodeId::new(0), NodeId::new(1), "gone");
         assert!(n.next_delivery().is_none());
         assert_eq!(n.stats().dropped_total(), 1);
         assert_eq!(n.stats().sent_total(), 1);
-        let faults: Vec<_> = n
-            .trace()
-            .of_kind(&TraceEventKind::Fault(FaultEvent::Dropped))
-            .collect();
-        assert_eq!(faults.len(), 1);
+        assert_eq!(n.stats().fault_of_kind(FaultEvent::Dropped.label()), 1);
     }
 
     #[test]
@@ -967,12 +849,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_send_and_delivery() {
+    fn stats_count_a_send_and_its_delivery_by_kind() {
         let mut n = net(LatencyModel::zero(), 0);
-        n.send(NodeId::new(0), NodeId::new(1), "traced");
+        n.send(NodeId::new(0), NodeId::new(1), "counted");
         n.next_delivery().unwrap();
-        assert_eq!(n.trace().of_kind(&TraceEventKind::Sent).count(), 1);
-        assert_eq!(n.trace().of_kind(&TraceEventKind::Delivered).count(), 1);
+        assert_eq!(n.stats().sent_of_kind("counted"), 1);
+        assert_eq!(n.stats().delivered_of_kind("counted"), 1);
     }
 
     #[test]
@@ -1051,12 +933,12 @@ mod tests {
                 [NodeId::new(0)],
                 SimTime::ZERO,
                 SimTime::from_micros(100),
-            ))
-            .with_trace(true);
+            ));
         let mut n: SimNet<&'static str> = SimNet::new(config, 3);
         n.send(NodeId::new(0), NodeId::new(1), "cut");
         n.send(NodeId::new(1), NodeId::new(2), "same-side");
         assert_eq!(n.stats().dropped_of_kind("cut"), 1);
+        assert_eq!(n.stats().fault_of_kind(FaultEvent::Partitioned.label()), 1);
         let delivered: Vec<_> = std::iter::from_fn(|| n.next_delivery())
             .map(|d| d.payload)
             .collect();

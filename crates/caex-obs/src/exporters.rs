@@ -28,7 +28,14 @@ pub fn event_to_json(event: &ObsEvent) -> JsonValue {
         ("span".to_owned(), JsonValue::str(event.span.to_string())),
         ("kind".to_owned(), JsonValue::str(event.kind.label())),
     ];
-    match &event.kind {
+    push_kind_fields(&event.kind, &mut fields);
+    JsonValue::Obj(fields)
+}
+
+/// Appends the fields one kind adds to the keys every event has, in
+/// export order; the text renderer prints the same names.
+pub(crate) fn push_kind_fields(kind: &ObsKind, fields: &mut Vec<(String, JsonValue)>) {
+    match kind {
         ObsKind::Raise { exception }
         | ObsKind::HandlerStart { exception }
         | ObsKind::ActionFailed { exception } => {
@@ -92,7 +99,6 @@ pub fn event_to_json(event: &ObsEvent) -> JsonValue {
         | ObsKind::ResolutionStart
         | ObsKind::AbortionEnd => {}
     }
-    JsonValue::Obj(fields)
 }
 
 fn parse_object(s: &str) -> Option<NodeId> {

@@ -32,10 +32,12 @@
 //!   clock-skew stitching of multi-process streams;
 //! - [`FlameBuilder`] — folded-stack flame graphs (`O1;A1;handle e2
 //!   42`) of per-object dwell, keyed by resolution round, consumable
-//!   by `flamegraph.pl`/speedscope unchanged.
+//!   by `flamegraph.pl`/speedscope unchanged;
+//! - [`text`] — the line-per-event rendering and the ASCII
+//!   message-sequence chart of any recorded stream.
 //!
-//! The layer is additive: engines keep their `TraceLog` and report
-//! structs untouched and gain `run_observed` variants that thread an
+//! The stream is the one record of a run: engines keep their report
+//! structs and have `run_observed` variants that thread an
 //! `&mut dyn Observer` through the same code path.
 
 pub mod causal;
@@ -45,6 +47,7 @@ pub mod flame;
 pub mod json;
 pub mod metrics;
 pub mod stream;
+pub mod text;
 pub mod watchdog;
 
 pub use causal::{CausalGraph, CriticalPath, LatencySummary, PathSegment, Phase};

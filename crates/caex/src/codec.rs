@@ -84,15 +84,20 @@ const TAG_ACK: u8 = 4;
 const TAG_COMMIT: u8 = 5;
 const TAG_LEAVE_READY: u8 = 6;
 
+/// The part of `s` a `u16` length prefix can carry. An over-long
+/// string is cut at a char boundary, so what is sent still decodes.
+fn capped(s: &str) -> &str {
+    &s[..s.floor_char_boundary(u16::MAX as usize)]
+}
+
 fn put_opt_str(buf: &mut BytesMut, s: Option<&str>) {
     match s {
         None => buf.put_u8(0),
         Some(s) => {
             buf.put_u8(1);
-            let bytes = s.as_bytes();
-            let len = bytes.len().min(u16::MAX as usize);
-            buf.put_u16_le(len as u16);
-            buf.put_slice(&bytes[..len]);
+            let bytes = capped(s).as_bytes();
+            buf.put_u16_le(bytes.len() as u16);
+            buf.put_slice(bytes);
         }
     }
 }
@@ -100,7 +105,7 @@ fn put_opt_str(buf: &mut BytesMut, s: Option<&str>) {
 fn opt_str_len(s: Option<&str>) -> usize {
     match s {
         None => 1,
-        Some(s) => 1 + 2 + s.len().min(u16::MAX as usize),
+        Some(s) => 1 + 2 + capped(s).len(),
     }
 }
 

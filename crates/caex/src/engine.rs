@@ -8,7 +8,7 @@
 use crate::host::{AcceptanceTest, SimHost, Sink};
 use crate::{Event, LeaveMode, Msg, NestedStrategy, Note, Script};
 use caex_action::{ActionId, ActionRegistry, HandlerTable};
-use caex_net::{LabelCounts, NetConfig, NetStats, NodeId, SimTime, TraceLog};
+use caex_net::{LabelCounts, NetConfig, NetStats, NodeId, SimTime};
 use caex_tree::Exception;
 use std::fmt;
 use std::sync::Arc;
@@ -61,8 +61,6 @@ pub struct RunReport {
     pub deadlocked: Vec<NodeId>,
     /// `true` if the run was stopped by the delivery limit.
     pub hit_delivery_limit: bool,
-    /// Full network trace (empty unless tracing was enabled).
-    pub trace: TraceLog,
     /// Protocol fan-outs by kind — the message count the §4.5 reliable
     /// multicast regime would need (each fan-out = one multicast, no
     /// ACKs).
@@ -589,8 +587,8 @@ impl Scenario {
 
     /// Like [`Scenario::run`], but streams typed [`caex_obs::ObsEvent`]s
     /// to `obs` while the protocol executes — the engine's structured
-    /// observability tap. The [`crate::ObsBridge`] translation layers on
-    /// top of (never replaces) the `TraceLog` and `RunReport`.
+    /// observability tap, and the one record of what each object did and
+    /// each message's send and receipt (`caex_obs::text` renders it).
     ///
     /// # Panics
     ///
@@ -609,7 +607,7 @@ impl Scenario {
         report.deadlocked = host.deadlocked();
         report.hit_delivery_limit = host.hit_delivery_limit;
         report.finished_at = host.net.now();
-        (report.stats, report.trace) = host.net.into_parts();
+        report.stats = host.net.into_stats();
         report
     }
 }

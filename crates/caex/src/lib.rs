@@ -85,7 +85,6 @@ pub mod obs;
 pub mod program;
 pub mod shard;
 pub mod thread_engine;
-pub mod timeline;
 pub mod workloads;
 
 mod effect;

@@ -653,6 +653,6 @@ fn run_shard(
         deadlocked: host.deadlocked(),
         hit_delivery_limit: host.hit_delivery_limit,
         folded: config.collect_flame.then(|| flame.folded()),
-        stats: host.net.into_parts().0,
+        stats: host.net.into_stats(),
     }
 }

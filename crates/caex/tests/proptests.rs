@@ -232,7 +232,9 @@ proptest! {
     }
 
     /// Codec round-trip: any protocol message survives encode/decode,
-    /// and the declared length is exact.
+    /// and the declared length is exact. An origin too long for its
+    /// `u16` length arrives as its longest prefix that fits, cut between
+    /// characters.
     #[test]
     fn codec_round_trip(
         tag in 0u8..5,
@@ -243,28 +245,41 @@ proptest! {
         origin in prop::option::of(".{0,40}"),
         detail in prop::option::of(".{0,40}"),
         with_exc in any::<bool>(),
+        // Below 12: an over-long origin of 2-, 3- or 4-byte characters
+        // behind 0..4 ASCII bytes, so byte 65 535 falls at every offset
+        // inside a character.
+        over_cap in 0usize..24,
     ) {
         use caex::{codec, Msg};
         use caex_action::ActionId;
         use caex_tree::Severity;
 
+        const CAP: usize = u16::MAX as usize;
         let mut e = Exception::new(ExceptionId::new(exc_id)).with_severity(
             match severity { 0 => Severity::Recoverable, 1 => Severity::Serious, _ => Severity::Fatal },
         );
         if let Some(o) = origin { e = e.with_origin(o); }
         if let Some(d) = detail { e = e.with_detail(d); }
+        let mut arrives = e.clone();
+        if over_cap < 12 {
+            let wide = ["é", "€", "𝄞"][over_cap / 4];
+            let long = "a".repeat(over_cap % 4) + &wide.repeat(CAP / wide.len() + 1);
+            arrives = arrives.with_origin(&long[..long.floor_char_boundary(CAP)]);
+            e = e.with_origin(long);
+        }
         let action = ActionId::new(action);
         let from = NodeId::new(from);
-        let msg = match tag {
-            0 => Msg::Exception { action, from, exc: e },
+        let build = |exc: Exception| match tag {
+            0 => Msg::Exception { action, from, exc },
             1 => Msg::HaveNested { from, action },
-            2 => Msg::NestedCompleted { action, from, exc: with_exc.then_some(e) },
+            2 => Msg::NestedCompleted { action, from, exc: with_exc.then_some(exc) },
             3 => Msg::Ack { from, action },
-            _ => Msg::Commit { action, from, exc: e },
+            _ => Msg::Commit { action, from, exc },
         };
+        let msg = build(e);
         let bytes = codec::encode(&msg);
         prop_assert_eq!(bytes.len(), codec::encoded_len(&msg));
-        prop_assert_eq!(codec::decode(&bytes).unwrap(), msg);
+        prop_assert_eq!(codec::decode(&bytes).unwrap(), build(arrives));
     }
 
     /// Message-count sanity: the executed count never exceeds the

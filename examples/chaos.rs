@@ -14,6 +14,7 @@
 use caex::explore::{verify_report, Expect};
 use caex::workloads;
 use caex_net::{FaultPlan, LatencyModel, NetConfig, NodeId, SimTime};
+use caex_obs::{text, Recorder};
 
 fn main() {
     let faults = FaultPlan::none()
@@ -35,13 +36,15 @@ fn main() {
             max: SimTime::from_micros(220),
         })
         .with_seed(1996)
-        .with_faults(faults)
-        .with_trace(true);
+        .with_faults(faults);
 
-    let report = workloads::general(5, 2, 1, config).run();
+    let mut recorder = Recorder::new();
+    let report = workloads::general(5, 2, 1, config)
+        .scenario
+        .run_observed(&mut recorder);
 
     println!("=== Chaos run: N=5, P=2 raisers, Q=1 nested ===\n");
-    print!("{}", report.trace.render_sequence_chart(5));
+    print!("{}", text::sequence_chart(&recorder.events));
 
     println!(
         "\nduplicated deliveries absorbed as stale: {}",

@@ -20,14 +20,16 @@
 
 use caex::{workloads, Note};
 use caex_net::{NetConfig, NodeId};
+use caex_obs::{text, ObsKind, Recorder};
 
 fn main() {
-    let (workload, ids) = workloads::example2(NetConfig::default().with_trace(true));
-    let report = workload.run();
+    let (workload, ids) = workloads::example2(NetConfig::default());
+    let mut recorder = Recorder::new();
+    let report = workload.scenario.run_observed(&mut recorder);
 
     println!("=== Example 2 (paper §4.3, Fig. 4) ===\n");
     println!("Full protocol trace:");
-    print!("{}", report.trace.render());
+    print!("{}", text::render(&recorder.events));
 
     println!("\nKey protocol moments:");
     for note in &report.notes {
@@ -68,8 +70,19 @@ fn main() {
         }
     }
 
-    println!("\nPer-object timelines:");
-    print!("{}", caex::timeline::render_timelines(&report));
+    println!("\nPer-object timelines (messages and state changes left out):");
+    for object in workload.participants {
+        let own = recorder.events.iter().filter(|e| {
+            e.object == object
+                && !matches!(
+                    e.kind,
+                    ObsKind::MessageSent { .. }
+                        | ObsKind::MessageReceived { .. }
+                        | ObsKind::StateTransition { .. }
+                )
+        });
+        print!("{}", text::render(own));
+    }
 
     let r = report.resolution_for(ids.a1).expect("resolution in A1");
     assert_eq!(r.resolver, NodeId::new(2), "O2 resolves (biggest raiser)");

@@ -120,8 +120,7 @@ fn main() {
                     min: SimTime::from_micros(80),
                     max: SimTime::from_micros(240),
                 })
-                .with_seed(42)
-                .with_trace(true),
+                .with_seed(42),
         )
         .enter_all_at(SimTime::ZERO, process)
         .enter_at(SimTime::from_micros(10), robot, press_op)

@@ -11,15 +11,17 @@
 
 use caex::workloads;
 use caex_net::{NetConfig, NodeId};
+use caex_obs::{text, Recorder};
 
 fn main() {
-    // Build the paper's Example 1 with full tracing enabled.
-    let (workload, ids) = workloads::example1(NetConfig::default().with_trace(true));
-    let report = workload.run();
+    // Build the paper's Example 1 and record its event stream.
+    let (workload, ids) = workloads::example1(NetConfig::default());
+    let mut recorder = Recorder::new();
+    let report = workload.scenario.run_observed(&mut recorder);
 
     println!("=== Example 1 (paper §4.3) ===\n");
-    println!("Message sequence chart (O1..O3 are columns 2..4; column 1 is unused):");
-    print!("{}", report.trace.render_sequence_chart(4));
+    println!("Message sequence chart (the objects are O1..O3; lifeline O0 is unused):");
+    print!("{}", text::sequence_chart(&recorder.events));
 
     let resolution = report
         .resolution_for(ids.a1)

@@ -5,7 +5,8 @@
 #    exits nonzero on deny-level findings;
 # 2. the observability battery runs the invariant watchdog and the live
 #    §4.4 message-law checks over every built-in workload on the real
-#    engines;
+#    engines, and the three examples that render the obs stream as text
+#    run to their own assertions (tier-1 only compiles them);
 # 3. the tables binary regenerates TABLES.md and BENCH_PR2.json,
 #    validating the bench document (laws + watchdog) before writing it;
 # 4. the checked-in BENCH_PR2.json is pinned against a live
@@ -67,6 +68,9 @@ cargo run -q -p caex-lint --bin caex-lint
 
 echo "== tier-2 [2/12]: obs watchdog + §4.4 laws over every built-in workload =="
 cargo test -q --test observability
+for example in quickstart nested_recovery chaos; do
+    cargo run -q --example "$example" > /dev/null
+done
 
 echo "== tier-2 [3/12]: regenerate TABLES.md and validated BENCH_PR2.json =="
 cargo run -q -p caex-bench --bin tables -- --out TABLES.md --bench-json BENCH_PR2.json \

@@ -2,68 +2,84 @@
 //! outcome, but the message-by-message narrative of §4.3.
 
 use caex::workloads;
-use caex_net::{NetConfig, NodeId, TraceEventKind};
+use caex_net::{NetConfig, NodeId, SimTime};
+use caex_obs::{text, ObsKind, Recorder};
+
+/// One `MessageSent` of the observed stream.
+struct Sent {
+    at: SimTime,
+    from: NodeId,
+    to: NodeId,
+    label: &'static str,
+}
+
+/// Runs `w` under a recorder: the report, and every send in stream order.
+fn observed(w: workloads::Workload) -> (caex::RunReport, Vec<Sent>) {
+    let mut recorder = Recorder::new();
+    let report = w.scenario.run_observed(&mut recorder);
+    let sends = recorder.events.iter().filter_map(|e| match e.kind {
+        ObsKind::MessageSent { kind: label, to } => {
+            Some(Sent { at: e.at, from: e.object, to, label })
+        }
+        _ => None,
+    });
+    (report, sends.collect())
+}
 
 /// Example 1's narrative, checked against the actual delivery trace.
 #[test]
 fn example1_trace_matches_narrative() {
-    let (w, ids) = workloads::example1(NetConfig::default().with_trace(true));
-    let report = w.run();
+    let (w, ids) = workloads::example1(NetConfig::default());
+    let (report, sends) = observed(w);
     let o1 = NodeId::new(1);
     let o2 = NodeId::new(2);
     let o3 = NodeId::new(3);
 
     // "O1: sends Exception to O2 and O3".
-    let o1_exceptions: Vec<_> = report
-        .trace
+    let o1_exceptions: Vec<_> = sends
         .iter()
-        .filter(|e| e.kind == TraceEventKind::Sent && e.label == "exception" && e.from == o1)
+        .filter(|e| e.label == "exception" && e.from == o1)
         .map(|e| e.to)
         .collect();
     assert_eq!(o1_exceptions, vec![o2, o3]);
 
     // "O2: sends Exception to O1 and O3".
-    let o2_exceptions: Vec<_> = report
-        .trace
+    let o2_exceptions: Vec<_> = sends
         .iter()
-        .filter(|e| e.kind == TraceEventKind::Sent && e.label == "exception" && e.from == o2)
+        .filter(|e| e.label == "exception" && e.from == o2)
         .map(|e| e.to)
         .collect();
     assert_eq!(o2_exceptions, vec![o1, o3]);
 
     // "O3: receives Exceptions from O1 and O2, sends ACKs for two
     // Exception messages to them."
-    let o3_acks: Vec<_> = report
-        .trace
+    let o3_acks: Vec<_> = sends
         .iter()
-        .filter(|e| e.kind == TraceEventKind::Sent && e.label == "ack" && e.from == o3)
+        .filter(|e| e.label == "ack" && e.from == o3)
         .map(|e| e.to)
         .collect();
     assert_eq!(o3_acks.len(), 2);
     assert!(o3_acks.contains(&o1) && o3_acks.contains(&o2));
 
     // "O2 ... sends Commit(E) to O1 and O3" — and only O2 commits.
-    let commit_senders: Vec<_> = report
-        .trace
+    let commit_senders: Vec<_> = sends
         .iter()
-        .filter(|e| e.kind == TraceEventKind::Sent && e.label == "commit")
+        .filter(|e| e.label == "commit")
         .map(|e| e.from)
         .collect();
     assert_eq!(commit_senders, vec![o2, o2]);
 
     // Commit is the last protocol activity: every commit send comes
     // after every exception send.
-    let last_exception_send = report
-        .trace
+    let last_exception_send = sends
         .iter()
-        .filter(|e| e.kind == TraceEventKind::Sent && e.label == "exception")
+        .filter(|e| e.label == "exception")
         .map(|e| e.at)
         .max()
         .unwrap();
-    let first_commit_send = report
-        .trace
+    let first_commit_send = sends
         .iter()
-        .filter(|e| e.kind == TraceEventKind::Sent && e.label == "commit")
+        .filter(|e| e.label == "commit")
         .map(|e| e.at)
         .min()
         .unwrap();
@@ -77,8 +93,8 @@ fn example1_trace_matches_narrative() {
 /// abortion signal, and O2's deferred ACK to O1.
 #[test]
 fn example2_trace_matches_narrative() {
-    let (w, ids) = workloads::example2(NetConfig::default().with_trace(true));
-    let report = w.run();
+    let (w, ids) = workloads::example2(NetConfig::default());
+    let (report, sends) = observed(w);
     let o1 = NodeId::new(1);
     let o2 = NodeId::new(2);
     let o3 = NodeId::new(3);
@@ -86,12 +102,9 @@ fn example2_trace_matches_narrative() {
 
     // "O2 ... has to send HaveNested to O1, O3 and O4."
     for (sender, peers) in [(o2, [o1, o3, o4]), (o3, [o1, o2, o4]), (o4, [o1, o2, o3])] {
-        let sent: Vec<_> = report
-            .trace
+        let sent: Vec<_> = sends
             .iter()
-            .filter(|e| {
-                e.kind == TraceEventKind::Sent && e.label == "have_nested" && e.from == sender
-            })
+            .filter(|e| e.label == "have_nested" && e.from == sender)
             .map(|e| e.to)
             .collect();
         assert_eq!(sent, peers.to_vec(), "HaveNested fan-out of {sender}");
@@ -99,33 +112,28 @@ fn example2_trace_matches_narrative() {
 
     // Each nested object sends NestedCompleted to the other three.
     for sender in [o2, o3, o4] {
-        let count = report
-            .trace
+        let count = sends
             .iter()
-            .filter(|e| {
-                e.kind == TraceEventKind::Sent && e.label == "nested_completed" && e.from == sender
-            })
+            .filter(|e| e.label == "nested_completed" && e.from == sender)
             .count();
         assert_eq!(count, 3, "NestedCompleted fan-out of {sender}");
     }
 
     // O1 raised but never sends HaveNested (it has no nested actions).
     assert_eq!(
-        report
-            .trace
+        sends
             .iter()
-            .filter(|e| e.kind == TraceEventKind::Sent && e.label == "have_nested" && e.from == o1)
+            .filter(|e| e.label == "have_nested" && e.from == o1)
             .count(),
         0
     );
 
     // FIFO discipline on the O2 -> O1 channel: HaveNested before
     // NestedCompleted before the (deferred) ACK.
-    let o2_to_o1: Vec<&str> = report
-        .trace
+    let o2_to_o1: Vec<&str> = sends
         .iter()
-        .filter(|e| e.kind == TraceEventKind::Sent && e.from == o2 && e.to == o1)
-        .map(|e| e.label.as_str())
+        .filter(|e| e.from == o2 && e.to == o1)
+        .map(|e| e.label)
         .collect();
     let hn = o2_to_o1.iter().position(|&l| l == "have_nested").unwrap();
     let nc = o2_to_o1
@@ -136,10 +144,9 @@ fn example2_trace_matches_narrative() {
     assert!(hn < nc && nc < ack, "order was {o2_to_o1:?}");
 
     // Only O2 commits, to its three peers.
-    let commits: Vec<_> = report
-        .trace
+    let commits: Vec<_> = sends
         .iter()
-        .filter(|e| e.kind == TraceEventKind::Sent && e.label == "commit")
+        .filter(|e| e.label == "commit")
         .map(|e| (e.from, e.to))
         .collect();
     assert_eq!(commits.len(), 3);
@@ -234,8 +241,10 @@ fn example1_counts_hold_under_jitter() {
 #[test]
 fn example_traces_are_reproducible() {
     let render = || {
-        let (w, _) = workloads::example2(NetConfig::default().with_seed(5).with_trace(true));
-        w.run().trace.render()
+        let (w, _) = workloads::example2(NetConfig::default().with_seed(5));
+        let mut recorder = Recorder::new();
+        let _ = w.scenario.run_observed(&mut recorder);
+        text::render(&recorder.events)
     };
     assert_eq!(render(), render());
 }
