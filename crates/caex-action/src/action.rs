@@ -2,7 +2,6 @@
 
 use caex_net::NodeId;
 use caex_tree::{ExceptionId, ExceptionTree};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// let a1 = ActionId::new(1);
 /// assert_eq!(a1.to_string(), "A1");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActionId(u32);
 
 impl ActionId {

@@ -35,12 +35,11 @@
 //! ```
 
 use crate::ActionError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a transaction within one [`Store`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(u64);
 
 impl fmt::Display for TxnId {
@@ -50,7 +49,7 @@ impl fmt::Display for TxnId {
 }
 
 /// Identifier of an atomic object within one [`Store`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(u32);
 
 impl fmt::Display for ObjectId {

@@ -8,11 +8,10 @@
 //! when a raiser's messages are lost).
 
 use crate::{NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A fault the plan injected into a concrete message or node, counted
 /// per kind in [`NetStats`](crate::NetStats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultEvent {
     /// The message was silently dropped.
@@ -70,13 +69,12 @@ impl FaultEvent {
 ///     .with_crash(NodeId::new(2), SimTime::from_millis(10));
 /// assert!(plan.crashes_at(NodeId::new(2)).is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     drop_probability: f64,
     duplicate_probability: f64,
     crashes: Vec<(NodeId, SimTime)>,
     partitions: Vec<Partition>,
-    #[serde(default)]
     healing_partitions: Vec<Partition>,
     slowdowns: Vec<Slowdown>,
     reorder_probability: f64,
@@ -88,7 +86,7 @@ pub struct FaultPlan {
 /// A per-node clock freeze: deliveries *to* the node that would land
 /// inside the window are deferred to its end, as if the process were
 /// SIGSTOP-ped and resumed — it then sees a burst of stale traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Freeze {
     node: NodeId,
     from: SimTime,
@@ -100,7 +98,7 @@ pub struct Freeze {
 /// `[down_from, up_at)` and resumes afterwards with whatever state it
 /// had — the simulator's "zombie" returning after the failure detector
 /// already reported it dead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Restart {
     node: NodeId,
     down_from: SimTime,
@@ -110,7 +108,7 @@ pub struct Restart {
 /// A transient network degradation: latencies are multiplied while the
 /// window is active (congestion, rerouting — the paper's "transient
 /// errors … of the communication network", §2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slowdown {
     factor: u32,
     from: SimTime,
@@ -119,7 +117,7 @@ pub struct Slowdown {
 
 /// A transient network partition: messages between `group` and the
 /// rest of the network are dropped while the window is active.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     group: Vec<NodeId>,
     from: SimTime,

@@ -9,7 +9,6 @@
 //! only when an address is new, and the labels are sorted only when
 //! something reads them.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// `label → count`, for a small set of static labels.
@@ -32,7 +31,7 @@ use std::collections::BTreeMap;
 /// assert_eq!(sent.total(), 3);
 /// assert_eq!(sent.sorted(), vec![("ack", 1), ("exception", 2)]);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LabelCounts {
     /// First-seen order; at most a few dozen entries.
     entries: Vec<(&'static str, u64)>,

@@ -2,7 +2,6 @@
 
 use crate::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How long a message spends in flight between two nodes.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let d = model.sample(&mut rng);
 /// assert!(d >= SimTime::from_micros(50) && d <= SimTime::from_micros(150));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(SimTime),

@@ -80,15 +80,6 @@ pub trait Kinded {
     /// A short static label naming this payload's message type.
     fn kind(&self) -> &'static str;
 
-    /// The payload's size on the wire in bytes, used by bandwidth-
-    /// limited links ([`NetConfig::with_bandwidth`]) to charge
-    /// serialization delay. The default is a nominal small-message
-    /// size; protocol crates override it with their real encoding
-    /// (§2.1: channels have "relatively narrow bandwidth").
-    fn wire_len(&self) -> usize {
-        16
-    }
-
     /// The index of the action this payload belongs to, if any — used
     /// by [`NetStats`] to break counters down per action when many
     /// actions multiplex one network. The default (`None`) keeps

@@ -1,6 +1,5 @@
 //! Node identity.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node (a participating object's location) in a network.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert!(o2 > o1); // O2 wins resolver election over O1
 /// assert_eq!(o1.index(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {

@@ -32,11 +32,6 @@ pub struct NetConfig {
     /// on FIFO (the resolution algorithm does) may then misbehave —
     /// that is the point of the ablation.
     pub fifo: bool,
-    /// Link bandwidth in bytes per millisecond; `None` = unlimited.
-    /// When set, each message adds `wire_len / bandwidth` of
-    /// serialization delay on top of the latency model (§2.1's
-    /// "relatively narrow bandwidth communication channels").
-    pub bandwidth_bytes_per_ms: Option<u64>,
     /// Per-ordered-pair latency overrides (heterogeneous topologies:
     /// a WAN link between two LAN clusters, one slow node, …); pairs
     /// not listed use [`Self::latency`].
@@ -50,7 +45,6 @@ impl Default for NetConfig {
             faults: FaultPlan::none(),
             seed: 0,
             fifo: true,
-            bandwidth_bytes_per_ms: None,
             link_latency: Vec::new(),
         }
     }
@@ -83,19 +77,6 @@ impl NetConfig {
     #[must_use]
     pub fn with_fifo(mut self, fifo: bool) -> Self {
         self.fifo = fifo;
-        self
-    }
-
-    /// Limits link bandwidth (bytes per millisecond); each message then
-    /// pays `wire_len / bandwidth` of serialization delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_ms` is zero.
-    #[must_use]
-    pub fn with_bandwidth(mut self, bytes_per_ms: u64) -> Self {
-        assert!(bytes_per_ms > 0, "bandwidth must be positive");
-        self.bandwidth_bytes_per_ms = Some(bytes_per_ms);
         self
     }
 
@@ -466,13 +447,6 @@ impl<M: Kinded + Clone> SimNet<M> {
             latency = SimTime::from_micros(latency.as_micros().saturating_mul(slowdown));
         }
         let mut at = self.now + latency;
-        if let Some(bandwidth) = self.config.bandwidth_bytes_per_ms {
-            // Serialization delay: micros = bytes * 1000 / (bytes/ms).
-            // Only a bandwidth-limited link walks the payload for its
-            // encoded length.
-            let micros = (payload.wire_len() as u64 * 1_000).div_ceil(bandwidth);
-            at += SimTime::from_micros(micros);
-        }
         // Healing partition: a send crossing the boundary is buffered
         // by the transport and retransmitted when the partition heals —
         // deferred, not dropped. Applied before the FIFO clamp so later
@@ -896,33 +870,6 @@ mod tests {
         n.send(NodeId::new(0), NodeId::new(1), "fast");
         let d = n.next_delivery().unwrap();
         assert_eq!(d.at, SimTime::from_micros(600));
-    }
-
-    #[test]
-    fn bandwidth_adds_serialization_delay() {
-        // 16-byte default payload at 1 byte/ms = 16ms extra.
-        let config = NetConfig::default()
-            .with_latency(LatencyModel::Constant(SimTime::from_micros(100)))
-            .with_bandwidth(1);
-        let mut n: SimNet<&'static str> = SimNet::new(config, 2);
-        n.send(NodeId::new(0), NodeId::new(1), "x");
-        let d = n.next_delivery().unwrap();
-        assert_eq!(d.at, SimTime::from_micros(100) + SimTime::from_millis(16));
-    }
-
-    #[test]
-    fn unlimited_bandwidth_charges_nothing() {
-        let config =
-            NetConfig::default().with_latency(LatencyModel::Constant(SimTime::from_micros(100)));
-        let mut n: SimNet<&'static str> = SimNet::new(config, 2);
-        n.send(NodeId::new(0), NodeId::new(1), "x");
-        assert_eq!(n.next_delivery().unwrap().at, SimTime::from_micros(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn zero_bandwidth_rejected() {
-        let _ = NetConfig::default().with_bandwidth(0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Per-kind message statistics.
 
 use crate::{IdMap, LabelCounts, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -24,7 +23,7 @@ use std::fmt;
 /// assert_eq!(stats.sent_of_kind("exception"), 1);
 /// assert_eq!(stats.delivered_total(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
     sent: LabelCounts,
     delivered: LabelCounts,
@@ -34,22 +33,19 @@ pub struct NetStats {
     max_in_flight: usize,
     /// Injected faults per fault kind (see
     /// [`FaultEvent::label`](crate::FaultEvent::label)).
-    #[serde(default)]
     faults: LabelCounts,
     /// Recovery actions per kind (`"reconnect"`, `"suspicion_flap"`,
     /// `"replayed_frame"`, …) — the transport surviving a fault rather
     /// than suffering one.
-    #[serde(default)]
     recovery: LabelCounts,
     /// Per-action counters, keyed by action index, for networks shared
     /// by a fleet of actions (see [`Kinded::action_index`](crate::Kinded::action_index)).
     /// Unordered: [`Self::actions_seen`] sorts at read time.
-    #[serde(default)]
     per_action: IdMap<u32, ActionCounters>,
 }
 
 /// Send/delivery/drop counters for one action sharing a network.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActionCounters {
     /// Messages sent on behalf of this action.
     pub sent: u64,

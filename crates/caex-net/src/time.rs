@@ -1,6 +1,5 @@
 //! Virtual time for the discrete-event simulator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -20,9 +19,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.as_micros(), 150);
 /// assert_eq!(t - SimTime::from_micros(50), SimTime::from_micros(100));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -1,9 +1,7 @@
 //! A minimal, dependency-free JSON document model with a writer and a
 //! recursive-descent parser.
 //!
-//! The vendored `serde` shim is a compile-time marker only (the build
-//! environment has no registry access, see the workspace manifest), so
-//! every JSON artifact this crate produces — JSONL logs, Chrome
+//! Every JSON artifact this crate produces — JSONL logs, Chrome
 //! traces, metric snapshots, `BENCH_PR2.json` — goes through this
 //! module. Objects keep insertion order, which keeps output
 //! deterministic and diffs stable.

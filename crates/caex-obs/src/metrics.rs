@@ -7,7 +7,6 @@ use crate::json::{self, JsonValue};
 use caex_action::ActionId;
 use caex_net::{IdMap, LabelCounts, NodeId, SimTime};
 use caex_tree::ExceptionId;
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -167,7 +166,7 @@ impl Histogram {
 }
 
 /// Plain-data form of a [`Histogram`] for snapshots.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Inclusive upper bounds (ascending).
     pub bounds: Vec<u64>,
@@ -186,7 +185,7 @@ pub struct HistogramSnapshot {
 }
 
 /// Per-resolution-round metrics, finalized at end of run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolutionMetrics {
     /// The action the round ran in.
     pub action: ActionId,
@@ -547,7 +546,7 @@ impl Observer for MetricsRegistry {
 
 /// Plain-data snapshot of a [`MetricsRegistry`], JSON round-trippable
 /// via [`MetricsSnapshot::to_json`] / [`MetricsSnapshot::from_json`].
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Events per kind label.
     pub events_total: Vec<(String, u64)>,

@@ -1,6 +1,5 @@
 //! Identity of an exception class within a tree.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an exception class inside one [`ExceptionTree`].
@@ -24,7 +23,7 @@ use std::fmt;
 /// assert!(!id.is_root());
 /// assert!(ExceptionId::ROOT.is_root());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExceptionId(u32);
 
 impl ExceptionId {

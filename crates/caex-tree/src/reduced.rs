@@ -11,7 +11,6 @@
 //! to reproduce the CR baseline and the §3.3 analysis.
 
 use crate::{ExceptionId, ExceptionTree, TreeError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A participant's subset of the action's exceptions for which it has
@@ -40,7 +39,7 @@ use std::collections::BTreeSet;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReducedTree {
     handled: BTreeSet<ExceptionId>,
 }

@@ -1,7 +1,6 @@
 //! Resolution of a set of concurrently raised exceptions.
 
 use crate::{Exception, ExceptionId, ExceptionTree, TreeError};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of resolving a set of concurrently raised exceptions.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resolution {
     resolved: ExceptionId,
     raised: Vec<ExceptionId>,

@@ -1,7 +1,6 @@
 //! The exception tree: a rooted hierarchy imposing the resolution order.
 
 use crate::{ExceptionId, TreeError};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -32,7 +31,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExceptionTree {
     /// `parent[i]` is the parent of node `i`; the root stores itself.
     parent: Vec<u32>,

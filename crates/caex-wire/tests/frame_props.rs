@@ -2,14 +2,17 @@
 //! messages round-trip bit-exactly; random corruption — flipped bytes,
 //! truncation at every cut, bogus versions, hostile length prefixes,
 //! raw byte soup — fails *cleanly*, never panics, never allocates from
-//! an attacker-controlled length.
+//! an attacker-controlled length. Two plain tests hold what a round
+//! trip cannot see: the bytes themselves (a table of frames in hex) and
+//! a non-canonical payload under a *valid* CRC.
 
 use caex::Msg;
 use caex_action::ActionId;
 use caex_net::NodeId;
 use caex_tree::{Exception, ExceptionId, Severity};
+use caex::codec::{self, CodecError};
 use caex_wire::frame::{
-    decode_frame, encode_frame, read_frame, Frame, FrameError, MAX_PAYLOAD, VERSION,
+    crc32, decode_frame, encode_frame, read_frame, Frame, FrameError, MAX_PAYLOAD, VERSION,
 };
 use proptest::prelude::*;
 
@@ -234,6 +237,98 @@ proptest! {
                 Err(FrameError::Truncated) => {}
                 other => prop_assert!(false, "expected Truncated at tail, got {other:?}"),
             }
+        }
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The wire format, byte for byte. Every other test here passes if the
+/// encoder and the decoder change together; this one does not. A row
+/// changes only with `frame::VERSION`.
+#[test]
+fn the_bytes_on_the_wire_are_pinned() {
+    let (action, from) = (ActionId::new(2), NodeId::new(1));
+    let bare = Exception::new(ExceptionId::new(7));
+    let rich = Exception::new(ExceptionId::new(8))
+        .with_severity(Severity::Fatal)
+        .with_origin("O1")
+        .with_detail("é!");
+    assert_eq!(VERSION, 3);
+    assert_eq!(
+        hex(&encode_frame(&Frame::Hello { id: NodeId::new(3), incarnation: 2 })),
+        "0301080000000110a4410300000002000000"
+    );
+    assert_eq!(hex(&encode_frame(&Frame::Heartbeat)), "03020000000000000000");
+    // (message, codec::encoded_len, the frame around it from node 1 at 12 345 µs)
+    let table = [
+        (
+            Msg::Exception { action, from, exc: rich },
+            25,
+            "030425000000a24965f901000000393000000000000001020000000100000008000000020102004f31010300c3a921",
+        ),
+        (
+            Msg::HaveNested { from, action },
+            9,
+            "0304150000003fccd73f010000003930000000000000020100000002000000",
+        ),
+        (
+            Msg::NestedCompleted { action, from, exc: None },
+            10,
+            "0304160000005738b4f501000000393000000000000003020000000100000000",
+        ),
+        (
+            Msg::NestedCompleted { action, from, exc: Some(bare.clone()) },
+            17,
+            "03041d000000d6fbc5ce0100000039300000000000000302000000010000000107000000000000",
+        ),
+        (
+            Msg::Ack { from, action },
+            9,
+            "030415000000b5b5cd4c010000003930000000000000040100000002000000",
+        ),
+        (
+            Msg::Commit { action, from, exc: bare },
+            16,
+            "03041c0000003755318601000000393000000000000005020000000100000007000000000000",
+        ),
+        (
+            Msg::LeaveReady { from, action },
+            9,
+            "030415000000339d3b62010000003930000000000000060100000002000000",
+        ),
+    ];
+    for (msg, len, wire) in table {
+        assert_eq!(codec::encoded_len(&msg), len, "{msg}");
+        let frame = Frame::Msg { from: NodeId::new(1), sent_us: 12_345, msg };
+        assert_eq!(hex(&encode_frame(&frame)), wire, "{frame:?}");
+    }
+}
+
+/// The CRC shields the decoder from byte soup, not from a sender that
+/// computes it over a non-canonical payload: a presence flag of `2`
+/// read as "present" would re-encode as `1`.
+#[test]
+fn a_presence_flag_of_2_under_a_valid_crc_is_rejected() {
+    let msg = Msg::NestedCompleted {
+        action: ActionId::new(2),
+        from: NodeId::new(1),
+        exc: Some(Exception::new(ExceptionId::new(7)).with_origin("O1")),
+    };
+    let good = encode_frame(&Frame::Msg { from: NodeId::new(1), sent_us: 0, msg });
+    // header 10, from + sent_us 12, tag + two ids 9, then the flag; the
+    // exception's id and severity put origin's flag 5 bytes further on.
+    for flag_at in [31, 37] {
+        let mut bytes = good.clone();
+        assert_eq!(bytes[flag_at], 1);
+        bytes[flag_at] = 2;
+        let crc = crc32(&bytes[10..]);
+        bytes[6..10].copy_from_slice(&crc.to_le_bytes());
+        match decode_frame(&bytes) {
+            Err(FrameError::Codec(CodecError::BadFlag(2))) => {}
+            other => panic!("flag 2 at byte {flag_at}: {other:?}"),
         }
     }
 }

@@ -3,9 +3,10 @@
 //! The paper stresses that distributed objects "must communicate by the
 //! exchange of messages over relatively narrow bandwidth communication
 //! channels" (§2.1), so the *byte* volume of the protocol matters as
-//! well as the message count. This module defines the wire encoding the
-//! threaded transport would put on a real network and lets the harness
-//! report byte volumes per §4.4 workload.
+//! well as the message count. This module is the one place a protocol
+//! message becomes bytes: `caex-wire` frames what [`encode_into`]
+//! writes, and the harness reports byte volumes per §4.4 workload from
+//! [`encoded_len`].
 //!
 //! Layout (all integers little-endian):
 //!
@@ -19,6 +20,9 @@
 //! exception := id:u32 severity:u8 origin:opt_str detail:opt_str
 //! opt_str   := 0:u8 | 1:u8 len:u16 utf8-bytes
 //! ```
+//!
+//! The encoding is canonical: a presence flag is `0` or `1` and nothing
+//! else, so whatever [`decode`] accepts re-encodes to the bytes it read.
 //!
 //! # Examples
 //!
@@ -40,7 +44,6 @@
 //! ```
 
 use crate::Msg;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use caex_action::ActionId;
 use caex_net::NodeId;
 use caex_tree::{Exception, ExceptionId, Severity};
@@ -57,6 +60,8 @@ pub enum CodecError {
     BadTag(u8),
     /// An unknown severity byte.
     BadSeverity(u8),
+    /// A presence flag other than `0` or `1`.
+    BadFlag(u8),
     /// A string field was not valid UTF-8.
     BadUtf8,
     /// Trailing bytes followed a complete message.
@@ -69,6 +74,7 @@ impl fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "message truncated"),
             CodecError::BadTag(t) => write!(f, "unknown message tag {t}"),
             CodecError::BadSeverity(s) => write!(f, "unknown severity byte {s}"),
+            CodecError::BadFlag(b) => write!(f, "presence flag {b} is neither 0 nor 1"),
             CodecError::BadUtf8 => write!(f, "string field is not valid utf-8"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
         }
@@ -90,14 +96,18 @@ fn capped(s: &str) -> &str {
     &s[..s.floor_char_boundary(u16::MAX as usize)]
 }
 
-fn put_opt_str(buf: &mut BytesMut, s: Option<&str>) {
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
     match s {
-        None => buf.put_u8(0),
+        None => out.push(0),
         Some(s) => {
-            buf.put_u8(1);
             let bytes = capped(s).as_bytes();
-            buf.put_u16_le(bytes.len() as u16);
-            buf.put_slice(bytes);
+            out.push(1);
+            out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+            out.extend_from_slice(bytes);
         }
     }
 }
@@ -109,67 +119,65 @@ fn opt_str_len(s: Option<&str>) -> usize {
     }
 }
 
-fn put_exception(buf: &mut BytesMut, exc: &Exception) {
-    buf.put_u32_le(exc.id().index());
-    buf.put_u8(match exc.severity() {
+fn put_exception(out: &mut Vec<u8>, exc: &Exception) {
+    put_u32(out, exc.id().index());
+    out.push(match exc.severity() {
         Severity::Recoverable => 0,
         Severity::Serious => 1,
         Severity::Fatal => 2,
     });
-    put_opt_str(buf, exc.origin());
-    put_opt_str(buf, exc.detail());
+    put_opt_str(out, exc.origin());
+    put_opt_str(out, exc.detail());
 }
 
 fn exception_len(exc: &Exception) -> usize {
     4 + 1 + opt_str_len(exc.origin()) + opt_str_len(exc.detail())
 }
 
-/// Encodes a message into a freshly allocated buffer.
-#[must_use]
-pub fn encode(msg: &Msg) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_len(msg));
+/// The part every message starts with: its tag and two ids, in the
+/// order the layout table gives for that tag.
+fn put_head(out: &mut Vec<u8>, tag: u8, first: u32, second: u32) {
+    out.push(tag);
+    put_u32(out, first);
+    put_u32(out, second);
+}
+
+/// Appends the encoding of `msg` to `out`: exactly [`encoded_len`]
+/// bytes, for which the caller has sized `out` if it wants one
+/// allocation.
+pub fn encode_into(msg: &Msg, out: &mut Vec<u8>) {
     match msg {
         Msg::Exception { action, from, exc } => {
-            buf.put_u8(TAG_EXCEPTION);
-            buf.put_u32_le(action.index());
-            buf.put_u32_le(from.index());
-            put_exception(&mut buf, exc);
+            put_head(out, TAG_EXCEPTION, action.index(), from.index());
+            put_exception(out, exc);
         }
         Msg::HaveNested { from, action } => {
-            buf.put_u8(TAG_HAVE_NESTED);
-            buf.put_u32_le(from.index());
-            buf.put_u32_le(action.index());
+            put_head(out, TAG_HAVE_NESTED, from.index(), action.index());
         }
         Msg::NestedCompleted { action, from, exc } => {
-            buf.put_u8(TAG_NESTED_COMPLETED);
-            buf.put_u32_le(action.index());
-            buf.put_u32_le(from.index());
-            match exc {
-                None => buf.put_u8(0),
-                Some(exc) => {
-                    buf.put_u8(1);
-                    put_exception(&mut buf, exc);
-                }
+            put_head(out, TAG_NESTED_COMPLETED, action.index(), from.index());
+            out.push(u8::from(exc.is_some()));
+            if let Some(exc) = exc {
+                put_exception(out, exc);
             }
         }
-        Msg::Ack { from, action } => {
-            buf.put_u8(TAG_ACK);
-            buf.put_u32_le(from.index());
-            buf.put_u32_le(action.index());
-        }
+        Msg::Ack { from, action } => put_head(out, TAG_ACK, from.index(), action.index()),
         Msg::Commit { action, from, exc } => {
-            buf.put_u8(TAG_COMMIT);
-            buf.put_u32_le(action.index());
-            buf.put_u32_le(from.index());
-            put_exception(&mut buf, exc);
+            put_head(out, TAG_COMMIT, action.index(), from.index());
+            put_exception(out, exc);
         }
         Msg::LeaveReady { from, action } => {
-            buf.put_u8(TAG_LEAVE_READY);
-            buf.put_u32_le(from.index());
-            buf.put_u32_le(action.index());
+            put_head(out, TAG_LEAVE_READY, from.index(), action.index());
         }
     }
-    buf.freeze()
+}
+
+/// Encodes a message into a freshly allocated buffer.
+#[must_use]
+pub fn encode(msg: &Msg) -> Vec<u8> {
+    let mut out = Vec::with_capacity(encoded_len(msg));
+    encode_into(msg, &mut out);
+    out
 }
 
 /// Exact size [`encode`] will produce for this message.
@@ -183,49 +191,69 @@ pub fn encoded_len(msg: &Msg) -> usize {
     }
 }
 
-fn get_opt_str(buf: &mut Bytes) -> Result<Option<String>, CodecError> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
+/// The unread rest of a buffer. Every read goes through [`Reader::take`],
+/// the one bounds check of the decoder.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(CodecError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
     }
-    match buf.get_u8() {
-        0 => Ok(None),
-        _ => {
-            if buf.remaining() < 2 {
-                return Err(CodecError::Truncated);
-            }
-            let len = buf.get_u16_le() as usize;
-            if buf.remaining() < len {
-                return Err(CodecError::Truncated);
-            }
-            let raw = buf.copy_to_bytes(len);
-            String::from_utf8(raw.to_vec())
-                .map(Some)
-                .map_err(|_| CodecError::BadUtf8)
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("take(N) is N bytes"))
+    }
+
+    fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, CodecError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, CodecError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A presence flag: `0` or `1`, so that decoding stays canonical.
+    fn flag(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CodecError::BadFlag(other)),
         }
     }
-}
 
-fn get_exception(buf: &mut Bytes) -> Result<Exception, CodecError> {
-    if buf.remaining() < 5 {
-        return Err(CodecError::Truncated);
+    fn opt_str(&mut self) -> Result<Option<&'a str>, CodecError> {
+        if !self.flag()? {
+            return Ok(None);
+        }
+        let len = usize::from(self.u16()?);
+        std::str::from_utf8(self.take(len)?)
+            .map(Some)
+            .map_err(|_| CodecError::BadUtf8)
     }
-    let id = ExceptionId::new(buf.get_u32_le());
-    let severity = match buf.get_u8() {
-        0 => Severity::Recoverable,
-        1 => Severity::Serious,
-        2 => Severity::Fatal,
-        other => return Err(CodecError::BadSeverity(other)),
-    };
-    let origin = get_opt_str(buf)?;
-    let detail = get_opt_str(buf)?;
-    let mut exc = Exception::new(id).with_severity(severity);
-    if let Some(origin) = origin {
-        exc = exc.with_origin(origin);
+
+    fn exception(&mut self) -> Result<Exception, CodecError> {
+        let id = ExceptionId::new(self.u32()?);
+        let severity = match self.u8()? {
+            0 => Severity::Recoverable,
+            1 => Severity::Serious,
+            2 => Severity::Fatal,
+            other => return Err(CodecError::BadSeverity(other)),
+        };
+        let mut exc = Exception::new(id).with_severity(severity);
+        if let Some(origin) = self.opt_str()? {
+            exc = exc.with_origin(origin);
+        }
+        if let Some(detail) = self.opt_str()? {
+            exc = exc.with_detail(detail);
+        }
+        Ok(exc)
     }
-    if let Some(detail) = detail {
-        exc = exc.with_detail(detail);
-    }
-    Ok(exc)
 }
 
 /// Decodes one message, requiring the buffer to contain exactly one.
@@ -234,64 +262,45 @@ fn get_exception(buf: &mut Bytes) -> Result<Exception, CodecError> {
 ///
 /// Any [`CodecError`] variant, including [`CodecError::TrailingBytes`]
 /// when the buffer holds more than one message.
-pub fn decode(bytes: &Bytes) -> Result<Msg, CodecError> {
-    let mut buf = bytes.clone();
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    let tag = buf.get_u8();
-    let need_u32 = |buf: &mut Bytes| -> Result<u32, CodecError> {
-        if buf.remaining() < 4 {
-            Err(CodecError::Truncated)
-        } else {
-            Ok(buf.get_u32_le())
-        }
-    };
-    let msg = match tag {
-        TAG_EXCEPTION => {
-            let action = ActionId::new(need_u32(&mut buf)?);
-            let from = NodeId::new(need_u32(&mut buf)?);
-            let exc = get_exception(&mut buf)?;
-            Msg::Exception { action, from, exc }
-        }
-        TAG_HAVE_NESTED => {
-            let from = NodeId::new(need_u32(&mut buf)?);
-            let action = ActionId::new(need_u32(&mut buf)?);
-            Msg::HaveNested { from, action }
-        }
-        TAG_NESTED_COMPLETED => {
-            let action = ActionId::new(need_u32(&mut buf)?);
-            let from = NodeId::new(need_u32(&mut buf)?);
-            if buf.remaining() < 1 {
-                return Err(CodecError::Truncated);
-            }
-            let exc = if buf.get_u8() == 0 {
-                None
+pub fn decode(bytes: &[u8]) -> Result<Msg, CodecError> {
+    let mut r = Reader(bytes);
+    // Fields are read in the order written here, which is the layout's.
+    let msg = match r.u8()? {
+        TAG_EXCEPTION => Msg::Exception {
+            action: ActionId::new(r.u32()?),
+            from: NodeId::new(r.u32()?),
+            exc: r.exception()?,
+        },
+        TAG_HAVE_NESTED => Msg::HaveNested {
+            from: NodeId::new(r.u32()?),
+            action: ActionId::new(r.u32()?),
+        },
+        TAG_NESTED_COMPLETED => Msg::NestedCompleted {
+            action: ActionId::new(r.u32()?),
+            from: NodeId::new(r.u32()?),
+            exc: if r.flag()? {
+                Some(r.exception()?)
             } else {
-                Some(get_exception(&mut buf)?)
-            };
-            Msg::NestedCompleted { action, from, exc }
-        }
-        TAG_ACK => {
-            let from = NodeId::new(need_u32(&mut buf)?);
-            let action = ActionId::new(need_u32(&mut buf)?);
-            Msg::Ack { from, action }
-        }
-        TAG_COMMIT => {
-            let action = ActionId::new(need_u32(&mut buf)?);
-            let from = NodeId::new(need_u32(&mut buf)?);
-            let exc = get_exception(&mut buf)?;
-            Msg::Commit { action, from, exc }
-        }
-        TAG_LEAVE_READY => {
-            let from = NodeId::new(need_u32(&mut buf)?);
-            let action = ActionId::new(need_u32(&mut buf)?);
-            Msg::LeaveReady { from, action }
-        }
+                None
+            },
+        },
+        TAG_ACK => Msg::Ack {
+            from: NodeId::new(r.u32()?),
+            action: ActionId::new(r.u32()?),
+        },
+        TAG_COMMIT => Msg::Commit {
+            action: ActionId::new(r.u32()?),
+            from: NodeId::new(r.u32()?),
+            exc: r.exception()?,
+        },
+        TAG_LEAVE_READY => Msg::LeaveReady {
+            from: NodeId::new(r.u32()?),
+            action: ActionId::new(r.u32()?),
+        },
         other => return Err(CodecError::BadTag(other)),
     };
-    if buf.has_remaining() {
-        return Err(CodecError::TrailingBytes(buf.remaining()));
+    if !r.0.is_empty() {
+        return Err(CodecError::TrailingBytes(r.0.len()));
     }
     Ok(msg)
 }
@@ -372,9 +381,9 @@ mod tests {
         for msg in samples() {
             let bytes = encode(&msg);
             for cut in 0..bytes.len() {
-                let prefix = bytes.slice(0..cut);
-                assert!(
-                    decode(&prefix).is_err(),
+                assert_eq!(
+                    decode(&bytes[..cut]),
+                    Err(CodecError::Truncated),
                     "{msg} decoded from {cut}/{} bytes",
                     bytes.len()
                 );
@@ -384,48 +393,63 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let msg = Msg::Ack {
+        let mut extended = encode(&Msg::Ack {
             from: NodeId::new(1),
             action: ActionId::new(1),
-        };
-        let mut extended = BytesMut::from(&encode(&msg)[..]);
-        extended.put_u8(0xFF);
-        assert_eq!(
-            decode(&extended.freeze()),
-            Err(CodecError::TrailingBytes(1))
-        );
+        });
+        extended.push(0xFF);
+        assert_eq!(decode(&extended), Err(CodecError::TrailingBytes(1)));
+    }
+
+    /// `Commit` for action 0 from node 2 with exception 1, up to and
+    /// including the severity byte.
+    fn commit_up_to_severity(severity: u8) -> Vec<u8> {
+        let mut buf = vec![TAG_COMMIT];
+        put_u32(&mut buf, 0); // action
+        put_u32(&mut buf, 2); // from
+        put_u32(&mut buf, 1); // exception id
+        buf.push(severity);
+        buf
     }
 
     #[test]
     fn bad_tag_and_severity_are_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(99);
-        assert_eq!(decode(&buf.freeze()), Err(CodecError::BadTag(99)));
+        assert_eq!(decode(&[99]), Err(CodecError::BadTag(99)));
+        assert_eq!(decode(&[0]), Err(CodecError::BadTag(0)));
 
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_COMMIT);
-        buf.put_u32_le(0); // action
-        buf.put_u32_le(0); // from
-        buf.put_u32_le(0); // exception id
-        buf.put_u8(7); // bad severity
-        buf.put_u8(0);
-        buf.put_u8(0);
-        assert_eq!(decode(&buf.freeze()), Err(CodecError::BadSeverity(7)));
+        let mut buf = commit_up_to_severity(7);
+        buf.extend_from_slice(&[0, 0]);
+        assert_eq!(decode(&buf), Err(CodecError::BadSeverity(7)));
     }
 
     #[test]
     fn bad_utf8_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_COMMIT);
-        buf.put_u32_le(0); // action
-        buf.put_u32_le(2); // from
-        buf.put_u32_le(1); // exception id
-        buf.put_u8(0); // severity
-        buf.put_u8(1); // origin present
-        buf.put_u16_le(2);
-        buf.put_slice(&[0xFF, 0xFE]); // invalid utf-8
-        buf.put_u8(0); // no detail
-        assert_eq!(decode(&buf.freeze()), Err(CodecError::BadUtf8));
+        let mut buf = commit_up_to_severity(0);
+        buf.push(1); // origin present
+        buf.extend_from_slice(&2u16.to_le_bytes());
+        buf.extend_from_slice(&[0xFF, 0xFE]); // invalid utf-8
+        buf.push(0); // no detail
+        assert_eq!(decode(&buf), Err(CodecError::BadUtf8));
+    }
+
+    #[test]
+    fn presence_flags_other_than_0_and_1_are_rejected() {
+        // A string's presence byte.
+        let mut buf = commit_up_to_severity(0);
+        buf.extend_from_slice(&[2, 0, 0, 0]); // "origin, 0 bytes long" under flag 2, no detail
+        assert_eq!(decode(&buf), Err(CodecError::BadFlag(2)));
+        buf[14] = 1;
+        assert!(decode(&buf).is_ok(), "the same bytes under flag 1 decode");
+
+        // `NestedCompleted`'s exception flag.
+        let mut buf = encode(&Msg::NestedCompleted {
+            action: ActionId::new(3),
+            from: NodeId::new(2),
+            exc: Some(Exception::new(ExceptionId::new(7))),
+        });
+        assert_eq!(buf[9], 1);
+        buf[9] = 0xFF;
+        assert_eq!(decode(&buf), Err(CodecError::BadFlag(0xFF)));
     }
 
     #[test]

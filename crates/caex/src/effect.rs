@@ -5,11 +5,10 @@ use crate::{Event, Msg};
 use caex_action::ActionId;
 use caex_net::{NodeId, SimTime};
 use caex_tree::Exception;
-use serde::{Deserialize, Serialize};
 
 /// How an object inside a nested action reacts when an exception is
 /// raised in a containing action — the two methods of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NestedStrategy {
     /// Fig. 1(b), the paper's choice: raise an abortion exception in the
     /// nested actions and run their abortion handlers.
@@ -23,7 +22,7 @@ pub enum NestedStrategy {
 
 /// How the synchronized exit of an action is coordinated — the paper's
 /// "(centralized or decentralized) manager of CA actions" (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LeaveMode {
     /// A centralized manager (the engine) observes every participant
     /// reaching the exit line and grants the joint leave — free of

@@ -469,26 +469,6 @@ impl Scenario {
         self.script.leave_mode
     }
 
-    /// The resolver-group size `k` participants will run under.
-    #[must_use]
-    pub fn resolver_group_size(&self) -> u32 {
-        self.script.resolver_group
-    }
-
-    /// Whether resolver failover is enabled (see
-    /// [`Scenario::with_failover`]).
-    #[must_use]
-    pub fn failover(&self) -> bool {
-        self.script.failover
-    }
-
-    /// The simulated failure-detector latency (see
-    /// [`Scenario::with_detection_delay`]).
-    #[must_use]
-    pub fn detection_delay(&self) -> SimTime {
-        self.detection_delay
-    }
-
     /// The actions carrying exit-line acceptance tests, in installation
     /// order. The tests themselves are opaque closures; analyses that
     /// cannot evaluate them (the model checker) use this to detect

@@ -4,7 +4,6 @@
 use caex_action::ActionId;
 use caex_net::{Kinded, NodeId};
 use caex_tree::Exception;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five message types of the resolution protocol (§4.1, verbatim):
@@ -20,7 +19,7 @@ use std::fmt;
 ///   Exception or NestedCompleted to it earlier";
 /// - [`Msg::Commit`] — "sent by a chosen object to all participating
 ///   objects after it completes resolution of all exceptions".
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Msg {
     /// `Exception(A, Oi, E)`.
     Exception {
@@ -129,10 +128,6 @@ impl Kinded for Msg {
         }
     }
 
-    fn wire_len(&self) -> usize {
-        crate::codec::encoded_len(self)
-    }
-
     fn action_index(&self) -> Option<u32> {
         Some(self.action().index())
     }
@@ -160,7 +155,7 @@ impl fmt::Display for Msg {
 
 /// Everything a participant can be handed: a protocol message or a local
 /// event (scenario step or internally scheduled continuation).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Event {
     /// A protocol message from another participant.
     Msg(Msg),
@@ -244,13 +239,6 @@ impl Kinded for Event {
         match self {
             Event::Msg(m) => m.action_index(),
             _ => None,
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            Event::Msg(m) => crate::codec::encoded_len(m),
-            _ => 0, // local events never cross the wire
         }
     }
 }

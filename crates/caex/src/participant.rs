@@ -262,12 +262,6 @@ impl Participant {
         self.failover = enabled;
     }
 
-    /// Whether resolver failover is enabled.
-    #[must_use]
-    pub fn failover(&self) -> bool {
-        self.failover
-    }
-
     /// Sets the resolver-group size `k` (§4.4: "the algorithm can be
     /// easily extended to the use of a group of objects that are
     /// responsible for performing resolution and producing the commit

@@ -11,7 +11,10 @@
 #    validating the bench document (laws + watchdog) before writing it;
 # 4. the checked-in BENCH_PR2.json is pinned against a live
 #    regeneration, so a stale document fails the build;
-# 5. the wire frame codec survives its fuzz-style property battery;
+# 5. the one serialiser survives its fuzz battery, release mode: the
+#    frame properties and the pinned bytes (`frame_props`), and byte
+#    soup straight into `caex::codec::decode`, the layer a frame's CRC
+#    does not shield (the `codec_` properties of `caex`'s `proptests`);
 # 6. a real multi-process smoke run: one OS process per participant
 #    over loopback TCP, held to the §4.4 count and the §4.5 watchdog,
 #    plus a crash run that must surface the victim as a deserter, and
@@ -79,8 +82,9 @@ cargo run -q -p caex-bench --bin tables -- --out TABLES.md --bench-json BENCH_PR
 echo "== tier-2 [4/12]: BENCH_PR2.json matches the checked-in pin =="
 cargo test -q -p caex-bench --test bench_pr2
 
-echo "== tier-2 [5/12]: wire frame codec fuzz battery =="
-cargo test -q -p caex-wire --test frame_props
+echo "== tier-2 [5/12]: frame + codec fuzz battery, pinned wire bytes =="
+cargo test -q --release -p caex-wire --test frame_props
+cargo test -q --release -p caex --test proptests codec_
 
 echo "== tier-2 [6/12]: multi-process §4.2 resolution over real sockets =="
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator --scenario example1
