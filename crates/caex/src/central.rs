@@ -16,29 +16,18 @@
 //!    fixed role — whoever raised and ranks highest resolves.
 //!
 //! This module executes that design so the trade-off is measured, not
-//! asserted. Like [`crate::cr`], it supports flat (non-nested) actions,
-//! which is where the comparison is meaningful.
+//! asserted. Each object is a `CentralNode` machine on the crate's
+//! one simulator host (`host.rs`), under the run's fault plan; the
+//! nodes share only the run's constants and the first-raise flag. Like
+//! [`crate::cr`], it supports flat (non-nested) actions, which is where
+//! the comparison is meaningful.
 
-use caex_action::ActionId;
-use caex_net::{Kinded, NetConfig, NetStats, NodeId, SimNet, SimTime};
-use caex_obs::{CorrelationId, ObsEvent, ObsKind, Observer};
+use crate::host::{Flat, Machine, SimHost, Sink};
+use caex_net::{Delivery, Kinded, NetConfig, NetStats, NodeId, SimNet, SimTime};
+use caex_obs::{ObsKind, Observer};
 use caex_tree::{ExceptionId, ExceptionTree};
+use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// The conventional span for baseline engines: they run one flat
-/// resolution, reported as round 1 of action 0.
-fn span_event(at: SimTime, object: NodeId, kind: ObsKind) -> ObsEvent {
-    ObsEvent {
-        at,
-        wall_micros: None,
-        object,
-        span: CorrelationId {
-            action: ActionId::new(0),
-            round: 1,
-        },
-        kind,
-    }
-}
 
 /// Messages of the centralized protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +68,8 @@ pub struct CentralReport {
     pub stats: NetStats,
     /// The committed exception, if the coordinator survived to commit.
     pub committed: Option<ExceptionId>,
-    /// How many objects received the commit.
+    /// How many objects other than the coordinator received the commit
+    /// (each counted once, however many copies reached it).
     pub informed: u32,
     /// Virtual completion time.
     pub finished_at: SimTime,
@@ -99,13 +89,85 @@ impl CentralReport {
     }
 }
 
+/// One object of the centralized design; only the coordinator collects.
+#[derive(Default)]
+struct CentralNode {
+    collected: Vec<ExceptionId>,
+    window_open: bool,
+    /// The coordinator's resolution, or the commit this object received.
+    committed: Option<ExceptionId>,
+}
+
+/// What every node's step shares: the run's constants and whether the
+/// first raise (the `ResolutionStart`) has happened.
+struct Run {
+    tree: Arc<ExceptionTree>,
+    coordinator: NodeId,
+    window: SimTime,
+    started: bool,
+}
+
+impl Machine for CentralNode {
+    type Event = CMsg;
+    type Shared = Run;
+
+    fn step<S: Sink>(
+        &mut self,
+        delivery: Delivery<Self::Event>,
+        run: &mut Run,
+        net: &mut SimNet<Self::Event>,
+        obs: &mut dyn Observer,
+        _: &mut S,
+    ) {
+        let mut flat = Flat::new(&delivery, net, obs);
+        match delivery.payload {
+            CMsg::LocalRaise(exc) => {
+                if !std::mem::replace(&mut run.started, true) {
+                    flat.emit(ObsKind::ResolutionStart);
+                }
+                flat.emit(ObsKind::Raise { exception: exc });
+                if flat.me == run.coordinator {
+                    // The coordinator's own exception needs no message.
+                    self.collect(exc, run, &mut flat);
+                } else {
+                    flat.send(run.coordinator, CMsg::Report { from: flat.me, exc });
+                }
+            }
+            CMsg::Report { exc, .. } => self.collect(exc, run, &mut flat),
+            CMsg::WindowClosed => {
+                let resolved = run
+                    .tree
+                    .resolve(self.collected.iter().copied())
+                    .expect("window opened only after a report");
+                self.committed = Some(resolved);
+                flat.emit(ObsKind::ResolverElected { resolver: flat.me });
+                let raised = self.collected.iter().collect::<BTreeSet<_>>().len() as u32;
+                flat.emit(ObsKind::ResolutionCommit { resolved, raised });
+                flat.broadcast(&CMsg::Commit { exc: resolved });
+            }
+            CMsg::Commit { exc } => self.committed = Some(exc),
+        }
+    }
+}
+
+impl CentralNode {
+    /// The coordinator takes `exc` in; the first one opens the window.
+    fn collect(&mut self, exc: ExceptionId, run: &Run, flat: &mut Flat<'_, CMsg>) {
+        self.collected.push(exc);
+        if !self.window_open {
+            self.window_open = true;
+            flat.net.schedule_local_in(run.window, flat.me, CMsg::WindowClosed);
+        }
+    }
+}
+
 /// Executes the centralized design: `n` objects, exceptions raised per
 /// `raises` at time zero, a fixed `coordinator`, and a collection
 /// `window` after the first report before the coordinator resolves.
 ///
 /// # Panics
 ///
-/// Panics if `raises` is empty or names the coordinator twice.
+/// Panics if `raises` is empty.
 #[must_use]
 pub fn run(
     n: u32,
@@ -118,17 +180,16 @@ pub fn run(
     run_observed(n, tree, coordinator, raises, window, net_config, &mut ())
 }
 
-/// Like [`run`], but streams synthetic [`ObsEvent`]s to `obs`: raises,
-/// `central_report`/`central_commit` message sends, and — the election
-/// being fixed by construction — a `ResolverElected` that always names
-/// the coordinator. The whole run is reported as span `A0#r1`, the
-/// baseline convention (flat action, single round).
+/// Like [`run`], but streams [`caex_obs::ObsEvent`]s to `obs`: raises,
+/// each `central_report`/`central_commit` message's send and receipt,
+/// and — the election being fixed by construction — a `ResolverElected`
+/// that always names the coordinator. The whole run is reported as span
+/// `A0#r1`, the baseline convention (flat action, single round).
 ///
 /// # Panics
 ///
 /// Panics as [`run`] does.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn run_observed(
     n: u32,
     tree: Arc<ExceptionTree>,
@@ -139,112 +200,25 @@ pub fn run_observed(
     obs: &mut dyn Observer,
 ) -> CentralReport {
     assert!(!raises.is_empty(), "nothing to resolve");
-    let mut net: SimNet<CMsg> = SimNet::new(net_config, n);
+    let nodes = (0..n).map(|_| Some(CentralNode::default())).collect();
+    let run = Run { tree, coordinator, window, started: false };
+    let mut host = SimHost::new(net_config, nodes, run, u64::MAX);
     for &(node, exc) in raises {
-        net.schedule_local(SimTime::ZERO, node, CMsg::LocalRaise(exc));
+        host.net.schedule_local(SimTime::ZERO, node, CMsg::LocalRaise(exc));
     }
+    host.run(obs, &mut ());
+    obs.on_run_end(host.net.now());
 
-    let mut collected: Vec<ExceptionId> = Vec::new();
-    let mut window_open = false;
-    let mut committed = None;
-    let mut informed = 0u32;
-    let mut started = false;
-
-    while let Some(d) = net.next_delivery() {
-        let at = net.now();
-        match d.payload {
-            CMsg::LocalRaise(exc) => {
-                if !started {
-                    started = true;
-                    obs.on_event(&span_event(at, d.to, ObsKind::ResolutionStart));
-                }
-                obs.on_event(&span_event(at, d.to, ObsKind::Raise { exception: exc }));
-                if d.to == coordinator {
-                    // The coordinator's own exception needs no message.
-                    collected.push(exc);
-                    if !window_open {
-                        window_open = true;
-                        net.schedule_local_in(window, coordinator, CMsg::WindowClosed);
-                    }
-                } else {
-                    obs.on_event(&span_event(
-                        at,
-                        d.to,
-                        ObsKind::MessageSent {
-                            kind: "central_report",
-                            to: coordinator,
-                        },
-                    ));
-                    net.send(d.to, coordinator, CMsg::Report { from: d.to, exc });
-                }
-            }
-            CMsg::Report { from, exc } => {
-                debug_assert_eq!(d.to, coordinator);
-                obs.on_event(&span_event(
-                    at,
-                    d.to,
-                    ObsKind::MessageReceived { kind: "central_report", from },
-                ));
-                collected.push(exc);
-                if !window_open {
-                    window_open = true;
-                    net.schedule_local_in(window, coordinator, CMsg::WindowClosed);
-                }
-            }
-            CMsg::WindowClosed => {
-                let resolved = tree
-                    .resolve(collected.iter().copied())
-                    .expect("window opened only after a report");
-                committed = Some(resolved);
-                obs.on_event(&span_event(
-                    at,
-                    coordinator,
-                    ObsKind::ResolverElected {
-                        resolver: coordinator,
-                    },
-                ));
-                let mut distinct = collected.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
-                obs.on_event(&span_event(
-                    at,
-                    coordinator,
-                    ObsKind::ResolutionCommit {
-                        resolved,
-                        raised: distinct.len() as u32,
-                    },
-                ));
-                for peer in (0..n).map(NodeId::new) {
-                    if peer != coordinator {
-                        obs.on_event(&span_event(
-                            at,
-                            coordinator,
-                            ObsKind::MessageSent {
-                                kind: "central_commit",
-                                to: peer,
-                            },
-                        ));
-                        net.send(coordinator, peer, CMsg::Commit { exc: resolved });
-                    }
-                }
-            }
-            CMsg::Commit { .. } => {
-                obs.on_event(&span_event(
-                    at,
-                    d.to,
-                    ObsKind::MessageReceived { kind: "central_commit", from: coordinator },
-                ));
-                informed += 1;
-            }
-        }
-    }
-
-    obs.on_run_end(net.now());
+    let committed = |node| host.node(node).and_then(|c| c.committed);
+    let informed = (0..n)
+        .map(NodeId::new)
+        .filter(|&peer| peer != coordinator && committed(peer).is_some())
+        .count() as u32;
     CentralReport {
-        stats: net.stats().clone(),
-        committed,
+        committed: committed(coordinator),
         informed,
-        finished_at: net.now(),
+        finished_at: host.net.now(),
+        stats: host.net.into_stats(),
     }
 }
 
@@ -335,6 +309,23 @@ mod tests {
         );
         assert_eq!(report.committed, None);
         assert!(!report.resolved_everywhere(5));
+    }
+
+    #[test]
+    fn informed_counts_peers_not_duplicated_commits() {
+        let duplicating =
+            config().with_faults(FaultPlan::none().with_duplicate_probability(1.0));
+        let report = run(
+            4,
+            Arc::new(chain_tree(4)),
+            NodeId::new(0),
+            &[(NodeId::new(1), ExceptionId::new(2))],
+            SimTime::from_millis(1),
+            duplicating,
+        );
+        assert_eq!(report.stats.delivered_of_kind("central_commit"), 6);
+        assert_eq!(report.informed, 3);
+        assert!(report.resolved_everywhere(4));
     }
 
     #[test]

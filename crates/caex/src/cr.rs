@@ -19,32 +19,21 @@
 //!    exception and after each resolution"); the paper's algorithm
 //!    instead elects one resolver.
 //!
-//! Termination detection is idealised in CR's favour: when the network
-//! goes quiescent, the highest-numbered participant broadcasts the final
-//! commit. Even with that head start the message count grows as
-//! `O(N³)` on domino workloads, versus `O(N²)` for the new algorithm.
+//! Each participant is a `CrNode` machine on the crate's one simulator
+//! host (`host.rs`), under the run's fault plan; the nodes share the
+//! tree, the first-raise flag and the raise counter. Termination
+//! detection is idealised in CR's favour: when the network goes
+//! quiescent, the highest-numbered live participant commits what it
+//! knows and broadcasts the commit. Even with that head start the
+//! message count grows as `O(N³)` on domino workloads, versus `O(N²)`
+//! for the new algorithm.
 
-use caex_action::ActionId;
-use caex_net::{Kinded, NetConfig, NetStats, NodeId, SimNet, SimTime};
-use caex_obs::{CorrelationId, ObsEvent, ObsKind, Observer};
+use crate::host::{Flat, Machine, SimHost, Sink};
+use caex_net::{Delivery, DeliverySource, Kinded, NetConfig, NetStats, NodeId, SimNet, SimTime};
+use caex_obs::{ObsKind, Observer};
 use caex_tree::{ExceptionId, ExceptionTree, ReducedTree};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// The conventional span for baseline engines: one flat resolution,
-/// reported as round 1 of action 0.
-fn span_event(at: SimTime, object: NodeId, kind: ObsKind) -> ObsEvent {
-    ObsEvent {
-        at,
-        wall_micros: None,
-        object,
-        span: CorrelationId {
-            action: ActionId::new(0),
-            round: 1,
-        },
-        kind,
-    }
-}
 
 /// Messages of the modelled CR protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +57,8 @@ pub enum CrMsg {
         /// Its locally resolved exception.
         resolved: ExceptionId,
     },
-    /// Final commit from the highest-numbered participant.
+    /// Final commit from the highest-numbered live participant; as a
+    /// local event, the order to issue it.
     Commit {
         /// The agreed exception.
         exc: ExceptionId,
@@ -89,14 +79,6 @@ impl Kinded for CrMsg {
     }
 }
 
-struct CrParticipant {
-    id: NodeId,
-    reduced: ReducedTree,
-    known: BTreeSet<ExceptionId>,
-    raised_by_me: BTreeSet<ExceptionId>,
-    committed: Option<ExceptionId>,
-}
-
 /// Report of one CR execution.
 #[derive(Debug)]
 pub struct CrReport {
@@ -106,8 +88,10 @@ pub struct CrReport {
     /// Total distinct exceptions that ended up raised (original +
     /// third-source re-raises) — the domino length.
     pub raised_total: u32,
-    /// The finally committed exception.
-    pub committed: ExceptionId,
+    /// The finally committed exception; `None` if no participant was
+    /// left alive, or the last one alive knew of no exception, to
+    /// commit.
+    pub committed: Option<ExceptionId>,
     /// Virtual completion time.
     pub finished_at: SimTime,
 }
@@ -117,6 +101,108 @@ impl CrReport {
     #[must_use]
     pub fn total_messages(&self) -> u64 {
         self.stats.sent_total()
+    }
+}
+
+/// One participant of the modelled CR protocol.
+struct CrNode {
+    reduced: ReducedTree,
+    known: BTreeSet<ExceptionId>,
+    raised_by_me: BTreeSet<ExceptionId>,
+    committed: Option<ExceptionId>,
+}
+
+/// What every node's step shares: the tree, whether the first raise
+/// (the `ResolutionStart`) has happened, and the raises so far.
+struct Run {
+    tree: Arc<ExceptionTree>,
+    started: bool,
+    raised_total: u32,
+}
+
+impl Machine for CrNode {
+    type Event = CrMsg;
+    type Shared = Run;
+
+    fn step<S: Sink>(
+        &mut self,
+        delivery: Delivery<Self::Event>,
+        run: &mut Run,
+        net: &mut SimNet<Self::Event>,
+        obs: &mut dyn Observer,
+        _: &mut S,
+    ) {
+        let mut flat = Flat::new(&delivery, net, obs);
+        match delivery.payload {
+            CrMsg::LocalRaise(exc) => {
+                if !std::mem::replace(&mut run.started, true) {
+                    flat.emit(ObsKind::ResolutionStart);
+                }
+                self.raise(exc, run, &mut flat);
+                self.propose(&run.tree, &mut flat);
+            }
+            CrMsg::Exception { from, exc } => {
+                flat.send(from, CrMsg::Ack { from: flat.me });
+                if self.known.insert(exc) {
+                    // Third source: climb to the nearest handled
+                    // ancestor and re-raise if it is new knowledge.
+                    let climbed = self
+                        .reduced
+                        .closest_handled_ancestor(&run.tree, exc)
+                        .expect("exception ids come from this tree");
+                    if climbed != exc
+                        && !self.known.contains(&climbed)
+                        && !self.raised_by_me.contains(&climbed)
+                    {
+                        self.raise(climbed, run, &mut flat);
+                    }
+                    self.propose(&run.tree, &mut flat);
+                }
+            }
+            // Acknowledgements complete a raise and proposals inform;
+            // neither carries a further obligation in this model.
+            CrMsg::Ack { .. } | CrMsg::Proposal { .. } => {}
+            CrMsg::Commit { exc } => {
+                self.committed = Some(exc);
+                if delivery.source == DeliverySource::Local {
+                    // The idealised terminator issues the final commit.
+                    flat.emit(ObsKind::ResolverElected { resolver: flat.me });
+                    let raised = run.raised_total;
+                    flat.emit(ObsKind::ResolutionCommit { resolved: exc, raised });
+                    flat.broadcast(&CrMsg::Commit { exc });
+                }
+            }
+        }
+    }
+}
+
+impl CrNode {
+    fn raise(&mut self, exc: ExceptionId, run: &mut Run, flat: &mut Flat<'_, CrMsg>) {
+        if !self.known.insert(exc) && !self.raised_by_me.insert(exc) {
+            return;
+        }
+        self.raised_by_me.insert(exc);
+        run.raised_total += 1;
+        flat.emit(ObsKind::Raise { exception: exc });
+        flat.broadcast(&CrMsg::Exception { from: flat.me, exc });
+    }
+
+    /// "Each participant … has to look through [its handlers] after
+    /// raising each exception and after each resolution": every
+    /// knowledge change triggers a local resolution and a proposal
+    /// broadcast.
+    fn propose(&self, tree: &ExceptionTree, flat: &mut Flat<'_, CrMsg>) {
+        let resolved = tree
+            .resolve(self.known.iter().copied())
+            .expect("known is non-empty here");
+        let proposal = self
+            .reduced
+            .closest_handled_ancestor(tree, resolved)
+            .expect("resolved id comes from this tree");
+        flat.broadcast(&CrMsg::Proposal {
+            from: flat.me,
+            resolved: proposal,
+        });
     }
 }
 
@@ -150,7 +236,7 @@ impl CrReport {
 ///     Default::default(),
 /// );
 /// assert!(report.raised_total >= 8); // the domino climbed the chain
-/// assert_eq!(report.committed, ExceptionId::ROOT);
+/// assert_eq!(report.committed, Some(ExceptionId::ROOT));
 /// ```
 #[must_use]
 pub fn run(
@@ -163,11 +249,11 @@ pub fn run(
     run_observed(n, tree, reduced, initial_raises, net_config, &mut ())
 }
 
-/// Like [`run`], but streams synthetic [`ObsEvent`]s to `obs`: every
+/// Like [`run`], but streams [`caex_obs::ObsEvent`]s to `obs`: every
 /// raise (original and third-source re-raise — the domino is visible
-/// as a chain of `Raise` events in one round), every `cr_*` message
-/// send, and the idealised final election/commit. The whole run is
-/// reported as span `A0#r1`, the baseline convention.
+/// as a chain of `Raise` events in one round), every `cr_*` message's
+/// send and receipt, and the idealised final election/commit. The whole
+/// run is reported as span `A0#r1`, the baseline convention.
 ///
 /// # Panics
 ///
@@ -187,208 +273,42 @@ pub fn run_observed(
         "one reduced tree per participant"
     );
     assert!(!initial_raises.is_empty(), "nothing to resolve");
-
-    let mut net: SimNet<CrMsg> = SimNet::new(net_config, n);
-    let mut parts: Vec<CrParticipant> = (0..n)
-        .zip(reduced)
-        .map(|(i, reduced)| CrParticipant {
-            id: NodeId::new(i),
-            reduced,
-            known: BTreeSet::new(),
-            raised_by_me: BTreeSet::new(),
-            committed: None,
+    let nodes = reduced
+        .into_iter()
+        .map(|reduced| {
+            Some(CrNode {
+                reduced,
+                known: BTreeSet::new(),
+                raised_by_me: BTreeSet::new(),
+                committed: None,
+            })
         })
         .collect();
-
+    let run = Run { tree: Arc::clone(&tree), started: false, raised_total: 0 };
+    let mut host = SimHost::new(net_config, nodes, run, u64::MAX);
     for &(node, exc) in initial_raises {
-        net.schedule_local(SimTime::ZERO, node, CrMsg::LocalRaise(exc));
+        host.net.schedule_local(SimTime::ZERO, node, CrMsg::LocalRaise(exc));
     }
 
-    let mut raised_total = 0u32;
-    let mut started = false;
-    // Two phases: exception storm to quiescence, then the idealised
-    // final commit.
-    loop {
-        while let Some(d) = net.next_delivery() {
-            let idx = d.to.index() as usize;
-            match d.payload {
-                CrMsg::LocalRaise(exc) => {
-                    if !started {
-                        started = true;
-                        obs.on_event(&span_event(net.now(), d.to, ObsKind::ResolutionStart));
-                    }
-                    raise(&mut parts[idx], exc, &mut net, &mut raised_total, obs);
-                    propose(&mut parts[idx], &tree, &mut net, obs);
-                }
-                CrMsg::Exception { from, exc } => {
-                    obs.on_event(&span_event(
-                        net.now(),
-                        d.to,
-                        ObsKind::MessageReceived { kind: "cr_exception", from },
-                    ));
-                    obs.on_event(&span_event(
-                        net.now(),
-                        d.to,
-                        ObsKind::MessageSent { kind: "cr_ack", to: from },
-                    ));
-                    net.send(d.to, from, CrMsg::Ack { from: d.to });
-                    let newly = parts[idx].known.insert(exc);
-                    if newly {
-                        // Third source: climb to the nearest handled
-                        // ancestor and re-raise if it is new knowledge.
-                        let climbed = parts[idx]
-                            .reduced
-                            .closest_handled_ancestor(&tree, exc)
-                            .expect("exception ids come from this tree");
-                        if climbed != exc
-                            && !parts[idx].known.contains(&climbed)
-                            && !parts[idx].raised_by_me.contains(&climbed)
-                        {
-                            raise(&mut parts[idx], climbed, &mut net, &mut raised_total, obs);
-                        }
-                        propose(&mut parts[idx], &tree, &mut net, obs);
-                    }
-                }
-                CrMsg::Ack { from } => {
-                    obs.on_event(&span_event(
-                        net.now(),
-                        d.to,
-                        ObsKind::MessageReceived { kind: "cr_ack", from },
-                    ));
-                    // Acknowledgements complete a raise; no further
-                    // obligation in this model.
-                }
-                CrMsg::Proposal { from, .. } => {
-                    obs.on_event(&span_event(
-                        net.now(),
-                        d.to,
-                        ObsKind::MessageReceived { kind: "cr_proposal", from },
-                    ));
-                    // Proposals inform but carry no protocol
-                    // obligation in this model.
-                }
-                CrMsg::Commit { exc } => {
-                    // The commit always originates at the idealised
-                    // resolver: the highest-numbered participant.
-                    obs.on_event(&span_event(
-                        net.now(),
-                        d.to,
-                        ObsKind::MessageReceived {
-                            kind: "cr_commit",
-                            from: NodeId::new(n - 1),
-                        },
-                    ));
-                    parts[idx].committed = Some(exc);
-                }
-            }
-        }
-        // Quiescent. If the final commit has not happened, the
-        // highest-numbered participant issues it; the loop then drains
-        // those deliveries and exits.
-        let max = parts.last_mut().expect("n >= 1");
-        if max.committed.is_none() {
-            let resolved = tree
-                .resolve(max.known.iter().copied())
-                .expect("at least the initial raise is known");
-            max.committed = Some(resolved);
-            let me = max.id;
-            let at = net.now();
-            obs.on_event(&span_event(at, me, ObsKind::ResolverElected { resolver: me }));
-            obs.on_event(&span_event(
-                at,
-                me,
-                ObsKind::ResolutionCommit { resolved, raised: raised_total },
-            ));
-            for peer in 0..n {
-                let peer = NodeId::new(peer);
-                if peer != me {
-                    obs.on_event(&span_event(
-                        at,
-                        me,
-                        ObsKind::MessageSent { kind: "cr_commit", to: peer },
-                    ));
-                    net.send(me, peer, CrMsg::Commit { exc: resolved });
-                }
-            }
-        } else {
-            break;
-        }
+    // Two phases: the exception storm to quiescence, then the idealised
+    // final commit by the highest-numbered live participant.
+    host.run(obs, &mut ());
+    let terminator = (0..n).rev().map(NodeId::new).find(|&node| !host.net.is_crashed(node));
+    let commit = terminator.and_then(|node| {
+        let known = &host.node(node)?.known;
+        Some((node, tree.resolve(known.iter().copied()).ok()?))
+    });
+    if let Some((node, exc)) = commit {
+        host.net.schedule_local(host.net.now(), node, CrMsg::Commit { exc });
+        host.run(obs, &mut ());
     }
+    obs.on_run_end(host.net.now());
 
-    obs.on_run_end(net.now());
-    let committed = parts
-        .last()
-        .and_then(|p| p.committed)
-        .expect("commit happened");
     CrReport {
-        stats: net.stats().clone(),
-        raised_total,
-        committed,
-        finished_at: net.now(),
-    }
-}
-
-fn raise(
-    p: &mut CrParticipant,
-    exc: ExceptionId,
-    net: &mut SimNet<CrMsg>,
-    raised_total: &mut u32,
-    obs: &mut dyn Observer,
-) {
-    if !p.known.insert(exc) && !p.raised_by_me.insert(exc) {
-        return;
-    }
-    p.raised_by_me.insert(exc);
-    *raised_total += 1;
-    let me = p.id;
-    obs.on_event(&span_event(net.now(), me, ObsKind::Raise { exception: exc }));
-    for peer in 0..net.num_nodes() {
-        let peer = NodeId::new(peer);
-        if peer != me {
-            obs.on_event(&span_event(
-                net.now(),
-                me,
-                ObsKind::MessageSent { kind: "cr_exception", to: peer },
-            ));
-            net.send(me, peer, CrMsg::Exception { from: me, exc });
-        }
-    }
-}
-
-/// "Each participant … has to look through [its handlers] after raising
-/// each exception and after each resolution": every knowledge change
-/// triggers a local resolution and a proposal broadcast.
-fn propose(
-    p: &mut CrParticipant,
-    tree: &ExceptionTree,
-    net: &mut SimNet<CrMsg>,
-    obs: &mut dyn Observer,
-) {
-    let resolved = tree
-        .resolve(p.known.iter().copied())
-        .expect("known is non-empty here");
-    let proposal = p
-        .reduced
-        .closest_handled_ancestor(tree, resolved)
-        .expect("resolved id comes from this tree");
-    let me = p.id;
-    for peer in 0..net.num_nodes() {
-        let peer = NodeId::new(peer);
-        if peer != me {
-            obs.on_event(&span_event(
-                net.now(),
-                me,
-                ObsKind::MessageSent { kind: "cr_proposal", to: peer },
-            ));
-            net.send(
-                me,
-                peer,
-                CrMsg::Proposal {
-                    from: me,
-                    resolved: proposal,
-                },
-            );
-        }
+        raised_total: host.shared.raised_total,
+        committed: terminator.and_then(|node| host.node(node)?.committed),
+        finished_at: host.net.now(),
+        stats: host.net.into_stats(),
     }
 }
 
@@ -429,7 +349,7 @@ mod tests {
             NetConfig::default(),
         );
         assert_eq!(report.raised_total, 1);
-        assert_eq!(report.committed, ExceptionId::new(2));
+        assert_eq!(report.committed, Some(ExceptionId::new(2)));
         // 1 raise: broadcast 2 + acks 2 + proposals from all 3 who
         // learnt something (raiser + 2 receivers) 3*2 + commit 2.
         assert_eq!(report.total_messages(), 2 + 2 + 6 + 2);
@@ -448,7 +368,7 @@ mod tests {
         // e8 raised; O0 (odds) climbs e8→e7; O1 climbs e7→e6; … until
         // the root is the only refuge.
         assert!(report.raised_total >= 8, "raised {}", report.raised_total);
-        assert_eq!(report.committed, ExceptionId::ROOT);
+        assert_eq!(report.committed, Some(ExceptionId::ROOT));
     }
 
     #[test]
@@ -463,7 +383,7 @@ mod tests {
             NetConfig::default(),
         );
         assert_eq!(report.raised_total, 1);
-        assert_eq!(report.committed, ExceptionId::new(8));
+        assert_eq!(report.committed, Some(ExceptionId::new(8)));
     }
 
     #[test]
@@ -500,7 +420,43 @@ mod tests {
             ],
             NetConfig::default(),
         );
-        assert_eq!(report.committed, ExceptionId::ROOT);
+        assert_eq!(report.committed, Some(ExceptionId::ROOT));
+    }
+
+    #[test]
+    fn the_highest_live_participant_commits_when_the_highest_has_crashed() {
+        use caex_net::FaultPlan;
+        let tree = Arc::new(chain_tree(4));
+        let crashed = FaultPlan::none().with_crash(NodeId::new(2), SimTime::ZERO);
+        let report = run(
+            3,
+            Arc::clone(&tree),
+            vec![ReducedTree::full(&tree); 3],
+            &[(NodeId::new(0), ExceptionId::new(2))],
+            NetConfig::default().with_faults(crashed),
+        );
+        assert_eq!(report.committed, Some(ExceptionId::new(2)));
+        // O1 commits to O0 and to the dead O2, whose copies are dropped.
+        assert_eq!(report.stats.sent_of_kind("cr_commit"), 2);
+        assert_eq!(report.stats.delivered_of_kind("cr_commit"), 1);
+    }
+
+    #[test]
+    fn nobody_commits_when_every_participant_has_crashed() {
+        use caex_net::FaultPlan;
+        let tree = Arc::new(chain_tree(2));
+        let crashed = (0..2).fold(FaultPlan::none(), |plan, i| {
+            plan.with_crash(NodeId::new(i), SimTime::ZERO)
+        });
+        let report = run(
+            2,
+            Arc::clone(&tree),
+            vec![ReducedTree::full(&tree); 2],
+            &[(NodeId::new(0), ExceptionId::new(1))],
+            NetConfig::default().with_faults(crashed),
+        );
+        assert_eq!(report.committed, None);
+        assert_eq!(report.total_messages(), 0);
     }
 
     #[test]

@@ -577,11 +577,12 @@ impl Scenario {
     pub fn run_observed(mut self, obs: &mut dyn caex_obs::Observer) -> RunReport {
         let num_nodes = self.script.num_nodes();
         self.report_planned_crashes();
-        let mut host = SimHost::new(self.config, num_nodes, self.max_deliveries, self.acceptance);
+        let mut host =
+            SimHost::bridged(self.config, num_nodes, self.max_deliveries, self.acceptance);
         host.admit(&mut self.script, (0..num_nodes).map(NodeId::new), SimTime::ZERO);
 
         let mut report = RunReport::default();
-        while host.step(obs, &mut report).is_some() {}
+        host.run(obs, &mut report);
         obs.on_run_end(host.net.now());
 
         report.deadlocked = host.deadlocked();

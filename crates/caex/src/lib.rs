@@ -52,7 +52,9 @@
 //! - [`workloads`] — the paper's canonical workloads (§4.4 cases, §4.3
 //!   examples);
 //! - [`analysis`] — the closed-form §4.4 message-count laws;
-//! - [`cr`] — the Campbell–Randell 1986 baseline the paper improves on.
+//! - [`central`] and [`cr`] — the fixed-coordinator baseline and the
+//!   Campbell–Randell 1986 scheme the paper improves on, machines on
+//!   the same simulator host.
 //!
 //! # Quick example
 //!

@@ -532,7 +532,7 @@ fn run_shard(
     net_config.seed = net_config
         .seed
         .wrapping_add(SHARD_SEED_STRIDE.wrapping_mul(shard as u64));
-    let mut host = SimHost::new(net_config, num_nodes, SHARD_DELIVERY_CAP, Vec::new());
+    let mut host = SimHost::bridged(net_config, num_nodes, SHARD_DELIVERY_CAP, Vec::new());
 
     let mut metrics = match config.law {
         Some(law) => caex_obs::MetricsRegistry::new().with_law(law),

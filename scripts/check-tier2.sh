@@ -38,7 +38,10 @@
 #    suite (`shard`: K=1 fleet == `Scenario::run`, obs stream included)
 #    with the algorithm and property suites that exercise the host's
 #    step and the allocation budget of a fleet action
-#    (`alloc_budget`), the port hosts' side of "one script, admitted
+#    (`alloc_budget`), the baselines on the same host (`baseline_streams`:
+#    their pinned streams; `stream_vs_stats`: every stream against the
+#    net counters, faults included; `causal`: the critical paths), the
+#    port hosts' side of "one script, admitted
 #    one way" (`extensions`: threaded distributed completion;
 #    `cross_host`: Example 2 over Unix sockets is the simulator's
 #    Example 2; `fixtures`: the script lints), the event queue's
@@ -118,6 +121,7 @@ echo "== tier-2 [9/12]: resolver failover + host equivalence — crash grids, sh
 cargo test -q --release -p caex --test failover
 cargo test -q --release -p caex --test shard --test algorithm --test proptests --test alloc_budget \
     --test extensions
+cargo test -q --release --test baseline_streams --test stream_vs_stats --test causal
 cargo test -q --release -p caex-wire --test cross_host
 cargo test -q --release -p caex-net --test proptests
 cargo test -q --release -p caex-lint --test fixtures

@@ -401,7 +401,7 @@ fn cr_observed_domino_raises_and_message_parity() {
         .filter(|e| e.kind.label() == "message_sent")
         .count();
     assert_eq!(sends as u64, report.total_messages());
-    assert_eq!(report.committed, ExceptionId::ROOT);
+    assert_eq!(report.committed, Some(ExceptionId::ROOT));
 }
 
 /// The watchdog flags protocol-impossible streams that the real
