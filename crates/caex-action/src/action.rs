@@ -144,23 +144,6 @@ impl ActionScope {
         self.parent
     }
 
-    /// The participants other than `object`, in election order.
-    #[must_use]
-    pub fn peers_of(&self, object: NodeId) -> Vec<NodeId> {
-        self.participants
-            .iter()
-            .copied()
-            .filter(|&p| p != object)
-            .collect()
-    }
-
-    /// The highest-ordered participant (used in tests of the election
-    /// rule; the real election is over *raisers*, not all participants).
-    #[must_use]
-    pub fn max_participant(&self) -> Option<NodeId> {
-        self.participants.last().copied()
-    }
-
     /// Restricts the set of exception classes this action declares as
     /// raisable (a subset of the tree; the paper declares exceptions
     /// "together with the action declaration", §3.1). Duplicates are
@@ -222,11 +205,6 @@ mod tests {
         );
         assert!(scope.is_participant(NodeId::new(2)));
         assert!(!scope.is_participant(NodeId::new(1)));
-        assert_eq!(
-            scope.peers_of(NodeId::new(2)),
-            vec![NodeId::new(0), NodeId::new(4)]
-        );
-        assert_eq!(scope.max_participant(), Some(NodeId::new(4)));
     }
 
     #[test]

@@ -159,12 +159,6 @@ impl<T: Clone> Store<T> {
         id
     }
 
-    /// Looks up an object id by name.
-    #[must_use]
-    pub fn object_id(&self, name: &str) -> Option<ObjectId> {
-        self.by_name.get(name).copied()
-    }
-
     /// The committed (externally visible) state of an object.
     ///
     /// # Panics
@@ -195,13 +189,6 @@ impl<T: Clone> Store<T> {
     #[must_use]
     pub fn read_committed(&self, object: ObjectId) -> T {
         self.objects[object.0 as usize].committed.clone()
-    }
-
-    /// The transaction currently holding the object's lock (innermost
-    /// owner), if any — diagnostic introspection.
-    #[must_use]
-    pub fn lock_holder(&self, object: ObjectId) -> Option<TxnId> {
-        self.objects[object.0 as usize].lock.last().copied()
     }
 
     /// How many transactions touching this object have aborted.
@@ -283,14 +270,6 @@ impl<T: Clone> Store<T> {
             },
         );
         id
-    }
-
-    /// `true` if the transaction exists and is still active.
-    #[must_use]
-    pub fn is_active(&self, txn: TxnId) -> bool {
-        self.txns
-            .get(&txn)
-            .is_some_and(|s| s.status == TxnStatus::Active)
     }
 
     fn require_active(&self, txn: TxnId) -> Result<(), ActionError> {
@@ -539,8 +518,8 @@ mod tests {
     #[test]
     fn define_and_lookup() {
         let (s, obj) = store();
-        assert_eq!(s.object_id("x"), Some(obj));
-        assert_eq!(s.object_id("y"), None);
+        assert_eq!(s.by_name.get("x"), Some(&obj));
+        assert_eq!(s.by_name.get("y"), None);
         assert_eq!(s.committed(obj), 10);
     }
 
@@ -636,8 +615,11 @@ mod tests {
         let grandchild = s.begin_nested(child).unwrap();
         s.write(grandchild, obj, 77).unwrap();
         s.abort(parent).unwrap();
-        assert!(!s.is_active(child));
-        assert!(!s.is_active(grandchild));
+        assert_eq!(s.read(child, obj), Err(ActionError::TransactionNotActive));
+        assert_eq!(
+            s.read(grandchild, obj),
+            Err(ActionError::TransactionNotActive)
+        );
         assert_eq!(s.committed(obj), 10);
         // Lock fully released: a fresh transaction may proceed.
         let fresh = s.begin_top_level();
@@ -779,10 +761,10 @@ mod tests {
         s.write(t, obj, 777).unwrap();
         // Snapshot read needs no transaction and sees no dirty data.
         assert_eq!(s.read_committed(obj), 10);
-        assert_eq!(s.lock_holder(obj), Some(t));
+        assert_eq!(s.objects[0].lock.last(), Some(&t));
         s.commit(t).unwrap();
         assert_eq!(s.read_committed(obj), 777);
-        assert_eq!(s.lock_holder(obj), None);
+        assert!(s.objects[0].lock.is_empty());
     }
 
     #[test]

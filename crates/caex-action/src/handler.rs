@@ -113,7 +113,7 @@ impl HandlerTable {
     /// Creates a table with a zero-cost `Recovered` handler for every
     /// exception in the tree and a zero-cost clean abortion handler —
     /// a valid baseline to override selectively. The baseline is fully
-    /// declarative (see [`is_declarative`](Self::is_declarative)).
+    /// declarative (see [`clone_declarative`](Self::clone_declarative)).
     #[must_use]
     pub fn recover_all(tree: Arc<ExceptionTree>) -> Self {
         let mut table = HandlerTable::new(tree);
@@ -146,8 +146,7 @@ impl HandlerTable {
     /// stated outcome rather than an opaque closure.
     ///
     /// Declaratively installed handlers behave identically to closures
-    /// at run time, but their behavior stays introspectable
-    /// ([`declared_outcome`](Self::declared_outcome)) and the table
+    /// at run time, but their behavior stays data and the table
     /// copyable ([`clone_declarative`](Self::clone_declarative)) — which
     /// is what allows the static model checker to explore a scenario's
     /// handler responses without executing user code.
@@ -207,37 +206,6 @@ impl HandlerTable {
     /// [`on_outcome`](Self::on_outcome).
     pub fn on_abort_outcome(&mut self, cost: SimTime, outcome: AbortionOutcome) {
         self.abortion = Some((InstalledAbortion::Declared(outcome), cost));
-    }
-
-    /// The stated outcome for `exception`, if its handler was installed
-    /// declaratively; `None` for opaque closures and missing handlers.
-    #[must_use]
-    pub fn declared_outcome(&self, exception: ExceptionId) -> Option<&HandlerOutcome> {
-        match self.handlers.get(&exception) {
-            Some((Installed::Declared(outcome), _)) => Some(outcome),
-            _ => None,
-        }
-    }
-
-    /// The stated abortion outcome, if the abortion handler was
-    /// installed declaratively.
-    #[must_use]
-    pub fn declared_abort_outcome(&self) -> Option<&AbortionOutcome> {
-        match &self.abortion {
-            Some((InstalledAbortion::Declared(outcome), _)) => Some(outcome),
-            _ => None,
-        }
-    }
-
-    /// `true` when every registered handler (and the abortion handler,
-    /// if any) was installed declaratively, so the table's complete
-    /// behavior is stated as data.
-    #[must_use]
-    pub fn is_declarative(&self) -> bool {
-        self.handlers
-            .values()
-            .all(|(installed, _)| matches!(installed, Installed::Declared(_)))
-            && !matches!(&self.abortion, Some((InstalledAbortion::Opaque(_), _)))
     }
 
     /// Builds an independent copy of a fully declarative table.
@@ -432,17 +400,17 @@ mod tests {
     #[test]
     fn recover_all_is_fully_declarative() {
         let table = HandlerTable::recover_all(Arc::new(chain_tree(3)));
-        assert!(table.is_declarative());
+        assert!(table.clone_declarative().is_some());
         for id in table.tree().clone().iter() {
-            assert_eq!(
-                table.declared_outcome(id),
-                Some(&HandlerOutcome::Recovered)
-            );
+            assert!(matches!(
+                table.handlers.get(&id),
+                Some((Installed::Declared(HandlerOutcome::Recovered), _))
+            ));
         }
-        assert_eq!(
-            table.declared_abort_outcome(),
-            Some(&AbortionOutcome::Aborted)
-        );
+        assert!(matches!(
+            table.abortion,
+            Some((InstalledAbortion::Declared(AbortionOutcome::Aborted), _))
+        ));
     }
 
     #[test]
@@ -451,15 +419,13 @@ mod tests {
         let e1 = ExceptionId::new(1);
         let mut table = HandlerTable::recover_all(Arc::clone(&tree));
         table.on(e1, SimTime::ZERO, |_| HandlerOutcome::Recovered);
-        assert!(!table.is_declarative());
-        assert!(table.declared_outcome(e1).is_none());
         assert!(table.clone_declarative().is_none());
         // Re-declaring restores it.
         table.on_outcome(e1, SimTime::ZERO, HandlerOutcome::Recovered);
-        assert!(table.is_declarative());
+        assert!(table.clone_declarative().is_some());
         let mut opaque_abort = HandlerTable::recover_all(tree);
         opaque_abort.on_abort(SimTime::ZERO, || AbortionOutcome::Aborted);
-        assert!(!opaque_abort.is_declarative());
+        assert!(opaque_abort.clone_declarative().is_none());
     }
 
     #[test]

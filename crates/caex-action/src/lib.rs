@@ -46,8 +46,6 @@
 
 pub mod atomic;
 pub mod conversation;
-pub mod nvp;
-pub mod recovery_block;
 
 mod action;
 mod error;

@@ -1,7 +1,6 @@
 //! The registry of declared actions and their nesting structure.
 
 use crate::{ActionError, ActionId, ActionScope};
-use caex_net::NodeId;
 
 /// All statically declared CA actions of a program, with their nesting
 /// relations validated at declaration time.
@@ -223,16 +222,6 @@ impl ActionRegistry {
         Err(ActionError::NotOnOneChain(inner, outer))
     }
 
-    /// All actions `object` participates in, outermost first along each
-    /// chain (declaration order, which respects nesting).
-    #[must_use]
-    pub fn actions_of(&self, object: NodeId) -> Vec<ActionId> {
-        self.iter()
-            .filter(|(_, s)| s.is_participant(object))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// The directly nested children of `id`.
     ///
     /// # Errors
@@ -255,28 +244,12 @@ impl ActionRegistry {
             .map(|(id, _)| id)
             .collect()
     }
-
-    /// All actions (transitively) nested within `id`, in declaration
-    /// order — the full abortion scope of `id`, excluding `id` itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActionError::UnknownAction`] for an undeclared id.
-    pub fn descendants(&self, id: ActionId) -> Result<Vec<ActionId>, ActionError> {
-        self.scope(id)?;
-        Ok(self
-            .iter()
-            .filter(|&(candidate, _)| {
-                candidate != id && self.is_nested_within(candidate, id) == Ok(true)
-            })
-            .map(|(cid, _)| cid)
-            .collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caex_net::NodeId;
     use caex_tree::{chain_tree, ExceptionTree};
     use std::sync::Arc;
 
@@ -405,14 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn actions_of_object() {
-        let (reg, a1, a2, a3) = fig4();
-        assert_eq!(reg.actions_of(NodeId::new(0)), vec![a1]);
-        assert_eq!(reg.actions_of(NodeId::new(1)), vec![a1, a2, a3]);
-        assert_eq!(reg.actions_of(NodeId::new(3)), vec![a1, a2]);
-    }
-
-    #[test]
     fn children_lists_direct_nesting_only() {
         let (reg, a1, a2, a3) = fig4();
         assert_eq!(reg.children(a1).unwrap(), vec![a2]);
@@ -446,7 +411,6 @@ mod tests {
         assert_eq!(reg.depth(a2).unwrap(), 1);
         assert_eq!(reg.top_level(), vec![a1]);
         assert_eq!(reg.children(a1).unwrap(), vec![a2]);
-        assert_eq!(reg.actions_of(NodeId::new(1)), vec![a1, a2]);
         // Ids below the base (another instance's range) are unknown here.
         assert!(matches!(
             reg.scope(ActionId::new(3)),

@@ -14,7 +14,6 @@
 pub mod causal_bench;
 pub mod obs_bench;
 
-use caex::thread_engine::ThreadRunner;
 use caex::{analysis, cr, workloads, NestedStrategy, Scenario};
 use caex_action::{AbortionOutcome, ActionRegistry, ActionScope, HandlerTable};
 use caex_net::{NetConfig, NodeId, SimTime};
@@ -655,30 +654,6 @@ pub fn table_central_vs_elected(ns: &[u32]) -> Vec<CentralPoint> {
         .collect()
 }
 
-/// Wall-clock comparison row: the threaded runtime resolving the same
-/// workload as the simulator (sanity demonstration, not a paper table).
-#[must_use]
-pub fn threaded_smoke(n: u32) -> usize {
-    let tree = Arc::new(chain_tree(2));
-    let mut reg = ActionRegistry::new();
-    let a1 = reg
-        .declare(ActionScope::top_level(
-            "smoke",
-            (0..n).map(NodeId::new),
-            Arc::clone(&tree),
-        ))
-        .unwrap();
-    let scenario = Scenario::new(Arc::new(reg))
-        .enter_all_at(SimTime::ZERO, a1)
-        .raise_at(
-            SimTime::from_millis(1),
-            NodeId::new(0),
-            Exception::new(ExceptionId::new(1)),
-        );
-    let report = ThreadRunner::new(scenario).run();
-    report.handled_exceptions(a1).len()
-}
-
 /// Renders rows as an aligned text table.
 #[must_use]
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
@@ -791,11 +766,6 @@ mod tests {
         let rows = table_examples();
         assert_eq!(rows[0].1, NodeId::new(2), "O2 resolves Example 1");
         assert_eq!(rows[1].1, NodeId::new(2), "O2 resolves Example 2");
-    }
-
-    #[test]
-    fn threaded_smoke_handles_everywhere() {
-        assert_eq!(threaded_smoke(3), 3);
     }
 
     #[test]

@@ -373,7 +373,7 @@ impl LintReport {
 
     /// The error-severity diagnostics.
     #[must_use]
-    pub fn denials(&self) -> Vec<&Diagnostic> {
+    pub(crate) fn denials(&self) -> Vec<&Diagnostic> {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Deny)

@@ -53,7 +53,7 @@ mod tree;
 
 pub use diag::{Diagnostic, LintCode, LintConfig, LintLevel, LintReport, Severity};
 pub use model::{ModelLimits, ModelOptions, ModelReport, ModelStats, ModelViolation};
-pub use tree::{CHAIN_THRESHOLD, MAX_DEPTH};
+pub use tree::MAX_DEPTH;
 
 use caex::program::ActionProgram;
 use caex::Scenario;
@@ -130,7 +130,7 @@ impl Linter {
     }
 
     /// The full battery over an [`ActionProgram`]: static replay of
-    /// each object's steps plus the declaration and handler families.
+    /// each object's steps plus the declaration family.
     #[must_use]
     pub fn lint_program(&self, program: &ActionProgram) -> LintReport {
         let mut sink = diag::Sink::new(&self.config);

@@ -24,8 +24,8 @@
 //!   (grants are a per-node *set*, so manager fan-out commutes and the
 //!   partial-order reduction below stays sound);
 //! - **crash** — only during the `CAEX018` sweep: a node deserts, its
-//!   channels drop and every survivor folds the desertion in via
-//!   [`Participant::on_deserter`].
+//!   channels drop and every survivor folds the desertion in as an
+//!   [`Event::DeserterSuspected`] through [`Participant::handle`].
 //!
 //! One deliberate abstraction keeps the system faithful: a scripted
 //! `Raise` that the protocol *outran* — the raiser already left every
@@ -722,7 +722,7 @@ impl<'s> World<'s> {
                 .parts
                 .get_mut(&survivor)
                 .expect("survivor exists")
-                .on_deserter(node);
+                .handle(Event::DeserterSuspected { peer: node });
             self.absorb(survivor, effects);
         }
         if self.spec.leave_mode == LeaveMode::Managed {

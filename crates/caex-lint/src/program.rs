@@ -1,6 +1,6 @@
 //! Program lints: static replay of an [`ActionProgram`]'s step lists
-//! (`CAEX010`–`CAEX014`), plus the declaration and handler families
-//! over its registry.
+//! (`CAEX010`–`CAEX014`), plus the declaration family over its
+//! registry.
 
 use crate::diag::{LintCode, Sink};
 use caex::program::{ActionProgram, ProgramStep};
@@ -187,8 +187,8 @@ pub(crate) fn lint_program_into(sink: &mut Sink<'_>, program: &ActionProgram) {
         }
     }
 
-    // Declaration + handler families over the program's context.
+    // The declaration family over the program's context (a program
+    // installs no handler tables of its own).
     let scopes: Vec<_> = registry.iter().map(|(id, s)| (id, s.clone())).collect();
     crate::decl::lint_scopes_into(sink, &scopes);
-    crate::decl::lint_handlers_into(sink, registry, program.handler_tables());
 }

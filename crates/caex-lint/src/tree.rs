@@ -5,7 +5,7 @@ use crate::diag::{LintCode, Sink};
 use caex_tree::{ExceptionId, ExceptionTree, TreeEdit};
 
 /// A chain tree at least this long fires `CAEX004`.
-pub const CHAIN_THRESHOLD: usize = 4;
+pub(crate) const CHAIN_THRESHOLD: usize = 4;
 
 /// A tree higher than this fires `CAEX005`.
 pub const MAX_DEPTH: u32 = 8;

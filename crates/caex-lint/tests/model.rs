@@ -146,7 +146,42 @@ fn caex018_crash_sweep_proves_survivability() {
         lint.render()
     );
     assert!(model.verified(), "exhaustive and clean: {model:?}");
-    assert!(model.crash_points > 0, "the sweep ran: {model:?}");
+    // The exact size of the explored space: a change to how a crash
+    // reaches the survivors, or to what they do with it, moves these.
+    assert_eq!(
+        (
+            model.stats.states,
+            model.stats.transitions,
+            model.crash_points
+        ),
+        (66, 71, 10),
+        "{model:?}"
+    );
+}
+
+#[test]
+fn caex018_crash_sweep_of_example1_is_pinned() {
+    // The smallest built-in family the `check --model` battery sweeps
+    // for crashes, at its exact counts. Example 2, the other one, is
+    // ~1.1M states: too slow for a debug test, so only the battery
+    // prints its counts.
+    let scenario = workloads::example1(NetConfig::default()).0.scenario;
+    let (lint, model) = Linter::new().model_check(&scenario, &ModelOptions::with_crash_sweep());
+    assert!(
+        !lint.fired(LintCode::ModelCrashVulnerable),
+        "{}",
+        lint.render()
+    );
+    assert!(model.verified(), "exhaustive and clean: {model:?}");
+    assert_eq!(
+        (
+            model.stats.states,
+            model.stats.transitions,
+            model.crash_points
+        ),
+        (238, 269, 15),
+        "{model:?}"
+    );
 }
 
 #[test]

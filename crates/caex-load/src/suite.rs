@@ -48,11 +48,11 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Participants per action instance.
-pub const WORKLOAD_N: u32 = 4;
+pub(crate) const WORKLOAD_N: u32 = 4;
 /// Concurrent raisers per instance.
-pub const WORKLOAD_P: u32 = 2;
+pub(crate) const WORKLOAD_P: u32 = 2;
 /// Nested actions per instance.
-pub const WORKLOAD_Q: u32 = 1;
+pub(crate) const WORKLOAD_Q: u32 = 1;
 /// Actions declared per instance (the top-level one plus `Q` nested).
 const ACTIONS_PER_INSTANCE: u32 = WORKLOAD_Q + 1;
 /// The central baseline's collection window (E18's Table 16 value).
@@ -176,7 +176,7 @@ impl LoadOutcome {
     /// Deadline misses over generated actions, in `[0, 1]`.
     #[must_use]
     #[allow(clippy::cast_precision_loss)]
-    pub fn miss_rate(&self, actions: usize) -> f64 {
+    pub(crate) fn miss_rate(&self, actions: usize) -> f64 {
         if actions == 0 {
             return 0.0;
         }
@@ -364,18 +364,18 @@ fn replay(
 /// Seed of the pinned study.
 pub const BENCH_SEED: u64 = 10;
 /// Actions generated per cell.
-pub const BENCH_ACTIONS: usize = 240;
+pub(crate) const BENCH_ACTIONS: usize = 240;
 /// Per-request deadline of the pinned study.
-pub const BENCH_DEADLINE_MS: u64 = 20;
+pub(crate) const BENCH_DEADLINE_MS: u64 = 20;
 /// Offered Poisson rates swept, actions per virtual second. The
 /// single-server service times are roughly 200 µs (`sim`), 410 µs
 /// (`cr`) and 1.2 ms (`central`, window-dominated), so 800/s is
 /// comfortable for every engine at every concurrency, 3200/s
 /// saturates `central` at `(1, 2)`, and 12800/s pushes all three
 /// engines past their lowest-concurrency capacity.
-pub const BENCH_RATES: [f64; 3] = [800.0, 3200.0, 12_800.0];
+pub(crate) const BENCH_RATES: [f64; 3] = [800.0, 3200.0, 12_800.0];
 /// Concurrency levels swept, as `(shards, capacity)`.
-pub const BENCH_CONCURRENCY: [(usize, usize); 3] = [(1, 2), (2, 4), (4, 8)];
+pub(crate) const BENCH_CONCURRENCY: [(usize, usize); 3] = [(1, 2), (2, 4), (4, 8)];
 
 /// One cell of the pinned study: its configuration plus what it
 /// measured.

@@ -40,7 +40,7 @@ pub enum FaultEvent {
 
 impl FaultEvent {
     /// Stable lower-case label for per-kind fault accounting (see
-    /// [`NetStats::record_fault`](crate::NetStats::record_fault)).
+    /// [`NetStats::fault_of_kind`](crate::NetStats::fault_of_kind)).
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
@@ -87,7 +87,7 @@ pub struct FaultPlan {
 /// inside the window are deferred to its end, as if the process were
 /// SIGSTOP-ped and resumed — it then sees a burst of stale traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Freeze {
+pub(crate) struct Freeze {
     node: NodeId,
     from: SimTime,
     until: SimTime,
@@ -99,7 +99,7 @@ pub struct Freeze {
 /// had — the simulator's "zombie" returning after the failure detector
 /// already reported it dead.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Restart {
+pub(crate) struct Restart {
     node: NodeId,
     down_from: SimTime,
     up_at: SimTime,
@@ -109,7 +109,7 @@ pub struct Restart {
 /// window is active (congestion, rerouting — the paper's "transient
 /// errors … of the communication network", §2).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Slowdown {
+pub(crate) struct Slowdown {
     factor: u32,
     from: SimTime,
     until: SimTime,
@@ -118,7 +118,7 @@ pub struct Slowdown {
 /// A transient network partition: messages between `group` and the
 /// rest of the network are dropped while the window is active.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Partition {
+pub(crate) struct Partition {
     group: Vec<NodeId>,
     from: SimTime,
     until: SimTime,
@@ -128,7 +128,7 @@ impl Partition {
     /// `true` if a `src → dst` message at time `at` crosses this
     /// partition while it is active.
     #[must_use]
-    pub fn severs(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
+    pub(crate) fn severs(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
         if at < self.from || at >= self.until {
             return false;
         }
@@ -188,13 +188,13 @@ impl FaultPlan {
 
     /// Returns the probability of dropping each message.
     #[must_use]
-    pub fn drop_probability(&self) -> f64 {
+    pub(crate) fn drop_probability(&self) -> f64 {
         self.drop_probability
     }
 
     /// Returns the probability of duplicating each message.
     #[must_use]
-    pub fn duplicate_probability(&self) -> f64 {
+    pub(crate) fn duplicate_probability(&self) -> f64 {
         self.duplicate_probability
     }
 
@@ -216,7 +216,7 @@ impl FaultPlan {
     /// `true` if a `src → dst` message at time `at` crosses any active
     /// partition.
     #[must_use]
-    pub fn is_partitioned(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
+    pub(crate) fn is_partitioned(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
         self.partitions.iter().any(|p| p.severs(src, dst, at))
     }
 
@@ -291,7 +291,7 @@ impl FaultPlan {
     /// The combined latency multiplier active at time `at` (1 when no
     /// slowdown window covers it).
     #[must_use]
-    pub fn slowdown_at(&self, at: SimTime) -> u64 {
+    pub(crate) fn slowdown_at(&self, at: SimTime) -> u64 {
         self.slowdowns
             .iter()
             .filter(|s| at >= s.from && at < s.until)

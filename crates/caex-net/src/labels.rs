@@ -75,7 +75,7 @@ impl LabelCounts {
     }
 
     /// The labels counted so far, in no particular order.
-    pub fn labels(&self) -> impl Iterator<Item = &'static str> + '_ {
+    pub(crate) fn labels(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.entries.iter().map(|&(label, _)| label)
     }
 

@@ -72,15 +72,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// The smallest latency this model can produce.
-    #[must_use]
-    pub fn lower_bound(&self) -> SimTime {
-        match *self {
-            LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { min, .. } | LatencyModel::Exponential { min, .. } => min,
-        }
-    }
 }
 
 impl Default for LatencyModel {
@@ -167,18 +158,5 @@ mod tests {
         };
         assert_eq!(seq(9), seq(9));
         assert_ne!(seq(9), seq(10));
-    }
-
-    #[test]
-    fn lower_bounds() {
-        assert_eq!(LatencyModel::zero().lower_bound(), SimTime::ZERO);
-        assert_eq!(
-            LatencyModel::Exponential {
-                min: SimTime::from_micros(3),
-                mean: SimTime::from_micros(9)
-            }
-            .lower_bound(),
-            SimTime::from_micros(3)
-        );
     }
 }

@@ -10,7 +10,7 @@
 //!   models, optional fault injection and per-kind message statistics.
 //!   All the paper's complexity measurements run on it because it counts
 //!   real messages exactly and reproducibly.
-//! - [`ThreadNet`] — a multi-threaded transport over crossbeam channels,
+//! - [`ThreadNet`] — a multi-threaded transport over `std::sync::mpsc` channels,
 //!   demonstrating the same algorithm outside simulation.
 //!
 //! # Quick example
@@ -45,7 +45,7 @@ mod thread_net;
 mod time;
 
 pub use channels::ChannelState;
-pub use fault::{FaultEvent, FaultPlan, Freeze, Partition, Restart};
+pub use fault::{FaultEvent, FaultPlan};
 pub use idmap::{IdHasher, IdMap, IdSet};
 pub use labels::LabelCounts;
 pub use latency::LatencyModel;

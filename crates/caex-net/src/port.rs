@@ -3,7 +3,7 @@
 //! The paper's algorithm assumes exactly one thing of its network
 //! (§4.2): reliable FIFO message passing between objects. [`FifoPort`]
 //! captures that contract so the participant driver loop can run
-//! unchanged over in-process crossbeam channels
+//! unchanged over in-process `mpsc` channels
 //! ([`NodePort`](crate::NodePort)) or over real sockets
 //! (`caex-wire`'s `WirePort`), and so tests can substitute fakes.
 

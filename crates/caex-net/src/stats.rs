@@ -83,16 +83,6 @@ impl NetStats {
             .sum()
     }
 
-    /// Total messages a node sent (its out-degree load).
-    #[must_use]
-    pub fn node_out_load(&self, node: NodeId) -> u64 {
-        self.channels
-            .iter()
-            .filter(|((from, _), _)| *from == node)
-            .map(|(_, &c)| c)
-            .sum()
-    }
-
     /// The node with the highest in-degree load, with that load.
     #[must_use]
     pub fn hottest_receiver(&self) -> Option<(NodeId, u64)> {
@@ -114,17 +104,17 @@ impl NetStats {
     }
 
     /// Records one send attributed to action `action`.
-    pub fn record_action_send(&mut self, action: u32) {
+    pub(crate) fn record_action_send(&mut self, action: u32) {
         self.per_action.entry(action).or_default().sent += 1;
     }
 
     /// Records one delivery attributed to action `action`.
-    pub fn record_action_delivery(&mut self, action: u32) {
+    pub(crate) fn record_action_delivery(&mut self, action: u32) {
         self.per_action.entry(action).or_default().delivered += 1;
     }
 
     /// Records one drop attributed to action `action`.
-    pub fn record_action_drop(&mut self, action: u32) {
+    pub(crate) fn record_action_drop(&mut self, action: u32) {
         self.per_action.entry(action).or_default().dropped += 1;
     }
 
@@ -142,13 +132,13 @@ impl NetStats {
     }
 
     /// Updates the high-water mark of simultaneously in-flight messages.
-    pub fn observe_in_flight(&mut self, current: usize) {
+    pub(crate) fn observe_in_flight(&mut self, current: usize) {
         self.max_in_flight = self.max_in_flight.max(current);
     }
 
     /// Records one injected fault of `kind` (a
     /// [`FaultEvent::label`](crate::FaultEvent::label) string).
-    pub fn record_fault(&mut self, kind: &'static str) {
+    pub(crate) fn record_fault(&mut self, kind: &'static str) {
         self.faults.add(kind, 1);
     }
 
@@ -169,18 +159,6 @@ impl NetStats {
     #[must_use]
     pub fn recovery_of_kind(&self, kind: &str) -> u64 {
         self.recovery.get(kind)
-    }
-
-    /// Total recovery actions (all kinds).
-    #[must_use]
-    pub fn recoveries_total(&self) -> u64 {
-        self.recovery.total()
-    }
-
-    /// Total faults injected (all kinds).
-    #[must_use]
-    pub fn faults_total(&self) -> u64 {
-        self.faults.total()
     }
 
     /// Total messages sent (all kinds).
@@ -432,7 +410,6 @@ mod tests {
         assert_eq!(s.channel_load(b, c), 2);
         assert_eq!(s.channel_load(c, b), 0);
         assert_eq!(s.node_in_load(c), 3);
-        assert_eq!(s.node_out_load(b), 2);
         assert_eq!(s.hottest_receiver(), Some((c, 3)));
     }
 
@@ -459,7 +436,6 @@ mod tests {
         assert_eq!(a.fault_of_kind("reordered"), 3);
         assert_eq!(a.fault_of_kind("clock_frozen"), 1);
         assert_eq!(a.fault_of_kind("restarted"), 0);
-        assert_eq!(a.faults_total(), 4);
         let text = a.to_string();
         assert!(text.contains("fault reordered: 3"), "{text}");
         assert!(text.contains("fault clock_frozen: 1"), "{text}");
@@ -478,7 +454,6 @@ mod tests {
         assert_eq!(a.recovery_of_kind("suspicion_flap"), 1);
         assert_eq!(a.recovery_of_kind("replayed_frame"), 1);
         assert_eq!(a.recovery_of_kind("unknown"), 0);
-        assert_eq!(a.recoveries_total(), 4);
         let text = a.to_string();
         assert!(text.contains("recovery reconnect: 2"), "{text}");
         assert!(text.contains("recovery suspicion_flap: 1"), "{text}");

@@ -1,15 +1,15 @@
 //! A real multi-threaded transport with the same FIFO guarantees as the
-//! simulator, built on crossbeam channels.
+//! simulator, built on `std::sync::mpsc` channels.
 //!
 //! Each node owns a [`NodePort`]: an inbox plus the ability to send to
 //! every other node. Per-sender FIFO holds because a sending thread's
-//! sends into a channel are totally ordered, and crossbeam channels
+//! sends into a channel are totally ordered, and `mpsc` channels
 //! deliver each sender's messages in order.
 
 use crate::{FifoPort, Kinded, NetStats, NodeId};
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use std::fmt;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -102,8 +102,8 @@ impl<M: Kinded> NodePort<M> {
                 self.stats.lock().record_delivery(payload.kind());
                 Ok((from, payload))
             }
-            Err(channel::RecvTimeoutError::Timeout) => Err(RecvTimeoutError::Timeout),
-            Err(channel::RecvTimeoutError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvTimeoutError::Timeout),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvTimeoutError::Disconnected),
         }
     }
 
@@ -191,7 +191,7 @@ impl<M: Kinded> ThreadNet<M> {
         let mut senders = Vec::with_capacity(n as usize);
         let mut inboxes = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = mpsc::channel();
             senders.push(tx);
             inboxes.push(rx);
         }

@@ -15,8 +15,8 @@
 //!   [`ObsKind::MessageSent`] of the same triple — exact under the
 //!   §4.2 FIFO-channel assumption the protocol itself relies on.
 //!
-//! Over that DAG, [`CausalGraph::critical_path`] extracts the longest
-//! latency chain of one `(action, round)` resolution by walking
+//! Over that DAG, [`CausalGraph::critical_paths`] extracts the longest
+//! latency chain of each `(action, round)` resolution by walking
 //! backward from its last event, always to the latest-finishing
 //! predecessor. Each hop is attributed to a protocol [`Phase`]
 //! (raise propagation, resolver election, resolution, commit/abort,
@@ -305,7 +305,7 @@ impl CausalGraph {
     /// Every `(action, round)` span with `round > 0` present in the
     /// stream, sorted.
     #[must_use]
-    pub fn resolution_spans(&self) -> Vec<CorrelationId> {
+    pub(crate) fn resolution_spans(&self) -> Vec<CorrelationId> {
         let spans: BTreeSet<CorrelationId> = self
             .events
             .iter()
@@ -326,7 +326,7 @@ impl CausalGraph {
     /// no in-span predecessor remains. Returns `None` if the span has
     /// no events.
     #[must_use]
-    pub fn critical_path(&self, span: CorrelationId) -> Option<CriticalPath> {
+    pub(crate) fn critical_path(&self, span: CorrelationId) -> Option<CriticalPath> {
         let end = self
             .events
             .iter()

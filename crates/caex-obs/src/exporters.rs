@@ -669,53 +669,6 @@ pub fn check_balanced(doc: &JsonValue) -> Result<usize, String> {
     Ok(pairs)
 }
 
-/// Checks that the document's flow events form balanced send/receive
-/// pairs: every `ph:"f"` must share its `id` with exactly one earlier
-/// `ph:"s"`, and no id may be used twice in either role. Returns the
-/// number of complete pairs. Flow starts without a finish are legal
-/// (the message may have been dropped or the victim crashed) and are
-/// not counted.
-///
-/// # Errors
-///
-/// Returns a description of the first violation found.
-pub fn check_flow_pairs(doc: &JsonValue) -> Result<usize, String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "missing traceEvents array".to_owned())?;
-    let mut started: BTreeMap<u64, bool> = BTreeMap::new(); // id -> finished
-    let mut pairs = 0usize;
-    for ev in events {
-        let ph = ev.get("ph").and_then(JsonValue::as_str).unwrap_or("");
-        if ph != "s" && ph != "f" {
-            continue;
-        }
-        let id = ev
-            .get("id")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("flow event `{ph}` without id"))?;
-        match ph {
-            "s" => {
-                if started.insert(id, false).is_some() {
-                    return Err(format!("flow id {id} started twice"));
-                }
-            }
-            _ => match started.get_mut(&id) {
-                None => return Err(format!("flow id {id} finishes before it starts")),
-                Some(done) if *done => {
-                    return Err(format!("flow id {id} finished twice"));
-                }
-                Some(done) => {
-                    *done = true;
-                    pairs += 1;
-                }
-            },
-        }
-    }
-    Ok(pairs)
-}
-
 /// The set of track ids (`tid`s) present in a trace document,
 /// metadata rows included.
 #[must_use]
@@ -748,6 +701,49 @@ mod tests {
             span: CorrelationId { action: ActionId::new(1), round: 1 },
             kind,
         }
+    }
+
+    /// Checks that the document's flow events form balanced send/receive
+    /// pairs: every `ph:"f"` must share its `id` with exactly one earlier
+    /// `ph:"s"`, and no id may be used twice in either role. Returns the
+    /// number of complete pairs. Flow starts without a finish are legal
+    /// (the message may have been dropped or the victim crashed) and are
+    /// not counted.
+    fn check_flow_pairs(doc: &JsonValue) -> Result<usize, String> {
+        let events = doc
+            .get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| "missing traceEvents array".to_owned())?;
+        let mut started: BTreeMap<u64, bool> = BTreeMap::new(); // id -> finished
+        let mut pairs = 0usize;
+        for ev in events {
+            let ph = ev.get("ph").and_then(JsonValue::as_str).unwrap_or("");
+            if ph != "s" && ph != "f" {
+                continue;
+            }
+            let id = ev
+                .get("id")
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| format!("flow event `{ph}` without id"))?;
+            match ph {
+                "s" => {
+                    if started.insert(id, false).is_some() {
+                        return Err(format!("flow id {id} started twice"));
+                    }
+                }
+                _ => match started.get_mut(&id) {
+                    None => return Err(format!("flow id {id} finishes before it starts")),
+                    Some(done) if *done => {
+                        return Err(format!("flow id {id} finished twice"));
+                    }
+                    Some(done) => {
+                        *done = true;
+                        pairs += 1;
+                    }
+                },
+            }
+        }
+        Ok(pairs)
     }
 
     #[test]

@@ -18,11 +18,9 @@ use std::collections::BTreeMap;
 /// whole run (directly as an engine's observer, or by replaying a
 /// recorded stream), then render with [`FlameBuilder::folded`].
 ///
-/// Dwell is keyed internally by the full `(ActionId, round)` span, so
-/// one builder can profile a whole fleet of multiplexed actions: use
-/// [`FlameBuilder::folded_for_action`] or
-/// [`FlameBuilder::folded_for_span`] to isolate one action's profile,
-/// and the round-only views to sum across actions.
+/// Dwell is keyed internally by the full `(ActionId, round)` span
+/// ([`FlameBuilder::spans`]), so one builder can profile a whole fleet
+/// of multiplexed actions; the round views sum across actions.
 #[derive(Debug, Default)]
 pub struct FlameBuilder {
     /// Live frame stack per object (root `O<i>` frame included).
@@ -84,21 +82,6 @@ impl FlameBuilder {
     #[must_use]
     pub fn folded_for_round(&self, round: u32) -> String {
         self.render(|_, r| r == round)
-    }
-
-    /// Like [`FlameBuilder::folded`], restricted to dwell accumulated
-    /// under spans of the action with index `action` — one action's
-    /// profile out of a multiplexed fleet.
-    #[must_use]
-    pub fn folded_for_action(&self, action: u32) -> String {
-        self.render(|a, _| a == action)
-    }
-
-    /// Like [`FlameBuilder::folded`], restricted to one exact
-    /// `(action index, round)` span.
-    #[must_use]
-    pub fn folded_for_span(&self, action: u32, round: u32) -> String {
-        self.render(|a, r| a == action && r == round)
     }
 
     /// Folded lines over the spans selected by `keep`, one line per
@@ -254,10 +237,11 @@ mod tests {
         flame.on_run_end(SimTime::from_micros(100));
         assert_eq!(flame.spans(), vec![(0, 0), (0, 1), (5, 0), (5, 1)]);
         // Action 0: O0 enters A0, 0→50. Action 5: O9 enters A5, 0→100.
-        assert!(flame.folded_for_action(0).contains("O0;A0 50\n"));
-        assert!(!flame.folded_for_action(0).contains("O9"));
-        assert!(flame.folded_for_action(5).contains("O9;A5 100\n"));
-        assert!(flame.folded_for_span(5, 1).contains("O9;A5 60\n"));
+        let action = |index: u32| flame.render(|a, _| a == index);
+        assert!(action(0).contains("O0;A0 50\n"));
+        assert!(!action(0).contains("O9"));
+        assert!(action(5).contains("O9;A5 100\n"));
+        assert!(flame.render(|a, r| a == 5 && r == 1).contains("O9;A5 60\n"));
         // Round views still sum across the fleet.
         let round1 = flame.folded_for_round(1);
         assert!(round1.contains("O0;A0 20\n"), "{round1}");

@@ -184,17 +184,23 @@ impl std::error::Error for JsonError {}
 /// # Errors
 ///
 /// Returns a [`JsonError`] with the byte offset of the first syntax
-/// problem, or of trailing non-whitespace input.
+/// problem, of trailing non-whitespace input, or of the first array
+/// or object nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(input, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing input"));
     }
     Ok(value)
 }
+
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a bound a line of `[`s from a peer would overflow
+/// the stack; this crate's own documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
 
 fn err(at: usize, message: &str) -> JsonError {
     JsonError { at, message: message.to_owned() }
@@ -215,13 +221,15 @@ fn expect(bytes: &[u8], pos: &mut usize, what: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(*pos, "nested too deeply")),
+        Some(b'{') => parse_object(input, pos, depth + 1),
+        Some(b'[') => parse_array(input, pos, depth + 1),
+        Some(b'"') => Ok(JsonValue::Str(parse_string(input, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
@@ -260,7 +268,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
         .map_err(|_| err(start, "invalid number"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -300,18 +309,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 code point.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a char boundary.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(&input[*pos..run]);
+                *pos = run;
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_array(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -320,7 +332,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(input, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -333,7 +345,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_object(input: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -343,10 +356,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(input, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(input, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -406,6 +419,27 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let v = parse("\"a\\u0041\\n\\t\\\"\"").expect("valid");
         assert_eq!(v.as_str(), Some("aA\n\t\""));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        let e = parse(&deep).expect_err("unterminated and too deep");
+        assert_eq!((e.at, e.message.as_str()), (MAX_DEPTH, "nested too deeply"));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objects).expect_err("too deep").message, "nested too deeply");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Over 1 MiB, with multi-byte characters and escapes spread
+        // through it: parsing must stay linear in the input.
+        let text: String = "ab\"é\\\n€".repeat(1 << 17);
+        assert!(text.len() >= 1 << 20);
+        let doc = JsonValue::Str(text.clone()).to_string();
+        assert_eq!(parse(&doc).expect("valid").as_str(), Some(text.as_str()));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 /// Default microsecond bucket bounds shared by every histogram: powers
 /// of ten from 1µs to 10s, plus the implicit `+Inf` bucket.
-pub const DEFAULT_US_BOUNDS: [u64; 8] =
+pub(crate) const DEFAULT_US_BOUNDS: [u64; 8] =
     [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
 /// Message kinds counted against the §4.4 bound. `leave_ready` is
@@ -100,7 +100,7 @@ impl Histogram {
     /// `(upper_bound, cumulative_count)` pairs in Prometheus `le`
     /// convention, ending with the `+Inf` bucket (`u64::MAX`).
     #[must_use]
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::with_capacity(self.counts.len());
         let mut running = 0;
         for (i, &count) in self.counts.iter().enumerate() {

@@ -3,11 +3,9 @@
 //! receiving side), closing the ROADMAP item "stream exporters over a
 //! real socket".
 //!
-//! The wire format is the stable JSONL of
-//! [`event_to_json`](crate::exporters::event_to_json): one flat JSON
-//! object per line, newline-terminated, UTF-8. A collector rebuilds
-//! typed [`ObsEvent`]s with
-//! [`event_from_json`](crate::exporters::event_from_json) and can
+//! The wire format is the stable JSONL of [`event_to_json`]: one flat
+//! JSON object per line, newline-terminated, UTF-8. A collector
+//! rebuilds typed [`ObsEvent`]s with [`event_from_json`] and can
 //! replay them into any local observer stack (metrics registry,
 //! watchdog, trace exporter) — which is how `caex-wire`'s coordinator
 //! watches a multi-process run: each participant process streams its
@@ -33,12 +31,11 @@ use std::time::Duration;
 ///
 /// Export errors (collector gone, connection reset) are absorbed and
 /// remembered rather than panicking the instrumented run — losing
-/// telemetry must not fail the protocol. Check [`TcpExporter::is_healthy`]
-/// if delivery matters.
+/// telemetry must not fail the protocol. After the first failed write
+/// the exporter drops every later event.
 #[derive(Debug)]
 pub struct TcpExporter {
     writer: BufWriter<TcpStream>,
-    exported: u64,
     failed: bool,
 }
 
@@ -69,29 +66,15 @@ impl TcpExporter {
         let _ = stream.set_nodelay(true);
         TcpExporter {
             writer: BufWriter::new(stream),
-            exported: 0,
             failed: false,
         }
-    }
-
-    /// Events successfully handed to the socket buffer so far.
-    #[must_use]
-    pub fn exported(&self) -> u64 {
-        self.exported
-    }
-
-    /// `false` once any write or flush has failed; later events are
-    /// silently dropped.
-    #[must_use]
-    pub fn is_healthy(&self) -> bool {
-        !self.failed
     }
 
     /// Flushes buffered lines to the socket.
     ///
     /// # Errors
     ///
-    /// Propagates the flush error (and marks the exporter unhealthy).
+    /// Propagates the flush error (and drops every later event).
     pub fn flush(&mut self) -> io::Result<()> {
         self.writer.flush().inspect_err(|_| self.failed = true)
     }
@@ -104,9 +87,8 @@ impl Observer for TcpExporter {
         }
         let mut line = event_to_json(event).to_string();
         line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
-            Ok(()) => self.exported += 1,
-            Err(_) => self.failed = true,
+        if self.writer.write_all(line.as_bytes()).is_err() {
+            self.failed = true;
         }
     }
 
@@ -251,8 +233,7 @@ mod tests {
                 exporter.on_event(e);
             }
             exporter.on_run_end(SimTime::from_micros(10));
-            assert!(exporter.is_healthy());
-            assert_eq!(exporter.exported(), 3);
+            assert!(!exporter.failed);
         }
 
         let streams = handle.join().unwrap();

@@ -75,7 +75,6 @@ pub struct Watchdog {
     // (observer, suspected peer) pairs with no rejoin (or confirmation)
     // yet — pairs the two-stage detector's Suspected/Rejoined events.
     open_suspicions: BTreeSet<(NodeId, NodeId)>,
-    suspicion_flaps: u64,
 }
 
 /// Per-(round, sender) tally of ack-expecting sends, grouped into
@@ -121,16 +120,7 @@ impl Watchdog {
             check_multicast_law: false,
             fanouts: BTreeMap::new(),
             open_suspicions: BTreeSet::new(),
-            suspicion_flaps: 0,
         }
-    }
-
-    /// Suspicion flaps observed so far: peers suspected by the accrual
-    /// detector and then heard from again (each one a desertion the old
-    /// fixed-timeout detector would have declared falsely).
-    #[must_use]
-    pub fn suspicion_flaps(&self) -> u64 {
-        self.suspicion_flaps
     }
 
     /// Allows up to `count` commits per round (resolver groups).
@@ -351,7 +341,6 @@ impl Observer for Watchdog {
                         format!("{object} saw {peer} rejoin without suspecting it first"),
                     );
                 }
-                self.suspicion_flaps += 1;
             }
             // Receives carry no protocol obligations of their own; the
             // matching-send invariant is causal analysis' job. The

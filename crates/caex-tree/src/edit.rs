@@ -99,9 +99,8 @@ impl TreeEdit {
     ///
     /// # Errors
     ///
-    /// Propagates [`ExceptionTree::with_inserted_parent`] errors: a
-    /// duplicate name or a grouped id that is not a direct child of the
-    /// root in `tree`.
+    /// [`TreeError`] for a duplicate name or a grouped id that is not a
+    /// direct child of the root in `tree`.
     pub fn apply(&self, tree: &ExceptionTree) -> Result<ExceptionTree, TreeError> {
         tree.with_inserted_parent(self.name.clone(), &self.grouped)
     }

@@ -46,13 +46,6 @@ impl Resolution {
     pub fn was_trivial(&self) -> bool {
         self.raised.len() == 1 && self.raised[0] == self.resolved
     }
-
-    /// `true` when resolution had to escalate all the way to the root
-    /// ("universal") exception.
-    #[must_use]
-    pub fn escalated_to_root(&self) -> bool {
-        self.resolved.is_root()
-    }
 }
 
 impl ExceptionTree {
@@ -122,6 +115,12 @@ impl ExceptionTree {
     {
         self.resolve(raised.into_iter().map(Exception::id))
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TreeBuilder;
 
     /// The alternative policy the paper argues *against* (§2.2):
     /// priority-based selection picks the raised exception with the
@@ -129,14 +128,9 @@ impl ExceptionTree {
     /// of* the raised exceptions rather than an exception that covers
     /// them all, so the winner's handler generally cannot handle the
     /// losers ("several errors … could be the symptoms of a different,
-    /// more serious fault"). Provided for ablation experiments.
-    ///
-    /// # Errors
-    ///
-    /// [`TreeError::EmptyResolutionSet`] for an empty input,
-    /// [`TreeError::UnknownId`] for foreign ids.
-    pub fn resolve_by_priority<I, P>(
-        &self,
+    /// more serious fault"). The foil of the tests below.
+    fn resolve_by_priority<I, P>(
+        tree: &ExceptionTree,
         raised: I,
         priority: P,
     ) -> Result<ExceptionId, TreeError>
@@ -146,7 +140,7 @@ impl ExceptionTree {
     {
         let mut best: Option<(u32, ExceptionId)> = None;
         for id in raised {
-            if !self.contains(id) {
+            if !tree.contains(id) {
                 return Err(TreeError::UnknownId(id));
             }
             let p = priority(id);
@@ -158,12 +152,6 @@ impl ExceptionTree {
         }
         best.map(|(_, id)| id).ok_or(TreeError::EmptyResolutionSet)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::TreeBuilder;
 
     fn engines() -> (ExceptionTree, ExceptionId, ExceptionId, ExceptionId) {
         let mut b = TreeBuilder::new("universal_exception");
@@ -198,7 +186,7 @@ mod tests {
         let z = b.child_of_root("z").unwrap();
         let tree = b.build().unwrap();
         let res = tree.resolve_detailed([a, z]).unwrap();
-        assert!(res.escalated_to_root());
+        assert!(res.resolved().is_root());
     }
 
     #[test]
@@ -248,9 +236,7 @@ mod tests {
         // priority policy picks one of them, whose handler cannot cover
         // the other; the tree policy escalates to the emergency class.
         let (tree, emergency, left, right) = engines();
-        let by_priority = tree
-            .resolve_by_priority([left, right], |id| id.index())
-            .unwrap();
+        let by_priority = resolve_by_priority(&tree, [left, right], |id| id.index()).unwrap();
         assert_eq!(by_priority, right, "priority picks a raised exception");
         assert!(
             !tree.is_ancestor(by_priority, left).unwrap(),
@@ -265,7 +251,7 @@ mod tests {
     #[test]
     fn priority_ties_break_toward_lower_id() {
         let (tree, _e, left, right) = engines();
-        let picked = tree.resolve_by_priority([right, left], |_| 7).unwrap();
+        let picked = resolve_by_priority(&tree, [right, left], |_| 7).unwrap();
         assert_eq!(picked, left.min(right));
     }
 
@@ -273,11 +259,11 @@ mod tests {
     fn priority_rejects_empty_and_foreign() {
         let (tree, ..) = engines();
         assert_eq!(
-            tree.resolve_by_priority(std::iter::empty(), |_| 0),
+            resolve_by_priority(&tree, std::iter::empty(), |_| 0),
             Err(TreeError::EmptyResolutionSet)
         );
         assert!(matches!(
-            tree.resolve_by_priority([ExceptionId::new(50)], |_| 0),
+            resolve_by_priority(&tree, [ExceptionId::new(50)], |_| 0),
             Err(TreeError::UnknownId(_))
         ));
     }

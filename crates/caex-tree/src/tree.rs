@@ -239,31 +239,6 @@ impl ExceptionTree {
         self.depth.iter().copied().max().unwrap_or(0)
     }
 
-    /// `true` if `id` has no children.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownId`] if `id` is not in this tree.
-    pub fn is_leaf(&self, id: ExceptionId) -> Result<bool, TreeError> {
-        Ok(self.children[self.check(id)?].is_empty())
-    }
-
-    /// The other children of `id`'s parent (empty for the root).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownId`] if `id` is not in this tree.
-    pub fn siblings(&self, id: ExceptionId) -> Result<Vec<ExceptionId>, TreeError> {
-        match self.parent(id)? {
-            None => Ok(Vec::new()),
-            Some(p) => Ok(self
-                .children(p)
-                .expect("parent is valid")
-                .filter(|&c| c != id)
-                .collect()),
-        }
-    }
-
     /// Summary statistics of the tree's shape.
     ///
     /// # Examples
@@ -419,7 +394,7 @@ impl ExceptionTree {
     /// - [`TreeError::DuplicateName`] if `name` is already declared;
     /// - [`TreeError::UnknownId`] if a listed child is not in the tree,
     ///   is the root itself, or is not a direct child of the root.
-    pub fn with_inserted_parent(
+    pub(crate) fn with_inserted_parent(
         &self,
         name: impl Into<String>,
         children: &[ExceptionId],
@@ -737,19 +712,6 @@ mod tests {
         for id in tree.iter() {
             assert!(shown.contains(tree.name(id).unwrap()));
         }
-    }
-
-    #[test]
-    fn leaf_and_sibling_queries() {
-        let (tree, a, b1, b2, c) = sample();
-        assert!(!tree.is_leaf(a).unwrap());
-        assert!(tree.is_leaf(c).unwrap());
-        assert!(tree.is_leaf(b2).unwrap());
-        assert_eq!(tree.siblings(b1).unwrap(), vec![b2]);
-        assert_eq!(tree.siblings(b2).unwrap(), vec![b1]);
-        assert!(tree.siblings(tree.root()).unwrap().is_empty());
-        assert!(tree.siblings(a).unwrap().is_empty());
-        assert!(tree.is_leaf(ExceptionId::new(99)).is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::f64::consts::LN_10;
 /// Sliding-window estimator of one peer's heartbeat inter-arrival
 /// distribution, queried as a suspicion level φ.
 #[derive(Debug, Clone)]
-pub struct PhiEstimator {
+pub(crate) struct PhiEstimator {
     /// Most recent inter-arrival gaps, seconds, oldest first.
     intervals: VecDeque<f64>,
     /// Window capacity; older samples fall off.
@@ -46,7 +46,7 @@ impl PhiEstimator {
     /// A fresh estimator with the given window capacity and mean floor
     /// (both from [`crate::wire::WireConfig`]).
     #[must_use]
-    pub fn new(window: usize, floor: f64) -> PhiEstimator {
+    pub(crate) fn new(window: usize, floor: f64) -> PhiEstimator {
         PhiEstimator {
             intervals: VecDeque::with_capacity(window.max(1)),
             window: window.max(1),
@@ -56,7 +56,7 @@ impl PhiEstimator {
 
     /// Records one observed inter-arrival gap, seconds. Non-finite or
     /// negative samples are ignored (a clock hiccup is not evidence).
-    pub fn observe(&mut self, interval_secs: f64) {
+    pub(crate) fn observe(&mut self, interval_secs: f64) {
         if !interval_secs.is_finite() || interval_secs < 0.0 {
             return;
         }
@@ -66,18 +66,12 @@ impl PhiEstimator {
         self.intervals.push_back(interval_secs);
     }
 
-    /// Samples currently in the window.
-    #[must_use]
-    pub fn samples(&self) -> usize {
-        self.intervals.len()
-    }
-
     /// The estimated mean inter-arrival, seconds — the window average,
     /// floored at the heartbeat interval. With no samples yet the
     /// floor itself is the estimate, so a peer that never spoke still
     /// accrues suspicion at the configured cadence.
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.intervals.is_empty() {
             return self.floor;
         }
@@ -89,15 +83,8 @@ impl PhiEstimator {
     /// φ after `silence_secs` of silence: `silence / (mean · ln 10)`.
     /// Monotonically non-decreasing in silence; zero at zero silence.
     #[must_use]
-    pub fn phi(&self, silence_secs: f64) -> f64 {
+    pub(crate) fn phi(&self, silence_secs: f64) -> f64 {
         silence_secs.max(0.0) / (self.mean() * LN_10)
-    }
-
-    /// The silence, seconds, at which φ reaches `threshold` under the
-    /// current mean — the fixed-timeout equivalent of a φ threshold.
-    #[must_use]
-    pub fn silence_for(&self, threshold: f64) -> f64 {
-        threshold * self.mean() * LN_10
     }
 }
 
@@ -106,7 +93,7 @@ impl PhiEstimator {
 /// ln 10)`. This is how the legacy `--crash-timeout-ms` flag maps onto
 /// the accrual detector.
 #[must_use]
-pub fn phi_for_timeout(timeout_secs: f64, heartbeat_secs: f64) -> f64 {
+pub(crate) fn phi_for_timeout(timeout_secs: f64, heartbeat_secs: f64) -> f64 {
     timeout_secs / (heartbeat_secs.max(1e-6) * LN_10)
 }
 
@@ -137,7 +124,7 @@ mod tests {
             e.observe(0.02);
         }
         assert!((e.mean() - 0.02).abs() < 1e-12);
-        assert_eq!(e.samples(), 4);
+        assert_eq!(e.intervals.len(), 4);
     }
 
     #[test]
@@ -158,7 +145,7 @@ mod tests {
         e.observe(f64::NAN);
         e.observe(f64::INFINITY);
         e.observe(-1.0);
-        assert_eq!(e.samples(), 0);
+        assert_eq!(e.intervals.len(), 0);
     }
 
     #[test]
@@ -168,7 +155,7 @@ mod tests {
         // 40ms floor reaches that φ at exactly 400ms of silence.
         let phi = phi_for_timeout(0.4, 0.04);
         let e = PhiEstimator::new(16, 0.04);
-        assert!((e.silence_for(phi) - 0.4).abs() < 1e-9);
+        assert!((e.phi(0.4) - phi).abs() < 1e-9);
         assert!(e.phi(0.399) < phi);
         assert!(e.phi(0.401) > phi);
     }

@@ -49,7 +49,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// Marker prefix of the one report line each participant prints.
-pub const REPORT_PREFIX: &str = "CAEX-WIRE-REPORT ";
+pub(crate) const REPORT_PREFIX: &str = "CAEX-WIRE-REPORT ";
 /// Marker prefix of the coordinator's summary line.
 pub const SUMMARY_PREFIX: &str = "CAEX-WIRE-SUMMARY ";
 

@@ -14,7 +14,7 @@
 //!   that carries [`caex::Msg`] values (via the `caex::codec` payload
 //!   encoding) plus the control frames the mesh itself needs (hello,
 //!   heartbeat, ready, bye).
-//! - [`detector`] — the phi-accrual failure estimator: per-peer
+//! - `detector` — the phi-accrual failure estimator: per-peer
 //!   heartbeat inter-arrival history scored as a continuous suspicion
 //!   level φ, with separate *suspect* and *confirm* thresholds.
 //! - [`wire`] — [`wire::WirePort`], a [`caex_net::FifoPort`]
@@ -36,13 +36,12 @@
 //! all of it from the command line; see the README's "Wire transport"
 //! walkthrough.
 
-pub mod detector;
+mod detector;
 pub mod frame;
 pub mod harness;
 pub mod scenario;
 pub mod wire;
 
-pub use detector::PhiEstimator;
 pub use frame::{Frame, FrameError};
 pub use harness::{CoordinatorOptions, CrashMode, RunSummary, Transport};
 pub use scenario::WireScenario;

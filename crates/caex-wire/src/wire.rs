@@ -15,24 +15,26 @@
 //! Failure detection: an idle outbound link carries a
 //! [`Frame::Heartbeat`] every [`WireConfig::heartbeat_interval`]. The
 //! receiving side timestamps every frame and feeds the gaps to a
-//! per-peer [`PhiEstimator`]; the current silence is scored as a
+//! per-peer phi-accrual estimator; the current silence is scored as a
 //! continuous suspicion level φ with **two** thresholds:
 //!
 //! - φ ≥ [`WireConfig::phi_suspect`] — the peer is *Suspected*:
 //!   reported (re-reportably) by [`FifoPort::take_suspected`], which
-//!   the drive loop folds into `Participant::on_suspect` — purely
-//!   informational, nothing is excluded. When the silence ends the
+//!   the drive loop hands the participant as
+//!   [`caex::Event::PeerSuspected`] — purely informational, nothing is
+//!   excluded. When the silence ends the
 //!   flap is reported by [`FifoPort::take_rejoined`] and the
 //!   participant re-forwards any commit the peer missed.
 //! - φ ≥ [`WireConfig::phi_confirm`] **on two successive detector
 //!   polls at least one heartbeat apart** — the peer is *Confirmed*
 //!   dead: reported once by [`FifoPort::take_crashed`], which the
-//!   drive loop folds into [`caex::Participant::on_deserter`], so a
-//!   crashed participant surfaces as a §4.2 *deserter* instead of
-//!   hanging resolution. The second poll protects a process resuming
-//!   from `SIGSTOP`: its `last_seen` clocks are uniformly stale until
-//!   its reader threads drain the buffered heartbeats, and one
-//!   heartbeat of grace is exactly the time that takes.
+//!   drive loop hands the participant as
+//!   [`caex::Event::DeserterSuspected`], so a crashed participant
+//!   surfaces as a §4.2 *deserter* instead of hanging resolution. The
+//!   second poll protects a process resuming from `SIGSTOP`: its
+//!   `last_seen` clocks are uniformly stale until its reader threads
+//!   drain the buffered heartbeats, and one heartbeat of grace is
+//!   exactly the time that takes.
 //!
 //! Hard evidence skips the accrual: a connection that ends without a
 //! [`Frame::Bye`] (and without a newer-incarnation replacement link),
@@ -52,7 +54,6 @@ use crate::detector::PhiEstimator;
 use crate::frame::{read_frame, write_frame, Frame};
 use caex::Event;
 use caex_net::{FifoPort, Kinded, NetStats, NodeId, RecvTimeoutError};
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -62,6 +63,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -343,7 +345,7 @@ impl WireBound {
         // formation, bumped per mid-run redial so acceptors can tell a
         // reconnect from a stale or duplicate link.
         let incarnation = Arc::new(AtomicU32::new(0));
-        let (inbox_tx, inbox_rx) = channel::unbounded();
+        let (inbox_tx, inbox_rx) = mpsc::channel();
 
         // Inbound half: accept until shutdown, one reader per link.
         listener.set_nonblocking(true)?;
@@ -386,7 +388,7 @@ impl WireBound {
                 continue;
             }
             let stream = dial(peer_addr, &config, id, 0)?;
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = mpsc::channel();
             let peer_addr = peer_addr.clone();
             let config_cl = config.clone();
             let state_cl = Arc::clone(&state);
@@ -614,8 +616,8 @@ fn writer_loop(
     loop {
         let frame = match rx.recv_timeout(config.heartbeat_interval) {
             Ok(f) => f,
-            Err(channel::RecvTimeoutError::Timeout) => Frame::Heartbeat,
-            Err(channel::RecvTimeoutError::Disconnected) => Frame::Bye,
+            Err(mpsc::RecvTimeoutError::Timeout) => Frame::Heartbeat,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Frame::Bye,
         };
         let ending = matches!(frame, Frame::Bye);
         if write_frame(&mut stream, &frame).is_err() {
@@ -802,7 +804,7 @@ impl WirePort {
     /// [`WirePort::barrier`] returns, with the same `Instant` the
     /// harness uses as its observation epoch — then skew estimates
     /// are directly the per-peer offset between observation clocks.
-    pub fn rebase_epoch(&self, at: Instant) {
+    pub(crate) fn rebase_epoch(&self, at: Instant) {
         *self.epoch.lock() = at;
         self.state.lock().skew_min.clear();
     }
@@ -815,7 +817,7 @@ impl WirePort {
     /// (or assuming symmetric floor delay) isolates the offset.
     /// Sorted by peer id; peers that never sent are absent.
     #[must_use]
-    pub fn skew_estimates(&self) -> Vec<(NodeId, i64)> {
+    pub(crate) fn skew_estimates(&self) -> Vec<(NodeId, i64)> {
         let st = self.state.lock();
         let mut v: Vec<(NodeId, i64)> = st.skew_min.iter().map(|(p, s)| (*p, *s)).collect();
         v.sort_unstable();
@@ -904,8 +906,8 @@ impl WirePort {
                 self.stats.lock().record_delivery(event.kind());
                 Ok((from, event))
             }
-            Err(channel::RecvTimeoutError::Timeout) => Err(RecvTimeoutError::Timeout),
-            Err(channel::RecvTimeoutError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvTimeoutError::Timeout),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvTimeoutError::Disconnected),
         }
     }
 }

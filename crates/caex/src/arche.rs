@@ -9,8 +9,8 @@
 //!
 //! The paper's critique, which this module makes testable:
 //!
-//! - Arche's model fits NVP-type schemes (replicated implementations of
-//!   one type — see [`caex_action::nvp`]) but
+//! - Arche's model fits NVP-type schemes (N-version programming:
+//!   replicated implementations of one type, §2.1) but
 //! - it "is not suitable for cooperative concurrency and recovery of
 //!   several objects with different types": the callees take no part in
 //!   recovery (only the *caller* handles the concerted exception — no

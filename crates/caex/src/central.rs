@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 /// Messages of the centralized protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CMsg {
+pub(crate) enum CMsg {
     /// A raiser reports its exception to the coordinator.
     Report {
         /// The raising object.

@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 /// Messages of the modelled CR protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CrMsg {
+pub(crate) enum CrMsg {
     /// An exception broadcast (original raise or third-source re-raise).
     Exception {
         /// The raising participant.

@@ -3,7 +3,7 @@
 //!
 //! This is the seam between the pure [`Participant`] state machine and
 //! a real transport. The threaded engine runs it over in-process
-//! crossbeam ports ([`caex_net::NodePort`]); `caex-wire` runs the very
+//! channel ports ([`caex_net::NodePort`]); `caex-wire` runs the very
 //! same loop over TCP / Unix-domain sockets from separate OS
 //! processes. [`PortHost`] owns the node's local timer queue (scenario
 //! steps and `Effect::After` continuations) and decides everything

@@ -45,7 +45,7 @@
 //!   two front-ends (one script; a fleet of scripts admitted into
 //!   slots) of one crate-private simulator host;
 //! - [`ThreadRunner`](thread_engine::ThreadRunner) — the same
-//!   [`Scenario`] on real threads over crossbeam channels, driven by
+//!   [`Scenario`] on real threads over in-process channels, driven by
 //!   [`drive`];
 //! - [`ObsBridge`] — the observed step (`ObsBridge::handle`) every host
 //!   applies events through, failure-detector reports included;

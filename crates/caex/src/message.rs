@@ -193,26 +193,25 @@ pub enum Event {
     },
     /// Internal: the failure detector reports `peer` as dead. Engines
     /// schedule one per survivor some detection delay after a planned
-    /// crash; the participant folds it into
-    /// [`Participant::on_deserter`](crate::Participant::on_deserter),
-    /// which (with failover enabled) re-elects a live resolver.
+    /// crash; the participant waives the peer's obligations
+    /// (see [`Participant::deserters`](crate::Participant::deserters))
+    /// and, with failover enabled, re-elects a live resolver.
     DeserterSuspected {
         /// The object the failure detector gave up on.
         peer: NodeId,
     },
     /// Internal: the accrual failure detector *suspects* `peer` (φ
     /// crossed the suspicion threshold) but has not confirmed its
-    /// death. Folded into
-    /// [`Participant::on_suspect`](crate::Participant::on_suspect) —
-    /// informational, no obligations are waived.
+    /// death. Informational: the participant records the suspicion
+    /// ([`Participant::suspects`](crate::Participant::suspects)) and
+    /// waives no obligation.
     PeerSuspected {
         /// The suspected object.
         peer: NodeId,
     },
     /// Internal: a previously suspected `peer` was heard from again
-    /// (the partition healed). Folded into
-    /// [`Participant::on_rejoin`](crate::Participant::on_rejoin),
-    /// which re-forwards any commit the peer may have missed.
+    /// (the partition healed). The participant clears the suspicion and
+    /// re-forwards any commit the peer may have missed.
     PeerRejoined {
         /// The returning object.
         peer: NodeId,

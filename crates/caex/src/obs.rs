@@ -46,7 +46,7 @@ pub fn wall_stamp(start: Instant) -> (SimTime, Option<u64>) {
 /// Maps the participant's optional [`PState`] onto the observable
 /// four-state alphabet (`None` is the paper's `N`).
 #[must_use]
-pub fn obs_state(state: Option<PState>) -> ObsState {
+pub(crate) fn obs_state(state: Option<PState>) -> ObsState {
     match state {
         None => ObsState::N,
         Some(PState::Exceptional) => ObsState::X,
@@ -93,7 +93,7 @@ impl ObsBridge {
 
     /// The current round number of `action` (0 before the first raise).
     #[must_use]
-    pub fn round_of(&self, action: ActionId) -> u32 {
+    pub(crate) fn round_of(&self, action: ActionId) -> u32 {
         self.rounds.get(&action).map_or(0, |r| r.number)
     }
 

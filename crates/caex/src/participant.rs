@@ -239,7 +239,7 @@ impl Participant {
 
     /// Selects centralized (default) or decentralized synchronized
     /// leave (§4's "centralized or decentralized manager").
-    pub fn set_leave_mode(&mut self, mode: LeaveMode) {
+    pub(crate) fn set_leave_mode(&mut self, mode: LeaveMode) {
         self.leave_mode = mode;
     }
 
@@ -254,11 +254,11 @@ impl Participant {
     }
 
     /// Enables or disables resolver failover (on by default). With
-    /// failover off, [`Self::on_deserter`] only records the deserter —
-    /// no obligation waiving, no re-election, no recovery probing, no
-    /// commit fencing — reproducing the paper's literal §4.2 machine,
-    /// which assumes the elected resolver stays alive.
-    pub fn set_failover(&mut self, enabled: bool) {
+    /// failover off, an [`Event::DeserterSuspected`] only records the
+    /// deserter — no obligation waiving, no re-election, no recovery
+    /// probing, no commit fencing — reproducing the paper's literal
+    /// §4.2 machine, which assumes the elected resolver stays alive.
+    pub(crate) fn set_failover(&mut self, enabled: bool) {
         self.failover = enabled;
     }
 
@@ -272,7 +272,7 @@ impl Participant {
     /// # Panics
     ///
     /// Panics if `k` is zero.
-    pub fn set_resolver_group(&mut self, k: u32) {
+    pub(crate) fn set_resolver_group(&mut self, k: u32) {
         assert!(k >= 1, "resolver group must contain at least one object");
         self.resolver_group = k;
     }
@@ -287,7 +287,7 @@ impl Participant {
     /// action with no installed table *is* the recover-all default —
     /// every exception of its tree recovers at zero cost and nested
     /// aborts are clean — and nothing is built for it.
-    pub fn set_handlers(&mut self, action: ActionId, table: HandlerTable) {
+    pub(crate) fn set_handlers(&mut self, action: ActionId, table: HandlerTable) {
         self.handlers.insert(action, table);
     }
 
@@ -295,7 +295,7 @@ impl Participant {
     /// [`NestedStrategy::Wait`] comparison strategy); `None` marks an
     /// action that can never complete — e.g. one with a belated
     /// participant.
-    pub fn set_nested_remaining(&mut self, action: ActionId, remaining: Option<SimTime>) {
+    pub(crate) fn set_nested_remaining(&mut self, action: ActionId, remaining: Option<SimTime>) {
         self.nested_remaining.insert(action, remaining);
     }
 
@@ -319,33 +319,15 @@ impl Participant {
 
     /// The action of the current resolution context, if any.
     #[must_use]
-    pub fn resolution_action(&self) -> Option<ActionId> {
+    pub(crate) fn resolution_action(&self) -> Option<ActionId> {
         self.res.as_ref().map(|r| r.action)
     }
 
     /// `true` while this object is still aborting (or, under the wait
     /// strategy, waiting out) its nested actions.
     #[must_use]
-    pub fn is_aborting(&self) -> bool {
+    pub(crate) fn is_aborting(&self) -> bool {
         self.res.as_ref().is_some_and(|r| r.aborting)
-    }
-
-    /// The exceptions currently in `LE` (raiser, occurrence).
-    #[must_use]
-    pub fn known_exceptions(&self) -> Vec<(NodeId, Exception)> {
-        self.res.as_ref().map(|r| r.le.clone()).unwrap_or_default()
-    }
-
-    /// `true` once `action` completed normally at this object.
-    #[must_use]
-    pub fn has_completed(&self, action: ActionId) -> bool {
-        self.completed.contains(&action)
-    }
-
-    /// `true` once `action` was aborted at this object.
-    #[must_use]
-    pub fn has_aborted(&self, action: ActionId) -> bool {
-        self.aborted.contains(&action)
     }
 
     /// The live peers of `action` in participant (ascending) order.
@@ -353,7 +335,7 @@ impl Participant {
         live_peers(&self.registry, &self.deserters, self.id, action)
     }
 
-    /// The peers reported so far via [`Self::on_deserter`].
+    /// The peers reported so far as [`Event::DeserterSuspected`].
     #[must_use]
     pub fn deserters(&self) -> Vec<NodeId> {
         let mut d: Vec<NodeId> = self.deserters.iter().copied().collect();
@@ -361,9 +343,10 @@ impl Participant {
         d
     }
 
-    /// The peers currently suspected (reported via [`Self::on_suspect`]
-    /// and not yet cleared by [`Self::on_rejoin`] or promoted by
-    /// [`Self::on_deserter`]).
+    /// The peers currently suspected (reported as
+    /// [`Event::PeerSuspected`] and not yet cleared by
+    /// [`Event::PeerRejoined`] or promoted by
+    /// [`Event::DeserterSuspected`]).
     #[must_use]
     pub fn suspects(&self) -> Vec<NodeId> {
         let mut s: Vec<NodeId> = self.suspects.iter().copied().collect();
@@ -668,10 +651,9 @@ impl Participant {
     /// desertion itself is recorded: the paper's §4.2 machine has no
     /// failure-handling clause, so every obligation keeps waiting on
     /// the dead peer (the configuration CAEX018 proves crash-vulnerable).
-    pub fn on_deserter(&mut self, peer: NodeId) -> Vec<Effect> {
-        let mut fx = Vec::new();
+    fn on_deserter(&mut self, peer: NodeId, fx: &mut Vec<Effect>) {
         if peer == self.id || !self.deserters.insert(peer) {
-            return fx;
+            return;
         }
         // A confirmation subsumes any open suspicion of the same peer.
         self.suspects.remove(&peer);
@@ -680,7 +662,7 @@ impl Participant {
             peer,
         }));
         if !self.failover {
-            return fx;
+            return;
         }
         // Commit forwarding: the deserter may have been a sole raiser
         // that committed to only part of the action before dying (the
@@ -760,7 +742,7 @@ impl Participant {
                 res.state = PState::Exceptional;
             }
         }
-        self.check_ready(&mut fx);
+        self.check_ready(fx);
         // Still blocked mid-resolution after the cleanup and a possible
         // re-election? The deserter may have been the resolver, crashed
         // after informing only part of the action — the survivors that
@@ -794,9 +776,8 @@ impl Participant {
             }
         }
         for action in self.leave_requested.clone() {
-            self.try_distributed_leave(action, &mut fx);
+            self.try_distributed_leave(action, fx);
         }
-        fx
     }
 
     /// Records that the transport's accrual detector *suspects* `peer`
@@ -808,16 +789,14 @@ impl Participant {
     /// partition must not amputate a healthy peer. The suspicion is
     /// remembered so a commit fanned out in the meantime can be
     /// re-forwarded when the peer returns ([`Self::on_rejoin`]).
-    pub fn on_suspect(&mut self, peer: NodeId) -> Vec<Effect> {
-        let mut fx = Vec::new();
+    fn on_suspect(&mut self, peer: NodeId, fx: &mut Vec<Effect>) {
         if peer == self.id || self.deserters.contains(&peer) || !self.suspects.insert(peer) {
-            return fx;
+            return;
         }
         fx.push(Effect::Note(Note::PeerSuspected {
             object: self.id,
             peer,
         }));
-        fx
     }
 
     /// Clears a suspicion: `peer` was heard from again (a suspicion
@@ -828,17 +807,16 @@ impl Participant {
     /// re-sent as a `Commit` directly to it, in case the original
     /// fan-out was swallowed by the partition. The duplicate-commit
     /// path absorbs the re-send idempotently if the peer already knows.
-    pub fn on_rejoin(&mut self, peer: NodeId) -> Vec<Effect> {
-        let mut fx = Vec::new();
+    fn on_rejoin(&mut self, peer: NodeId, fx: &mut Vec<Effect>) {
         if !self.suspects.remove(&peer) {
-            return fx;
+            return;
         }
         fx.push(Effect::Note(Note::PeerRejoined {
             object: self.id,
             peer,
         }));
         if !self.failover {
-            return fx;
+            return;
         }
         let mut owed: Vec<ActionId> = self
             .missed_commits
@@ -865,7 +843,6 @@ impl Participant {
                 }
             }
         }
-        fx
     }
 
     /// Main entry point: consume one event, emit the resulting effects.
@@ -900,9 +877,9 @@ impl Participant {
                 epoch,
             } => self.on_abortion_done(action, signal, epoch, fx),
             Event::HandlerDone { action, signal } => self.on_handler_done(action, signal, fx),
-            Event::DeserterSuspected { peer } => fx.extend(self.on_deserter(peer)),
-            Event::PeerSuspected { peer } => fx.extend(self.on_suspect(peer)),
-            Event::PeerRejoined { peer } => fx.extend(self.on_rejoin(peer)),
+            Event::DeserterSuspected { peer } => self.on_deserter(peer, fx),
+            Event::PeerSuspected { peer } => self.on_suspect(peer, fx),
+            Event::PeerRejoined { peer } => self.on_rejoin(peer, fx),
         }
     }
 
@@ -1116,8 +1093,7 @@ impl Participant {
         // own sender as a suspect that "missed" it. Any commit the
         // peer genuinely missed while suspected is forwarded here.
         if self.suspects.contains(&msg.sender()) {
-            let rejoin = self.on_rejoin(msg.sender());
-            fx.extend(rejoin);
+            self.on_rejoin(msg.sender(), fx);
         }
         if let Some(exc) = self.resolved.get(&action).cloned() {
             // The resolution here already committed. A peer still
@@ -1758,7 +1734,7 @@ mod tests {
         assert_eq!(sent.len(), 1);
         assert!(matches!(sent[0].1, Msg::Ack { .. }));
         assert_eq!(*sent[0].0, NodeId::new(1));
-        assert_eq!(p.known_exceptions().len(), 1);
+        assert_eq!(p.res.as_ref().map(|r| r.le.len()), Some(1));
     }
 
     #[test]
@@ -1966,7 +1942,7 @@ mod tests {
             _ => None,
         });
         assert_eq!(chain, Some(vec![a2, a1]));
-        assert!(p.has_aborted(a1) && p.has_aborted(a2));
+        assert!(p.aborted.contains(&a1) && p.aborted.contains(&a2));
         assert_eq!(p.active_action(), Some(a0));
         // HaveNested went out; NestedCompleted is deferred behind the
         // AbortionDone continuation.
@@ -2108,14 +2084,14 @@ mod tests {
         assert!(fx
             .iter()
             .any(|e| matches!(e, Effect::Note(Note::LeaveRequested { .. }))));
-        assert!(!p.has_completed(a), "leave is synchronous");
+        assert!(!p.completed.contains(&a), "leave is synchronous");
         assert_eq!(p.active_action(), Some(a));
         // Phase 2: the manager grants the joint leave.
         let fx = p.handle(Event::LeaveGranted(a));
         assert!(fx
             .iter()
             .any(|e| matches!(e, Effect::Note(Note::Completed { .. }))));
-        assert!(p.has_completed(a));
+        assert!(p.completed.contains(&a));
         assert_eq!(p.active_action(), None);
     }
 
@@ -2136,7 +2112,7 @@ mod tests {
         // A stale grant arriving later is void: the resolution's
         // handler will complete the action instead.
         p.handle(Event::LeaveGranted(a));
-        assert!(!p.has_completed(a));
+        assert!(!p.completed.contains(&a));
     }
 
     #[test]
@@ -2144,7 +2120,7 @@ mod tests {
         let (mut p, _a0, a1, a2) = nested_participant();
         // A1's completion waits until A2 has left.
         p.handle(Event::Complete(a1));
-        assert!(!p.has_completed(a1));
+        assert!(!p.completed.contains(&a1));
         p.handle(Event::Complete(a2));
         p.handle(Event::LeaveGranted(a2));
         // A2's unwind replays A1's deferred completion request.
@@ -2201,10 +2177,12 @@ mod tests {
         // O2 crashed before ACKing: without desertion the raiser would
         // wait forever.
         assert_eq!(p.state(), Some(PState::Exceptional));
-        let fx = p.on_deserter(NodeId::new(2));
-        assert!(fx
-            .iter()
-            .any(|e| matches!(e, Effect::Note(Note::Deserted { peer, .. }) if *peer == NodeId::new(2))));
+        let fx = p.handle(Event::DeserterSuspected {
+            peer: NodeId::new(2),
+        });
+        assert!(fx.iter().any(
+            |e| matches!(e, Effect::Note(Note::Deserted { peer, .. }) if *peer == NodeId::new(2))
+        ));
         assert!(fx
             .iter()
             .any(|e| matches!(e, Effect::Note(Note::ResolutionCommitted { .. }))));
@@ -2237,7 +2215,9 @@ mod tests {
         // O2 dies without committing: O0 must win the re-election.
         // (R is left behind by dropping O2 from LE; the ready predicate
         // re-runs over the live raisers.)
-        let fx = p.on_deserter(NodeId::new(2));
+        let fx = p.handle(Event::DeserterSuspected {
+            peer: NodeId::new(2),
+        });
         assert!(
             fx.iter()
                 .any(|e| matches!(e, Effect::Note(Note::ResolutionCommitted { resolver, .. }) if *resolver == NodeId::new(0))),
@@ -2255,16 +2235,22 @@ mod tests {
         }));
         assert_eq!(p.state(), Some(PState::Suspended));
         // The only raiser deserts: no commit can ever arrive.
-        p.on_deserter(NodeId::new(2));
+        p.handle(Event::DeserterSuspected {
+            peer: NodeId::new(2),
+        });
         assert!(p.is_normal());
     }
 
     #[test]
     fn duplicate_desertion_is_inert() {
         let (mut p, _a) = single_action(3);
-        let first = p.on_deserter(NodeId::new(2));
+        let first = p.handle(Event::DeserterSuspected {
+            peer: NodeId::new(2),
+        });
         assert_eq!(first.len(), 1);
-        let again = p.on_deserter(NodeId::new(2));
+        let again = p.handle(Event::DeserterSuspected {
+            peer: NodeId::new(2),
+        });
         assert!(again.is_empty());
         assert_eq!(p.deserters(), vec![NodeId::new(2)]);
     }
@@ -2274,7 +2260,9 @@ mod tests {
         let (mut p, a) = single_action(3);
         p.handle(Event::Raise(Exception::new(ExceptionId::new(1))));
         assert_eq!(p.state(), Some(PState::Exceptional));
-        let fx = p.on_suspect(NodeId::new(1));
+        let fx = p.handle(Event::PeerSuspected {
+            peer: NodeId::new(1),
+        });
         assert!(fx
             .iter()
             .any(|e| matches!(e, Effect::Note(Note::PeerSuspected { peer, .. }) if *peer == NodeId::new(1))));
@@ -2282,13 +2270,25 @@ mod tests {
         // its ACK, no commit fires, no exclusion happens.
         assert_eq!(p.state(), Some(PState::Exceptional));
         assert_eq!(p.suspects(), vec![NodeId::new(1)]);
-        assert!(p.on_suspect(NodeId::new(1)).is_empty(), "re-suspect is inert");
+        assert!(
+            p.handle(Event::PeerSuspected {
+                peer: NodeId::new(1)
+            })
+            .is_empty(),
+            "re-suspect is inert"
+        );
         // Confirmation subsumes the suspicion.
-        p.on_deserter(NodeId::new(1));
+        p.handle(Event::DeserterSuspected {
+            peer: NodeId::new(1),
+        });
         assert!(p.suspects().is_empty());
         assert_eq!(p.deserters(), vec![NodeId::new(1)]);
         // A confirmed deserter can no longer be suspected.
-        assert!(p.on_suspect(NodeId::new(1)).is_empty());
+        assert!(p
+            .handle(Event::PeerSuspected {
+                peer: NodeId::new(1)
+            })
+            .is_empty());
         let _ = a;
     }
 
@@ -2304,7 +2304,9 @@ mod tests {
             from: NodeId::new(2),
             exc: Exception::new(ExceptionId::new(2)),
         }));
-        p.on_deserter(NodeId::new(2));
+        p.handle(Event::DeserterSuspected {
+            peer: NodeId::new(2),
+        });
         assert!(p.is_normal(), "orphan stands down first");
         let fx = p.handle(Event::Msg(Msg::Commit {
             action: a,
@@ -2344,7 +2346,9 @@ mod tests {
             exc: Exception::new(ExceptionId::new(2)),
         }));
         assert!(p.is_normal());
-        let fx = p.on_deserter(NodeId::new(2));
+        let fx = p.handle(Event::DeserterSuspected {
+            peer: NodeId::new(2),
+        });
         let sent = sends(&fx);
         assert!(
             sent.iter()
@@ -2361,7 +2365,9 @@ mod tests {
     fn rejoining_suspect_receives_the_commit_it_missed() {
         let (mut p, a) = single_action(3);
         // O1 goes silent behind a partition; suspicion is raised.
-        p.on_suspect(NodeId::new(1));
+        p.handle(Event::PeerSuspected {
+            peer: NodeId::new(1),
+        });
         // Meanwhile the resolution commits here.
         p.handle(Event::Msg(Msg::Exception {
             action: a,
@@ -2374,7 +2380,9 @@ mod tests {
             exc: Exception::new(ExceptionId::new(2)),
         }));
         // The partition heals: the returning peer is owed the commit.
-        let fx = p.on_rejoin(NodeId::new(1));
+        let fx = p.handle(Event::PeerRejoined {
+            peer: NodeId::new(1),
+        });
         assert!(fx
             .iter()
             .any(|e| matches!(e, Effect::Note(Note::PeerRejoined { peer, .. }) if *peer == NodeId::new(1))));
@@ -2385,8 +2393,12 @@ mod tests {
             (to, Msg::Commit { .. }) if *to == NodeId::new(1)
         ));
         // The debt is settled: a second flap forwards nothing.
-        p.on_suspect(NodeId::new(1));
-        let again = p.on_rejoin(NodeId::new(1));
+        p.handle(Event::PeerSuspected {
+            peer: NodeId::new(1),
+        });
+        let again = p.handle(Event::PeerRejoined {
+            peer: NodeId::new(1),
+        });
         assert!(sends(&again).is_empty());
     }
 

@@ -48,7 +48,7 @@
 //! ```
 
 use crate::{RunReport, Scenario};
-use caex_action::{ActionId, ActionRegistry, HandlerTable};
+use caex_action::{ActionId, ActionRegistry};
 use caex_net::{NetConfig, NodeId, SimTime};
 use caex_tree::Exception;
 use std::collections::HashMap;
@@ -152,8 +152,6 @@ pub struct ActionProgram {
     action: ActionId,
     programs: HashMap<NodeId, Vec<Step>>,
     config: NetConfig,
-    handlers: Vec<(NodeId, ActionId, HandlerTable)>,
-    acceptance: Option<Box<dyn FnMut() -> Option<Exception>>>,
     start: SimTime,
 }
 
@@ -175,8 +173,6 @@ impl ActionProgram {
             action,
             programs: HashMap::new(),
             config: NetConfig::default(),
-            handlers: Vec::new(),
-            acceptance: None,
             start: SimTime::from_micros(1),
         }
     }
@@ -185,25 +181,6 @@ impl ActionProgram {
     #[must_use]
     pub fn with_config(mut self, config: NetConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Installs a handler table for `(object, action)`.
-    #[must_use]
-    pub fn with_handlers(mut self, object: NodeId, action: ActionId, table: HandlerTable) -> Self {
-        self.handlers.push((object, action, table));
-        self
-    }
-
-    /// Installs the top-level action's exit-line acceptance test
-    /// (§2.2/Fig. 2b): `None` accepts, `Some(exc)` raises `exc` when
-    /// every object has reached `complete()`.
-    #[must_use]
-    pub fn with_acceptance<F>(mut self, test: F) -> Self
-    where
-        F: FnMut() -> Option<Exception> + 'static,
-    {
-        self.acceptance = Some(Box::new(test));
         self
     }
 
@@ -256,11 +233,6 @@ impl ActionProgram {
             .unwrap_or_default()
     }
 
-    /// The installed handler tables as `(object, action)` bindings.
-    pub fn handler_tables(&self) -> impl Iterator<Item = (NodeId, ActionId, &HandlerTable)> {
-        self.handlers.iter().map(|(o, a, t)| (*o, *a, t))
-    }
-
     /// Compiles the programs to a scenario and executes it.
     ///
     /// Virtual time advances per object as its `work` steps prescribe;
@@ -279,12 +251,6 @@ impl ActionProgram {
         let mut scenario = Scenario::new(Arc::clone(&self.registry))
             .with_config(self.config)
             .enter_all_at(SimTime::ZERO, self.action);
-        for (object, action, table) in self.handlers {
-            scenario = scenario.handlers(object, action, table);
-        }
-        if let Some(test) = self.acceptance {
-            scenario = scenario.with_exit_acceptance(self.action, test);
-        }
         for (object, steps) in self.programs {
             let mut clock = self.start;
             for step in steps {
@@ -415,44 +381,6 @@ mod tests {
         assert_eq!(report.resolutions.len(), 1);
         assert_eq!(report.resolutions[0].resolved.id(), ExceptionId::new(1));
         assert_eq!(report.suppressed_raises(), 1);
-    }
-
-    #[test]
-    fn acceptance_over_program_state() {
-        use std::sync::atomic::{AtomicI64, Ordering};
-        use std::sync::Arc as StdArc;
-        // The joint state the acceptance test inspects is whatever the
-        // program's steps computed.
-        let (reg, job) = setup(2);
-        let total = StdArc::new(AtomicI64::new(0));
-        let mut program = ActionProgram::new(reg, job);
-        for i in 0..2u32 {
-            let total = StdArc::clone(&total);
-            program
-                .object(NodeId::new(i))
-                .work(SimTime::from_micros(10))
-                .check(move || {
-                    total.fetch_add(70, Ordering::SeqCst); // jointly 140 > 100
-                    Ok(())
-                })
-                .complete();
-        }
-        let watch = StdArc::clone(&total);
-        let report = program
-            .with_acceptance(move || {
-                if watch.load(Ordering::SeqCst) > 100 {
-                    Some(Exception::new(ExceptionId::new(2)).with_origin("acceptance"))
-                } else {
-                    None
-                }
-            })
-            .run();
-        // The joint budget was blown: the exit test rejected and the
-        // resolution handled it in both objects.
-        let r = report.resolutions.first().expect("acceptance raised");
-        assert_eq!(r.resolved.id(), ExceptionId::new(2));
-        assert_eq!(report.handlers_for(job).len(), 2);
-        assert!(report.is_clean());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Multi-action engine sharding: one process multiplexing a fleet of
 //! independent CA actions.
 //!
-//! [`Scenario`](crate::Scenario) owns a single action structure per
-//! run. Under load, a resolution server faces a different shape: many
-//! independent top-level actions arriving over time, each resolving
-//! its own exceptions, sharing the process. This module supplies that
-//! shape:
+//! [`Scenario`] owns a single action structure per run. Under load, a
+//! resolution server faces a different shape: many independent
+//! top-level actions arriving over time, each resolving its own
+//! exceptions, sharing the process. This module supplies that shape:
 //!
 //! - [`ActionInstance`] — one action structure plus its scripted
 //!   timeline, relocated to a private `NodeId` range and a private
@@ -121,7 +120,7 @@ impl ActionInstance {
 
     /// The instance's action-id range as `base..base+len`.
     #[must_use]
-    pub fn action_range(&self) -> std::ops::Range<u32> {
+    pub(crate) fn action_range(&self) -> std::ops::Range<u32> {
         let registry = &self.script.registry;
         registry.base()..registry.base() + registry.len() as u32
     }
@@ -197,12 +196,6 @@ pub struct ActionOutcome {
 }
 
 impl ActionOutcome {
-    /// Queueing delay: admission minus arrival, in µs.
-    #[must_use]
-    pub fn queue_wait_us(&self) -> u64 {
-        self.admitted.saturating_sub(self.arrival).as_micros()
-    }
-
     /// Arrival-to-commit latency in µs (`None` if never committed).
     #[must_use]
     pub fn latency_us(&self) -> Option<u64> {
@@ -213,7 +206,7 @@ impl ActionOutcome {
     /// `true` if the instance carried a deadline and blew it (either
     /// committed late or never committed).
     #[must_use]
-    pub fn deadline_missed(&self) -> bool {
+    pub(crate) fn deadline_missed(&self) -> bool {
         match self.deadline {
             None => false,
             Some(d) => self.committed.is_none_or(|c| c > d),

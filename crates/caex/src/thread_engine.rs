@@ -1,7 +1,7 @@
 //! Running the resolution algorithm on real OS threads.
 //!
 //! The same [`crate::Participant`] state machine that the simulator
-//! drives is run here over [`caex_net::ThreadNet`] crossbeam channels —
+//! drives is run here over [`caex_net::ThreadNet`] channels —
 //! one thread per participating object — demonstrating that the
 //! algorithm is an executable protocol, not a simulation artefact.
 //! Virtual handler costs become real (micro-)sleeps; scenario steps
@@ -28,6 +28,9 @@ use caex_tree::Exception;
 use parking_lot::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// How long a node thread may be idle before it assumes quiescence.
+const IDLE_TIMEOUT: Duration = Duration::from_millis(300);
 
 /// Outcome of a threaded run.
 #[derive(Debug)]
@@ -136,24 +139,13 @@ type ObsSink = Mutex<(crate::ObsBridge, Vec<caex_obs::ObsEvent>)>;
 #[derive(Debug)]
 pub struct ThreadRunner {
     scenario: Scenario,
-    idle_timeout: Duration,
 }
 
 impl ThreadRunner {
     /// Creates a runner for `scenario`.
     #[must_use]
     pub fn new(scenario: Scenario) -> Self {
-        ThreadRunner {
-            scenario,
-            idle_timeout: Duration::from_millis(300),
-        }
-    }
-
-    /// Sets how long a thread may be idle before assuming quiescence.
-    #[must_use]
-    pub fn with_idle_timeout(mut self, timeout: Duration) -> Self {
-        self.idle_timeout = timeout;
-        self
+        ThreadRunner { scenario }
     }
 
     /// Spawns one thread per object, runs to (idle-detected)
@@ -193,7 +185,6 @@ impl ThreadRunner {
         let sink: ObsSink = Mutex::new((crate::ObsBridge::new(), Vec::new()));
         let start = Instant::now();
 
-        let idle_timeout = self.idle_timeout;
         // The scope joins every worker and passes a worker's panic on.
         thread::scope(|workers| {
             for port in net.into_ports() {
@@ -209,7 +200,7 @@ impl ThreadRunner {
                         &mut participant,
                         steps,
                         start,
-                        idle_timeout,
+                        IDLE_TIMEOUT,
                         // The lock is held across the handle so bridge round
                         // state, event order and the wall timestamps stay
                         // globally consistent — acceptable serialization for

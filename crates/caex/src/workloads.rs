@@ -142,7 +142,7 @@ pub fn general_at(
 
 /// The largest `general:n,p,q` mesh [`by_name`] builds: the port hosts
 /// give every node an OS thread or a whole process.
-pub const MAX_NAMED_NODES: u32 = 256;
+pub(crate) const MAX_NAMED_NODES: u32 = 256;
 
 /// Looks a workload up by its spec string — `example1`, `example2` or
 /// `general:n,p,q` — the one table the command lines share.
@@ -150,7 +150,7 @@ pub const MAX_NAMED_NODES: u32 = 256;
 /// # Errors
 ///
 /// Rejects an unknown name, a malformed `general` tail, parameters
-/// outside `1 ≤ p`, `p + q ≤ n` and a mesh above [`MAX_NAMED_NODES`].
+/// outside `1 ≤ p`, `p + q ≤ n` and a mesh above 256 nodes.
 pub fn by_name(spec: &str, config: NetConfig) -> Result<Workload, String> {
     match spec {
         "example1" => Ok(example1(config).0),

@@ -3,7 +3,7 @@
 //! Everything else in this repository runs on the deterministic
 //! discrete-event simulator (the measurement instrument). This example
 //! runs the identical [`caex::Participant`] state machine on one OS
-//! thread per object over crossbeam channels, showing the algorithm is
+//! thread per object over in-process channels, showing the algorithm is
 //! an executable distributed protocol: five objects, three concurrent
 //! exceptions, one agreed outcome.
 //!
@@ -48,7 +48,7 @@ fn main() {
         );
     let report = ThreadRunner::new(scenario).run();
 
-    println!("=== Threaded run over crossbeam channels ===");
+    println!("=== Threaded run over in-process channels ===");
     let handled = report.handled_exceptions(action);
     for (object, exc) in &handled {
         println!("  {object} started handler for {}", exc.id());

@@ -2,7 +2,10 @@
 # Tier-2 checks, beyond `cargo build --release && cargo test -q`:
 #
 # 1. caex-lint statically analyses every built-in workload family and
-#    exits nonzero on deny-level findings;
+#    exits nonzero on deny-level findings; the API docs build with no
+#    broken or private intra-doc link; the deleted modules, shim and
+#    options stay gone, and detector reports reach a `Participant`
+#    only through `handle`/`handle_into`;
 # 2. the observability battery runs the invariant watchdog and the live
 #    §4.4 message-law checks over every built-in workload on the real
 #    engines, and the three examples that render the obs stream as text
@@ -69,8 +72,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-2 [1/12]: caex-lint over every built-in workload =="
+echo "== tier-2 [1/12]: caex-lint over every built-in workload, API docs, public surface =="
 cargo run -q -p caex-lint --bin caex-lint
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --no-deps -q
+if grep -rnw "crossbeam\|nvp\|recovery_block\|RecoveryBlock\|NVersion\|threaded_smoke\|with_idle_timeout" \
+    crates src tests examples Cargo.toml; then
+    echo "a deleted module, shim or option is back"; exit 1
+fi
+if grep -rn "on_deserter(\|on_suspect(\|on_rejoin(" crates src tests examples \
+    | grep -v "^crates/caex/src/participant.rs:"; then
+    echo "a detector report bypasses Participant::handle"; exit 1
+fi
 
 echo "== tier-2 [2/12]: obs watchdog + §4.4 laws over every built-in workload =="
 cargo test -q --test observability
