@@ -110,8 +110,8 @@ impl Exception {
 
     /// Sets the origin label, consuming and returning `self` for chaining.
     #[must_use]
-    pub fn with_origin(mut self, origin: impl Into<String>) -> Self {
-        self.origin = Some(Arc::from(origin.into()));
+    pub fn with_origin(mut self, origin: impl Into<Arc<str>>) -> Self {
+        self.origin = Some(origin.into());
         self
     }
 
@@ -124,8 +124,8 @@ impl Exception {
 
     /// Sets the diagnostic payload, consuming and returning `self`.
     #[must_use]
-    pub fn with_detail(mut self, detail: impl Into<String>) -> Self {
-        self.detail = Some(Arc::from(detail.into()));
+    pub fn with_detail(mut self, detail: impl Into<Arc<str>>) -> Self {
+        self.detail = Some(detail.into());
         self
     }
 }
@@ -166,14 +166,14 @@ impl From<ExceptionId> for Exception {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ExceptionBuilder {
-    origin: Option<String>,
+    origin: Option<Arc<str>>,
     severity: Severity,
 }
 
 impl ExceptionBuilder {
     /// Creates a builder whose occurrences carry the given origin label.
     #[must_use]
-    pub fn for_origin(origin: impl Into<String>) -> Self {
+    pub fn for_origin(origin: impl Into<Arc<str>>) -> Self {
         ExceptionBuilder {
             origin: Some(origin.into()),
             severity: Severity::default(),
@@ -192,7 +192,7 @@ impl ExceptionBuilder {
     pub fn raise(&self, id: ExceptionId) -> Exception {
         let mut exc = Exception::new(id).with_severity(self.severity);
         if let Some(origin) = &self.origin {
-            exc = exc.with_origin(origin.clone());
+            exc = exc.with_origin(Arc::clone(origin));
         }
         exc
     }
@@ -248,6 +248,13 @@ mod tests {
         assert_eq!(e1.origin(), e2.origin());
         assert_eq!(e1.severity(), Severity::Serious);
         assert_ne!(e1.id(), e2.id());
+    }
+
+    #[test]
+    fn builder_raises_share_one_origin_allocation() {
+        let b = ExceptionBuilder::for_origin("controller-7");
+        let (e1, e2) = (b.raise(ExceptionId::new(1)), b.raise(ExceptionId::new(2)));
+        assert_eq!(e1.origin().unwrap().as_ptr(), e2.origin().unwrap().as_ptr());
     }
 
     #[test]

@@ -29,25 +29,36 @@
 //!
 //! 1. [`PortHost::begin_turn`]: past the halt deadline the loop stops
 //!    at once; otherwise every local event due by now is handled, in
-//!    due-time then script order, and their effects are *buffered*.
+//!    due-time then script order. Their `Send`s leave at once; their
+//!    `After`s and `Note`s are *held*.
 //! 2. The shell waits for a message until the earliest of the next due
 //!    local event, `MAX_WAIT` (10 ms) from the turn's start and the halt
 //!    deadline.
-//! 3. [`PortHost::end_turn`]: at most one received event is handled —
-//!    *before* any local event that fell due during the wait, which
-//!    fires on the next turn; then the detector's suspected, rejoined
-//!    and crashed reports, in that order, so a peer that flapped and
-//!    died in one poll window is handled in causal order; then every
-//!    buffered effect is dispatched in the order it was produced
-//!    (`Send` to the port, `After` onto the timer queue, `Note` to the
-//!    hook); then the idle check.
+//! 3. [`PortHost::end_turn`]: unless the halt deadline has passed, the
+//!    local events that fell due during the wait are handled first, as
+//!    in step 1 — a step due before the message was taken off the port
+//!    comes before it. Then at most one received event is handled, then
+//!    the detector's suspected, rejoined and crashed reports, in that
+//!    order, so a peer that flapped and died in one poll window is
+//!    handled in causal order. Then the effects are dispatched in the
+//!    order they were produced: the `After`s and `Note`s held before the
+//!    wait, then everything the turn's own events produced (`Send` to
+//!    the port, `After` onto the timer queue, `Note` to the hook); then
+//!    the idle check.
 //!
-//! The effects of a due step therefore leave only after the wait that
-//! follows it: up to `MAX_WAIT` of lag on a silent port (the
-//! benchmark's `drive.step_lag`), until ROADMAP item 1b moves the
-//! dispatch ahead of the wait. A step due at time zero still runs
-//! before anything is received, which is what `caex-wire`'s
-//! zero-clamped scripts rely on.
+//! A due step's messages therefore leave with no lag, and a step's
+//! `After`s and `Note`s are applied only at the end of the wait that
+//! follows it. Notes are held on purpose: the note hook is how the
+//! benchmark's coordinator, `caex-wire`'s coordinator and the threaded
+//! engine learn that a node is done, and a coordinator may end the
+//! round on `Note::Completed`. Held, `Completed` is reported only after
+//! one more wait, so a straggler that arrives in it (a `HaveNested` or
+//! `NestedCompleted` on a slow link) is handled, as a stale message,
+//! before the round can stop and drain it. Moving notes ahead of the
+//! wait needs a round stop that lets in-flight traffic settle first
+//! (ROADMAP item 1a-(i)). A step due at time zero still runs before
+//! anything is received, which is what `caex-wire`'s zero-clamped
+//! scripts rely on.
 
 use crate::{Effect, Event, Note, Participant};
 use caex_net::{FifoPort, NodeId, RecvTimeoutError, SimTime};
@@ -93,7 +104,11 @@ pub struct PortHost<'a, H, N> {
     timers: BTreeMap<(Instant, u64), Event>,
     /// Sequence number of the last `Effect::After` scheduled.
     seq: u64,
+    /// Effects of the events handled since the last dispatch.
     effects: Vec<Effect>,
+    /// `After`s and `Note`s of fired local events, held until the end
+    /// of the wait that follows them.
+    held: Vec<Effect>,
     halt_at: Option<Instant>,
     idle_timeout: Duration,
     /// When an event was last handled; starts at the first turn.
@@ -129,6 +144,7 @@ where
             timers,
             seq: u64::MAX / 2,
             effects: Vec::new(),
+            held: Vec::new(),
             halt_at: None,
             idle_timeout,
             last_activity: None,
@@ -151,18 +167,52 @@ where
         self.last_activity = Some(now);
     }
 
-    /// Begins a turn at `now`: handles every local event due by then
-    /// and returns the instant to wait for a message until, or `None`
-    /// once the halt deadline has passed.
-    pub fn begin_turn(&mut self, now: Instant) -> Option<Instant> {
-        if self.halt_at.is_some_and(|h| now >= h) {
-            return None; // injected crash: stop mid-protocol, no farewell
-        }
-        self.last_activity.get_or_insert(now);
+    fn halted(&self, now: Instant) -> bool {
+        self.halt_at.is_some_and(|h| now >= h)
+    }
+
+    /// Handles every local event due by `now`, in due-time then script
+    /// order. Their `Send`s leave at once; their `After`s and `Note`s
+    /// are held for the end of the wait that follows.
+    fn fire_due(&mut self, now: Instant, send: &mut impl FnMut(NodeId, Event)) {
         while let Some(due) = self.timers.first_entry().filter(|t| t.key().0 <= now) {
             let event = due.remove();
             self.apply(now, event, None);
         }
+        self.dispatch(now, true, send);
+    }
+
+    /// Dispatches the buffered effects in the order they were produced:
+    /// `Send` to the port, `After` onto the timer queue, `Note` to the
+    /// hook — or, with `hold`, `After`s and `Note`s into `held`.
+    fn dispatch(&mut self, now: Instant, hold: bool, send: &mut impl FnMut(NodeId, Event)) {
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => send(to, Event::Msg(msg)),
+                effect if hold => self.held.push(effect),
+                Effect::After { delay, event } => {
+                    self.seq += 1;
+                    self.timers.insert((now + micros(delay), self.seq), event);
+                }
+                Effect::Note(n) => (self.note)(n),
+            }
+        }
+    }
+
+    /// Begins a turn at `now`: handles every local event due by then,
+    /// sends their messages through `send`, and returns the instant to
+    /// wait for a message until, or `None` once the halt deadline has
+    /// passed.
+    pub fn begin_turn(
+        &mut self,
+        now: Instant,
+        mut send: impl FnMut(NodeId, Event),
+    ) -> Option<Instant> {
+        if self.halted(now) {
+            return None; // injected crash: stop mid-protocol, no farewell
+        }
+        self.last_activity.get_or_insert(now);
+        self.fire_due(now, &mut send);
         let next_due = self.timers.keys().next().map(|&(due, _)| due);
         let deadlines = [Some(now + MAX_WAIT), next_due, self.halt_at];
         deadlines.into_iter().flatten().min()
@@ -170,9 +220,12 @@ where
 
     /// Ends the turn at `now` with what the wait produced: the event
     /// `received` off the transport, if any, and the failure
-    /// detector's reports since the last turn. Every effect buffered
-    /// this turn is then dispatched, `Effect::Send`s through `send`.
-    /// Returns `false` once the node is idle.
+    /// detector's reports since the last turn. Local events that fell
+    /// due during the wait are handled first, as in
+    /// [`PortHost::begin_turn`]; then the effects held before the wait
+    /// and those of the turn's own events are dispatched,
+    /// `Effect::Send`s through `send`. Returns `false` once the node is
+    /// idle.
     pub fn end_turn(
         &mut self,
         now: Instant,
@@ -182,6 +235,11 @@ where
         crashed: Vec<NodeId>,
         mut send: impl FnMut(NodeId, Event),
     ) -> bool {
+        // The wait that followed these effects' steps is over.
+        let ready = std::mem::take(&mut self.held);
+        if !self.halted(now) {
+            self.fire_due(now, &mut send);
+        }
         if let Some((from, event)) = received {
             self.apply(now, event, Some(from));
         }
@@ -195,16 +253,8 @@ where
             self.apply(now, Event::DeserterSuspected { peer }, None);
             self.summary.deserted += 1;
         }
-        for effect in self.effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => send(to, Event::Msg(msg)),
-                Effect::After { delay, event } => {
-                    self.seq += 1;
-                    self.timers.insert((now + micros(delay), self.seq), event);
-                }
-                Effect::Note(n) => (self.note)(n),
-            }
-        }
+        self.effects.splice(0..0, ready);
+        self.dispatch(now, false, &mut send);
         let idle_since = self.last_activity.unwrap_or(now);
         !(self.timers.is_empty() && now.duration_since(idle_since) > self.idle_timeout)
     }
@@ -256,7 +306,10 @@ where
     H: FnMut(&mut Participant, Event, Option<NodeId>) -> Vec<Effect>,
     N: FnMut(Note),
 {
-    while let Some(wake) = host.begin_turn(Instant::now()) {
+    let mut send = |to, ev| {
+        port.send(to, ev);
+    };
+    while let Some(wake) = host.begin_turn(Instant::now(), &mut send) {
         let received = match port.recv_timeout(wake.saturating_duration_since(Instant::now())) {
             Ok(delivery) => Some(delivery),
             Err(RecvTimeoutError::Timeout) => None,
@@ -264,9 +317,7 @@ where
         };
         let (suspected, rejoined, crashed) =
             (port.take_suspected(), port.take_rejoined(), port.take_crashed());
-        let live = host.end_turn(Instant::now(), received, suspected, rejoined, crashed, |to, ev| {
-            port.send(to, ev);
-        });
+        let live = host.end_turn(Instant::now(), received, suspected, rejoined, crashed, &mut send);
         if !live {
             break;
         }

@@ -9,13 +9,18 @@
 //! to one log, stamped with the virtual microsecond it happened at, so
 //! each test asserts an exact call sequence.
 //!
-//! Two of these tests pin the order ROADMAP item 1b changes, and are
-//! the ones it flips: [`a_message_is_handled_before_a_step_that_fell_due_during_the_wait`]
-//! and [`a_due_steps_sends_leave_only_after_the_wait_that_follows_it`].
+//! Three of them pin where the turn's two halves split the effects: a
+//! due step's sends leave at once
+//! ([`a_due_steps_sends_leave_at_once_and_its_notes_after_the_wait`]), a
+//! step due during the wait is handled before the message that ended
+//! it ([`a_step_due_during_the_wait_is_handled_before_the_message`]),
+//! and a step's notes and continuations wait for the end of the wait
+//! that follows it
+//! ([`completed_is_noted_only_after_the_wait_that_follows_handler_done`]).
 
 use caex::drive::{DriveSummary, PortHost};
 use caex::{workloads, Effect, Event, Msg, NestedStrategy, Note, Participant};
-use caex_action::{ActionId, ActionRegistry, ActionScope};
+use caex_action::{AbortionOutcome, ActionId, ActionRegistry, ActionScope, HandlerTable};
 use caex_net::{DeliverySource, Kinded, LatencyModel, NetConfig, NodeId, SimNet, SimTime};
 use caex_tree::{chain_tree, Exception, ExceptionId};
 use std::cell::{Cell, RefCell};
@@ -120,7 +125,12 @@ impl<'a> Mesh<'a> {
     fn begin(&mut self, i: usize, t: SimTime) {
         self.log.now.set(t.as_micros());
         let host = self.hosts[i].as_mut().expect("live node");
-        match host.begin_turn(instant(self.epoch, t)) {
+        let (net, log, node) = (&mut self.net, &self.log, NodeId::new(i as u32));
+        let send = |dest, event: Event| {
+            log.push(node, format!("send {} to {dest}", event.kind()));
+            net.send(node, dest, event);
+        };
+        match host.begin_turn(instant(self.epoch, t), send) {
             Some(wake) => {
                 let wake = SimTime::from_micros((wake - self.epoch).as_micros() as u64);
                 assert!(wake > t, "O{i} would spin: told at {t} to wait until {wake}");
@@ -222,14 +232,13 @@ fn flat_action(n: u32) -> (Vec<Participant>, ActionId) {
     (participants, action)
 }
 
-/// (a) **ROADMAP 1b flips this test.** An `Exception` from O0 reaches
-/// O1 at 5 000 µs, the very instant O1's own raise falls due. Today the
-/// wait hands the message over and it is handled *before* the step
-/// that fell due during that wait; the step fires on the next turn.
-/// 1b's "fire due steps again before handling a received message"
-/// puts `local_raise` first.
+/// (a) An `Exception` from O0 reaches O1 at 5 000 µs, the very instant
+/// O1's own raise falls due. The step was due before the message was
+/// taken off the port, so `end_turn` handles it first and its `Send`
+/// leaves at once; its notes wait for the end of the next wait, while
+/// the `Entered` held since 0 µs goes out now.
 #[test]
-fn a_message_is_handled_before_a_step_that_fell_due_during_the_wait() {
+fn a_step_due_during_the_wait_is_handled_before_the_message() {
     let (mut participants, a) = flat_action(2);
     let steps = |node: NodeId| match node.index() {
         0 => Vec::new(),
@@ -242,21 +251,24 @@ fn a_message_is_handled_before_a_step_that_fell_due_during_the_wait() {
     mesh.net.send(from, to, Event::Msg(Msg::Exception { action: a, from, exc: exc(1) }));
     mesh.run();
     assert_eq!(
-        mesh.handles_of(1)[..3],
+        mesh.calls_of(1),
         [
             "0 O1 handle local_enter",
-            "5000 O1 handle exception from O0",
             "5000 O1 handle local_raise",
+            "5000 O1 send exception to O0",
+            "5000 O1 handle exception from O0",
+            "5000 O1 note Entered",
+            "5000 O1 send ack to O0",
+            "15000 O1 note Raised",
+            "15000 O1 note Multicast",
         ]
     );
 }
 
-/// (b) **ROADMAP 1b flips this test.** With no traffic, the `Send`s of
-/// a step handled at 0 µs leave only after the wait that follows it —
-/// the full 10 ms here, the benchmark's `drive.step_lag`. 1b's
-/// "dispatch due-step effects before the wait" puts them at 0 µs.
+/// (b) The `Send`s of a step handled at 0 µs leave at once, before the
+/// wait; its notes follow only when O1's ack ends that wait at 200 µs.
 #[test]
-fn a_due_steps_sends_leave_only_after_the_wait_that_follows_it() {
+fn a_due_steps_sends_leave_at_once_and_its_notes_after_the_wait() {
     let (mut participants, a) = flat_action(2);
     let steps = |node: NodeId| match node.index() {
         0 => vec![(ms(0), Event::Enter(a)), (ms(0), Event::Raise(exc(1)))],
@@ -265,14 +277,15 @@ fn a_due_steps_sends_leave_only_after_the_wait_that_follows_it() {
     let mut mesh = Mesh::new(NetConfig::default(), &mut participants, steps, IDLE);
     mesh.run();
     assert_eq!(
-        mesh.calls_of(0)[..6],
+        mesh.calls_of(0)[..7],
         [
             "0 O0 handle local_enter",
             "0 O0 handle local_raise",
-            "10000 O0 note Entered",
-            "10000 O0 note Raised",
-            "10000 O0 note Multicast",
-            "10000 O0 send exception to O1",
+            "0 O0 send exception to O1",
+            "200 O0 handle ack from O1",
+            "200 O0 note Entered",
+            "200 O0 note Raised",
+            "200 O0 note Multicast",
         ]
     );
 }
@@ -396,4 +409,55 @@ fn general_3_2_1_agrees_in_16_messages_and_replays() {
     let first = general_run(7);
     assert_eq!(first, general_run(7), "same seed, same call sequence");
     assert_ne!(first, general_run(8), "the seed reaches the net");
+}
+
+/// (g) A `Note` waits for the end of the wait that follows the step
+/// that produced it, so `Completed` is reported only after a straggler
+/// arriving in that wait has been handled; an `After` of a due step
+/// reaches the timer queue only at `end_turn`.
+#[test]
+fn completed_is_noted_only_after_the_wait_that_follows_handler_done() {
+    // general(3, 2, 1): O0 is in the nested action and takes 5 ms to
+    // abort it, and its link to O1 takes 5 ms, so O1 accepts the
+    // `Commit` at 5 302 µs and O0's `NestedCompleted` and `Ack` reach
+    // it only at 10 102 µs.
+    let workload = workloads::general(3, 2, 1, NetConfig::default());
+    // `general` declares O0's nested action right after the top one.
+    let (o0, o1, nested) = (NodeId::new(0), NodeId::new(1), ActionId::new(1));
+    let mut slow_abort = HandlerTable::recover_all(Arc::new(chain_tree(2)));
+    slow_abort.on_abort(ms(5), || AbortionOutcome::Aborted);
+    let mut script = workload.scenario.handlers(o0, nested, slow_abort).for_port_host();
+    let mut participants: Vec<Participant> =
+        workload.participants.iter().map(|&node| script.participant(node)).collect();
+    let config = NetConfig::default().with_link_latency(o0, o1, LatencyModel::Constant(ms(5)));
+    let mut mesh = Mesh::new(config, &mut participants, |node| script.steps_for(node), IDLE);
+    mesh.run();
+    let o1_calls = mesh.calls_of(1);
+    let commit = o1_calls.iter().position(|c| c.ends_with("handle commit from O2")).unwrap();
+    assert_eq!(
+        o1_calls[commit..],
+        [
+            "5302 O1 handle commit from O2",
+            "5302 O1 note HandlerStarted",
+            "5302 O1 handle local_handler_done",
+            "10102 O1 handle nested_completed from O0",
+            "10102 O1 note Completed",
+            "10102 O1 note StaleMessage",
+            "10102 O1 handle ack from O0",
+            "10102 O1 note StaleMessage",
+        ]
+    );
+
+    // One participant: its raise commits at once, and the handler's
+    // `After` is scheduled at the end of the wait, not at 0 µs.
+    let (mut participants, a) = flat_action(1);
+    let steps = |_| vec![(ms(0), Event::Enter(a)), (ms(0), Event::Raise(exc(1)))];
+    let mut mesh = Mesh::new(NetConfig::default(), &mut participants, steps, IDLE);
+    mesh.run();
+    let calls = mesh.calls();
+    assert_eq!(calls[..2], ["0 O0 handle local_enter", "0 O0 handle local_raise"]);
+    assert_eq!(
+        calls[calls.len() - 2..],
+        ["10000 O0 handle local_handler_done", "20000 O0 note Completed"]
+    );
 }
