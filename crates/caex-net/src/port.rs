@@ -36,7 +36,9 @@ pub trait FifoPort<M> {
     ///
     /// # Errors
     ///
-    /// [`RecvTimeoutError::Timeout`] when nothing arrived in time;
+    /// [`RecvTimeoutError::Timeout`] when nothing arrived in time, or
+    /// earlier when the failure detector has news for the `take_*`
+    /// calls (a suspected peer is heard from again);
     /// [`RecvTimeoutError::Disconnected`] when no message can ever
     /// arrive again.
     fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), RecvTimeoutError>;

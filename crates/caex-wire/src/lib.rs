@@ -18,8 +18,9 @@
 //!   heartbeat inter-arrival history scored as a continuous suspicion
 //!   level φ, with separate *suspect* and *confirm* thresholds.
 //! - [`wire`] — [`wire::WirePort`], a [`caex_net::FifoPort`]
-//!   implementation over the socket mesh: per-peer writer threads,
-//!   heartbeats, reconnect-and-resume with incarnation-tagged
+//!   implementation over the socket mesh: senders that write their own
+//!   frames, a per-peer writer thread for backlog, heartbeats and
+//!   reconnect-and-resume with incarnation-tagged
 //!   re-handshakes, and two-stage (`Suspected → Confirmed`) failure
 //!   detection that surfaces a confirmed-dead peer as a §4.2
 //!   *deserter* through [`caex_net::FifoPort::take_crashed`] and a

@@ -8,9 +8,19 @@
 //! Topology: every ordered pair of nodes gets one simplex connection.
 //! Node `i` dials each peer's listener for its *outbound* link
 //! (announcing itself with [`Frame::Hello`]) and accepts `n − 1`
-//! *inbound* links. Per-sender FIFO holds because each outbound link
-//! has exactly one writer thread draining a FIFO channel into one TCP
-//! stream.
+//! *inbound* links on an acceptor thread that blocks in `accept`.
+//!
+//! Sending: each outbound link is one `Link`, a lock over the stream
+//! and a queue of encoded frames not yet on the wire. While the queue
+//! is empty the stream is *parked* in the link in non-blocking mode,
+//! and the sending thread writes its frame straight into the socket. A
+//! write that would block, or ends short, queues the rest of the frame
+//! with its written-byte count and wakes the link's writer thread,
+//! which *checks the stream out*, finishes the queue with blocking
+//! writes off the lock and parks the stream again. A sender that finds
+//! the queue non-empty, or the stream checked out, appends to the
+//! queue. Per-sender FIFO holds because the queue only ever drains
+//! from its head, and a send never blocks on a slow peer.
 //!
 //! Failure detection: an idle outbound link carries a
 //! [`Frame::Heartbeat`] every [`WireConfig::heartbeat_interval`]. The
@@ -24,7 +34,12 @@
 //!   [`caex::Event::PeerSuspected`] — purely informational, nothing is
 //!   excluded. When the silence ends the
 //!   flap is reported by [`FifoPort::take_rejoined`] and the
-//!   participant re-forwards any commit the peer missed.
+//!   participant re-forwards any commit the peer missed. A heartbeat
+//!   from a suspected peer also ends a waiting
+//!   [`FifoPort::recv_timeout`] early, so the drive loop reports the
+//!   rejoin before it handles a message that arrived after the
+//!   heartbeat — a commit accepted while the peer still counts as
+//!   suspected would be re-forwarded to it needlessly.
 //! - φ ≥ [`WireConfig::phi_confirm`] **on two successive detector
 //!   polls at least one heartbeat apart** — the peer is *Confirmed*
 //!   dead: reported once by [`FifoPort::take_crashed`], which the
@@ -41,21 +56,22 @@
 //! or a writer whose redial rounds are exhausted, confirms
 //! immediately.
 //!
-//! Reconnect-and-resume: a writer that loses its connection re-dials
-//! with [`WireConfig::reconnect_backoff`] (doubling per round),
+//! Reconnect-and-resume: a write that fails leaves its frame at the
+//! head of the queue; the writer re-dials with
+//! [`WireConfig::reconnect_backoff`] (doubling per round),
 //! re-handshakes with an incarnation-bumped [`Frame::Hello`], replays
-//! the in-flight frame, and carries on draining its FIFO — the
-//! outbound queue survives the outage. The accepting side sees the
+//! that frame whole, and carries on with the queue — the outbound
+//! backlog survives the outage. The accepting side sees the
 //! higher incarnation, stands its suspicion down, and reports the
 //! rejoin. Recovery traffic is accounted in [`NetStats`] under the
 //! `reconnect` / `suspicion_flap` / `replayed_frame` recovery kinds.
 
 use crate::detector::PhiEstimator;
-use crate::frame::{read_frame, write_frame, Frame};
+use crate::frame::{encode_frame, read_frame, write_frame, Frame};
 use caex::Event;
 use caex_net::{FifoPort, Kinded, NetStats, NodeId, RecvTimeoutError};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,7 +80,7 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -169,13 +185,6 @@ enum WireListener {
 }
 
 impl WireListener {
-    fn set_nonblocking(&self, v: bool) -> io::Result<()> {
-        match self {
-            WireListener::Tcp(l) => l.set_nonblocking(v),
-            WireListener::Unix(l) => l.set_nonblocking(v),
-        }
-    }
-
     fn accept(&self) -> io::Result<WireStream> {
         match self {
             WireListener::Tcp(l) => l.accept().map(|(s, _)| WireStream::Tcp(s)),
@@ -191,17 +200,24 @@ enum WireStream {
 
 impl WireStream {
     fn tune(&self, read_timeout: Duration) {
+        self.set_nonblocking(false);
         match self {
             WireStream::Tcp(s) => {
-                let _ = s.set_nonblocking(false);
                 let _ = s.set_nodelay(true);
                 let _ = s.set_read_timeout(Some(read_timeout));
             }
             WireStream::Unix(s) => {
-                let _ = s.set_nonblocking(false);
                 let _ = s.set_read_timeout(Some(read_timeout));
             }
         }
+    }
+
+    /// Parked streams are non-blocking; a checked-out one blocks.
+    fn set_nonblocking(&self, v: bool) {
+        let _ = match self {
+            WireStream::Tcp(s) => s.set_nonblocking(v),
+            WireStream::Unix(s) => s.set_nonblocking(v),
+        };
     }
 }
 
@@ -267,6 +283,11 @@ struct MeshState {
     skew_min: HashMap<NodeId, i64>,
 }
 
+/// What a reader hands the drive loop: a message, or `None`, a wake-up
+/// that makes `recv_timeout` return early so the loop polls the
+/// detector.
+type Delivery = Option<(NodeId, Event)>;
+
 /// A bound-but-unconnected endpoint: the listener exists (so peers can
 /// already dial it) but the mesh is not formed. Splitting bind from
 /// connect lets a harness bind every listener *before* distributing
@@ -330,7 +351,7 @@ impl WireBound {
     ///
     /// Panics if `addrs` has no entry for this node's id.
     pub fn connect(self, addrs: &[WireAddr]) -> io::Result<WirePort> {
-        let WireBound { id, listener, addr: _, config } = self;
+        let WireBound { id, listener, addr, config } = self;
         assert!(
             (id.index() as usize) < addrs.len(),
             "address map of {} entries lacks node {id}",
@@ -347,92 +368,122 @@ impl WireBound {
         let incarnation = Arc::new(AtomicU32::new(0));
         let (inbox_tx, inbox_rx) = mpsc::channel();
 
-        // Inbound half: accept until shutdown, one reader per link.
-        listener.set_nonblocking(true)?;
-        {
+        let acceptor = {
             let state = Arc::clone(&state);
             let stats = Arc::clone(&stats);
             let shutdown = Arc::clone(&shutdown);
-            let inbox_tx: Sender<(NodeId, Event)> = inbox_tx.clone();
+            let inbox_tx: Sender<Delivery> = inbox_tx.clone();
             let epoch = Arc::clone(&epoch);
-            let config_cl = config.clone();
+            let config = config.clone();
             thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok(stream) => {
-                            stream.tune(config_cl.read_timeout);
-                            let state = Arc::clone(&state);
-                            let stats = Arc::clone(&stats);
-                            let inbox_tx = inbox_tx.clone();
-                            let epoch = Arc::clone(&epoch);
-                            let config_cl = config_cl.clone();
-                            thread::spawn(move || {
-                                reader_loop(stream, &state, &stats, &inbox_tx, &epoch, &config_cl);
-                            });
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => return,
-                    }
-                }
-            });
-        }
-
-        // Outbound half: dial each peer, one writer thread per link.
-        let mut senders = HashMap::new();
-        let mut writers = Vec::new();
-        for (peer_idx, peer_addr) in addrs.iter().enumerate() {
-            let peer = NodeId::new(peer_idx as u32);
-            if peer == id {
-                continue;
-            }
-            let stream = dial(peer_addr, &config, id, 0)?;
-            let (tx, rx) = mpsc::channel();
-            let peer_addr = peer_addr.clone();
-            let config_cl = config.clone();
-            let state_cl = Arc::clone(&state);
-            let stats_cl = Arc::clone(&stats);
-            let incarnation_cl = Arc::clone(&incarnation);
-            writers.push(thread::spawn(move || {
-                writer_loop(
-                    id,
-                    peer,
-                    stream,
-                    &peer_addr,
-                    &config_cl,
-                    &rx,
-                    &state_cl,
-                    &stats_cl,
-                    &incarnation_cl,
-                );
-            }));
-            senders.insert(peer, tx);
-        }
-
-        // Liveness clocks start at mesh formation, so a peer that never
-        // sends anything still times out.
-        {
-            let mut st = state.lock();
-            let now = Instant::now();
-            for peer in senders.keys() {
-                st.last_seen.insert(*peer, now);
-            }
-        }
-
-        Ok(WirePort {
+                accept_loop(&listener, &state, &stats, &shutdown, &inbox_tx, &epoch, &config);
+            })
+        };
+        // The port exists before the dials, so a failed dial drops it:
+        // the links formed so far say Bye and the acceptor stops.
+        let mut port = WirePort {
             id,
             num_nodes,
+            addr,
             config,
-            senders,
-            writers,
+            links: HashMap::new(),
+            writers: Vec::new(),
+            acceptor: Some(acceptor),
             inbox_rx,
             inbox_tx,
             state,
             stats,
             shutdown,
             epoch,
-        })
+        };
+
+        // Outbound half: dial each peer, one writer thread per link.
+        for (peer_idx, peer_addr) in addrs.iter().enumerate() {
+            let peer = NodeId::new(peer_idx as u32);
+            if peer == id {
+                continue;
+            }
+            let stream = dial(peer_addr, &port.config, id, 0)?;
+            stream.set_nonblocking(true);
+            let link = Arc::new(Link::new(stream));
+            let redial = Redial {
+                own_id: id,
+                peer,
+                addr: peer_addr.clone(),
+                config: port.config.clone(),
+                state: Arc::clone(&port.state),
+                stats: Arc::clone(&port.stats),
+                incarnation: Arc::clone(&incarnation),
+            };
+            let writer_link = Arc::clone(&link);
+            port.writers.push(thread::spawn(move || writer_loop(&writer_link, &redial)));
+            port.links.insert(peer, link);
+        }
+
+        // Liveness clocks start at mesh formation, so a peer that never
+        // sends anything still times out.
+        {
+            let mut st = port.state.lock();
+            let now = Instant::now();
+            for peer in port.links.keys() {
+                st.last_seen.insert(*peer, now);
+            }
+        }
+        Ok(port)
+    }
+}
+
+/// Inbound half: blocks in `accept` and starts one reader thread per
+/// link, until `shutdown` — which [`WirePort`]'s drop sets before it
+/// dials the listener once to wake this loop.
+fn accept_loop(
+    listener: &WireListener,
+    state: &Arc<Mutex<MeshState>>,
+    stats: &Arc<Mutex<NetStats>>,
+    shutdown: &AtomicBool,
+    inbox: &Sender<Delivery>,
+    epoch: &Arc<Mutex<Instant>>,
+    config: &WireConfig,
+) {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok(stream) => {
+                stream.tune(config.read_timeout);
+                let state = Arc::clone(state);
+                let stats = Arc::clone(stats);
+                let inbox = inbox.clone();
+                let epoch = Arc::clone(epoch);
+                let config = config.clone();
+                thread::spawn(move || {
+                    reader_loop(stream, &state, &stats, &inbox, &epoch, &config);
+                });
+            }
+            // A dialer that gave up before its link was accepted, or a
+            // signal: the listener itself is fine.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                ) => {}
+            // Anything else (out of descriptors, say) may last a while:
+            // back off, and keep listening for the redials.
+            Err(_) => thread::sleep(config.dial_backoff),
+        }
+    }
+}
+
+/// Dials the port's own listener and hangs up, so a blocked
+/// [`accept_loop`] returns and sees the shutdown. True if it connected.
+fn wake_acceptor(addr: &WireAddr, timeout: Duration) -> bool {
+    match addr {
+        // Linux routes a dial to an unspecified address (a listener
+        // bound on 0.0.0.0) to this host.
+        WireAddr::Tcp(sa) => TcpStream::connect_timeout(sa, timeout).is_ok(),
+        WireAddr::Unix(path) => UnixStream::connect(path).is_ok(),
     }
 }
 
@@ -513,13 +564,14 @@ fn register_hello(
 /// is just the old link of a completed reconnect being torn down. Bye
 /// marks the peer departed.
 fn reader_loop(
-    mut stream: WireStream,
+    stream: WireStream,
     state: &Mutex<MeshState>,
     stats: &Mutex<NetStats>,
-    inbox: &Sender<(NodeId, Event)>,
+    inbox: &Sender<Delivery>,
     epoch: &Mutex<Instant>,
     config: &WireConfig,
 ) {
+    let mut stream = io::BufReader::new(stream);
     let (peer, link_incarnation) = match read_frame(&mut stream) {
         Ok(Frame::Hello { id, incarnation }) => {
             (id, register_hello(state, stats, id, incarnation))
@@ -562,7 +614,8 @@ fn reader_loop(
                             .and_modify(|m| *m = (*m).min(sample))
                             .or_insert(sample);
                         drop(st);
-                        let _ = inbox.send((from, Event::Msg(msg)));
+                        let _ = inbox.send(Some((from, Event::Msg(msg))));
+                        continue;
                     }
                     Frame::Ready => {
                         st.ready.insert(peer);
@@ -572,6 +625,14 @@ fn reader_loop(
                         return;
                     }
                     Frame::Heartbeat | Frame::Hello { .. } => {}
+                }
+                // Life from a suspected peer: wake the drive loop, so its
+                // detector poll reports the rejoin before the loop
+                // handles a message that arrives after this frame (a
+                // message wakes it by itself).
+                if st.suspected.contains(&peer) {
+                    drop(st);
+                    let _ = inbox.send(None);
                 }
             }
             Err(_) => {
@@ -589,84 +650,213 @@ fn reader_loop(
     }
 }
 
-/// Outbound link: drain the FIFO channel into the stream, heartbeat
-/// when idle, reconnect-and-resume on a broken pipe, and exit after
-/// writing Bye (explicit or on channel close).
-///
-/// The reconnect rounds back off from [`WireConfig::reconnect_backoff`]
-/// (doubling, [`WireConfig::dial_retries`] rounds); each successful
-/// redial re-handshakes with a bumped-incarnation Hello and *replays
-/// the in-flight frame*, then resumes draining the FIFO — the
-/// undelivered outbound queue survives the outage intact, preserving
-/// per-sender FIFO across the reconnect. Exhausting every round is
-/// hard death evidence: the peer is marked dead for immediate
-/// confirmation.
-#[allow(clippy::too_many_arguments)]
-fn writer_loop(
+/// One outbound link: the stream and the frames not yet written to
+/// it (see the module docs for parking and checking out).
+struct Link {
+    queue: std::sync::Mutex<Outbound>,
+    /// Wakes the writer: a frame was queued, or the port is closing.
+    wake: Condvar,
+}
+
+struct Outbound {
+    /// The stream while parked, in non-blocking mode; `None` while the
+    /// writer has it checked out, and after the writer gave up.
+    stream: Option<WireStream>,
+    /// Encoded frames not yet wholly written, oldest first.
+    pending: VecDeque<Queued>,
+    /// Bytes of `pending`'s head already written.
+    written: usize,
+    /// The last write: a heartbeat is due one interval after it.
+    last_write: Instant,
+    /// The port is dropping: the writer finishes `pending` (the Bye
+    /// last, unless it went out directly) and exits.
+    closing: bool,
+    /// The writer gave the peer up; sends are refused.
+    closed: bool,
+}
+
+struct Queued {
+    bytes: Vec<u8>,
+    heartbeat: bool,
+}
+
+impl Link {
+    fn new(stream: WireStream) -> Link {
+        Link {
+            queue: std::sync::Mutex::new(Outbound {
+                stream: Some(stream),
+                pending: VecDeque::new(),
+                written: 0,
+                last_write: Instant::now(),
+                closing: false,
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Outbound> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Writes `frame` into the parked stream if nothing is queued ahead
+    /// of it, and queues whatever did not go out for the writer. False
+    /// once the writer has given the peer up.
+    fn send(&self, frame: &Frame) -> bool {
+        let bytes = encode_frame(frame);
+        let mut q = self.lock();
+        if q.closed {
+            return false;
+        }
+        if q.pending.is_empty() {
+            let mut written = 0;
+            if let Some(stream) = q.stream.as_mut() {
+                written = write_nonblocking(stream, &bytes);
+                if written == bytes.len() {
+                    q.last_write = Instant::now();
+                    return true;
+                }
+            }
+            q.written = written;
+            self.wake.notify_one();
+        }
+        q.pending.push_back(Queued { heartbeat: matches!(frame, Frame::Heartbeat), bytes });
+        true
+    }
+
+    /// Sends the Bye, directly or behind the queue, and lets the writer
+    /// finish the link.
+    fn close(&self) {
+        self.send(&Frame::Bye);
+        self.lock().closing = true;
+        self.wake.notify_one();
+    }
+}
+
+/// Writes as much of `bytes` as the socket takes without blocking. A
+/// failed write stops short too: the writer's blocking retry of the
+/// rest meets the error again and reconnects.
+fn write_nonblocking(stream: &mut WireStream, bytes: &[u8]) -> usize {
+    let mut written = 0;
+    while written < bytes.len() {
+        match stream.write(&bytes[written..]) {
+            Ok(0) => break,
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    written
+}
+
+/// What a writer needs to put its link back on a fresh connection.
+struct Redial {
     own_id: NodeId,
     peer: NodeId,
-    mut stream: WireStream,
-    peer_addr: &WireAddr,
-    config: &WireConfig,
-    rx: &Receiver<Frame>,
-    state: &Mutex<MeshState>,
-    stats: &Mutex<NetStats>,
-    incarnation: &AtomicU32,
-) {
-    loop {
-        let frame = match rx.recv_timeout(config.heartbeat_interval) {
-            Ok(f) => f,
-            Err(mpsc::RecvTimeoutError::Timeout) => Frame::Heartbeat,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Frame::Bye,
+    addr: WireAddr,
+    config: WireConfig,
+    state: Arc<Mutex<MeshState>>,
+    stats: Arc<Mutex<NetStats>>,
+    incarnation: Arc<AtomicU32>,
+}
+
+impl Redial {
+    /// Replaces a broken connection and replays `frame` whole on it.
+    ///
+    /// The rounds back off from [`WireConfig::reconnect_backoff`]
+    /// (doubling, [`WireConfig::dial_retries`] rounds); each redial
+    /// re-handshakes with a bumped-incarnation Hello. `None` if the
+    /// peer is already known gone, or every round failed — hard
+    /// evidence, so the peer is marked dead for immediate confirmation
+    /// (unless the port is `closing` anyway).
+    fn resume(&self, frame: &Queued, closing: bool) -> Option<WireStream> {
+        // No point resuming a link whose peer is already known gone
+        // (reader EOF, departure, or a confirmed report) — reconnect
+        // rounds are for peers that might come back.
+        let gone = {
+            let st = self.state.lock();
+            st.departed.contains(&self.peer)
+                || st.dead.contains(&self.peer)
+                || st.reported.contains(&self.peer)
         };
-        let ending = matches!(frame, Frame::Bye);
-        if write_frame(&mut stream, &frame).is_err() {
-            // No point resuming a link whose peer is already known
-            // gone (reader EOF, departure, or a confirmed report) —
-            // reconnect rounds are for peers that might come back.
-            let gone = {
-                let st = state.lock();
-                st.departed.contains(&peer)
-                    || st.dead.contains(&peer)
-                    || st.reported.contains(&peer)
+        if gone {
+            if !closing {
+                self.state.lock().dead.insert(self.peer);
+            }
+            return None;
+        }
+        // Single-attempt redial per round; the round loop owns the
+        // backoff schedule.
+        let single = WireConfig { dial_retries: 0, ..self.config.clone() };
+        for round in 0..=self.config.dial_retries {
+            thread::sleep(self.config.reconnect_backoff * 2u32.saturating_pow(round));
+            let generation = self.incarnation.fetch_add(1, Ordering::Relaxed) + 1;
+            let Ok(mut s) = dial(&self.addr, &single, self.own_id, generation) else {
+                continue;
             };
-            if gone {
-                if !ending {
-                    state.lock().dead.insert(peer);
+            if s.write_all(&frame.bytes).is_ok() {
+                let mut stats = self.stats.lock();
+                stats.record_recovery("reconnect");
+                if !frame.heartbeat {
+                    stats.record_recovery("replayed_frame");
                 }
-                return;
-            }
-            let mut replayed = false;
-            for round in 0..=config.dial_retries {
-                thread::sleep(config.reconnect_backoff * 2u32.saturating_pow(round));
-                let generation = incarnation.fetch_add(1, Ordering::Relaxed) + 1;
-                // Single-attempt redial per round; the round loop owns
-                // the backoff schedule.
-                let single = WireConfig { dial_retries: 0, ..config.clone() };
-                let Ok(mut s) = dial(peer_addr, &single, own_id, generation) else {
-                    continue;
-                };
-                if write_frame(&mut s, &frame).is_ok() {
-                    stream = s;
-                    replayed = true;
-                    let mut stats = stats.lock();
-                    stats.record_recovery("reconnect");
-                    if !matches!(frame, Frame::Heartbeat) {
-                        stats.record_recovery("replayed_frame");
-                    }
-                    break;
-                }
-            }
-            if !replayed {
-                // Every reconnect round exhausted: hard evidence the
-                // peer is gone for good.
-                state.lock().dead.insert(peer);
-                return;
+                return Some(s);
             }
         }
-        if ending {
-            let _ = stream.flush();
+        // Every reconnect round exhausted: hard evidence the peer is
+        // gone for good.
+        self.state.lock().dead.insert(self.peer);
+        None
+    }
+}
+
+/// Outbound link's writer thread: heartbeats after
+/// [`WireConfig::heartbeat_interval`] with no write; checks the stream
+/// out to finish queued frames with blocking writes off the lock, and
+/// parks it again once the queue is empty; on a failed write resumes
+/// the link through [`Redial::resume`], and gives the peer up (every
+/// later send refused) if that fails; exits once the dropping port's
+/// Bye is out.
+fn writer_loop(link: &Link, redial: &Redial) {
+    let interval = redial.config.heartbeat_interval;
+    let mut q = link.lock();
+    loop {
+        if !q.pending.is_empty() {
+            let mut stream = q.stream.take().expect("only the writer checks the stream out");
+            stream.set_nonblocking(false);
+            while let Some(frame) = q.pending.pop_front() {
+                let from = std::mem::take(&mut q.written);
+                let closing = q.closing;
+                drop(q);
+                if stream.write_all(&frame.bytes[from..]).is_err() {
+                    let Some(fresh) = redial.resume(&frame, closing) else {
+                        let mut q = link.lock();
+                        q.closed = true;
+                        q.pending.clear();
+                        return;
+                    };
+                    stream = fresh;
+                }
+                q = link.lock();
+            }
+            stream.set_nonblocking(true);
+            q.stream = Some(stream);
+            q.last_write = Instant::now();
+        } else if q.closing {
             return;
+        } else {
+            let idle = q.last_write.elapsed();
+            if idle >= interval {
+                drop(q);
+                link.send(&Frame::Heartbeat);
+                q = link.lock();
+            } else {
+                q = link
+                    .wake
+                    .wait_timeout(q, interval - idle)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
         }
     }
 }
@@ -678,18 +868,22 @@ fn writer_loop(
 pub struct WirePort {
     id: NodeId,
     num_nodes: u32,
+    /// The listener's address, dialled once on drop to wake the acceptor.
+    addr: WireAddr,
     config: WireConfig,
-    senders: HashMap<NodeId, Sender<Frame>>,
+    links: HashMap<NodeId, Arc<Link>>,
     /// Writer threads, joined on drop so every queued frame — above
     /// all the closing [`Frame::Bye`] — reaches the socket before the
     /// process may exit. Without the join, a fast exit races the Byes
     /// and peers misread the close as a crash.
     writers: Vec<thread::JoinHandle<()>>,
-    inbox_rx: Receiver<(NodeId, Event)>,
+    /// The acceptor thread, joined on drop: the listener closes with it.
+    acceptor: Option<thread::JoinHandle<()>>,
+    inbox_rx: Receiver<Delivery>,
     /// Keeps the inbox open even when every reader has exited, so the
     /// drive loop terminates on its idle rule, not on a spurious
     /// disconnect. Also the self-delivery path.
-    inbox_tx: Sender<(NodeId, Event)>,
+    inbox_tx: Sender<Delivery>,
     state: Arc<Mutex<MeshState>>,
     stats: Arc<Mutex<NetStats>>,
     shutdown: Arc<AtomicBool>,
@@ -739,19 +933,19 @@ impl WirePort {
     /// Reports the peers still missing at `timeout` (including peers
     /// that died while the barrier waited).
     pub fn barrier(&self, timeout: Duration) -> Result<(), String> {
-        for tx in self.senders.values() {
-            let _ = tx.send(Frame::Ready);
+        for link in self.links.values() {
+            link.send(&Frame::Ready);
         }
         let deadline = Instant::now() + timeout;
         loop {
             {
                 let st = self.state.lock();
-                if self.senders.keys().all(|p| st.ready.contains(p)) {
+                if self.links.keys().all(|p| st.ready.contains(p)) {
                     return Ok(());
                 }
                 if Instant::now() > deadline {
                     let missing: Vec<String> = self
-                        .senders
+                        .links
                         .keys()
                         .filter(|p| !st.ready.contains(p))
                         .map(ToString::to_string)
@@ -767,7 +961,7 @@ impl WirePort {
         let kind = event.kind();
         if to == self.id {
             // Self-delivery short-circuits the sockets.
-            let ok = self.inbox_tx.send((self.id, event)).is_ok();
+            let ok = self.inbox_tx.send(Some((self.id, event))).is_ok();
             let mut stats = self.stats.lock();
             if ok {
                 stats.record_send(kind);
@@ -783,12 +977,12 @@ impl WirePort {
             self.stats.lock().record_drop(kind);
             return false;
         };
-        let Some(tx) = self.senders.get(&to) else {
+        let Some(link) = self.links.get(&to) else {
             self.stats.lock().record_drop(kind);
             return false;
         };
         let sent_us = u64::try_from(self.epoch.lock().elapsed().as_micros()).unwrap_or(u64::MAX);
-        let ok = tx.send(Frame::Msg { from: self.id, sent_us, msg }).is_ok();
+        let ok = link.send(&Frame::Msg { from: self.id, sent_us, msg });
         let mut stats = self.stats.lock();
         if ok {
             stats.record_send(kind);
@@ -843,7 +1037,7 @@ impl WirePort {
         let mut flaps = 0u64;
         {
             let mut st = self.state.lock();
-            for peer in self.senders.keys() {
+            for peer in self.links.keys() {
                 if st.departed.contains(peer) || st.reported.contains(peer) {
                     continue;
                 }
@@ -902,10 +1096,11 @@ impl WirePort {
 
     fn recv_event(&self, timeout: Duration) -> Result<(NodeId, Event), RecvTimeoutError> {
         match self.inbox_rx.recv_timeout(timeout) {
-            Ok((from, event)) => {
+            Ok(Some((from, event))) => {
                 self.stats.lock().record_delivery(event.kind());
                 Ok((from, event))
             }
+            Ok(None) => Err(RecvTimeoutError::Timeout),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvTimeoutError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvTimeoutError::Disconnected),
         }
@@ -952,7 +1147,8 @@ impl FifoPort<Event> for WirePort {
 
     fn drain_undelivered(&self) -> usize {
         let mut drained = 0;
-        while let Ok((_, event)) = self.inbox_rx.try_recv() {
+        while let Ok(delivery) = self.inbox_rx.try_recv() {
+            let Some((_, event)) = delivery else { continue };
             self.stats.lock().record_drop(event.kind());
             drained += 1;
         }
@@ -962,15 +1158,22 @@ impl FifoPort<Event> for WirePort {
 
 impl Drop for WirePort {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for tx in self.senders.values() {
-            let _ = tx.send(Frame::Bye);
+        self.shutdown.store(true, Ordering::SeqCst);
+        for link in self.links.values() {
+            link.close();
         }
         // Block until every writer has flushed its Bye — the graceful
         // departure must hit the wire before this process can exit.
         // Readers need no join: they exit with the peer's close.
         for writer in self.writers.drain(..) {
             let _ = writer.join();
+        }
+        // Joining the woken acceptor closes the listener, so a redial
+        // after the drop is refused rather than left unanswered.
+        if let Some(acceptor) = self.acceptor.take() {
+            if wake_acceptor(&self.addr, self.config.connect_timeout) || acceptor.is_finished() {
+                let _ = acceptor.join();
+            }
         }
     }
 }

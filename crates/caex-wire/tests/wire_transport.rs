@@ -1,18 +1,21 @@
 //! In-process tests for the socket transport: FIFO delivery across a
-//! real TCP link, whole-scenario runs over loopback TCP and Unix
-//! sockets, and the heartbeat failure detector distinguishing a silent
-//! crash from a graceful goodbye.
+//! real TCP link, sends that never wait on a stalled peer, a link reset
+//! under backlog, the listener's shutdown, whole-scenario runs over
+//! loopback TCP and Unix sockets, and the heartbeat failure detector
+//! distinguishing a silent crash from a graceful goodbye.
 
 use caex::{Event, Msg};
 use caex_action::ActionId;
-use caex_net::{FifoPort, NodeId};
+use caex_net::{FifoPort, NodeId, RecvTimeoutError};
 use caex_tree::{Exception, ExceptionId};
-use caex_wire::frame::{write_frame, Frame};
+use caex_wire::frame::{read_frame, write_frame, Frame};
 use caex_wire::harness::{run_local, Transport};
 use caex_wire::scenario::WireScenario;
 use caex_wire::{WireAddr, WireBound, WireConfig, WirePort};
-use std::net::{TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -108,6 +111,127 @@ fn example1_over_unix_sockets_matches_the_simulator() {
     assert_eq!(outcome.resolved, baseline.agreed);
 }
 
+/// The `i`-th message of a bulk run: a Commit of action `i` whose
+/// 16 KiB detail spells `i` out, so a torn or misplaced frame shows.
+fn bulky(i: u32) -> Msg {
+    Msg::Commit {
+        action: ActionId::new(i),
+        from: NodeId::new(0),
+        exc: Exception::new(ExceptionId::new(1)).with_detail(format!("{i:08}").repeat(2048)),
+    }
+}
+
+/// Bulk messages that overflow what the kernel buffers for a link
+/// nobody reads (10 MiB).
+const BULK: u32 = 640;
+
+/// Reads frames up to the next protocol message, skipping heartbeats,
+/// and returns the message's index in the bulk run.
+fn next_bulky(link: &mut TcpStream) -> u32 {
+    loop {
+        match read_frame(link).expect("an intact frame") {
+            Frame::Msg { msg, .. } => {
+                let Msg::Commit { action, .. } = &msg else { panic!("not a bulk message") };
+                let i = action.index();
+                assert!(msg == bulky(i), "message {i} arrives intact");
+                return i;
+            }
+            Frame::Heartbeat => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+/// Reads past heartbeats to the port's closing Bye.
+fn expect_bye(link: &mut TcpStream) {
+    loop {
+        match read_frame(link).expect("an intact frame") {
+            Frame::Heartbeat => {}
+            other => return assert_eq!(other, Frame::Bye),
+        }
+    }
+}
+
+/// Accepts the port's next link on the fake's listener and checks its
+/// Hello.
+fn accept_link(listener: &TcpListener, incarnation: u32) -> TcpStream {
+    let (mut link, _) = listener.accept().expect("the port's link");
+    link.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let hello = read_frame(&mut link).expect("a Hello");
+    assert_eq!(hello, Frame::Hello { id: NodeId::new(0), incarnation });
+    link
+}
+
+#[test]
+fn a_stalled_peer_never_blocks_a_sender() {
+    let (port, _, listener) = port_with_stalled_peer(&WireConfig::default());
+    // The sends run on their own thread, so a send that blocks fails
+    // the test instead of hanging it.
+    let (done_tx, done_rx) = mpsc::channel();
+    let sender = thread::spawn(move || {
+        for i in 0..BULK {
+            let start = Instant::now();
+            assert!(port.send(NodeId::new(1), Event::Msg(bulky(i))), "send {i} accepted");
+            let took = start.elapsed();
+            assert!(took < Duration::from_millis(50), "send {i} waited {took:?} on the peer");
+        }
+        let _ = done_tx.send(port);
+    });
+    let port = done_rx.recv_timeout(Duration::from_secs(30)).expect("every send returns");
+    sender.join().expect("the sending thread ends");
+    // The peer wakes up: everything arrives, whole and in send order,
+    // across the sends' partial writes and the writer's blocking ones.
+    let mut link = accept_link(&listener, 0);
+    for i in 0..BULK {
+        assert_eq!(next_bulky(&mut link), i, "FIFO order");
+    }
+    // Goodbye while the link is open: a write into a closed one would
+    // send the writer through its redial rounds.
+    drop(port);
+    expect_bye(&mut link);
+}
+
+#[test]
+fn a_link_reset_under_backlog_redials_and_replays_whole_frames_in_order() {
+    let (port, _, listener) = port_with_stalled_peer(&WireConfig::default());
+    for i in 0..BULK {
+        assert!(port.send(NodeId::new(1), Event::Msg(bulky(i))), "send {i} accepted");
+    }
+    // The peer reads a few frames, then resets the link with the rest
+    // of the backlog still queued behind it.
+    let mut first = accept_link(&listener, 0);
+    let mut last_read = 0;
+    for i in 0..4 {
+        last_read = next_bulky(&mut first);
+        assert_eq!(last_read, i);
+    }
+    drop(first);
+    // The redial: a bumped incarnation, then the frame that was on the
+    // wire when the link broke, whole, and everything after it in
+    // order. What the dead link's kernel buffers held is lost with it.
+    let mut second = accept_link(&listener, 1);
+    let replayed = next_bulky(&mut second);
+    assert!(replayed > last_read, "replay {replayed} comes after what was read");
+    for i in replayed + 1..BULK {
+        assert_eq!(next_bulky(&mut second), i, "FIFO order after the replay");
+    }
+    let stats = port.stats();
+    assert_eq!(stats.lock().recovery_of_kind("reconnect"), 1);
+    assert_eq!(stats.lock().recovery_of_kind("replayed_frame"), 1);
+    drop(port);
+    expect_bye(&mut second);
+}
+
+#[test]
+fn dropping_a_port_closes_its_listener_promptly() {
+    let (port, real_sock, _listener) = port_with_stalled_peer(&WireConfig::default());
+    let start = Instant::now();
+    drop(port);
+    assert!(start.elapsed() < Duration::from_secs(1), "drop took {:?}", start.elapsed());
+    let err = TcpStream::connect(real_sock).expect_err("nobody listens after the drop");
+    assert_eq!(err.kind(), ErrorKind::ConnectionRefused);
+}
+
 /// Short liveness clocks so the silence tests finish fast: 30ms
 /// heartbeats with the legacy alias mapping 150ms of silence to the
 /// confirm threshold (φ ≈ 2.17 at the empty-history floor).
@@ -116,16 +240,25 @@ fn twitchy_config() -> WireConfig {
         .with_crash_timeout(Duration::from_millis(150))
 }
 
-/// A fake peer occupying node id 1: a raw listener (so the port under
-/// test can dial out) plus a raw inbound stream that has said Hello.
-/// Returns the port and the fake's inbound stream.
-fn port_with_fake_peer(config: &WireConfig) -> (WirePort, TcpStream) {
+/// A fake peer occupying node id 1 by its raw listener alone: node 0's
+/// port has dialled it, but nothing has accepted that link yet, so
+/// what the port sends waits in the kernel. Returns the port, the
+/// address it listens on and the fake's listener.
+fn port_with_stalled_peer(config: &WireConfig) -> (WirePort, SocketAddr, TcpListener) {
     let fake_listener = TcpListener::bind("127.0.0.1:0").expect("fake listener");
     let fake_addr = WireAddr::Tcp(fake_listener.local_addr().expect("fake addr"));
     let bound = WireBound::bind(NodeId::new(0), &tcp_any(), config.clone()).expect("bind");
     let real_addr = bound.local_addr().clone();
-    let port = bound.connect(&[real_addr.clone(), fake_addr]).expect("mesh");
     let WireAddr::Tcp(real_sock) = real_addr else { unreachable!("bound tcp") };
+    let port = bound.connect(&[real_addr, fake_addr]).expect("mesh");
+    (port, real_sock, fake_listener)
+}
+
+/// A fake peer occupying node id 1: a raw listener (so the port under
+/// test can dial out) plus a raw inbound stream that has said Hello.
+/// Returns the port and the fake's inbound stream.
+fn port_with_fake_peer(config: &WireConfig) -> (WirePort, TcpStream) {
+    let (port, real_sock, _listener) = port_with_stalled_peer(config);
     let mut inbound = TcpStream::connect(real_sock).expect("fake dials in");
     write_frame(&mut inbound, &Frame::Hello { id: NodeId::new(1), incarnation: 0 })
         .expect("fake hello");
@@ -209,4 +342,23 @@ fn latency_spike_is_suspected_then_rejoined_not_crashed() {
         port.stats().lock().recovery_of_kind("suspicion_flap") >= 1,
         "the flap must be accounted in NetStats"
     );
+}
+
+/// A suspected peer's heartbeat ends a receive at once, so the drive
+/// loop reports the rejoin before it handles any message that arrives
+/// after the heartbeat (a healed partition's commit, say).
+#[test]
+fn a_suspected_peer_heard_from_again_cuts_a_receive_short() {
+    let config = twitchy_config();
+    let (port, mut inbound) = port_with_fake_peer(&config);
+    thread::sleep(Duration::from_millis(100));
+    assert_eq!(port.take_suspected(), vec![NodeId::new(1)], "a 100ms spike raises suspicion");
+
+    write_frame(&mut inbound, &Frame::Heartbeat).expect("fake heartbeat");
+    let start = Instant::now();
+    let woken = port.recv_timeout(Duration::from_secs(5));
+    assert!(matches!(woken, Err(RecvTimeoutError::Timeout)), "no message, got {woken:?}");
+    let waited = start.elapsed();
+    assert!(waited < Duration::from_secs(1), "the receive waited {waited:?}");
+    assert_eq!(port.take_rejoined(), vec![NodeId::new(1)]);
 }

@@ -4,7 +4,8 @@
 # 1. caex-lint statically analyses every built-in workload family and
 #    exits nonzero on deny-level findings; the API docs build with no
 #    broken or private intra-doc link; the deleted modules, shim and
-#    options stay gone, and detector reports reach a `Participant`
+#    options stay gone (the wire mesh's per-link `Sender<Frame>`
+#    channels among them), and detector reports reach a `Participant`
 #    only through `handle`/`handle_into`;
 # 2. the observability battery runs the invariant watchdog and the live
 #    §4.4 message-law checks over every built-in workload on the real
@@ -22,7 +23,9 @@
 #    over loopback TCP, held to the §4.4 count and the §4.5 watchdog,
 #    plus a crash run that must surface the victim as a deserter, and
 #    the process-mesh tests tier-1 skips as `#[ignore]`
-#    (`caex-wire/tests/multiprocess.rs`);
+#    (`caex-wire/tests/multiprocess.rs`), and the idle cost of a formed
+#    3-node mesh, under 10 ms of CPU per second
+#    (`caex-wire/tests/idle_cpu.rs`, also `#[ignore]`d);
 # 7. the model checker exhaustively verifies every small built-in
 #    family (CAEX015-CAEX018), sweeps resolver crashes through the
 #    paper's Examples 1 and 2, cross-checks each verdict against the
@@ -80,6 +83,9 @@ if grep -rnw "crossbeam\|nvp\|recovery_block\|RecoveryBlock\|NVersion\|threaded_
     crates src tests examples Cargo.toml; then
     echo "a deleted module, shim or option is back"; exit 1
 fi
+if grep -rn "Sender<Frame>" crates/caex-wire/src; then
+    echo "the wire mesh's per-link frame channels are back"; exit 1
+fi
 if grep -rn "on_deserter(\|on_suspect(\|on_rejoin(" crates src tests examples \
     | grep -v "^crates/caex/src/participant.rs:"; then
     echo "a detector report bypasses Participant::handle"; exit 1
@@ -108,6 +114,7 @@ cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator --scen
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator --scenario example1 \
     --crash 3 --crash-mode exit
 cargo test -q -p caex-wire --test multiprocess -- --ignored
+cargo test -q -p caex-wire --test idle_cpu -- --ignored
 
 echo "== tier-2 [7/12]: exhaustive model checking of the built-in scenarios =="
 cargo run -q --release -p caex-lint --bin caex-lint -- check --model
