@@ -480,20 +480,28 @@ proptest! {
 }
 
 /// The built-in workload families the CLI battery model-checks, pinned
-/// here as integration fixtures too: lint-clean, checker-verified.
+/// here as integration fixtures too: lint-clean, checker-verified, and
+/// with the exact `(states, transitions, crash points)` the checker
+/// counts under the default options (no crash sweep). A change to the
+/// participant's state digest or its silence predicate that merges or
+/// splits states moves these counts.
 #[test]
 fn builtin_families_are_checker_clean() {
     let linter = Linter::new();
-    for (name, scenario) in [
-        ("case1(3)", workloads::case1(3, NetConfig::default()).scenario),
-        ("case2(3)", workloads::case2(3, NetConfig::default()).scenario),
+    for (name, scenario, counts) in [
+        ("case1(3)", workloads::case1(3, NetConfig::default()).scenario, (32, 31, 0)),
+        ("case2(3)", workloads::case2(3, NetConfig::default()).scenario, (362, 458, 0)),
+        ("fig3", workloads::fig3(NetConfig::default()).scenario, (2_831, 3_805, 0)),
         (
             "example1",
             workloads::example1(NetConfig::default()).0.scenario,
+            (148, 180, 0),
         ),
     ] {
         let (lint, model) = linter.model_check(&scenario, &ModelOptions::default());
         assert!(!lint.has_denials(), "{name}: {}", lint.render());
         assert!(model.verified(), "{name}: {model:?}");
+        let seen = (model.stats.states, model.stats.transitions, model.crash_points);
+        assert_eq!(seen, counts, "{name}: (states, transitions, crash points)");
     }
 }

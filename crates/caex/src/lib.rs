@@ -16,22 +16,26 @@
 //! # Pseudocode-to-code map
 //!
 //! Every clause of the paper's §4.2 algorithm has a direct counterpart
-//! in [`Participant`] (`crates/caex/src/participant.rs`):
+//! in [`Participant`] (`crates/caex/src/participant.rs`). Besides `SA`
+//! and the resolution context, a participant keeps one record per
+//! action whose lifecycle is `Buffered` (not entered, belated messages
+//! held) → `Entered { exit: Open | Deferred | Requested }` → `Completed`
+//! or `Aborted`; the rows name the transitions:
 //!
 //! | §4.2 pseudocode | implementation |
 //! |---|---|
-//! | `S(Oi) := N; empty LE, LO, LP, SA` | `Participant::new` (the `N` state is `res == None`) |
-//! | `if Oi enters A then <A> → SA; process messages having arrived` | `on_enter` (pushes `entered`, drains the belated-message buffer) |
-//! | `if Oi completes A then delete last element in SA; leave A synchronously` | `on_complete` / `on_leave_granted` (exit line + joint leave, centralized or `LeaveReady`-distributed) |
+//! | `S(Oi) := N; empty LE, LO, LP, SA` | `Participant::new` (no records; the `N` state is `res == None`) |
+//! | `if Oi enters A then <A> → SA; process messages having arrived` | `on_enter` (pushes `entered`; `Buffered` → `Entered`, the held messages replay through `on_msg`) |
+//! | `if Oi completes A then delete last element in SA; leave A synchronously` | `on_complete` (exit line: `Open` → `Requested` under `LeaveReady`-distributed leave, `Deferred` under a deeper exit line) / `on_leave_granted` (joint leave: pops `entered`, `Entered` → `Completed`, replays a `Deferred` parent); a handler's end completes its action in `on_handler_done` |
 //! | `if Ei is raised in Oi then S(Oi) := X; <A,Oi,Ei> → LE; Exception ⇒ all Oj in G_A` | `on_raise` → `raise_in` |
-//! | `if Oi receives Exception or HaveNested then if Oi is in the action nested within A then HaveNested ⇒ all; abort all nested actions until A; empty LE, LO, LP; NestedCompleted(A,Oi,Ei) ⇒ all; …` | the trigger check in `on_msg` → `trigger_abortion` (innermost-first handler execution, §4.1 signal masking, `Wait` strategy variant) → `on_abortion_done` |
-//! | `if Oi received Exception then <A,Oj,Ej> → LE; ACK ⇒ Oj` | the `Msg::Exception` arm of `on_msg` (ACK deferred while aborting, per Example 2's narration) |
-//! | `else <Oj, A> → LO; clean up messages related to nested actions` | the `Msg::HaveNested` arm (buffered messages of actions nested in `A` dropped) |
-//! | `if Oi receives NestedCompleted then ACK ⇒ Oj; if Ej ≠ null then <A,Oj,Ej> → LE` | the `Msg::NestedCompleted` arm |
+//! | `if Oi receives Exception or HaveNested then if Oi is in the action nested within A then HaveNested ⇒ all; abort all nested actions until A; empty LE, LO, LP; NestedCompleted(A,Oi,Ei) ⇒ all; …` | the trigger check in `on_msg` → `trigger_abortion` (innermost-first handler execution, §4.1 signal masking, each nested `Entered` → `Aborted`; the `Wait` strategy variant → `Completed`) → `on_abortion_done` |
+//! | `if Oi received Exception then <A,Oj,Ej> → LE; ACK ⇒ Oj` | the `Msg::Exception` arm of `on_msg` (`Resolution::ack`: deferred while aborting, per Example 2's narration) |
+//! | `else <Oj, A> → LO; clean up messages related to nested actions` | the `Msg::HaveNested` arm (`Buffered` actions nested in `A` → `Aborted`, their messages dropped) |
+//! | `if Oi receives NestedCompleted then ACK ⇒ Oj; if Ej ≠ null then <A,Oj,Ej> → LE` | the `Msg::NestedCompleted` arm (`Resolution::ack`) |
 //! | `if Oi receives ACK then <Oj> → LP` | the `Msg::Ack` arm (`pending_acks` is the complement of `LP`) |
 //! | `if S(Oi) = X and NestedCompleted from all in LO and ACK from all in G_A then S(Oi) := R` | the guard in `check_ready` |
 //! | `if S(Oi) = R and Oi has the biggest number among all objects that raised exceptions then resolve LE; commit(E) ⇒ all; start handler` | the election + resolve + fan-out in `check_ready` (generalised to resolver groups) |
-//! | `if Oi receives commit(E) then empty LE, LO, LP; start handler for E` | `accept_commit` (duplicates absorbed as stale) |
+//! | `if Oi receives commit(E) then empty LE, LO, LP; start handler for E` | `accept_commit` (records the committed exception beside the lifecycle; duplicates absorbed as stale) |
 //!
 //! # Crate layout
 //!

@@ -11,11 +11,14 @@
 //! State names follow the paper: `N` (normal, represented by the absence
 //! of a resolution context), `X` (exceptional), `S` (suspended) and `R`
 //! (ready), with the lists `LE`, `LO`, `LP` and the context stack `SA`.
+//! Everything else it knows about an action is one [`ActionRec`] per
+//! action, with the extensions' share in a [`Recovery`] sub-record.
 
 use crate::{Effect, Event, LeaveMode, Msg, NestedStrategy, Note};
 use caex_action::{AbortionOutcome, ActionId, ActionRegistry, HandlerOutcome, HandlerTable};
 use caex_net::{IdMap, IdSet, NodeId, SimTime};
-use caex_tree::{Exception, ExceptionId};
+use caex_tree::Exception;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -89,6 +92,109 @@ impl Resolution {
         raised.extend(self.ghost_le.iter().cloned());
         raised
     }
+
+    /// Acknowledges `to`'s message — or, while the abortion handlers
+    /// still run, owes the ACK until this object's `NestedCompleted`.
+    fn ack(&mut self, me: NodeId, to: NodeId, fx: &mut Vec<Effect>) {
+        if self.aborting {
+            self.deferred_acks.push(to);
+        } else {
+            fx.push(Effect::Send {
+                to,
+                msg: Msg::Ack {
+                    from: me,
+                    action: self.action,
+                },
+            });
+        }
+    }
+}
+
+/// Where one action stands at this object. It is in `SA` exactly while
+/// `Entered`, leaves `SA` only as `Completed` or `Aborted`, and is never
+/// entered after either.
+#[derive(Debug, Clone, Hash)]
+enum Life {
+    /// Not entered (yet): the messages that arrived before entry,
+    /// replayed at `Enter` (belated participation, §3.3 problem 4).
+    Buffered(Vec<Msg>),
+    /// In `SA`, with the peers' `LeaveReady` announcements (distributed
+    /// leave) and how far this object's own completion has got.
+    Entered { ready: BTreeSet<NodeId>, exit: Exit },
+    /// Left by the synchronised exit or completed by its handler
+    /// (termination model); under [`NestedStrategy::Wait`], waited out.
+    Completed,
+    /// Aborted by an outer resolution, or its belated messages cleaned
+    /// up by a peer's `HaveNested`.
+    Aborted,
+}
+
+/// How far an entered action's own completion has got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Exit {
+    Open,
+    /// Requested while a deeper action was still at its exit line;
+    /// replayed as the nesting unwinds.
+    Deferred,
+    /// Distributed leave: at the exit line, `LeaveReady` announced.
+    Requested,
+}
+
+/// The per-action state only the failover and forwarding extensions
+/// use; the §4.2 transitions never read it.
+#[derive(Debug, Clone, Default, Hash)]
+struct Recovery {
+    /// Suspects that may have missed the commit made here, drained by
+    /// [`Participant::on_rejoin`]'s commit-forwarding round.
+    missed_commits: BTreeSet<NodeId>,
+    /// The orphaned resolution context was discarded
+    /// (`stand_down_if_orphaned`) without learning the outcome, so a
+    /// forwarded `Commit` is still accepted — the close of the p = 1
+    /// partial-commit hole.
+    stood_down: bool,
+    /// The commit was re-broadcast once in answer to a crash-orphaned
+    /// peer's probe; once per action keeps recovery traffic bounded.
+    announced: bool,
+}
+
+/// Everything this object knows about one action besides `SA` and the
+/// resolution context.
+#[derive(Debug)]
+struct ActionRec {
+    /// The declared handler table; `None` *is* the recover-all default —
+    /// every exception of the tree recovers at zero cost and nested
+    /// aborts are clean — and nothing is built for it. Boxed so that a
+    /// record without one stays small.
+    handlers: Option<Box<HandlerTable>>,
+    /// For [`NestedStrategy::Wait`]: the declared remaining run time;
+    /// `None` never completes (e.g. a belated participant) — the
+    /// Fig. 1(a) deadlock.
+    remaining: Option<SimTime>,
+    life: Life,
+    /// The exception committed here. A commit comes before completion
+    /// and may come before an abortion; a crash-orphaned peer's probe
+    /// is answered from it after the action ended.
+    resolved: Option<Exception>,
+    recovery: Recovery,
+}
+
+impl Default for ActionRec {
+    fn default() -> Self {
+        ActionRec {
+            handlers: None,
+            remaining: Some(SimTime::ZERO),
+            life: Life::Buffered(Vec::new()),
+            resolved: None,
+            recovery: Recovery::default(),
+        }
+    }
+}
+
+/// The record of an action this object has entered: one always exists.
+fn record(actions: &mut IdMap<ActionId, ActionRec>, action: ActionId) -> &mut ActionRec {
+    actions
+        .get_mut(&action)
+        .expect("an entered action has a record")
 }
 
 /// How robustly invisible a message delivery would be — see
@@ -113,28 +219,14 @@ pub enum Silence {
 pub struct Participant {
     id: NodeId,
     registry: Arc<ActionRegistry>,
-    handlers: IdMap<ActionId, HandlerTable>,
+    /// One record per action this object was configured for, has
+    /// entered, holds messages for or has ended.
+    actions: IdMap<ActionId, ActionRec>,
     /// `SA`: entered actions, outermost first; the last is the *active*
-    /// action.
+    /// action. Exactly the actions whose record is [`Life::Entered`].
     entered: Vec<ActionId>,
-    aborted: IdSet<ActionId>,
-    completed: IdSet<ActionId>,
-    /// Actions whose resolution committed here, with the committed
-    /// exception — kept so a crash-orphaned peer that probes after the
-    /// resolver deserted can be answered with the outcome.
-    resolved: IdMap<ActionId, Exception>,
-    /// Messages for actions this object has not yet entered (belated
-    /// participation, §3.3 problem 4).
-    buffered: IdMap<ActionId, Vec<Msg>>,
-    /// Completions requested while a deeper action was still at its
-    /// exit line; replayed as the nesting unwinds.
-    deferred_completes: IdSet<ActionId>,
     res: Option<Resolution>,
     strategy: NestedStrategy,
-    /// For [`NestedStrategy::Wait`]: remaining run time of each nested
-    /// action; `None` means it can never complete (e.g. it waits on a
-    /// belated participant) — the Fig. 1(a) deadlock.
-    nested_remaining: IdMap<ActionId, Option<SimTime>>,
     /// Invalidates stale `AbortionDone` continuations after an outer
     /// resolution overrides an in-progress abortion.
     abort_epoch: u64,
@@ -143,10 +235,6 @@ pub struct Participant {
     resolver_group: u32,
     /// Centralized or decentralized synchronized leave.
     leave_mode: LeaveMode,
-    /// Distributed leave: actions whose exit line this object reached.
-    leave_requested: IdSet<ActionId>,
-    /// Distributed leave: peers' `LeaveReady` announcements per action.
-    leave_ready: IdMap<ActionId, BTreeSet<NodeId>>,
     /// Peers reported crashed by the transport's failure detector;
     /// permanently excluded from every peer set (see [`Self::on_deserter`]).
     deserters: IdSet<NodeId>,
@@ -155,19 +243,6 @@ pub struct Participant {
     /// Unlike `deserters` this set shrinks again when the peer is heard
     /// from ([`Self::on_rejoin`]); a suspect keeps all its obligations.
     suspects: IdSet<NodeId>,
-    /// Resolutions that committed here while some participant was
-    /// suspected: the suspects that may have missed the commit, per
-    /// action. Drained by [`Self::on_rejoin`]'s commit-forwarding round.
-    missed_commits: IdMap<ActionId, BTreeSet<NodeId>>,
-    /// Actions whose orphaned resolution context this object discarded
-    /// (`stand_down_if_orphaned`) without learning the outcome. A
-    /// forwarded `Commit` for such an action is still accepted — the
-    /// close of the p = 1 partial-commit hole.
-    stood_down: IdSet<ActionId>,
-    /// Actions whose committed resolution was re-broadcast once in
-    /// answer to a crash-orphaned peer's probe; at most one announce
-    /// per action keeps the recovery traffic bounded.
-    recovery_announced: IdSet<ActionId>,
     /// Resolver failover (default on). When off, the machine is the
     /// paper's literal §4.2 algorithm: desertion reports are recorded
     /// but trigger no re-election, no recovery probing and no zombie
@@ -213,26 +288,15 @@ impl Participant {
         Participant {
             id,
             registry,
-            handlers: IdMap::default(),
+            actions: IdMap::default(),
             entered: Vec::new(),
-            aborted: IdSet::default(),
-            completed: IdSet::default(),
-            resolved: IdMap::default(),
-            buffered: IdMap::default(),
-            deferred_completes: IdSet::default(),
             res: None,
             strategy,
-            nested_remaining: IdMap::default(),
             abort_epoch: 0,
             resolver_group: 1,
             leave_mode: LeaveMode::default(),
-            leave_requested: IdSet::default(),
-            leave_ready: IdMap::default(),
             deserters: IdSet::default(),
             suspects: IdSet::default(),
-            missed_commits: IdMap::default(),
-            stood_down: IdSet::default(),
-            recovery_announced: IdSet::default(),
             failover: true,
         }
     }
@@ -288,7 +352,7 @@ impl Participant {
     /// every exception of its tree recovers at zero cost and nested
     /// aborts are clean — and nothing is built for it.
     pub(crate) fn set_handlers(&mut self, action: ActionId, table: HandlerTable) {
-        self.handlers.insert(action, table);
+        self.actions.entry(action).or_default().handlers = Some(Box::new(table));
     }
 
     /// Declares how much longer `action` would run (used only by the
@@ -296,7 +360,7 @@ impl Participant {
     /// action that can never complete — e.g. one with a belated
     /// participant.
     pub(crate) fn set_nested_remaining(&mut self, action: ActionId, remaining: Option<SimTime>) {
-        self.nested_remaining.insert(action, remaining);
+        self.actions.entry(action).or_default().remaining = remaining;
     }
 
     /// The currently active (innermost entered) action, if any.
@@ -335,6 +399,47 @@ impl Participant {
         live_peers(&self.registry, &self.deserters, self.id, action)
     }
 
+    /// Sends `msg` to every live peer of `action`; with a `kind`, the
+    /// sends are first noted as one multicast when there is any peer.
+    fn fan_out(
+        &self,
+        action: ActionId,
+        kind: Option<&'static str>,
+        msg: Msg,
+        fx: &mut Vec<Effect>,
+    ) {
+        if let Some(kind) = kind.filter(|_| self.peers(action).next().is_some()) {
+            fx.push(Effect::Note(Note::Multicast {
+                object: self.id,
+                kind,
+            }));
+        }
+        for to in self.peers(action) {
+            fx.push(Effect::Send {
+                to,
+                msg: msg.clone(),
+            });
+        }
+    }
+
+    /// Re-broadcasts `action`'s committed exception, once per action.
+    /// `from` is this live object: the original resolver may be a
+    /// deserter whose commits are fenced, so the rebroadcast vouches
+    /// for the outcome under the survivor's own identity.
+    fn announce_commit(&mut self, action: ActionId, fx: &mut Vec<Effect>) {
+        let rec = record(&mut self.actions, action);
+        if std::mem::replace(&mut rec.recovery.announced, true) {
+            return;
+        }
+        let exc = rec.resolved.clone().expect("only a commit is announced");
+        let commit = Msg::Commit {
+            action,
+            from: self.id,
+            exc,
+        };
+        self.fan_out(action, None, commit, fx);
+    }
+
     /// The peers reported so far as [`Event::DeserterSuspected`].
     #[must_use]
     pub fn deserters(&self) -> Vec<NodeId> {
@@ -355,17 +460,18 @@ impl Participant {
     }
 
     /// Feeds a canonical digest of this participant's protocol-visible
-    /// state — `SA`, `LE`, `LO`, pending acknowledgements, buffered
-    /// belated messages, abortion progress, leave bookkeeping and
-    /// deserters — into `h`.
+    /// state — `SA`, each action's lifecycle (buffered belated messages
+    /// and leave bookkeeping included), committed exception and
+    /// recovery bookkeeping, `LE`, `LO`, pending acknowledgements,
+    /// abortion progress, suspects and deserters — into `h`.
     ///
     /// Unordered containers are sorted first, so two participants in
     /// the same protocol state always digest identically regardless of
     /// the insertion history that produced it. The model checker in
     /// `caex-lint` uses this for state canonicalization when
     /// enumerating message interleavings; run-constant configuration
-    /// (strategy, resolver group, handler tables) is deliberately
-    /// excluded.
+    /// (strategy, resolver group, handler tables, declared run times)
+    /// is deliberately excluded.
     pub fn protocol_digest<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash;
         fn sorted<T: Copy + Ord>(set: &IdSet<T>) -> Vec<T> {
@@ -375,23 +481,16 @@ impl Participant {
         }
         self.id.hash(h);
         self.entered.hash(h);
-        sorted(&self.aborted).hash(h);
-        sorted(&self.completed).hash(h);
-        let mut resolved: Vec<(ActionId, ExceptionId)> =
-            self.resolved.iter().map(|(a, e)| (*a, e.id())).collect();
-        resolved.sort_unstable();
-        resolved.hash(h);
-        sorted(&self.recovery_announced).hash(h);
-        sorted(&self.stood_down).hash(h);
+        let mut actions: Vec<(&ActionId, &ActionRec)> = self.actions.iter().collect();
+        actions.sort_unstable_by_key(|(a, _)| **a);
+        actions.len().hash(h);
+        for (a, rec) in actions {
+            a.hash(h);
+            rec.life.hash(h);
+            rec.resolved.as_ref().map(Exception::id).hash(h);
+            rec.recovery.hash(h);
+        }
         sorted(&self.suspects).hash(h);
-        let mut missed: Vec<(ActionId, &BTreeSet<NodeId>)> =
-            self.missed_commits.iter().map(|(a, s)| (*a, s)).collect();
-        missed.sort_unstable_by_key(|(a, _)| *a);
-        missed.hash(h);
-        sorted(&self.deferred_completes).hash(h);
-        let mut buffered: Vec<(ActionId, &Vec<Msg>)> = self.buffered.iter().map(|(a, m)| (*a, m)).collect();
-        buffered.sort_unstable_by_key(|(a, _)| *a);
-        buffered.hash(h);
         match &self.res {
             None => 0u8.hash(h),
             Some(r) => {
@@ -425,11 +524,6 @@ impl Participant {
             }
         }
         self.abort_epoch.hash(h);
-        sorted(&self.leave_requested).hash(h);
-        let mut leave_ready: Vec<(ActionId, &BTreeSet<NodeId>)> =
-            self.leave_ready.iter().map(|(a, s)| (*a, s)).collect();
-        leave_ready.sort_unstable_by_key(|(a, _)| *a);
-        leave_ready.hash(h);
         sorted(&self.deserters).hash(h);
     }
 
@@ -439,34 +533,29 @@ impl Participant {
     /// its worlds always clone).
     #[must_use]
     pub fn clone_declarative(&self) -> Option<Participant> {
-        let mut handlers = IdMap::with_capacity_and_hasher(self.handlers.len(), Default::default());
-        for (&action, table) in &self.handlers {
-            handlers.insert(action, table.clone_declarative()?);
+        let mut actions = IdMap::with_capacity_and_hasher(self.actions.len(), Default::default());
+        for (&action, rec) in &self.actions {
+            let handlers = match &rec.handlers {
+                Some(table) => Some(Box::new(table.clone_declarative()?)),
+                None => None,
+            };
+            let copy = ActionRec {
+                handlers,
+                life: rec.life.clone(),
+                resolved: rec.resolved.clone(),
+                recovery: rec.recovery.clone(),
+                ..*rec
+            };
+            actions.insert(action, copy);
         }
         Some(Participant {
-            id: self.id,
             registry: Arc::clone(&self.registry),
-            handlers,
+            actions,
             entered: self.entered.clone(),
-            aborted: self.aborted.clone(),
-            completed: self.completed.clone(),
-            resolved: self.resolved.clone(),
-            buffered: self.buffered.clone(),
-            deferred_completes: self.deferred_completes.clone(),
             res: self.res.clone(),
-            strategy: self.strategy,
-            nested_remaining: self.nested_remaining.clone(),
-            abort_epoch: self.abort_epoch,
-            resolver_group: self.resolver_group,
-            leave_mode: self.leave_mode,
-            leave_requested: self.leave_requested.clone(),
-            leave_ready: self.leave_ready.clone(),
             deserters: self.deserters.clone(),
             suspects: self.suspects.clone(),
-            missed_commits: self.missed_commits.clone(),
-            stood_down: self.stood_down.clone(),
-            recovery_announced: self.recovery_announced.clone(),
-            failover: self.failover,
+            ..*self
         })
     }
 
@@ -503,27 +592,38 @@ impl Participant {
             // what the message itself says — never silent.
             return None;
         }
-        if self.resolved.contains_key(&action) {
-            // Stale post-commit traffic — silent unless it is about to
-            // trigger the recovery rebroadcast in `on_msg`. The
-            // staleness premise is monotone: `resolved` never shrinks
-            // and `recovery_announced` only gains members.
-            let announces = !self.deserters.is_empty()
-                && !self.recovery_announced.contains(&action)
-                && matches!(
-                    msg,
-                    Msg::Exception { .. } | Msg::HaveNested { .. } | Msg::NestedCompleted { .. }
-                );
-            return (!announces).then_some(Silence::Always);
-        }
-        if self.aborted.contains(&action) || self.completed.contains(&action) {
+        let Some(rec) = self.actions.get(&action) else {
+            // Not heard of yet: held if this object is in the action's
+            // scope (arrival order is replay order), otherwise dropped
+            // with a note — and the registry never changes.
+            let mine = self
+                .registry
+                .scope(action)
+                .is_ok_and(|s| s.is_participant(self.id));
+            return (!mine).then_some(Silence::Always);
+        };
+        match (&rec.resolved, &rec.life) {
+            (Some(_), _) => {
+                // Stale post-commit traffic — silent unless it is about
+                // to trigger the recovery rebroadcast in `on_msg`. The
+                // staleness premise is monotone: a commit is never
+                // forgotten and an announce never undone.
+                let announces = !self.deserters.is_empty()
+                    && !rec.recovery.announced
+                    && matches!(
+                        msg,
+                        Msg::Exception { .. }
+                            | Msg::HaveNested { .. }
+                            | Msg::NestedCompleted { .. }
+                    );
+                return (!announces).then_some(Silence::Always);
+            }
             // Cleaned up with a note, nothing else; an aborted or
-            // completed action can never be re-entered (`on_enter`
-            // skips belated entries), so the premise is monotone.
-            return Some(Silence::Always);
-        }
-        if !self.entered.contains(&action) {
-            return None; // buffered: arrival order is replay order
+            // completed action can never be re-entered (`on_enter` skips
+            // belated entries), so the premise is monotone.
+            (None, Life::Completed | Life::Aborted) => return Some(Silence::Always),
+            (None, Life::Buffered(_)) => return None, // arrival order is replay order
+            (None, Life::Entered { .. }) => {}
         }
         if let Some(res) = &self.res {
             if res.action != action
@@ -670,31 +770,21 @@ impl Participant {
         // decision re-forwards it once, so orphans that stood down —
         // and will never send the traffic that triggers the stale-probe
         // rebroadcast — still converge on the committed exception.
-        let mut forwards: Vec<(ActionId, Exception)> = self
-            .resolved
+        let mut forwards: Vec<ActionId> = self
+            .actions
             .iter()
-            .filter(|(a, _)| {
-                self.registry
-                    .scope(**a)
-                    .is_ok_and(|s| s.is_participant(peer))
+            .filter(|(a, rec)| {
+                rec.resolved.is_some()
+                    && self
+                        .registry
+                        .scope(**a)
+                        .is_ok_and(|s| s.is_participant(peer))
             })
-            .map(|(a, e)| (*a, e.clone()))
+            .map(|(a, _)| *a)
             .collect();
-        forwards.sort_unstable_by_key(|(a, _)| *a);
-        for (action, exc) in forwards {
-            if !self.recovery_announced.insert(action) {
-                continue;
-            }
-            for to in self.peers(action) {
-                fx.push(Effect::Send {
-                    to,
-                    msg: Msg::Commit {
-                        action,
-                        from: self.id,
-                        exc: exc.clone(),
-                    },
-                });
-            }
+        forwards.sort_unstable();
+        for action in forwards {
+            self.announce_commit(action, fx);
         }
         if let Some(res) = &mut self.res {
             res.pending_acks.remove(&peer);
@@ -761,21 +851,17 @@ impl Participant {
                     res.le.iter().min_by_key(|(raiser, e)| (*raiser, e.id()))
                 {
                     let action = res.action;
-                    let (raiser, exc) = (*raiser, exc.clone());
-                    for to in self.peers(action) {
-                        fx.push(Effect::Send {
-                            to,
-                            msg: Msg::Exception {
-                                action,
-                                from: raiser,
-                                exc: exc.clone(),
-                            },
-                        });
-                    }
+                    let probe = Msg::Exception {
+                        action,
+                        from: *raiser,
+                        exc: exc.clone(),
+                    };
+                    self.fan_out(action, None, probe, fx);
                 }
             }
         }
-        for action in self.leave_requested.clone() {
+        // A pending distributed leave no longer waits for the deserter.
+        for action in self.entered.clone() {
             self.try_distributed_leave(action, fx);
         }
     }
@@ -819,14 +905,15 @@ impl Participant {
             return;
         }
         let mut owed: Vec<ActionId> = self
-            .missed_commits
+            .actions
             .iter()
-            .filter(|(_, missed)| missed.contains(&peer))
-            .map(|(a, _)| *a)
+            .filter_map(|(a, rec)| rec.recovery.missed_commits.contains(&peer).then_some(*a))
             .collect();
         owed.sort_unstable();
         for action in owed {
-            if let Some(exc) = self.resolved.get(&action).cloned() {
+            let rec = record(&mut self.actions, action);
+            rec.recovery.missed_commits.remove(&peer);
+            if let Some(exc) = rec.resolved.clone() {
                 fx.push(Effect::Send {
                     to: peer,
                     msg: Msg::Commit {
@@ -835,12 +922,6 @@ impl Participant {
                         exc,
                     },
                 });
-            }
-            if let Some(missed) = self.missed_commits.get_mut(&action) {
-                missed.remove(&peer);
-                if missed.is_empty() {
-                    self.missed_commits.remove(&action);
-                }
             }
         }
     }
@@ -884,20 +965,14 @@ impl Participant {
     }
 
     fn on_enter(&mut self, action: ActionId, fx: &mut Vec<Effect>) {
-        if self.aborted.contains(&action) || self.completed.contains(&action) {
-            // Belated entry into an action that was aborted (or already
-            // completed) in the meantime — silently skipped, §4.1: "the
-            // abortion handlers of other participating objects will not
-            // have to wait for it".
-            fx.push(Effect::Note(Note::EnterSkipped {
-                object: self.id,
-                action,
-            }));
-            return;
-        }
-        if self.res.is_some() {
-            // A suspended or exceptional object takes no further part in
-            // normal computation, so it cannot enter nested actions.
+        let ended = |rec: &ActionRec| matches!(rec.life, Life::Completed | Life::Aborted);
+        // Belated entry into an action that was aborted (or already
+        // completed) in the meantime is silently skipped, §4.1: "the
+        // abortion handlers of other participating objects will not
+        // have to wait for it". A suspended or exceptional object takes
+        // no further part in normal computation, so it cannot enter
+        // nested actions either.
+        if self.actions.get(&action).is_some_and(ended) || self.res.is_some() {
             fx.push(Effect::Note(Note::EnterSkipped {
                 object: self.id,
                 action,
@@ -924,6 +999,11 @@ impl Participant {
             return;
         }
         self.entered.push(action);
+        let entered = Life::Entered {
+            ready: BTreeSet::new(),
+            exit: Exit::Open,
+        };
+        let held = std::mem::replace(&mut self.actions.entry(action).or_default().life, entered);
         fx.push(Effect::Note(Note::Entered {
             object: self.id,
             action,
@@ -931,7 +1011,7 @@ impl Participant {
         // Belated participation: messages that arrived before entry are
         // processed now ("the entire protocol execution for resolution
         // should be delayed", §3.3).
-        if let Some(pending) = self.buffered.remove(&action) {
+        if let Life::Buffered(pending) = held {
             for msg in pending {
                 self.on_msg(msg, fx);
             }
@@ -939,25 +1019,30 @@ impl Participant {
     }
 
     fn on_complete(&mut self, action: ActionId, fx: &mut Vec<Effect>) {
-        if self.aborted.contains(&action) || self.completed.contains(&action) || self.res.is_some()
-        {
-            // An aborted action cannot complete; a suspended object's
-            // completion is overtaken by the resolution; and a handler
-            // may already have completed the action on the object's
-            // behalf (termination model).
+        if self.res.is_some() {
+            // A suspended object's completion is overtaken by the
+            // resolution.
             return;
         }
-        if self.active_action() != Some(action) {
-            if self.entered.contains(&action) {
-                // A deeper action is still at its own exit line; the
-                // completion replays once the nesting unwinds.
-                self.deferred_completes.insert(action);
+        let active = self.active_action() == Some(action);
+        let distributed = self.leave_mode == LeaveMode::Distributed;
+        match self.actions.get_mut(&action).map(|rec| &mut rec.life) {
+            // A deeper action is still at its own exit line; the
+            // completion replays once the nesting unwinds.
+            Some(Life::Entered { exit, .. }) if !active => {
+                *exit = Exit::Deferred;
                 return;
             }
-            panic!(
+            Some(Life::Entered { exit, .. }) if distributed => *exit = Exit::Requested,
+            Some(Life::Entered { .. }) => {}
+            // An aborted action cannot complete, and a handler may
+            // already have completed the action on the object's behalf
+            // (termination model).
+            Some(Life::Completed | Life::Aborted) => return,
+            _ => panic!(
                 "{} completing {action} which it never entered or already left",
                 self.id
-            );
+            ),
         }
         // Leaving is synchronous: the object waits at the exit line
         // (remaining a reachable participant — it can still be drawn
@@ -966,17 +1051,12 @@ impl Participant {
             object: self.id,
             action,
         }));
-        if self.leave_mode == LeaveMode::Distributed {
-            self.leave_requested.insert(action);
-            for to in self.peers(action) {
-                fx.push(Effect::Send {
-                    to,
-                    msg: Msg::LeaveReady {
-                        from: self.id,
-                        action,
-                    },
-                });
-            }
+        if distributed {
+            let ready = Msg::LeaveReady {
+                from: self.id,
+                action,
+            };
+            self.fan_out(action, None, ready, fx);
             self.try_distributed_leave(action, fx);
         }
     }
@@ -984,10 +1064,13 @@ impl Participant {
     /// Distributed leave: leaves once this object reached the exit line
     /// and every peer's announcement is in.
     fn try_distributed_leave(&mut self, action: ActionId, fx: &mut Vec<Effect>) {
-        if !self.leave_requested.contains(&action) || self.res.is_some() {
-            return;
-        }
-        let ready = self.leave_ready.entry(action).or_default();
+        let ready = match self.actions.get(&action).map(|rec| &rec.life) {
+            Some(Life::Entered {
+                ready,
+                exit: Exit::Requested,
+            }) if self.res.is_none() => ready,
+            _ => return,
+        };
         if live_peers(&self.registry, &self.deserters, self.id, action).all(|p| ready.contains(&p))
         {
             self.on_leave_granted(action, fx);
@@ -995,50 +1078,43 @@ impl Participant {
     }
 
     fn on_leave_granted(&mut self, action: ActionId, fx: &mut Vec<Effect>) {
-        if self.aborted.contains(&action)
-            || self.completed.contains(&action)
-            || self.res.is_some()
-            || self.active_action() != Some(action)
-        {
+        if self.res.is_some() || self.active_action() != Some(action) {
             // Overtaken by a resolution (whose handlers complete the
             // action) or by an abortion: the grant is void.
             return;
         }
         self.entered.pop();
-        self.completed.insert(action);
+        record(&mut self.actions, action).life = Life::Completed;
         fx.push(Effect::Note(Note::Completed {
             object: self.id,
             action,
         }));
         // Replay a completion that was waiting for this unwind.
         if let Some(next) = self.active_action() {
-            if self.deferred_completes.remove(&next) {
+            if let Life::Entered {
+                exit: exit @ Exit::Deferred,
+                ..
+            } = &mut record(&mut self.actions, next).life
+            {
+                *exit = Exit::Open;
                 self.on_complete(next, fx);
             }
         }
     }
 
     fn on_raise(&mut self, exc: Exception, fx: &mut Vec<Effect>) {
-        if self.res.is_some() {
+        match self.active_action() {
+            Some(action) if self.res.is_none() => self.raise_in(action, exc, fx),
             // §4.1: "only one such exception can be raised within Action
-            // A_i" per object, and suspended objects raise nothing.
-            fx.push(Effect::Note(Note::RaiseSuppressed {
+            // A_i" per object, and suspended objects raise nothing. With
+            // no active action the enclosing action already completed
+            // (termination model): a raise scheduled for after its end
+            // has nothing to land in.
+            _ => fx.push(Effect::Note(Note::RaiseSuppressed {
                 object: self.id,
                 exc,
-            }));
-            return;
+            })),
         }
-        let Some(action) = self.active_action() else {
-            // The enclosing action already completed (termination
-            // model): a raise scheduled for after its end has nothing
-            // to land in.
-            fx.push(Effect::Note(Note::RaiseSuppressed {
-                object: self.id,
-                exc,
-            }));
-            return;
-        };
-        self.raise_in(action, exc, fx);
     }
 
     /// Shared raise path: local raises and failure signals into the
@@ -1047,44 +1123,30 @@ impl Participant {
         let mut res = Resolution::new(action, PState::Exceptional);
         res.le.push((self.id, exc.clone()));
         res.pending_acks = self.peers(action).collect();
-        let alone = res.pending_acks.is_empty();
         self.res = Some(res);
         fx.push(Effect::Note(Note::Raised {
             object: self.id,
             action,
             exc: exc.clone(),
         }));
-        if !alone {
-            fx.push(Effect::Note(Note::Multicast {
-                object: self.id,
-                kind: "exception",
-            }));
-        }
-        for to in self.peers(action) {
-            fx.push(Effect::Send {
-                to,
-                msg: Msg::Exception {
-                    action,
-                    from: self.id,
-                    exc: exc.clone(),
-                },
-            });
-        }
+        let raised = Msg::Exception {
+            action,
+            from: self.id,
+            exc,
+        };
+        self.fan_out(action, Some("exception"), raised, fx);
         self.check_ready(fx);
     }
 
     fn on_msg(&mut self, msg: Msg, fx: &mut Vec<Effect>) {
-        let action = msg.action();
+        let (action, me) = (msg.action(), self.id);
         // Zombie fencing: once the failure detector reported a peer
         // dead, nothing it says counts any more. In particular a
         // resumed (SIGCONT) or restarted resolver's late `Commit` must
         // not double-commit or split the decision the survivors have
         // re-resolved without it.
         if self.failover && self.deserters.contains(&msg.sender()) {
-            fx.push(Effect::Note(Note::StaleMessage {
-                object: self.id,
-                msg,
-            }));
+            fx.push(Effect::Note(Note::StaleMessage { object: me, msg }));
             return;
         }
         // Proof of life: a protocol message from a merely *suspected*
@@ -1095,70 +1157,69 @@ impl Participant {
         if self.suspects.contains(&msg.sender()) {
             self.on_rejoin(msg.sender(), fx);
         }
-        if let Some(exc) = self.resolved.get(&action).cloned() {
-            // The resolution here already committed. A peer still
-            // sending resolution traffic for it missed the commit —
-            // typically because the resolver crashed after informing
-            // only part of the action. Once the failure detector has
-            // reported a deserter, re-broadcast the committed exception
-            // so every orphan converges instead of blocking forever
-            // (the message's `from` names the original raiser, not the
-            // possibly different retransmitting peer, so only a
-            // broadcast is guaranteed to reach whoever is blocked);
-            // without any desertion the traffic is merely late and is
-            // cleaned up silently (§3.3 problem 4).
-            if self.failover
-                && !self.deserters.is_empty()
-                && matches!(
-                    msg,
-                    Msg::Exception { .. } | Msg::HaveNested { .. } | Msg::NestedCompleted { .. }
-                )
-                && self.recovery_announced.insert(action)
-            {
-                for to in self.peers(action) {
-                    fx.push(Effect::Send {
-                        to,
-                        // `from` is this live object: the original
-                        // resolver is a deserter and its commits are
-                        // fenced, so the rebroadcast vouches for the
-                        // outcome under the survivor's own identity.
-                        msg: Msg::Commit {
-                            action,
-                            from: self.id,
-                            exc: exc.clone(),
-                        },
-                    });
+        let rec = match self.actions.entry(action) {
+            Entry::Occupied(rec) => rec.into_mut(),
+            Entry::Vacant(slot) => {
+                if !self
+                    .registry
+                    .scope(action)
+                    .is_ok_and(|s| s.is_participant(me))
+                {
+                    // Not an action of this object: no entry would ever
+                    // release a held copy, so it is dropped at once.
+                    fx.push(Effect::Note(Note::StaleMessage { object: me, msg }));
+                    return;
                 }
+                slot.insert(ActionRec::default())
             }
-            fx.push(Effect::Note(Note::StaleMessage {
-                object: self.id,
-                msg,
-            }));
-            return;
-        }
-        if self.aborted.contains(&action) || self.completed.contains(&action) {
-            // Messages of an eliminated nested resolution are cleaned
-            // up, §3.3 problem 4.
-            fx.push(Effect::Note(Note::StaleMessage {
-                object: self.id,
-                msg,
-            }));
-            return;
-        }
-        if !self.entered.contains(&action) {
-            // Belated participant: hold the message until entry.
-            self.buffered.entry(action).or_default().push(msg);
-            return;
+        };
+        match (&rec.resolved, &mut rec.life) {
+            (Some(_), _) => {
+                // The resolution here already committed. A peer still
+                // sending resolution traffic for it missed the commit —
+                // typically because the resolver crashed after informing
+                // only part of the action. Once the failure detector has
+                // reported a deserter, re-broadcast the committed
+                // exception so every orphan converges instead of
+                // blocking forever (the message's `from` names the
+                // original raiser, not the possibly different
+                // retransmitting peer, so only a broadcast is guaranteed
+                // to reach whoever is blocked); without any desertion
+                // the traffic is merely late and is cleaned up silently
+                // (§3.3 problem 4).
+                if self.failover
+                    && !self.deserters.is_empty()
+                    && matches!(
+                        msg,
+                        Msg::Exception { .. }
+                            | Msg::HaveNested { .. }
+                            | Msg::NestedCompleted { .. }
+                    )
+                {
+                    self.announce_commit(action, fx);
+                }
+                fx.push(Effect::Note(Note::StaleMessage { object: me, msg }));
+                return;
+            }
+            (None, Life::Completed | Life::Aborted) => {
+                // Messages of an eliminated nested resolution are
+                // cleaned up, §3.3 problem 4.
+                fx.push(Effect::Note(Note::StaleMessage { object: me, msg }));
+                return;
+            }
+            (None, Life::Buffered(held)) => {
+                // Belated participant: hold the message until entry.
+                held.push(msg);
+                return;
+            }
+            (None, Life::Entered { .. }) => {}
         }
         if let Some(res) = &self.res {
             if res.action != action && !self.registry.is_nested_within(res.action, action).unwrap()
             {
                 // A message for an action nested within (or unrelated
                 // to) the resolution we are already committed to: stale.
-                fx.push(Effect::Note(Note::StaleMessage {
-                    object: self.id,
-                    msg,
-                }));
+                fx.push(Effect::Note(Note::StaleMessage { object: me, msg }));
                 return;
             }
         }
@@ -1183,17 +1244,7 @@ impl Participant {
                 // covers this object in `pending_acks`.
                 if !res.le.iter().any(|(r, e)| *r == from && e.id() == exc.id()) {
                     res.le.push((from, exc));
-                    if res.aborting {
-                        res.deferred_acks.push(from);
-                    } else {
-                        fx.push(Effect::Send {
-                            to: from,
-                            msg: Msg::Ack {
-                                from: self.id,
-                                action,
-                            },
-                        });
-                    }
+                    res.ack(me, from, fx);
                 }
             }
             Msg::HaveNested { from, .. } => {
@@ -1202,16 +1253,17 @@ impl Participant {
                 // "clean up messages related to nested actions": the
                 // sender is aborting everything below `action`, so any
                 // held messages for those actions are void.
-                let registry = Arc::clone(&self.registry);
-                let doomed: Vec<ActionId> = self
-                    .buffered
-                    .keys()
-                    .copied()
-                    .filter(|&b| registry.is_nested_within(b, action).unwrap_or(false))
-                    .collect();
+                let mut doomed = Vec::new();
+                for (&b, rec) in &mut self.actions {
+                    if matches!(&rec.life, Life::Buffered(held) if !held.is_empty())
+                        && self.registry.is_nested_within(b, action).unwrap_or(false)
+                    {
+                        rec.life = Life::Aborted;
+                        doomed.push(b);
+                    }
+                }
+                doomed.sort_unstable();
                 for b in doomed {
-                    self.buffered.remove(&b);
-                    self.aborted.insert(b);
                     fx.push(Effect::Note(Note::CleanedNestedMessages {
                         object: self.id,
                         action: b,
@@ -1226,17 +1278,7 @@ impl Participant {
                         res.le.push((from, exc));
                     }
                 }
-                if res.aborting {
-                    res.deferred_acks.push(from);
-                } else {
-                    fx.push(Effect::Send {
-                        to: from,
-                        msg: Msg::Ack {
-                            from: self.id,
-                            action,
-                        },
-                    });
-                }
+                res.ack(me, from, fx);
             }
             Msg::Ack { from, .. } => {
                 if let Some(res) = &mut self.res {
@@ -1250,7 +1292,9 @@ impl Participant {
                 return;
             }
             Msg::LeaveReady { from, .. } => {
-                self.leave_ready.entry(action).or_default().insert(from);
+                if let Life::Entered { ready, .. } = &mut record(&mut self.actions, action).life {
+                    ready.insert(from);
+                }
                 self.try_distributed_leave(action, fx);
                 return;
             }
@@ -1264,21 +1308,11 @@ impl Participant {
     /// resolving action, and discard any nested resolution in progress.
     fn trigger_abortion(&mut self, outer: ActionId, fx: &mut Vec<Effect>) {
         debug_assert!(self.entered.contains(&outer));
-        if self.peers(outer).next().is_some() {
-            fx.push(Effect::Note(Note::Multicast {
-                object: self.id,
-                kind: "have_nested",
-            }));
-        }
-        for to in self.peers(outer) {
-            fx.push(Effect::Send {
-                to,
-                msg: Msg::HaveNested {
-                    from: self.id,
-                    action: outer,
-                },
-            });
-        }
+        let announce = Msg::HaveNested {
+            from: self.id,
+            action: outer,
+        };
+        self.fan_out(outer, Some("have_nested"), announce, fx);
         // Innermost-first chain of entered actions strictly below
         // `outer`.
         let pos = self
@@ -1303,9 +1337,9 @@ impl Participant {
             NestedStrategy::Abort => {
                 let count = chain.len();
                 for (idx, nested) in chain.iter().copied().enumerate() {
-                    self.aborted.insert(nested);
-                    self.buffered.remove(&nested);
-                    let (outcome, cost) = match self.handlers.get_mut(&nested) {
+                    let rec = record(&mut self.actions, nested);
+                    rec.life = Life::Aborted;
+                    let (outcome, cost) = match &mut rec.handlers {
                         Some(table) => table.invoke_abortion(),
                         None => (AbortionOutcome::Aborted, SimTime::ZERO),
                     };
@@ -1348,17 +1382,12 @@ impl Participant {
                 let mut wait = SimTime::ZERO;
                 let mut never = false;
                 for nested in chain.iter().copied() {
-                    match self
-                        .nested_remaining
-                        .get(&nested)
-                        .copied()
-                        .unwrap_or(Some(SimTime::ZERO))
-                    {
+                    let rec = record(&mut self.actions, nested);
+                    match rec.remaining {
                         Some(remaining) => wait = wait.max(remaining),
                         None => never = true,
                     }
-                    self.completed.insert(nested);
-                    self.buffered.remove(&nested);
+                    rec.life = Life::Completed;
                 }
                 fx.push(Effect::Note(Note::WaitingForNested {
                     object: self.id,
@@ -1387,41 +1416,26 @@ impl Participant {
         epoch: u64,
         fx: &mut Vec<Effect>,
     ) {
-        if epoch != self.abort_epoch {
-            return; // superseded by a more-outer abortion
+        let aborting = self
+            .res
+            .as_ref()
+            .is_some_and(|r| r.action == action && r.aborting);
+        if epoch != self.abort_epoch || !aborting {
+            return; // superseded by a more-outer abortion, or no longer aborting
         }
-        let Some(res) = &mut self.res else { return };
-        if res.action != action || !res.aborting {
-            return;
-        }
+        let completed = Msg::NestedCompleted {
+            action,
+            from: self.id,
+            exc: signal.clone(),
+        };
+        self.fan_out(action, Some("nested_completed"), completed, fx);
+        let res = self.res.as_mut().expect("checked above");
         res.aborting = false;
-        let peers = || live_peers(&self.registry, &self.deserters, self.id, action);
         // NestedCompleted expects an ACK from every peer.
-        res.pending_acks.extend(peers());
-        if peers().next().is_some() {
-            fx.push(Effect::Note(Note::Multicast {
-                object: self.id,
-                kind: "nested_completed",
-            }));
-        }
-        for to in peers() {
-            fx.push(Effect::Send {
-                to,
-                msg: Msg::NestedCompleted {
-                    action,
-                    from: self.id,
-                    exc: signal.clone(),
-                },
-            });
-        }
+        res.pending_acks
+            .extend(live_peers(&self.registry, &self.deserters, self.id, action));
         for to in std::mem::take(&mut res.deferred_acks) {
-            fx.push(Effect::Send {
-                to,
-                msg: Msg::Ack {
-                    from: self.id,
-                    action,
-                },
-            });
+            res.ack(self.id, to, fx);
         }
         if let Some(exc) = signal {
             res.le.push((self.id, exc));
@@ -1452,7 +1466,7 @@ impl Participant {
             // Remember the abandoned resolution: if some survivor got
             // the dead raiser's commit after all, its forwarded
             // `Commit` is still welcome (see `accept_commit`).
-            self.stood_down.insert(res.action);
+            record(&mut self.actions, res.action).recovery.stood_down = true;
             self.res = None;
         }
     }
@@ -1517,22 +1531,12 @@ impl Participant {
             resolved: resolved.clone(),
             raised,
         }));
-        if self.peers(action).next().is_some() {
-            fx.push(Effect::Note(Note::Multicast {
-                object: self.id,
-                kind: "commit",
-            }));
-        }
-        for to in self.peers(action) {
-            fx.push(Effect::Send {
-                to,
-                msg: Msg::Commit {
-                    action,
-                    from: self.id,
-                    exc: resolved.clone(),
-                },
-            });
-        }
+        let commit = Msg::Commit {
+            action,
+            from: self.id,
+            exc: resolved.clone(),
+        };
+        self.fan_out(action, Some("commit"), commit, fx);
         self.accept_commit(action, self.id, resolved, fx);
     }
 
@@ -1549,8 +1553,8 @@ impl Participant {
         // exception.
         let resumable = self.failover
             && self.res.is_none()
-            && self.stood_down.contains(&action)
-            && self.active_action() == Some(action);
+            && self.active_action() == Some(action)
+            && record(&mut self.actions, action).recovery.stood_down;
         if self.res.as_ref().map(|r| r.action) != Some(action) && !resumable {
             fx.push(Effect::Note(Note::StaleMessage {
                 object: self.id,
@@ -1558,23 +1562,24 @@ impl Participant {
             }));
             return;
         }
-        self.stood_down.remove(&action);
         self.res = None;
-        self.resolved.insert(action, exc.clone());
+        let rec = record(&mut self.actions, action);
+        rec.recovery.stood_down = false;
+        rec.resolved = Some(exc.clone());
         // Suspected peers were not excluded from the fan-out (their
         // obligations stand), but a transient partition may well have
         // swallowed the commit on the wire: remember whom to re-send it
         // to when the detector reports them back (`on_rejoin`).
         if self.failover && !self.suspects.is_empty() {
-            let missed: BTreeSet<NodeId> = self
-                .peers(action)
-                .filter(|p| self.suspects.contains(p))
-                .collect();
+            let missed: BTreeSet<NodeId> =
+                live_peers(&self.registry, &self.deserters, self.id, action)
+                    .filter(|p| self.suspects.contains(p))
+                    .collect();
             if !missed.is_empty() {
-                self.missed_commits.insert(action, missed);
+                rec.recovery.missed_commits = missed;
             }
         }
-        let (outcome, cost) = match self.handlers.get_mut(&action) {
+        let (outcome, cost) = match &mut rec.handlers {
             Some(table) => table.invoke(&exc),
             None => {
                 let tree = self
@@ -1616,12 +1621,12 @@ impl Participant {
         // nested action … including execution of any handlers". If an
         // outer resolution aborted `action` while its handler was still
         // running, this continuation is void.
-        if self.aborted.contains(&action) || self.active_action() != Some(action) {
+        if self.active_action() != Some(action) {
             return;
         }
         // The termination model: the handler completes the action.
         self.entered.pop();
-        self.completed.insert(action);
+        record(&mut self.actions, action).life = Life::Completed;
         match signal {
             None => fx.push(Effect::Note(Note::Completed {
                 object: self.id,
@@ -1641,21 +1646,12 @@ impl Participant {
                 match parent {
                     // Signalling between nested actions: the failure
                     // exception is raised within the containing action,
-                    // starting a fresh resolution there.
+                    // starting a fresh resolution there — or recorded
+                    // as suppressed if this object is already drawn
+                    // into a resolution at the parent level.
                     Some(parent) => {
                         debug_assert_eq!(self.active_action(), Some(parent));
-                        if self.res.is_some() {
-                            // Already drawn into a resolution at the
-                            // parent level; our signal merges into it
-                            // only if we can still raise — otherwise it
-                            // is recorded as suppressed.
-                            fx.push(Effect::Note(Note::RaiseSuppressed {
-                                object: self.id,
-                                exc,
-                            }));
-                        } else {
-                            self.raise_in(parent, exc, fx);
-                        }
+                        self.on_raise(exc, fx);
                     }
                     None => fx.push(Effect::Note(Note::ActionFailed {
                         object: self.id,
@@ -1700,6 +1696,11 @@ mod tests {
             .iter()
             .any(|e| matches!(e, Effect::Note(Note::Entered { .. }))));
         (p, a)
+    }
+
+    /// Whether `action`'s record is in the (data-free) `life` state.
+    fn is(p: &Participant, action: ActionId, life: Life) -> bool {
+        std::mem::discriminant(&p.actions[&action].life) == std::mem::discriminant(&life)
     }
 
     fn sends(fx: &[Effect]) -> Vec<(&NodeId, &Msg)> {
@@ -1942,7 +1943,7 @@ mod tests {
             _ => None,
         });
         assert_eq!(chain, Some(vec![a2, a1]));
-        assert!(p.aborted.contains(&a1) && p.aborted.contains(&a2));
+        assert!(is(&p, a1, Life::Aborted) && is(&p, a2, Life::Aborted));
         assert_eq!(p.active_action(), Some(a0));
         // HaveNested went out; NestedCompleted is deferred behind the
         // AbortionDone continuation.
@@ -2053,6 +2054,49 @@ mod tests {
     }
 
     #[test]
+    fn messages_for_actions_this_object_is_not_in_are_dropped() {
+        use std::hash::{DefaultHasher, Hasher};
+        fn digest(p: &Participant) -> u64 {
+            let mut h = DefaultHasher::new();
+            p.protocol_digest(&mut h);
+            h.finish()
+        }
+        let tree = Arc::new(chain_tree(4));
+        let mut reg = ActionRegistry::new();
+        let a = reg
+            .declare(ActionScope::top_level("A", ids(3), Arc::clone(&tree)))
+            .unwrap();
+        let b = reg
+            .declare(ActionScope::top_level(
+                "B",
+                [NodeId::new(1), NodeId::new(2)],
+                tree,
+            ))
+            .unwrap();
+        let mut p = Participant::new(NodeId::new(0), Arc::new(reg), NestedStrategy::Abort);
+        p.handle(Event::Enter(a));
+        let entered = digest(&p);
+        // Another group's action and an undeclared one: no entry could
+        // ever release a held copy, so none may be held.
+        for i in 0..2_000u32 {
+            let msg = Msg::Exception {
+                action: if i % 2 == 0 { b } else { ActionId::new(999) },
+                from: NodeId::new(1 + i % 2),
+                exc: Exception::new(ExceptionId::new(1)),
+            };
+            let fx = p.handle(Event::Msg(msg.clone()));
+            assert_eq!(
+                fx,
+                vec![Effect::Note(Note::StaleMessage {
+                    object: NodeId::new(0),
+                    msg,
+                })]
+            );
+        }
+        assert_eq!(digest(&p), entered);
+    }
+
+    #[test]
     fn enter_while_suspended_is_skipped() {
         let tree = Arc::new(chain_tree(4));
         let mut reg = ActionRegistry::new();
@@ -2084,14 +2128,14 @@ mod tests {
         assert!(fx
             .iter()
             .any(|e| matches!(e, Effect::Note(Note::LeaveRequested { .. }))));
-        assert!(!p.completed.contains(&a), "leave is synchronous");
+        assert!(!is(&p, a, Life::Completed), "leave is synchronous");
         assert_eq!(p.active_action(), Some(a));
         // Phase 2: the manager grants the joint leave.
         let fx = p.handle(Event::LeaveGranted(a));
         assert!(fx
             .iter()
             .any(|e| matches!(e, Effect::Note(Note::Completed { .. }))));
-        assert!(p.completed.contains(&a));
+        assert!(is(&p, a, Life::Completed));
         assert_eq!(p.active_action(), None);
     }
 
@@ -2112,7 +2156,7 @@ mod tests {
         // A stale grant arriving later is void: the resolution's
         // handler will complete the action instead.
         p.handle(Event::LeaveGranted(a));
-        assert!(!p.completed.contains(&a));
+        assert!(!is(&p, a, Life::Completed));
     }
 
     #[test]
@@ -2120,7 +2164,7 @@ mod tests {
         let (mut p, _a0, a1, a2) = nested_participant();
         // A1's completion waits until A2 has left.
         p.handle(Event::Complete(a1));
-        assert!(!p.completed.contains(&a1));
+        assert!(!is(&p, a1, Life::Completed));
         p.handle(Event::Complete(a2));
         p.handle(Event::LeaveGranted(a2));
         // A2's unwind replays A1's deferred completion request.
@@ -2481,8 +2525,10 @@ mod tests {
                 ]
             );
             // The default is implicit: nothing was materialised.
-            assert!(bare.handlers.is_empty(), "depth {depth}");
-            assert_eq!(tabled.handlers.len(), 2);
+            let tables =
+                |p: &Participant| p.actions.values().filter(|r| r.handlers.is_some()).count();
+            assert_eq!(tables(&bare), 0, "depth {depth}");
+            assert_eq!(tables(&tabled), 2);
             assert!(bare.clone_declarative().is_some());
         }
     }

@@ -53,17 +53,18 @@ const ACTIONS: u32 = 64;
 
 /// Heap allocations (`alloc` + `realloc`) one `general_at(4, 2, 1)`
 /// action may cost inside `FleetEngine::run`, shard set-up and the
-/// report included. The run measures 40 at this commit and 98 at
-/// `39a46f5`, where every `Participant::handle` returned a fresh
-/// `Vec<Effect>`, every multicast collected its peers and every
-/// exception clone copied its origin string. `SimNet`'s FIFO lane grows
-/// once per shard, not per action, and leaves the 40 where it was
-/// (E28). Measured alongside it on the issue's sizing copy and left
-/// out: dense per-source channel rows for `channel_clock` /
-/// `NetStats::channels` (+6 % `fleet_wide` actions/s, `peak_rss_mb`
-/// 7.9 → 7.0 there, but 48 allocations per action here and
-/// `fleet_small` `peak_rss_mb` up to 13.0).
-const BUDGET_PER_ACTION: u64 = 50;
+/// report included. The run measures 35 at this commit: 40 before each
+/// `Participant` kept its per-action state in one record map instead of
+/// a first insert into several per-action maps, and 98 at `39a46f5`,
+/// where every `Participant::handle` returned a fresh `Vec<Effect>`,
+/// every multicast collected its peers and every exception clone copied
+/// its origin string. `SimNet`'s FIFO lane grows once per shard, not
+/// per action (E28). Measured alongside the 40 and left out: dense
+/// per-source channel rows for `channel_clock` / `NetStats::channels`
+/// (+6 % `fleet_wide` actions/s, `peak_rss_mb` 7.9 → 7.0 there, but 48
+/// allocations per action here and `fleet_small` `peak_rss_mb` up to
+/// 13.0).
+const BUDGET_PER_ACTION: u64 = 35;
 
 #[test]
 fn a_fleet_action_stays_within_its_allocation_budget() {

@@ -31,7 +31,8 @@
 #    paper's Examples 1 and 2, cross-checks each verdict against the
 #    dynamic seed sweep, and pins the CAEX019 domino analysis against
 #    an executed Campbell-Randell baseline; exits nonzero on any
-#    violation, unconfirmed counterexample, or disagreement;
+#    violation, unconfirmed counterexample, or disagreement, or when
+#    Example 2's state, transition or crash-point count moves;
 # 8. the causal analysis end-to-end: BENCH_PR7.json is pinned against a
 #    live regeneration, caex-report's critical-path table on a recorded
 #    sim Example 2 matches the pinned numbers, and a real multi-process
@@ -117,7 +118,16 @@ cargo test -q -p caex-wire --test multiprocess -- --ignored
 cargo test -q -p caex-wire --test idle_cpu -- --ignored
 
 echo "== tier-2 [7/12]: exhaustive model checking of the built-in scenarios =="
-cargo run -q --release -p caex-lint --bin caex-lint -- check --model
+MODEL_LOG="$(mktemp)"
+cargo run -q --release -p caex-lint --bin caex-lint -- check --model | tee "$MODEL_LOG"
+# Example 2's exact count, too slow for a debug tier-1 test (the cheap
+# entries are pinned in caex-lint's tests/model.rs).
+if ! grep -q "^== model:example2: 1076849 states, 1916883 transitions, 55 crash points," \
+    "$MODEL_LOG"; then
+    rm -f "$MODEL_LOG"
+    echo "model:example2 must read 1076849 states, 1916883 transitions, 55 crash points"; exit 1
+fi
+rm -f "$MODEL_LOG"
 
 echo "== tier-2 [8/12]: causal analysis — BENCH_PR7 pin, caex-report, wire trace =="
 cargo test -q -p caex-bench --test bench_pr7
