@@ -19,8 +19,9 @@
 //!   scripted event with a smaller time has fired, equal-time events of
 //!   one object keep script order, and equal-time events of different
 //!   objects interleave freely — exactly the engine's guarantee;
-//! - **grant** — the Managed-leave manager's `LeaveGranted`, emulated
-//!   atomically when the last live participant reaches the exit line
+//! - **grant** — a `LeaveGranted` the managed exit line decided
+//!   ([`caex::ExitLines`], the simulator's coordinator too) once the
+//!   last live participant reached it or a desertion was reported
 //!   (grants are a per-node *set*, so manager fan-out commutes and the
 //!   partial-order reduction below stays sound);
 //! - **crash** — only during the `CAEX018` sweep: a node deserts, its
@@ -66,7 +67,7 @@
 //! seed sweep.
 
 use crate::diag::{LintCode, Severity, Sink};
-use caex::{Effect, Event, LeaveMode, Msg, Note, Participant, Scenario};
+use caex::{route, Event, ExitLines, Msg, Note, Outbox, Participant, Scenario};
 use caex_action::{ActionId, ActionRegistry};
 use caex_net::{ChannelState, NodeId, SimTime};
 use caex_tree::{ExceptionId, ExceptionTree, ReducedTree};
@@ -226,9 +227,8 @@ enum Step {
 /// the checker cannot replicate.
 struct Spec {
     registry: Arc<ActionRegistry>,
-    leave_mode: LeaveMode,
     /// Every world starts from a declarative copy of these.
-    parts: BTreeMap<NodeId, Participant>,
+    parts: BTreeMap<NodeId, Part>,
     script: Vec<(SimTime, NodeId, Event)>,
 }
 
@@ -253,7 +253,7 @@ impl Spec {
             })?;
         let parts = (0..copy.num_nodes())
             .map(NodeId::new)
-            .map(|id| (id, copy.participant(id)))
+            .map(|id| (id, Part(copy.participant(id))))
             .collect();
         let mut script = copy.steps;
         // Stable: equal-time events keep script order, as the engine's
@@ -261,7 +261,6 @@ impl Spec {
         script.sort_by_key(|(t, _, _)| *t);
         Ok(Spec {
             registry: Arc::clone(scenario.registry()),
-            leave_mode: scenario.leave_mode(),
             parts,
             script,
         })
@@ -276,27 +275,26 @@ impl Spec {
     }
 }
 
-/// Checkable scenarios hold only declarative handler tables
-/// ([`Spec::from_scenario`] rejects the rest), so participants always
-/// clone.
-fn clone_parts(parts: &BTreeMap<NodeId, Participant>) -> BTreeMap<NodeId, Participant> {
-    parts
-        .iter()
-        .map(|(&id, p)| {
-            let copy = p.clone_declarative().expect("checkable participants clone");
-            (id, copy)
-        })
-        .collect()
+/// A participant of a checkable scenario. Such a scenario holds only
+/// declarative handler tables ([`Spec::from_scenario`] rejects the
+/// rest), so its participants always clone.
+struct Part(Participant);
+
+impl Clone for Part {
+    fn clone(&self) -> Self {
+        Part(self.0.clone_declarative().expect("checkable participants clone"))
+    }
 }
 
 /// One concrete global state. The DFS carries worlds directly:
 /// checkable scenarios only install declarative handlers, so a world
-/// forks cheaply via [`World::fork`] / [`Participant::clone_declarative`]
-/// (counterexample traces are still replayed from the initial state
-/// for confirmation).
+/// forks cheaply by a clone ([`Participant::clone_declarative`]). Only
+/// a replay keeps a log, and a replay never forks (counterexample
+/// traces are replayed from the initial state for confirmation).
+#[derive(Clone)]
 struct World<'s> {
     spec: &'s Spec,
-    parts: BTreeMap<NodeId, Participant>,
+    parts: BTreeMap<NodeId, Part>,
     channels: ChannelState<Msg>,
     /// Pending `Effect::After` continuations, FIFO per node. Only the
     /// node's own transitions push here, so cross-target commutation
@@ -304,8 +302,7 @@ struct World<'s> {
     local: BTreeMap<NodeId, VecDeque<Event>>,
     /// Pending manager leave-grants (set semantics: fan-out commutes).
     grants: BTreeMap<NodeId, BTreeSet<ActionId>>,
-    leave_waiting: BTreeMap<ActionId, BTreeSet<NodeId>>,
-    granted: BTreeSet<ActionId>,
+    lines: ExitLines,
     fired: Vec<bool>,
     crashed: BTreeSet<NodeId>,
     raises: u32,
@@ -321,40 +318,17 @@ impl<'s> World<'s> {
     fn new(spec: &'s Spec) -> World<'s> {
         World {
             spec,
-            parts: clone_parts(&spec.parts),
+            parts: spec.parts.clone(),
             channels: ChannelState::new(),
             local: BTreeMap::new(),
             grants: BTreeMap::new(),
-            leave_waiting: BTreeMap::new(),
-            granted: BTreeSet::new(),
+            lines: ExitLines::default(),
             fired: vec![false; spec.script.len()],
             crashed: BTreeSet::new(),
             raises: 0,
             commits: Vec::new(),
             committed_class: BTreeMap::new(),
             faults: Vec::new(),
-            log: None,
-        }
-    }
-
-    /// A deep copy of this state for DFS branching. The log is never
-    /// forked: counterexamples are re-rendered by replaying their
-    /// trace.
-    fn fork(&self) -> World<'s> {
-        World {
-            spec: self.spec,
-            parts: clone_parts(&self.parts),
-            channels: self.channels.clone(),
-            local: self.local.clone(),
-            grants: self.grants.clone(),
-            leave_waiting: self.leave_waiting.clone(),
-            granted: self.granted.clone(),
-            fired: self.fired.clone(),
-            crashed: self.crashed.clone(),
-            raises: self.raises,
-            commits: self.commits.clone(),
-            committed_class: self.committed_class.clone(),
-            faults: self.faults.clone(),
             log: None,
         }
     }
@@ -435,7 +409,7 @@ impl<'s> World<'s> {
         let heads = self.channels.nonempty_channels();
         'candidates: for &(from, to) in &heads {
             let msg = self.channels.front(from, to).expect("nonempty channel");
-            match self.parts[&to].delivery_silence(msg) {
+            match self.parts[&to].0.delivery_silence(msg) {
                 None => continue,
                 Some(caex::Silence::Always) => {}
                 Some(caex::Silence::WhenNodeIdle) => {
@@ -503,7 +477,7 @@ impl<'s> World<'s> {
                     // committed — the raise is void (see module docs):
                     // under the simulator's positive latencies the raise
                     // always fires long before either can happen.
-                    let active = self.parts.get(&object).and_then(Participant::active_action);
+                    let active = self.parts.get(&object).and_then(|p| p.0.active_action());
                     let outrun = match active {
                         None => true,
                         Some(action) => self.committed_class.contains_key(&action),
@@ -530,24 +504,9 @@ impl<'s> World<'s> {
             .parts
             .get_mut(&node)
             .expect("dispatch to unknown node")
+            .0
             .handle(event);
-        self.absorb(node, effects);
-    }
-
-    fn absorb(&mut self, from: NodeId, effects: Vec<Effect>) {
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => {
-                    if !self.crashed.contains(&to) {
-                        self.channels.send(from, to, msg);
-                    }
-                }
-                Effect::After { event, .. } => {
-                    self.local.entry(from).or_default().push_back(event);
-                }
-                Effect::Note(note) => self.observe(note),
-            }
-        }
+        route(node, effects, self, &mut World::observe);
     }
 
     /// Folds a report note into the observation state, checking the
@@ -591,11 +550,16 @@ impl<'s> World<'s> {
                     ),
                 )),
             },
-            Note::LeaveRequested { object, action }
-                if self.spec.leave_mode == LeaveMode::Managed =>
-            {
-                self.leave_waiting.entry(action).or_default().insert(object);
-                self.try_grant(action);
+            Note::LeaveRequested { object, .. } | Note::Deserted { object, .. } => {
+                let Some(registry) = self.parts[&object].0.managed_exit() else { return };
+                let grants = &mut self.grants;
+                let grant = |node, event| match event {
+                    Event::LeaveGranted(action) => {
+                        grants.entry(node).or_default().insert(action);
+                    }
+                    _ => unreachable!("acceptance-tested scenarios are skipped"),
+                };
+                self.lines.hear(registry, &note, |_| None, grant);
             }
             _ => {}
         }
@@ -672,34 +636,9 @@ impl<'s> World<'s> {
         }
     }
 
-    /// Managed-leave manager: grant once the full live participant set
-    /// of `action` is at the exit line.
-    fn try_grant(&mut self, action: ActionId) {
-        if self.granted.contains(&action) {
-            return;
-        }
-        let everyone: BTreeSet<NodeId> = self
-            .spec
-            .registry
-            .scope(action)
-            .expect("leave of a declared action")
-            .participants()
-            .iter()
-            .copied()
-            .filter(|p| !self.crashed.contains(p))
-            .collect();
-        let waiting = self.leave_waiting.entry(action).or_default();
-        if !everyone.is_empty() && everyone.iter().all(|m| waiting.contains(m)) {
-            self.granted.insert(action);
-            for &member in &everyone {
-                self.grants.entry(member).or_default().insert(action);
-            }
-        }
-    }
-
     /// A node deserts: drop its channels, queues and remaining script,
-    /// fold the desertion into every survivor, and re-evaluate the
-    /// manager's exit lines without it.
+    /// and fold the desertion into every survivor, whose `Deserted`
+    /// notes take it off the exit lines.
     fn crash(&mut self, node: NodeId) {
         self.note_log(|| format!("crash {node} (deserter)"));
         self.crashed.insert(node);
@@ -718,22 +657,7 @@ impl<'s> World<'s> {
             .filter(|n| !self.crashed.contains(n))
             .collect();
         for survivor in survivors {
-            let effects = self
-                .parts
-                .get_mut(&survivor)
-                .expect("survivor exists")
-                .handle(Event::DeserterSuspected { peer: node });
-            self.absorb(survivor, effects);
-        }
-        if self.spec.leave_mode == LeaveMode::Managed {
-            let actions: Vec<ActionId> = self.leave_waiting.keys().copied().collect();
-            for action in actions {
-                self.leave_waiting
-                    .get_mut(&action)
-                    .expect("listed key")
-                    .remove(&node);
-                self.try_grant(action);
-            }
+            self.dispatch(survivor, Event::DeserterSuspected { peer: node });
         }
     }
 
@@ -748,6 +672,7 @@ impl<'s> World<'s> {
     fn stuck_live(&self, crash_mode: bool) -> Vec<String> {
         self.parts
             .values()
+            .map(|p| &p.0)
             .filter(|p| !self.crashed.contains(&p.id()))
             .filter_map(|p| {
                 if !p.is_normal() {
@@ -766,16 +691,35 @@ impl<'s> World<'s> {
     fn digest(&self) -> u64 {
         let mut h = DefaultHasher::new();
         for p in self.parts.values() {
-            p.protocol_digest(&mut h);
+            p.0.protocol_digest(&mut h);
         }
         self.channels.hash(&mut h);
         self.local.hash(&mut h);
         self.grants.hash(&mut h);
-        self.leave_waiting.hash(&mut h);
-        self.granted.hash(&mut h);
+        self.lines.hash(&mut h);
         self.fired.hash(&mut h);
         self.crashed.hash(&mut h);
         h.finish()
+    }
+}
+
+/// A world is the outbox of every step it applies, through
+/// [`caex::route`]: time is abstracted away (a continuation is one
+/// queued step), and a message to a crashed node is lost.
+impl Outbox for World<'_> {
+    type Event = Event;
+
+    fn send(&mut self, from: NodeId, to: NodeId, event: Event) {
+        let Event::Msg(msg) = event else {
+            unreachable!("a participant sends only messages")
+        };
+        if !self.crashed.contains(&to) {
+            self.channels.send(from, to, msg);
+        }
+    }
+
+    fn after(&mut self, node: NodeId, _: SimTime, event: Event) {
+        self.local.entry(node).or_default().push_back(event);
     }
 }
 
@@ -920,7 +864,7 @@ impl<'s> Explorer<'s> {
                         .copied()
                         .filter(|&s| self.independent(s, step)),
                 );
-                let mut child_world = world.fork();
+                let mut child_world = world.clone();
                 child_world.apply(step);
                 self.stats.transitions += 1;
                 let mut child = trace.clone();

@@ -505,3 +505,43 @@ fn builtin_families_are_checker_clean() {
         assert_eq!(seen, counts, "{name}: (states, transitions, crash points)");
     }
 }
+
+/// The managed exit line under the checker: O0–O2 in one action over
+/// a three-exception chain, everyone entering at 0 µs and completing
+/// at 10 µs, optionally with O0 raising `E1` at 5 µs. These are the
+/// only pinned entries whose paths take `Grant` steps; the crash sweep
+/// of the raising variant crashes the resolver while the others may
+/// already wait at the line, so the line is re-evaluated without it.
+#[test]
+fn exit_line_scenarios_are_pinned() {
+    let exit_line = |raise: bool| {
+        let tree = Arc::new(chain_tree(3));
+        let mut reg = ActionRegistry::new();
+        let a = reg
+            .declare(ActionScope::top_level("A", (0..3).map(NodeId::new), tree))
+            .expect("valid scope");
+        let mut scenario = Scenario::new(Arc::new(reg)).enter_all_at(SimTime::ZERO, a);
+        for object in (0..3).map(NodeId::new) {
+            scenario = scenario.complete_at(SimTime::from_micros(10), object, a);
+        }
+        if raise {
+            let e1 = Exception::new(ExceptionId::new(1));
+            scenario = scenario.raise_at(SimTime::from_micros(5), NodeId::new(0), e1);
+        }
+        scenario
+    };
+    let linter = Linter::new();
+    let (default, sweep) = (ModelOptions::default(), ModelOptions::with_crash_sweep());
+    for (name, raise, options, counts) in [
+        ("exit line", false, default, (22, 21, 0)),
+        ("exit line, crash sweep", false, sweep, (22, 21, 0)),
+        ("exit line + raise", true, default, (849, 1_194, 0)),
+        ("exit line + raise, crash sweep", true, sweep, (1_047, 1_406, 17)),
+    ] {
+        let (lint, model) = linter.model_check(&exit_line(raise), &options);
+        assert!(!lint.has_denials(), "{name}: {}", lint.render());
+        assert!(model.verified(), "{name}: {model:?}");
+        let seen = (model.stats.states, model.stats.transitions, model.crash_points);
+        assert_eq!(seen, counts, "{name}: (states, transitions, crash points)");
+    }
+}

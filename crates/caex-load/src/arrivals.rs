@@ -40,7 +40,8 @@ impl ArrivalSpec {
     /// # Errors
     ///
     /// Returns a human-readable message when the spec does not match
-    /// either form or carries a non-positive rate/group/gap.
+    /// either form, carries a non-positive rate/group/gap, or a gap
+    /// whose microseconds do not fit in a `u64`.
     pub fn parse(spec: &str) -> Result<ArrivalSpec, String> {
         if let Some(rate) = spec.strip_prefix("poisson:") {
             let rate_per_sec: f64 = rate
@@ -60,10 +61,10 @@ impl ArrivalSpec {
             if group == 0 || millis == 0 {
                 return Err("burst size and gap must be positive".into());
             }
-            return Ok(ArrivalSpec::Burst {
-                group,
-                every: SimTime::from_millis(millis),
-            });
+            let every = millis.checked_mul(1_000).map(SimTime::from_micros);
+            let every =
+                every.ok_or_else(|| format!("burst gap `{ms}` ms does not fit in microseconds"))?;
+            return Ok(ArrivalSpec::Burst { group, every });
         }
         Err(format!(
             "unknown arrival spec `{spec}` (expected poisson:<rate> or burst:<n>@<ms>)"
@@ -105,7 +106,8 @@ impl ArrivalSpec {
             ArrivalSpec::Burst { group, every } => (0..k)
                 .map(|i| {
                     let burst = (i / group as usize) as u64;
-                    SimTime::from_micros(burst * every.as_micros())
+                    // Saturates: a far-off burst stays at the end of time.
+                    SimTime::from_micros(burst.saturating_mul(every.as_micros()))
                 })
                 .collect(),
         }

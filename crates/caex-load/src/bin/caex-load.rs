@@ -121,16 +121,23 @@ fn run_main(args: &[String]) -> Result<(), String> {
     let arrivals = ArrivalSpec::parse(flags.get("arrivals").unwrap_or("poisson:1000"))?;
     let engine = Engine::parse(flags.get("engine").unwrap_or("sim"))?;
     let deadline_ms: u64 = flags.num("deadline-ms", 20)?;
+    let deadline_us = deadline_ms.checked_mul(1_000).ok_or("--deadline-ms is too long")?;
     let config = LoadConfig {
         engine,
         arrivals,
         actions: flags.at_least_one("actions", 200)?,
         shards: flags.at_least_one("workers", 1)?,
         capacity: flags.at_least_one("capacity", 2)?,
-        deadline: (deadline_ms > 0).then(|| SimTime::from_millis(deadline_ms)),
+        deadline: (deadline_us > 0).then(|| SimTime::from_micros(deadline_us)),
         seed: flags.num("seed", 10)?,
         collect_flame: flags.get("folded").is_some(),
     };
+    // Virtual time is a `u64` of microseconds: an arrival in its last
+    // half leaves no room to run the action that arrives.
+    let last = arrivals.schedule(config.actions, config.seed).last().copied();
+    if last.is_some_and(|t| t.as_micros() > u64::MAX / 2) {
+        return Err(format!("--arrivals {arrivals} runs past the end of virtual time"));
+    }
     if config.collect_flame && engine != Engine::Sim {
         return Err("--folded needs --engine sim (baselines replay a queue, no stacks)".into());
     }

@@ -157,3 +157,24 @@ fn unknown_flags_are_refused_with_the_known_ones_listed() {
     let saturation = refused(&["saturation", "--bogus", "1"]);
     assert!(saturation.contains("unknown flag --bogus") && saturation.contains("--out"));
 }
+
+#[test]
+fn hostile_burst_gaps_are_refused_or_scheduled_without_overflow() {
+    // A gap whose microseconds overflow a `u64` is an error, not a
+    // wrapped gap or a panic; the binary reports it on one line.
+    let err = ArrivalSpec::parse("burst:1@18446744073709551615").unwrap_err();
+    assert!(err.contains("does not fit"), "{err}");
+    refused(&["run", "--arrivals", "burst:1@18446744073709551615"]);
+    // A gap that fits parses, and its schedule saturates at the end of
+    // time instead of overflowing.
+    let far = ArrivalSpec::parse("burst:1@10000000000000").unwrap();
+    let times = far.schedule(2000, 0);
+    assert_eq!(times[1], SimTime::from_millis(10_000_000_000_000));
+    assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted");
+    assert_eq!(times[1999], SimTime::from_micros(u64::MAX));
+    // The binary refuses to run such a schedule, and a deadline whose
+    // microseconds do not fit.
+    let run = refused(&["run", "--arrivals", "burst:1@10000000000000", "--actions", "2000"]);
+    assert!(run.contains("past the end of virtual time"), "{run}");
+    refused(&["run", "--deadline-ms", "18446744073709551615"]);
+}

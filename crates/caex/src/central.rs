@@ -22,8 +22,8 @@
 //! [`crate::cr`], it supports flat (non-nested) actions, which is where
 //! the comparison is meaningful.
 
-use crate::host::{Flat, Machine, SimHost, Sink};
-use caex_net::{Delivery, Kinded, NetConfig, NetStats, NodeId, SimNet, SimTime};
+use crate::host::{Flat, Machine, Outbox, SimHost, Sink};
+use caex_net::{Delivery, Kinded, NetConfig, NetStats, NodeId, SimTime};
 use caex_obs::{ObsKind, Observer};
 use caex_tree::{ExceptionId, ExceptionTree};
 use std::collections::BTreeSet;
@@ -101,6 +101,7 @@ struct CentralNode {
 /// What every node's step shares: the run's constants and whether the
 /// first raise (the `ResolutionStart`) has happened.
 struct Run {
+    nodes: u32,
     tree: Arc<ExceptionTree>,
     coordinator: NodeId,
     window: SimTime,
@@ -111,15 +112,15 @@ impl Machine for CentralNode {
     type Event = CMsg;
     type Shared = Run;
 
-    fn step<S: Sink>(
+    fn step<S: Sink, O: Outbox<Event = CMsg>>(
         &mut self,
         delivery: Delivery<Self::Event>,
         run: &mut Run,
-        net: &mut SimNet<Self::Event>,
+        out: &mut O,
         obs: &mut dyn Observer,
         _: &mut S,
     ) {
-        let mut flat = Flat::new(&delivery, net, obs);
+        let mut flat = Flat::new(&delivery, run.nodes, out, obs);
         match delivery.payload {
             CMsg::LocalRaise(exc) => {
                 if !std::mem::replace(&mut run.started, true) {
@@ -156,7 +157,7 @@ impl CentralNode {
         self.collected.push(exc);
         if !self.window_open {
             self.window_open = true;
-            flat.net.schedule_local_in(run.window, flat.me, CMsg::WindowClosed);
+            flat.out.after(flat.me, run.window, CMsg::WindowClosed);
         }
     }
 }
@@ -201,7 +202,7 @@ pub fn run_observed(
 ) -> CentralReport {
     assert!(!raises.is_empty(), "nothing to resolve");
     let nodes = (0..n).map(|_| Some(CentralNode::default())).collect();
-    let run = Run { tree, coordinator, window, started: false };
+    let run = Run { nodes: n, tree, coordinator, window, started: false };
     let mut host = SimHost::new(net_config, nodes, run, u64::MAX);
     for &(node, exc) in raises {
         host.net.schedule_local(SimTime::ZERO, node, CMsg::LocalRaise(exc));

@@ -28,8 +28,8 @@
 //! message count grows as `O(N³)` on domino workloads, versus `O(N²)`
 //! for the new algorithm.
 
-use crate::host::{Flat, Machine, SimHost, Sink};
-use caex_net::{Delivery, DeliverySource, Kinded, NetConfig, NetStats, NodeId, SimNet, SimTime};
+use crate::host::{Flat, Machine, Outbox, SimHost, Sink};
+use caex_net::{Delivery, DeliverySource, Kinded, NetConfig, NetStats, NodeId, SimTime};
 use caex_obs::{ObsKind, Observer};
 use caex_tree::{ExceptionId, ExceptionTree, ReducedTree};
 use std::collections::BTreeSet;
@@ -115,6 +115,7 @@ struct CrNode {
 /// What every node's step shares: the tree, whether the first raise
 /// (the `ResolutionStart`) has happened, and the raises so far.
 struct Run {
+    nodes: u32,
     tree: Arc<ExceptionTree>,
     started: bool,
     raised_total: u32,
@@ -124,15 +125,15 @@ impl Machine for CrNode {
     type Event = CrMsg;
     type Shared = Run;
 
-    fn step<S: Sink>(
+    fn step<S: Sink, O: Outbox<Event = CrMsg>>(
         &mut self,
         delivery: Delivery<Self::Event>,
         run: &mut Run,
-        net: &mut SimNet<Self::Event>,
+        out: &mut O,
         obs: &mut dyn Observer,
         _: &mut S,
     ) {
-        let mut flat = Flat::new(&delivery, net, obs);
+        let mut flat = Flat::new(&delivery, run.nodes, out, obs);
         match delivery.payload {
             CrMsg::LocalRaise(exc) => {
                 if !std::mem::replace(&mut run.started, true) {
@@ -284,7 +285,7 @@ pub fn run_observed(
             })
         })
         .collect();
-    let run = Run { tree: Arc::clone(&tree), started: false, raised_total: 0 };
+    let run = Run { nodes: n, tree: Arc::clone(&tree), started: false, raised_total: 0 };
     let mut host = SimHost::new(net_config, nodes, run, u64::MAX);
     for &(node, exc) in initial_raises {
         host.net.schedule_local(SimTime::ZERO, node, CrMsg::LocalRaise(exc));

@@ -12,6 +12,8 @@
 //! below is pinned under virtual time (`crates/caex/tests/port_host.rs`).
 //! [`drive_node`] is the shell: it reads the clock, blocks in
 //! [`FifoPort::recv_timeout`] and relays `Effect::Send`s into the port.
+//! Effects go through [`crate::route`], the dispatch every host shares,
+//! into the turn's [`Outbox`], which keeps the order below.
 //!
 //! The transport's failure detector is folded into the protocol as
 //! ordinary local events through the same `handle` hook as everything
@@ -40,8 +42,8 @@
 //!    comes before it. Then at most one received event is handled, then
 //!    the detector's suspected, rejoined and crashed reports, in that
 //!    order, so a peer that flapped and died in one poll window is
-//!    handled in causal order. Then the effects are dispatched in the
-//!    order they were produced: the `After`s and `Note`s held before the
+//!    handled in causal order. Then the effects are routed in the order
+//!    they were produced: the `After`s and `Note`s held before the
 //!    wait, then everything the turn's own events produced (`Send` to
 //!    the port, `After` onto the timer queue, `Note` to the hook); then
 //!    the idle check.
@@ -60,7 +62,7 @@
 //! anything is received, which is what `caex-wire`'s zero-clamped
 //! scripts rely on.
 
-use crate::{Effect, Event, Note, Participant};
+use crate::{route, Effect, Event, Note, Outbox, Participant};
 use caex_net::{FifoPort, NodeId, RecvTimeoutError, SimTime};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -104,7 +106,7 @@ pub struct PortHost<'a, H, N> {
     timers: BTreeMap<(Instant, u64), Event>,
     /// Sequence number of the last `Effect::After` scheduled.
     seq: u64,
-    /// Effects of the events handled since the last dispatch.
+    /// Effects of the events handled since they were last routed.
     effects: Vec<Effect>,
     /// `After`s and `Note`s of fired local events, held until the end
     /// of the wait that follows them.
@@ -179,24 +181,15 @@ where
             let event = due.remove();
             self.apply(now, event, None);
         }
-        self.dispatch(now, true, send);
+        self.flush(now, true, send);
     }
 
-    /// Dispatches the buffered effects in the order they were produced:
-    /// `Send` to the port, `After` onto the timer queue, `Note` to the
-    /// hook — or, with `hold`, `After`s and `Note`s into `held`.
-    fn dispatch(&mut self, now: Instant, hold: bool, send: &mut impl FnMut(NodeId, Event)) {
-        for effect in self.effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => send(to, Event::Msg(msg)),
-                effect if hold => self.held.push(effect),
-                Effect::After { delay, event } => {
-                    self.seq += 1;
-                    self.timers.insert((now + micros(delay), self.seq), event);
-                }
-                Effect::Note(n) => (self.note)(n),
-            }
-        }
+    /// Routes the buffered effects, in the order they were produced,
+    /// into the turn's outbox.
+    fn flush(&mut self, now: Instant, hold: bool, port: &mut impl FnMut(NodeId, Event)) {
+        let (me, mut effects) = (self.participant.id(), std::mem::take(&mut self.effects));
+        route(me, effects.drain(..), &mut Turn { host: self, port, now, hold }, &mut Turn::hear);
+        self.effects = effects;
     }
 
     /// Begins a turn at `now`: handles every local event due by then,
@@ -223,9 +216,8 @@ where
     /// detector's reports since the last turn. Local events that fell
     /// due during the wait are handled first, as in
     /// [`PortHost::begin_turn`]; then the effects held before the wait
-    /// and those of the turn's own events are dispatched,
-    /// `Effect::Send`s through `send`. Returns `false` once the node is
-    /// idle.
+    /// and those of the turn's own events are routed, `Effect::Send`s
+    /// through `send`. Returns `false` once the node is idle.
     pub fn end_turn(
         &mut self,
         now: Instant,
@@ -254,7 +246,7 @@ where
             self.summary.deserted += 1;
         }
         self.effects.splice(0..0, ready);
-        self.dispatch(now, false, &mut send);
+        self.flush(now, false, &mut send);
         let idle_since = self.last_activity.unwrap_or(now);
         !(self.timers.is_empty() && now.duration_since(idle_since) > self.idle_timeout)
     }
@@ -263,6 +255,44 @@ where
     /// transport drained at exit.
     pub fn finish(self, drained: usize) -> DriveSummary {
         DriveSummary { drained, ..self.summary }
+    }
+}
+
+/// The outbox of one turn's effects, in the order of a turn (see the
+/// module documentation): a `Send` leaves through the port as soon as
+/// its step's effects are routed; an `After` joins the timer queue and
+/// a `Note` goes to the hook — or, with `hold`, both wait in `held` for
+/// the end of the wait that follows, when they are routed again.
+struct Turn<'t, 'a, H, N, S> {
+    host: &'t mut PortHost<'a, H, N>,
+    port: &'t mut S,
+    now: Instant,
+    hold: bool,
+}
+
+impl<H, N: FnMut(Note), S> Turn<'_, '_, H, N, S> {
+    fn hear(&mut self, note: Note) {
+        if self.hold {
+            self.host.held.push(Effect::Note(note));
+        } else {
+            (self.host.note)(note);
+        }
+    }
+}
+
+impl<H, N, S: FnMut(NodeId, Event)> Outbox for Turn<'_, '_, H, N, S> {
+    type Event = Event;
+
+    fn send(&mut self, _: NodeId, to: NodeId, event: Event) {
+        (self.port)(to, event);
+    }
+
+    fn after(&mut self, _: NodeId, delay: SimTime, event: Event) {
+        if self.hold {
+            return self.host.held.push(Effect::After { delay, event });
+        }
+        self.host.seq += 1;
+        self.host.timers.insert((self.now + micros(delay), self.host.seq), event);
     }
 }
 

@@ -463,12 +463,6 @@ impl Scenario {
         self.script.strategy
     }
 
-    /// The leave-coordination mode participants will run under.
-    #[must_use]
-    pub fn leave_mode(&self) -> LeaveMode {
-        self.script.leave_mode
-    }
-
     /// The actions carrying exit-line acceptance tests, in installation
     /// order. The tests themselves are opaque closures; analyses that
     /// cannot evaluate them (the model checker) use this to detect

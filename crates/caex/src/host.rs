@@ -1,35 +1,27 @@
-//! The one simulator host, for every machine that runs on `SimNet`.
+//! The run-time support layer under every §4.2 host, and the one
+//! simulator host.
+//!
+//! A step sees its host only as an [`Outbox`]; [`route`] is the one
+//! effect dispatch and [`ExitLines`] the one managed exit line, shared
+//! by the simulator ([`SimHost`] over a `SimNet`), the port hosts
+//! ([`crate::drive::PortHost`]) and `caex-lint`'s model checker.
 //!
 //! [`SimHost`] is the only place under `crates/caex/src` that pulls
-//! deliveries off a `SimNet`. It is generic over the [`Machine`] its
-//! nodes run and owns what every simulated run needs — the net, a dense
-//! node-indexed table of machines, the machines' per-run
-//! [`Machine::Shared`] state, the livelock guard — and one
-//! [`SimHost::step`] that hands the next delivery to its node's machine.
-//! Three machines run on it, each monomorphised:
-//!
-//! - the §4.2 [`Participant`], stepped through the [`ObsBridge`]; its
-//!   shared state, [`Manager`], is the bridge, the effects buffer and the
-//!   managed-leave coordinator with its optional exit-line acceptance
-//!   tests. Two front-ends: [`crate::Scenario::run_observed`] (one script
-//!   over the whole net, a [`crate::RunReport`] as the [`Sink`]) and
-//!   [`crate::shard::FleetEngine`] (many scripts admitted into slots,
-//!   per-instance outcomes as the sink);
-//! - the fixed-coordinator baseline's node ([`crate::central`]);
-//! - the Campbell–Randell baseline's node ([`crate::cr`]).
-//!
-//! The baselines stream each message's send and receipt through one
-//! helper, [`Flat`]; the §4.2 machine's come from the bridge. The
-//! port-driven hosts ([`crate::drive`]) are not behind the host: they
-//! share script admission ([`Script::participant`]) and the observed
-//! step, not the loop.
+//! deliveries off a `SimNet`: the net, a dense node-indexed table of
+//! [`Machine`]s, their per-run [`Machine::Shared`] state, the livelock
+//! guard, and one [`SimHost::step`]. Three machines run on it,
+//! monomorphised: the §4.2 [`Participant`], observed through the
+//! [`ObsBridge`] with [`Manager`] as its shared state (front-ends:
+//! [`crate::Scenario::run_observed`] with a [`crate::RunReport`] as the
+//! [`Sink`], [`crate::shard::FleetEngine`]), and the baselines' nodes
+//! ([`crate::central`], [`crate::cr`]), streamed through [`Flat`].
 
-use crate::{Effect, Event, LeaveMode, Msg, Note, ObsBridge, Participant, Script};
-use caex_action::ActionId;
+use crate::{Effect, Event, Msg, Note, ObsBridge, Participant, Script};
+use caex_action::{ActionId, ActionRegistry};
 use caex_net::{Delivery, DeliverySource, IdMap, Kinded, NetConfig, NodeId, SimNet, SimTime};
 use caex_obs::{CorrelationId, ObsEvent, ObsKind, Observer};
 use caex_tree::Exception;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An exit-line acceptance test: `None` accepts, `Some(exc)` rejects
 /// with the exception to raise (Fig. 2b).
@@ -38,8 +30,120 @@ pub(crate) type AcceptanceTest = Box<dyn FnMut() -> Option<Exception>>;
 /// Per-shard delivery cap of a fleet run (livelock guard).
 pub(crate) const SHARD_DELIVERY_CAP: u64 = 50_000_000;
 
+/// Where a step's effects go: all a machine's step sees of its host.
+/// The node is an argument, so [`SimNet`] implements it with its own
+/// methods and an exit line can address another node. There is no
+/// clock: a step happens at its delivery's time.
+pub trait Outbox {
+    /// What the transport carries and the timer queue holds.
+    type Event;
+    /// Sends `event` from `from` to `to`.
+    fn send(&mut self, from: NodeId, to: NodeId, event: Self::Event);
+    /// Delivers `event` at `node`, `delay` from now.
+    fn after(&mut self, node: NodeId, delay: SimTime, event: Self::Event);
+}
+
+impl<E: Kinded + Clone> Outbox for SimNet<E> {
+    type Event = E;
+    fn send(&mut self, from: NodeId, to: NodeId, event: E) {
+        SimNet::send(self, from, to, event);
+    }
+    fn after(&mut self, node: NodeId, delay: SimTime, event: E) {
+        self.schedule_local_in(delay, node, event);
+    }
+}
+
+/// The one effect dispatch of the §4.2 machine, for every host: the
+/// `effects` of one step of `me`, in order — each `Send` through `out`
+/// to its peer, each `After` onto `out`'s timer queue at `me`, each
+/// `Note` to the `note` listener, which may add to `out`.
+pub fn route<O: Outbox<Event = Event>>(
+    me: NodeId,
+    effects: impl IntoIterator<Item = Effect>,
+    out: &mut O,
+    note: &mut impl FnMut(&mut O, Note),
+) {
+    for effect in effects {
+        match effect {
+            Effect::Send { to, msg } => out.send(me, to, Event::Msg(msg)),
+            Effect::After { delay, event } => out.after(me, delay, event),
+            Effect::Note(n) => note(out, n),
+        }
+    }
+}
+
+/// The managed exit lines ([`crate::LeaveMode::Managed`]) of a run:
+/// the one coordinator of the synchronized exit, for the simulator's
+/// manager and `caex-lint`'s model checker. A line is full once
+/// every participant of its action not reported as a deserter waits
+/// at it.
+#[derive(Debug, Default, Clone, Hash)]
+pub struct ExitLines {
+    /// Action -> the objects waiting at its line.
+    waiting: BTreeMap<ActionId, BTreeSet<NodeId>>,
+    granted: BTreeSet<ActionId>,
+    deserted: BTreeSet<NodeId>,
+}
+
+impl ExitLines {
+    /// Hears `note` about actions of `registry`: a `LeaveRequested`
+    /// puts its object on its action's line, a `Deserted` takes the
+    /// deserter off every line. A line then full is granted, as a
+    /// `LeaveGranted` to `apply` for each live participant, unless
+    /// `test(action)`, its Fig. 2b acceptance test, rejects it with an
+    /// exception: `apply` gets it as a `Raise` at the highest-numbered.
+    // Out of line: most runs never reach an exit line, and inlined the
+    // coordinator grew `run_shard` by half.
+    #[inline(never)]
+    pub fn hear(
+        &mut self,
+        registry: &ActionRegistry,
+        note: &Note,
+        mut test: impl FnMut(ActionId) -> Option<Exception>,
+        mut apply: impl FnMut(NodeId, Event),
+    ) {
+        let lines = match *note {
+            Note::LeaveRequested { object, action } => {
+                self.waiting.entry(action).or_default().insert(object);
+                self.waiting.range_mut(action..=action)
+            }
+            Note::Deserted { peer, .. } => {
+                if !self.deserted.insert(peer) {
+                    return;
+                }
+                for waiting in self.waiting.values_mut() {
+                    waiting.remove(&peer);
+                }
+                self.waiting.range_mut(..)
+            }
+            _ => return,
+        };
+        for (&action, waiting) in lines {
+            // An action another registry declares is another instance's.
+            let Ok(scope) = registry.scope(action) else { continue };
+            let live = scope.participants().iter().filter(|p| !self.deserted.contains(p));
+            let Some(&last) = live.clone().next_back() else { continue };
+            if self.granted.contains(&action) || !live.clone().all(|p| waiting.contains(p)) {
+                continue;
+            }
+            match test(action) {
+                Some(exc) => {
+                    waiting.clear();
+                    apply(last, Event::Raise(exc));
+                }
+                None => {
+                    self.granted.insert(action);
+                    for &member in live {
+                        apply(member, Event::LeaveGranted(action));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// One node's state machine: a delivery in, sends and local events out
-/// through the net.
+/// through the [`Outbox`].
 pub(crate) trait Machine {
     /// What the net carries to a node, messages and local events, each
     /// with its kind label.
@@ -48,11 +152,11 @@ pub(crate) trait Machine {
     type Shared;
 
     /// Handles `delivery`, addressed to this node.
-    fn step<S: Sink>(
+    fn step<S: Sink, O: Outbox<Event = Self::Event>>(
         &mut self,
         delivery: Delivery<Self::Event>,
         shared: &mut Self::Shared,
-        net: &mut SimNet<Self::Event>,
+        out: &mut O,
         obs: &mut dyn Observer,
         sink: &mut S,
     );
@@ -145,7 +249,7 @@ impl SimHost<Participant> {
         let manager = Manager {
             bridge: ObsBridge::new(),
             effects: Vec::new(),
-            leave_requests: IdMap::default(),
+            lines: ExitLines::default(),
             acceptance: acceptance.into_iter().collect(),
         };
         Self::new(config, (0..num_nodes).map(|_| None).collect(), manager, max_deliveries)
@@ -193,22 +297,21 @@ pub(crate) struct Manager {
     /// The effects of the step in progress; drained by every step, so
     /// its allocation is made once per run.
     effects: Vec<Effect>,
-    /// Synchronized exit lines: action -> objects waiting to leave.
-    leave_requests: IdMap<ActionId, BTreeSet<NodeId>>,
+    lines: ExitLines,
     acceptance: IdMap<ActionId, AcceptanceTest>,
 }
 
 /// The observed step: the event through the bridge, then the effects
-/// dispatched, notes and sent messages handed to the front-end's sink.
+/// routed, sent messages and notes reported to the sink.
 impl Machine for Participant {
     type Event = Event;
     type Shared = Manager;
 
-    fn step<S: Sink>(
+    fn step<S: Sink, O: Outbox<Event = Event>>(
         &mut self,
         delivery: Delivery<Self::Event>,
         manager: &mut Manager,
-        net: &mut SimNet<Self::Event>,
+        out: &mut O,
         obs: &mut dyn Observer,
         sink: &mut S,
     ) {
@@ -222,63 +325,23 @@ impl Machine for Participant {
         manager
             .bridge
             .handle(self, delivery.payload, from, || (at, None), obs, &mut effects);
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    sink.sent(&msg);
-                    net.send(object, to, Event::Msg(msg));
-                }
-                Effect::After { delay, event } => net.schedule_local_in(delay, object, event),
-                Effect::Note(note) => {
-                    if let Note::LeaveRequested { action, .. } = note {
-                        manager.leave_requested(self, action, net);
-                    }
-                    sink.note(at, note);
-                }
+        for effect in &effects {
+            if let Effect::Send { msg, .. } = effect {
+                sink.sent(msg);
             }
         }
+        // Under the managed exit, the notes the exit lines hear go to
+        // them, and their decisions are scheduled as local events.
+        let (lines, acceptance) = (&mut manager.lines, &mut manager.acceptance);
+        route(object, effects.drain(..), out, &mut |out: &mut O, note| {
+            let heard = matches!(note, Note::LeaveRequested { .. } | Note::Deserted { .. });
+            if let Some(registry) = self.managed_exit().filter(|_| heard) {
+                let test = |action| acceptance.get_mut(&action).and_then(|test| test());
+                lines.hear(registry, &note, test, |node, ev| out.after(node, SimTime::ZERO, ev));
+            }
+            sink.note(at, note);
+        });
         manager.effects = effects;
-    }
-}
-
-impl Manager {
-    /// The synchronized exit ([`LeaveMode::Managed`]): grant the leave
-    /// once every participant is at the line.
-    fn leave_requested(
-        &mut self,
-        participant: &Participant,
-        action: ActionId,
-        net: &mut SimNet<Event>,
-    ) {
-        if participant.leave_mode() != LeaveMode::Managed {
-            return;
-        }
-        let waiting = self.leave_requests.entry(action).or_default();
-        waiting.insert(participant.id());
-        let everyone = participant
-            .registry()
-            .scope(action)
-            .expect("declared action")
-            .participants();
-        if waiting.len() != everyone.len() {
-            return;
-        }
-        // Fig. 2b: the acceptance test runs at the exit line. Rejection
-        // turns into a raised exception at the highest-numbered
-        // participant; an exhausted (or absent) test accepts.
-        let now = net.now();
-        match self.acceptance.get_mut(&action).and_then(|test| test()) {
-            Some(exc) => {
-                waiting.clear();
-                let tester = *everyone.last().expect("actions are non-empty");
-                net.schedule_local(now, tester, Event::Raise(exc));
-            }
-            None => {
-                for &member in everyone {
-                    net.schedule_local(now, member, Event::LeaveGranted(action));
-                }
-            }
-        }
     }
 }
 
@@ -286,20 +349,26 @@ impl Manager {
 /// span `A0#r1` (round 1 of action 0), each message's receipt and send
 /// streamed where it happens.
 pub(crate) struct Flat<'a, E> {
-    pub(crate) net: &'a mut SimNet<E>,
+    pub(crate) out: &'a mut dyn Outbox<Event = E>,
     obs: &'a mut dyn Observer,
     /// The stepping node.
     pub(crate) me: NodeId,
+    /// The run's node count; a broadcast reaches every other node.
+    nodes: u32,
+    /// When the step happens.
+    at: SimTime,
 }
 
 impl<'a, E: Kinded + Clone> Flat<'a, E> {
-    /// Opens the step of `delivery`; a message is streamed as received.
+    /// Opens the step of `delivery` in a run of `nodes` nodes; a
+    /// message is streamed as received.
     pub(crate) fn new(
         delivery: &Delivery<E>,
-        net: &'a mut SimNet<E>,
+        nodes: u32,
+        out: &'a mut dyn Outbox<Event = E>,
         obs: &'a mut dyn Observer,
     ) -> Self {
-        let mut flat = Flat { net, obs, me: delivery.to };
+        let mut flat = Flat { out, obs, me: delivery.to, nodes, at: delivery.at };
         if let DeliverySource::Remote(from) = delivery.source {
             flat.emit(ObsKind::MessageReceived { kind: delivery.payload.kind(), from });
         }
@@ -309,7 +378,7 @@ impl<'a, E: Kinded + Clone> Flat<'a, E> {
     /// Streams `kind` at this node, now.
     pub(crate) fn emit(&mut self, kind: ObsKind) {
         self.obs.on_event(&ObsEvent {
-            at: self.net.now(),
+            at: self.at,
             wall_micros: None,
             object: self.me,
             span: CorrelationId {
@@ -323,12 +392,12 @@ impl<'a, E: Kinded + Clone> Flat<'a, E> {
     /// Sends `msg` to `to`, streamed as sent.
     pub(crate) fn send(&mut self, to: NodeId, msg: E) {
         self.emit(ObsKind::MessageSent { kind: msg.kind(), to });
-        self.net.send(self.me, to, msg);
+        self.out.send(self.me, to, msg);
     }
 
     /// Sends `msg` to every other node, in ascending order.
     pub(crate) fn broadcast(&mut self, msg: &E) {
-        for peer in (0..self.net.num_nodes()).map(NodeId::new) {
+        for peer in (0..self.nodes).map(NodeId::new) {
             if peer != self.me {
                 self.send(peer, msg.clone());
             }

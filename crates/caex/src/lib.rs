@@ -102,6 +102,7 @@ mod script;
 
 pub use effect::{Effect, LeaveMode, NestedStrategy, Note};
 pub use engine::{HandlerStart, ResolutionRecord, RunReport, Scenario};
+pub use host::{route, ExitLines, Outbox};
 pub use message::{Event, Msg};
 pub use obs::ObsBridge;
 pub use participant::{PState, Participant, Silence};

@@ -307,14 +307,11 @@ impl Participant {
         self.leave_mode = mode;
     }
 
-    /// The leave-coordination mode this object runs under.
-    pub(crate) fn leave_mode(&self) -> LeaveMode {
-        self.leave_mode
-    }
-
-    /// The action structure this object participates in.
-    pub(crate) fn registry(&self) -> &ActionRegistry {
-        &self.registry
+    /// The actions this object leaves through the managed exit line
+    /// ([`crate::ExitLines`]): all of them under [`LeaveMode::Managed`].
+    #[must_use]
+    pub fn managed_exit(&self) -> Option<&ActionRegistry> {
+        (self.leave_mode == LeaveMode::Managed).then_some(&*self.registry)
     }
 
     /// Enables or disables resolver failover (on by default). With

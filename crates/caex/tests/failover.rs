@@ -31,8 +31,9 @@ fn agreement_holds(report: &RunReport) -> bool {
 
 /// The failover safety contract for one crash run: the network went
 /// quiescent without hitting the delivery limit, no *survivor* is
-/// stuck mid-resolution (the victim's own frozen state is expected),
-/// and every started handler agrees per action.
+/// stuck mid-resolution (the victim's own frozen state is expected)
+/// or at an exit line (a `LeaveRequested` with no later `Completed`
+/// for the same action), and every started handler agrees per action.
 fn assert_survivors_terminated(report: &RunReport, victim: NodeId, tag: &str) {
     assert!(!report.hit_delivery_limit, "[{tag}] delivery limit hit");
     let stuck: Vec<_> = report
@@ -43,6 +44,20 @@ fn assert_survivors_terminated(report: &RunReport, victim: NodeId, tag: &str) {
     assert!(
         stuck.is_empty(),
         "[{tag}] survivors stuck mid-resolution: {stuck:?}"
+    );
+    let mut at_line = Vec::new();
+    for note in &report.notes {
+        match *note {
+            Note::LeaveRequested { object, action } if object != victim => {
+                at_line.push((object, action));
+            }
+            Note::Completed { object, action } => at_line.retain(|&w| w != (object, action)),
+            _ => {}
+        }
+    }
+    assert!(
+        at_line.is_empty(),
+        "[{tag}] survivors left waiting at an exit line: {at_line:?}"
     );
     assert!(agreement_holds(report), "[{tag}] agreement violated");
 }
@@ -317,5 +332,35 @@ proptest! {
                 "[{tag}] every survivor must handle"
             );
         }
+    }
+}
+
+/// The managed exit line does not wait for a deserter. O1–O3 share one
+/// action; O3 crashes at 500 µs and is reported 100 µs later, and the
+/// survivors complete either before the report (the line re-evaluated
+/// on it) or after it (the line full without O3). Either way both
+/// survivors leave.
+#[test]
+fn the_managed_exit_line_does_not_wait_for_a_deserter() {
+    let victim = NodeId::new(3);
+    for (order, complete) in [("before the report", 200), ("after the report", 1_000)] {
+        let tree = Arc::new(chain_tree(2));
+        let mut reg = ActionRegistry::new();
+        let a = reg
+            .declare(ActionScope::top_level("A", (1..=3).map(NodeId::new), tree))
+            .expect("valid scope");
+        let at = SimTime::from_micros(complete);
+        let report = Scenario::new(Arc::new(reg))
+            .with_config(crash_config(victim, SimTime::from_micros(500)))
+            .enter_all_at(SimTime::ZERO, a)
+            .complete_at(at, NodeId::new(1), a)
+            .complete_at(at, NodeId::new(2), a)
+            .run();
+        let tag = format!("survivors at the line {order}");
+        for survivor in [1, 2].map(NodeId::new) {
+            let completed = Note::Completed { object: survivor, action: a };
+            assert!(report.notes.contains(&completed), "[{tag}] {survivor} never left");
+        }
+        assert_survivors_terminated(&report, victim, &tag);
     }
 }

@@ -5,8 +5,11 @@
 #    exits nonzero on deny-level findings; the API docs build with no
 #    broken or private intra-doc link; the deleted modules, shim and
 #    options stay gone (the wire mesh's per-link `Sender<Frame>`
-#    channels among them), and detector reports reach a `Participant`
-#    only through `handle`/`handle_into`;
+#    channels among them), detector reports reach a `Participant`
+#    only through `handle`/`handle_into`, the §4.2 effect dispatch
+#    exists once (`caex::route`; the producer `participant.rs`,
+#    `effect.rs` and `ObsBridge`'s read-only walk in `obs.rs` are
+#    exempt), and `Machine::step` sees an `Outbox`, never a `SimNet`;
 # 2. the observability battery runs the invariant watchdog and the live
 #    §4.4 message-law checks over every built-in workload on the real
 #    engines, and the three examples that render the obs stream as text
@@ -90,6 +93,16 @@ fi
 if grep -rn "on_deserter(\|on_suspect(\|on_rejoin(" crates src tests examples \
     | grep -v "^crates/caex/src/participant.rs:"; then
     echo "a detector report bypasses Participant::handle"; exit 1
+fi
+dispatch='Effect::(Send|After) \{[^}]*\} =>|Effect::Note\([a-z_]*\) =>'
+arms=$(grep -rnE "$dispatch" crates/*/src \
+    | grep -v "^crates/caex/src/\(participant\|effect\|obs\)\.rs:" || true)
+if [ "$(echo "$arms" | grep -c "^crates/caex/src/host.rs:")" != 3 ] \
+    || echo "$arms" | grep -v "^crates/caex/src/host.rs:"; then
+    echo "an effect dispatch is back beside caex::route:"; echo "$arms"; exit 1
+fi
+if grep -A8 "fn step<S: Sink" crates/caex/src/*.rs | grep "SimNet"; then
+    echo "Machine::step names SimNet again: a step sees only its Outbox"; exit 1
 fi
 
 echo "== tier-2 [2/12]: obs watchdog + §4.4 laws over every built-in workload =="
