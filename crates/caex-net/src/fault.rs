@@ -288,6 +288,12 @@ impl FaultPlan {
         self
     }
 
+    /// `true` if the plan has a slowdown window: latencies then fall
+    /// when a window ends.
+    pub(crate) fn has_slowdowns(&self) -> bool {
+        !self.slowdowns.is_empty()
+    }
+
     /// The combined latency multiplier active at time `at` (1 when no
     /// slowdown window covers it).
     #[must_use]

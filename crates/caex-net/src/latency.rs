@@ -53,6 +53,11 @@ impl LatencyModel {
         LatencyModel::Constant(SimTime::ZERO)
     }
 
+    /// `true` for [`LatencyModel::Constant`]: every sample is the same.
+    pub(crate) fn is_constant(&self) -> bool {
+        matches!(self, LatencyModel::Constant(_))
+    }
+
     /// Draws one latency sample using `rng`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
         match *self {

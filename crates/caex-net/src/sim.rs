@@ -237,8 +237,9 @@ pub struct SimNet<M> {
     now: SimTime,
     queue: EventQueue<M>,
     /// Earliest permissible delivery time per ordered (from, to) pair;
-    /// enforces FIFO under jittery latency models.
-    channel_clock: IdMap<(NodeId, NodeId), SimTime>,
+    /// enforces FIFO under jittery latency models. `None` when FIFO
+    /// holds by construction or is switched off (see [`SimNet::new`]).
+    channel_clock: Option<IdMap<(NodeId, NodeId), SimTime>>,
     next_seq: u64,
     num_nodes: u32,
     rng: StdRng,
@@ -251,14 +252,27 @@ pub struct SimNet<M> {
 
 impl<M> SimNet<M> {
     /// Creates a network of `num_nodes` nodes (ids `0..num_nodes`).
+    ///
+    /// The FIFO clamp keeps a clock per channel only where a link's
+    /// latency can fall between two sends: a jittery model on any link,
+    /// or a slowdown window. Otherwise a send's time before a clock
+    /// freeze, `now` plus the link's constant latency, never falls on a
+    /// channel, and neither does a healing partition's deferral (the
+    /// latest end over the windows covering the send: a later send is
+    /// still covered by each of them or comes after its end), so the
+    /// clamp could never move a delivery. A reordered send skips the
+    /// clamp either way, and a freeze defers after it.
     #[must_use]
     pub fn new(config: NetConfig, num_nodes: u32) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
+        let latency_can_fall = !config.latency.is_constant()
+            || config.link_latency.iter().any(|(_, _, m)| !m.is_constant())
+            || config.faults.has_slowdowns();
         SimNet {
+            channel_clock: (config.fifo && latency_can_fall).then(IdMap::default),
             config,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            channel_clock: IdMap::default(),
             next_seq: 0,
             num_nodes,
             rng,
@@ -391,7 +405,7 @@ impl<M: Kinded + Clone> SimNet<M> {
         }
 
         self.stats.record_send(kind);
-        self.stats.record_channel(from, to);
+        self.stats.record_channel(to);
         let action = payload.action_index();
         if let Some(a) = action {
             self.stats.record_action_send(a);
@@ -468,13 +482,10 @@ impl<M: Kinded + Clone> SimNet<M> {
                 at += SimTime::from_micros(self.rng.gen_range(0..=window));
             }
             self.stats.record_fault(FaultEvent::Reordered.label());
-        } else if self.config.fifo {
+        } else if let Some(clock) = &mut self.channel_clock {
             // FIFO: a later send on the same channel may not arrive
             // before an earlier one, whatever latency it drew.
-            let earliest = self
-                .channel_clock
-                .entry((from, to))
-                .or_insert(SimTime::ZERO);
+            let earliest = clock.entry((from, to)).or_insert(SimTime::ZERO);
             at = at.max(*earliest);
             *earliest = at;
         }
@@ -870,6 +881,49 @@ mod tests {
         n.send(NodeId::new(0), NodeId::new(1), "fast");
         let d = n.next_delivery().unwrap();
         assert_eq!(d.at, SimTime::from_micros(600));
+    }
+
+    /// The FIFO clamp keeps a clock per channel only where a link's
+    /// latency can fall between two sends.
+    #[test]
+    fn channel_clocks_only_where_a_links_latency_can_fall() {
+        let us = SimTime::from_micros;
+        let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let jitter = LatencyModel::Uniform {
+            min: us(1),
+            max: us(300),
+        };
+        let clocks = |config: NetConfig| {
+            let mut n: SimNet<&'static str> = SimNet::new(config, 3);
+            n.send(a, b, "x");
+            n.send(b, c, "y");
+            n.send(a, b, "z");
+            n.channel_clock.map(|clock| clock.len())
+        };
+        // Constant latency and no slowdown: a send leaves no clock,
+        // whatever else defers a delivery.
+        assert_eq!(clocks(NetConfig::default()), None);
+        let deferring = FaultPlan::none()
+            .with_healing_partition([a], us(0), us(900))
+            .with_clock_freeze(b, us(50), us(700))
+            .with_reorder_window(0.5, us(400));
+        let constant_links = NetConfig::default()
+            .with_link_latency(a, b, LatencyModel::Constant(us(5_000)))
+            .with_faults(deferring);
+        assert_eq!(clocks(constant_links), None);
+        assert_eq!(
+            clocks(NetConfig::default().with_latency(jitter).with_fifo(false)),
+            None
+        );
+        // Jitter on the default model or on one link, or a slowdown
+        // window: one clock per channel used.
+        assert_eq!(clocks(NetConfig::default().with_latency(jitter)), Some(2));
+        assert_eq!(
+            clocks(NetConfig::default().with_link_latency(c, a, jitter)),
+            Some(2)
+        );
+        let slowdown = FaultPlan::none().with_slowdown(3, us(0), us(100));
+        assert_eq!(clocks(NetConfig::default().with_faults(slowdown)), Some(2));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Per-kind message statistics.
 
 use crate::{IdMap, LabelCounts, NodeId};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Message counters accumulated by a network.
@@ -28,8 +27,8 @@ pub struct NetStats {
     sent: LabelCounts,
     delivered: LabelCounts,
     dropped: LabelCounts,
-    /// Messages sent per ordered (source, destination) pair.
-    channels: IdMap<(NodeId, NodeId), u64>,
+    /// Messages sent to each node (its in-degree load).
+    in_load: InLoad,
     max_in_flight: usize,
     /// Injected faults per fault kind (see
     /// [`FaultEvent::label`](crate::FaultEvent::label)).
@@ -43,6 +42,38 @@ pub struct NetStats {
     /// Unordered: [`Self::actions_seen`] sorts at read time.
     per_action: IdMap<u32, ActionCounters>,
 }
+
+/// Messages sent per destination, dense by [`NodeId::index`]: node ids
+/// are bounded by the network on every transport. Grows on demand, so
+/// two records that differ only in trailing zeros are equal.
+#[derive(Debug, Clone, Default)]
+struct InLoad(Vec<u64>);
+
+impl InLoad {
+    fn add(&mut self, node: usize, count: u64) {
+        if node >= self.0.len() {
+            self.0.resize(node + 1, 0);
+        }
+        self.0[node] += count;
+    }
+
+    /// The counts up to the last nonzero one.
+    fn trimmed(&self) -> &[u64] {
+        let end = self
+            .0
+            .iter()
+            .rposition(|&c| c != 0)
+            .map_or(0, |last| last + 1);
+        &self.0[..end]
+    }
+}
+
+impl PartialEq for InLoad {
+    fn eq(&self, other: &Self) -> bool {
+        self.trimmed() == other.trimmed()
+    }
+}
+impl Eq for InLoad {}
 
 /// Send/delivery/drop counters for one action sharing a network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,36 +92,30 @@ impl NetStats {
         self.sent.add(kind, 1);
     }
 
-    /// Records the channel a send used (load accounting).
-    pub fn record_channel(&mut self, from: NodeId, to: NodeId) {
-        *self.channels.entry((from, to)).or_default() += 1;
-    }
-
-    /// Messages sent on one ordered channel.
-    #[must_use]
-    pub fn channel_load(&self, from: NodeId, to: NodeId) -> u64 {
-        self.channels.get(&(from, to)).copied().unwrap_or(0)
+    /// Records the destination of a send (load accounting).
+    pub fn record_channel(&mut self, to: NodeId) {
+        self.in_load.add(to.index() as usize, 1);
     }
 
     /// Total messages a node received (its in-degree load) — the
     /// hot-spot metric for centralized designs.
     #[must_use]
     pub fn node_in_load(&self, node: NodeId) -> u64 {
-        self.channels
-            .iter()
-            .filter(|((_, to), _)| *to == node)
-            .map(|(_, &c)| c)
-            .sum()
+        self.in_load
+            .0
+            .get(node.index() as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// The node with the highest in-degree load, with that load.
+    /// The node with the highest in-degree load, with that load (the
+    /// highest-numbered of equally loaded nodes).
     #[must_use]
     pub fn hottest_receiver(&self) -> Option<(NodeId, u64)> {
-        let mut per_node: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for ((_, to), &c) in &self.channels {
-            *per_node.entry(*to).or_default() += c;
-        }
-        per_node.into_iter().max_by_key(|&(_, load)| load)
+        (0u32..)
+            .zip(self.in_load.trimmed())
+            .max_by_key(|&(_, &load)| load)
+            .map(|(node, &load)| (NodeId::new(node), load))
     }
 
     /// Records one delivery of a message of `kind`.
@@ -213,8 +238,8 @@ impl NetStats {
         self.sent.merge(&other.sent);
         self.delivered.merge(&other.delivered);
         self.dropped.merge(&other.dropped);
-        for (k, v) in &other.channels {
-            *self.channels.entry(*k).or_default() += v;
+        for (node, &count) in other.in_load.trimmed().iter().enumerate() {
+            self.in_load.add(node, count);
         }
         self.faults.merge(&other.faults);
         self.recovery.merge(&other.recovery);
@@ -403,25 +428,73 @@ mod tests {
     fn channel_and_node_loads() {
         let mut s = NetStats::default();
         let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
-        s.record_channel(a, c);
-        s.record_channel(b, c);
-        s.record_channel(b, c);
-        s.record_channel(c, a);
-        assert_eq!(s.channel_load(b, c), 2);
-        assert_eq!(s.channel_load(c, b), 0);
+        assert_eq!(s.hottest_receiver(), None);
+        s.record_channel(c);
+        s.record_channel(c);
+        s.record_channel(c);
+        s.record_channel(a);
+        assert_eq!(s.node_in_load(a), 1);
+        assert_eq!(s.node_in_load(b), 0);
         assert_eq!(s.node_in_load(c), 3);
+        assert_eq!(s.node_in_load(NodeId::new(99)), 0);
+        assert_eq!(s.hottest_receiver(), Some((c, 3)));
+        // Ties go to the highest-numbered node.
+        s.record_channel(a);
+        s.record_channel(a);
         assert_eq!(s.hottest_receiver(), Some((c, 3)));
     }
 
     #[test]
-    fn merge_sums_channels() {
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let mut x = NetStats::default();
-        x.record_channel(a, b);
-        let mut y = NetStats::default();
-        y.record_channel(a, b);
-        x.merge(&y);
-        assert_eq!(x.channel_load(a, b), 2);
+    fn in_load_grows_to_the_highest_destination_only() {
+        let mut s = NetStats::default();
+        s.record_channel(NodeId::new(5));
+        assert_eq!(s.in_load.0, vec![0, 0, 0, 0, 0, 1]);
+        s.record_channel(NodeId::new(2));
+        assert_eq!(s.in_load.0, vec![0, 0, 1, 0, 0, 1]);
+        assert_eq!(s.hottest_receiver(), Some((NodeId::new(5), 1)));
+    }
+
+    #[test]
+    fn merge_adds_in_loads_of_different_lengths() {
+        let (a, b, far) = (NodeId::new(0), NodeId::new(1), NodeId::new(7));
+        let mut short = NetStats::default();
+        short.record_channel(b);
+        let mut long = NetStats::default();
+        long.record_channel(b);
+        long.record_channel(far);
+        long.record_channel(a);
+
+        let mut x = short.clone();
+        x.merge(&long);
+        let mut y = long.clone();
+        y.merge(&short);
+        assert_eq!(x, y);
+        assert_eq!(
+            (x.node_in_load(a), x.node_in_load(b), x.node_in_load(far)),
+            (1, 2, 1)
+        );
+        assert_eq!(x.hottest_receiver(), Some((b, 2)));
+    }
+
+    #[test]
+    fn equality_and_display_ignore_trailing_zero_loads() {
+        let mut counted = NetStats::default();
+        counted.record_send("exception");
+        counted.record_channel(NodeId::new(1));
+        let mut padded = counted.clone();
+        padded.in_load.0.resize(64, 0);
+        assert_eq!(counted, padded);
+        assert_eq!(counted.to_string(), padded.to_string());
+        let mut other = counted.clone();
+        other.record_channel(NodeId::new(40));
+        assert_ne!(counted, other);
+        // Merging an all-zero tail changes nothing either.
+        let mut merged = counted.clone();
+        merged.merge(&NetStats {
+            in_load: InLoad(vec![0; 100]),
+            ..NetStats::default()
+        });
+        assert_eq!(merged, counted);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl<M: Kinded> NodePort<M> {
         let mut stats = self.stats.lock();
         if ok {
             stats.record_send(kind);
-            stats.record_channel(self.id, to);
+            stats.record_channel(to);
         } else {
             stats.record_drop(kind);
         }

@@ -94,28 +94,39 @@ fn arb_calls() -> impl Strategy<Value = Vec<Call>> {
     )
 }
 
-/// Every latency model, FIFO on and off, and the faults that move a
-/// delivery time without dropping the entry: a reorder window, a clock
-/// freeze and a healing partition.
+/// Every latency model, FIFO on and off, constant and jittery
+/// overrides on single links, a slowdown window, and the faults that
+/// move a delivery time without dropping the entry: a reorder window, a
+/// clock freeze and a healing partition.
 fn arb_queue_config() -> impl Strategy<Value = NetConfig> {
     (
         (0u8..3, 0u64..300, 1u64..300),
-        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        0u8..3,
         any::<u64>(),
     )
         .prop_map(queue_config)
 }
 
-type QueueKnobs = ((u8, u64, u64), (bool, bool, bool, bool), u64);
+type QueueKnobs = ((u8, u64, u64), (bool, bool, bool, bool, bool), u8, u64);
 
-fn queue_config(((model, a, b), (fifo, reorder, freeze, heal), seed): QueueKnobs) -> NetConfig {
+fn queue_config(
+    ((model, a, b), (fifo, reorder, freeze, heal, slowdown), links, seed): QueueKnobs,
+) -> NetConfig {
     let us = SimTime::from_micros;
+    let jitter = LatencyModel::Uniform {
+        min: us(a),
+        max: us(a + b),
+    };
     let latency = match model {
         0 => LatencyModel::Constant(us(a)),
-        1 => LatencyModel::Uniform {
-            min: us(a),
-            max: us(a + b),
-        },
+        1 => jitter,
         _ => LatencyModel::Exponential {
             min: us(a),
             mean: us(b),
@@ -131,11 +142,31 @@ fn queue_config(((model, a, b), (fifo, reorder, freeze, heal), seed): QueueKnobs
     if heal {
         faults = faults.with_healing_partition([NodeId::new(0)], us(50), us(900));
     }
-    NetConfig::default()
+    if slowdown {
+        faults = faults.with_slowdown(4, us(100), us(600));
+    }
+    let mut config = NetConfig::default()
         .with_latency(latency)
         .with_fifo(fifo)
         .with_faults(faults)
-        .with_seed(seed)
+        .with_seed(seed);
+    // Overrides on two links: both constant, or one constant and one
+    // jittery.
+    if links > 0 {
+        let other = if links == 1 {
+            LatencyModel::Constant(us(b))
+        } else {
+            jitter
+        };
+        config = config
+            .with_link_latency(
+                NodeId::new(0),
+                NodeId::new(1),
+                LatencyModel::Constant(us(3 * a)),
+            )
+            .with_link_latency(NodeId::new(2), NodeId::new(3), other);
+    }
+    config
 }
 
 proptest! {
@@ -145,21 +176,26 @@ proptest! {
     /// entry: whatever the interleaving of sends, local events and
     /// deliveries, the delivery sequence is strictly sorted by (time,
     /// call index), every entry is delivered exactly once, and the
-    /// in-flight count is entries made minus entries delivered.
+    /// in-flight count is entries made minus entries delivered. With
+    /// FIFO on and no reorder window, every channel delivers in send
+    /// order, whether the net clamps a channel's deliveries or not.
     #[test]
     fn deliveries_are_sorted_by_time_then_call_index(
         calls in arb_calls(),
         config in arb_queue_config(),
     ) {
+        let fifo = config.fifo && config.faults.reorder_probability() == 0.0;
         let mut net: SimNet<Payload> = SimNet::new(config, QUEUE_NODES);
         let mut made = Vec::new();
         let mut delivered = Vec::new();
+        let mut channel_of = HashMap::new();
         for (i, call) in calls.iter().enumerate() {
             let payload = Payload { seq: i as u32, tag: 0 };
             match *call {
                 Call::Send { from, to } => {
                     net.send(NodeId::new(from), NodeId::new(to), payload);
                     made.push(payload.seq);
+                    channel_of.insert(payload.seq, (from, to));
                 }
                 Call::Local { at, node } => {
                     net.schedule_local(SimTime::from_micros(at), NodeId::new(node), payload);
@@ -177,6 +213,17 @@ proptest! {
         prop_assert!(net.is_quiescent());
         for pair in delivered.windows(2) {
             prop_assert!(pair[0] < pair[1], "{:?} delivered before {:?}", pair[0], pair[1]);
+        }
+        let mut last_on_channel = HashMap::new();
+        for &(at, seq) in delivered.iter().filter(|_| fifo) {
+            let Some(&channel) = channel_of.get(&seq) else { continue };
+            if let Some(prev) = last_on_channel.insert(channel, (at, seq)) {
+                prop_assert!(
+                    prev.1 < seq,
+                    "channel {:?}: send {} delivered at {} before send {} at {}",
+                    channel, prev.1, prev.0, seq, at
+                );
+            }
         }
         let mut seen: Vec<u32> = delivered.iter().map(|&(_, seq)| seq).collect();
         seen.sort_unstable();

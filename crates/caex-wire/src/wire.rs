@@ -965,7 +965,7 @@ impl WirePort {
             let mut stats = self.stats.lock();
             if ok {
                 stats.record_send(kind);
-                stats.record_channel(self.id, to);
+                stats.record_channel(to);
             } else {
                 stats.record_drop(kind);
             }
@@ -986,7 +986,7 @@ impl WirePort {
         let mut stats = self.stats.lock();
         if ok {
             stats.record_send(kind);
-            stats.record_channel(self.id, to);
+            stats.record_channel(to);
         } else {
             stats.record_drop(kind);
         }

@@ -360,32 +360,27 @@ mod tests {
     use super::*;
     use crate::NestedStrategy;
     use caex_action::{ActionRegistry, ActionScope};
-    use caex_net::ThreadNet;
+    use caex_net::{NodePort, ThreadNet};
     use caex_tree::{chain_tree, Exception, ExceptionId};
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
     use std::thread;
 
-    #[test]
-    fn two_nodes_resolve_over_the_generic_loop() {
+    /// O0 and O1 in one action over a `ThreadNet`, O0 raising at 1 ms:
+    /// each node's port, participant and scenario steps.
+    fn two_nodes() -> Vec<(NodePort<Event>, Participant, Vec<(SimTime, Event)>)> {
         let tree = Arc::new(chain_tree(2));
         let mut reg = ActionRegistry::new();
         let a = reg
-            .declare(ActionScope::top_level(
-                "A",
-                (0..2).map(NodeId::new),
-                tree,
-            ))
+            .declare(ActionScope::top_level("A", (0..2).map(NodeId::new), tree))
             .unwrap();
         let registry = Arc::new(reg);
         let net: ThreadNet<Event> = ThreadNet::new(2);
-        let ports = net.into_ports();
-        let start = Instant::now();
-        let mut joins = Vec::new();
-        for port in ports {
-            let registry = Arc::clone(&registry);
-            joins.push(thread::spawn(move || {
+        net.into_ports()
+            .into_iter()
+            .map(|port| {
                 let id = FifoPort::<Event>::id(&port);
-                let mut p = Participant::new(id, registry, NestedStrategy::Abort);
+                let p = Participant::new(id, Arc::clone(&registry), NestedStrategy::Abort);
                 let mut steps = vec![(SimTime::ZERO, Event::Enter(a))];
                 if id == NodeId::new(0) {
                     steps.push((
@@ -393,6 +388,17 @@ mod tests {
                         Event::Raise(Exception::new(ExceptionId::new(1))),
                     ));
                 }
+                (port, p, steps)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_nodes_resolve_over_the_generic_loop() {
+        let start = Instant::now();
+        let mut joins = Vec::new();
+        for (port, mut p, steps) in two_nodes() {
+            joins.push(thread::spawn(move || {
                 let mut notes = Vec::new();
                 drive_node(
                     &port,
@@ -415,5 +421,79 @@ mod tests {
             .filter(|n| matches!(n, Note::HandlerStarted { .. }))
             .count();
         assert_eq!(handled, 2, "both objects handled the resolved exception");
+    }
+
+    /// A port that reports `Disconnected` once `stop` is set.
+    struct StopPort<'a, P> {
+        inner: &'a P,
+        stop: &'a AtomicBool,
+    }
+
+    impl<M, P: FifoPort<M>> FifoPort<M> for StopPort<'_, P> {
+        fn id(&self) -> NodeId {
+            self.inner.id()
+        }
+        fn num_nodes(&self) -> u32 {
+            self.inner.num_nodes()
+        }
+        fn send(&self, to: NodeId, payload: M) -> bool {
+            self.inner.send(to, payload)
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), RecvTimeoutError> {
+            if self.stop.load(Ordering::SeqCst) {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            self.inner.recv_timeout(timeout)
+        }
+    }
+
+    /// The benchmark's meshes end a round by setting a flag that makes
+    /// their port report `Disconnected`, with an idle timeout too long
+    /// to ever end a round. The flag is read only when a receive
+    /// starts, so the loop must not block in one receive for long: set
+    /// after both nodes completed, it ends both loops within a second.
+    #[test]
+    fn a_port_disconnected_after_completion_ends_the_loop_within_a_second() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (completed_tx, completed) = mpsc::channel();
+        let start = Instant::now();
+        let mut joins = Vec::new();
+        for (port, mut p, steps) in two_nodes() {
+            let (stop, completed_tx) = (Arc::clone(&stop), completed_tx.clone());
+            joins.push(thread::spawn(move || {
+                let id = FifoPort::<Event>::id(&port);
+                drive_node(
+                    &StopPort {
+                        inner: &port,
+                        stop: &stop,
+                    },
+                    &mut p,
+                    steps,
+                    start,
+                    Duration::from_secs(30),
+                    |p, ev, _| p.handle(ev),
+                    |n| {
+                        if matches!(n, Note::Completed { .. }) {
+                            completed_tx.send(id).expect("test thread listens");
+                        }
+                    },
+                );
+            }));
+        }
+        for _ in 0..2 {
+            completed
+                .recv_timeout(Duration::from_secs(10))
+                .expect("both nodes report Completed within 10 s");
+        }
+        let stopped = Instant::now();
+        stop.store(true, Ordering::SeqCst);
+        for join in joins {
+            join.join().expect("node thread");
+        }
+        let took = stopped.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "the loops ended {took:?} after the stop"
+        );
     }
 }

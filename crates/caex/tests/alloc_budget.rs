@@ -59,11 +59,10 @@ const ACTIONS: u32 = 64;
 /// where every `Participant::handle` returned a fresh `Vec<Effect>`,
 /// every multicast collected its peers and every exception clone copied
 /// its origin string. `SimNet`'s FIFO lane grows once per shard, not
-/// per action (E28). Measured alongside the 40 and left out: dense
-/// per-source channel rows for `channel_clock` / `NetStats::channels`
-/// (+6 % `fleet_wide` actions/s, `peak_rss_mb` 7.9 → 7.0 there, but 48
-/// allocations per action here and `fleet_small` `peak_rss_mb` up to
-/// 13.0).
+/// per action (E28); `NetStats`' per-node in-load grows with the
+/// highest node id, and under a constant latency the net keeps no
+/// per-channel table at all (E38: 2,272 allocations over the 64
+/// actions, 2,283 with the two hashed channel tables they replaced).
 const BUDGET_PER_ACTION: u64 = 35;
 
 #[test]

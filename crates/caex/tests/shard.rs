@@ -232,7 +232,7 @@ fn merged_stats_do_not_depend_on_the_shard_count() {
             .map(|(k, v)| (k.to_owned(), v))
             .collect();
         let loads: Vec<u64> = (0..256u32)
-            .map(|n| stats.channel_load(NodeId::new(n), NodeId::new(n ^ 1)))
+            .map(|n| stats.node_in_load(NodeId::new(n)))
             .collect();
         (
             stats.sent_total(),

@@ -9,7 +9,8 @@
 #    only through `handle`/`handle_into`, the §4.2 effect dispatch
 #    exists once (`caex::route`; the producer `participant.rs`,
 #    `effect.rs` and `ObsBridge`'s read-only walk in `obs.rs` are
-#    exempt), and `Machine::step` sees an `Outbox`, never a `SimNet`;
+#    exempt), `Machine::step` sees an `Outbox`, never a `SimNet`, and
+#    `NetStats` keeps no map keyed by a channel `(NodeId, NodeId)`;
 # 2. the observability battery runs the invariant watchdog and the live
 #    §4.4 message-law checks over every built-in workload on the real
 #    engines, and the three examples that render the obs stream as text
@@ -54,8 +55,10 @@
 #    port hosts' side of "one script, admitted
 #    one way" (`extensions`: threaded distributed completion;
 #    `cross_host`: Example 2 over Unix sockets is the simulator's
-#    Example 2; `fixtures`: the script lints), the event queue's
-#    total-order property test (`caex-net` `proptests`), then two real
+#    Example 2; `fixtures`: the script lints), `caex-net`'s unit and
+#    property tests in the benchmark's build profile (the event queue's
+#    total order, per-channel FIFO with and without the clamp, checked
+#    `SimTime` subtraction), then two real
 #    multi-process runs — the elected resolver killed at its commit
 #    point, and a SIGSTOP zombie resumed after re-election whose stale
 #    commits must be fenced;
@@ -103,6 +106,10 @@ if [ "$(echo "$arms" | grep -c "^crates/caex/src/host.rs:")" != 3 ] \
 fi
 if grep -A8 "fn step<S: Sink" crates/caex/src/*.rs | grep "SimNet"; then
     echo "Machine::step names SimNet again: a step sees only its Outbox"; exit 1
+fi
+if grep -n "(NodeId, NodeId)" crates/caex-net/src/stats.rs; then
+    echo "NetStats keys a map by channel again: the load accounting needs only the destination"
+    exit 1
 fi
 
 echo "== tier-2 [2/12]: obs watchdog + §4.4 laws over every built-in workload =="
@@ -166,7 +173,7 @@ cargo test -q --release -p caex --test shard --test algorithm --test proptests -
     --test extensions
 cargo test -q --release --test baseline_streams --test stream_vs_stats --test causal
 cargo test -q --release -p caex-wire --test cross_host
-cargo test -q --release -p caex-net --test proptests
+cargo test -q --release -p caex-net --lib --test proptests
 cargo test -q --release -p caex-lint --test fixtures
 cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \
     --scenario example1 --crash 2 --crash-point commit
