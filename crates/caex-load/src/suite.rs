@@ -37,7 +37,7 @@
 
 use crate::arrivals::ArrivalSpec;
 use crate::hist::LogHistogram;
-use caex::shard::{ActionInstance, FleetConfig, FleetEngine};
+use caex::shard::{ActionInstance, FleetConfig, FleetEngine, FleetReport};
 use caex::{analysis, central, cr, workloads};
 use caex_net::{NetConfig, NodeId, SimTime};
 use caex_obs::JsonValue;
@@ -159,8 +159,9 @@ pub struct LoadOutcome {
     pub hist: LogHistogram,
     /// Instances that blew their deadline (or never committed).
     pub deadline_misses: usize,
-    /// §4.4 law verdict across all instances (`None` for baselines —
-    /// the law describes the decentralized algorithm only).
+    /// §4.4 law verdict across all instances: `None` for baselines —
+    /// the law describes the decentralized algorithm only — and for a
+    /// fleet none of whose instances carries a verdict.
     pub law_holds: Option<bool>,
     /// Protocol messages per action instance.
     pub messages_per_action: u64,
@@ -182,6 +183,35 @@ impl LoadOutcome {
         }
         self.deadline_misses as f64 / actions as f64
     }
+
+    /// The `--assert-law` check of a run of `actions` actions: the law
+    /// held (a missing verdict fails), every action committed and
+    /// nothing deadlocked.
+    ///
+    /// # Errors
+    ///
+    /// Says which of the three failed.
+    pub fn check_law(&self, actions: usize) -> Result<(), String> {
+        match self.law_holds {
+            Some(true) => {}
+            Some(false) => return Err("§4.4 law violated under load".into()),
+            None => return Err("no §4.4 verdict: no instance ran a round the law covers".into()),
+        }
+        if self.completed != actions || self.deadlocked != 0 {
+            return Err(format!(
+                "{} of {actions} actions committed, {} deadlocked",
+                self.completed, self.deadlocked
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The fleet's §4.4 verdict: `None` unless at least one instance
+/// carries one, so an empty set of verdicts never reads as a pass.
+fn law_verdict(report: &FleetReport) -> Option<bool> {
+    let any = report.outcomes.iter().any(|o| o.law_holds.is_some());
+    any.then(|| report.law_all_hold())
 }
 
 /// Runs one load cell against the configured engine.
@@ -252,7 +282,7 @@ fn run_fleet(config: &LoadConfig, arrivals: &[SimTime]) -> LoadOutcome {
         completed: report.committed_count(),
         achieved_per_sec: report.throughput_per_sec(),
         deadline_misses: report.deadline_misses(),
-        law_holds: Some(report.law_all_hold()),
+        law_holds: law_verdict(&report),
         messages_per_action: report.outcomes.iter().map(|o| o.messages).max().unwrap_or(0),
         makespan_us: report.makespan().as_micros(),
         deadlocked: report.deadlocked.len(),
@@ -675,4 +705,30 @@ pub fn render_saturation_table(doc: &JsonValue) -> String {
         out.push_str(&line(row, &widths));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fleet run without the law carries no verdict, and the fold
+    /// reports none instead of a pass.
+    #[test]
+    fn a_fleet_without_verdicts_has_no_law_verdict() {
+        let run = |law| {
+            let instances = (0..4u32)
+                .map(|i| {
+                    let w = workloads::general_at(4, 2, 1, i * 4, i * 2, NetConfig::default());
+                    ActionInstance::from_scenario(w.scenario, SimTime::from_micros(u64::from(i)))
+                })
+                .collect();
+            let config = FleetConfig { law, ..FleetConfig::default() };
+            FleetEngine::new(config).run(instances)
+        };
+        let without = run(None);
+        assert!(without.outcomes.iter().all(|o| o.law_holds.is_none()));
+        assert!(without.law_all_hold(), "an empty set passes the fold ...");
+        assert_eq!(law_verdict(&without), None, "... but not the verdict");
+        assert_eq!(law_verdict(&run(Some(analysis::messages_general))), Some(true));
+    }
 }

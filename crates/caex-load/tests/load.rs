@@ -52,6 +52,24 @@ fn low_load_commits_everything_on_time_with_the_law() {
     }
 }
 
+/// `--assert-law` passes only on a verdict that holds: a missing one
+/// fails as a violated one does.
+#[test]
+fn the_law_check_fails_without_a_verdict() {
+    let config = low_load(Engine::Sim);
+    let mut outcome = run_load(&config);
+    assert_eq!(outcome.check_law(config.actions), Ok(()));
+    outcome.law_holds = None;
+    let missing = outcome.check_law(config.actions).unwrap_err();
+    assert!(missing.contains("no §4.4 verdict"), "{missing}");
+    outcome.law_holds = Some(false);
+    let violated = outcome.check_law(config.actions).unwrap_err();
+    assert!(violated.contains("violated"), "{violated}");
+    let baseline = run_load(&low_load(Engine::Central));
+    assert_eq!(baseline.law_holds, None);
+    assert!(baseline.check_law(config.actions).is_err());
+}
+
 #[test]
 fn burst_arrivals_queue_behind_capacity() {
     // 16 actions arriving simultaneously into one 2-slot shard must
@@ -177,4 +195,7 @@ fn hostile_burst_gaps_are_refused_or_scheduled_without_overflow() {
     let run = refused(&["run", "--arrivals", "burst:1@10000000000000", "--actions", "2000"]);
     assert!(run.contains("past the end of virtual time"), "{run}");
     refused(&["run", "--deadline-ms", "18446744073709551615"]);
+    // One that fits in microseconds but not beside an arrival.
+    let late = refused(&["run", "--deadline-ms", "18446744073709551", "--actions", "5"]);
+    assert!(late.contains("--deadline-ms is too long"), "{late}");
 }

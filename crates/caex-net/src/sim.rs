@@ -161,17 +161,22 @@ impl<M> Ord for Queued<M> {
 /// at the lane's back and turn the traffic before it away. `pop` takes
 /// the smaller of the two heads, so the order is the one a single heap
 /// of all entries gives.
+///
+/// `queued` counts the entries per destination, by `NodeId::index()`,
+/// so a host can tell when nothing more can reach a node.
 #[derive(Debug)]
 struct EventQueue<M> {
     lane: VecDeque<Queued<M>>,
     heap: BinaryHeap<Queued<M>>,
+    queued: Vec<u32>,
 }
 
 impl<M> EventQueue<M> {
-    fn new() -> Self {
+    fn new(num_nodes: u32) -> Self {
         EventQueue {
             lane: VecDeque::new(),
             heap: BinaryHeap::new(),
+            queued: vec![0; num_nodes as usize],
         }
     }
 
@@ -184,6 +189,7 @@ impl<M> EventQueue<M> {
     }
 
     fn push(&mut self, entry: Queued<M>) {
+        self.queued[entry.to.index() as usize] += 1;
         let in_order = matches!(entry.source, DeliverySource::Remote(_))
             && self.lane.back().is_none_or(|back| back.at <= entry.at);
         if in_order {
@@ -194,11 +200,13 @@ impl<M> EventQueue<M> {
     }
 
     fn pop(&mut self) -> Option<Queued<M>> {
-        match (self.lane.front(), self.heap.peek()) {
+        let entry = match (self.lane.front(), self.heap.peek()) {
             (Some(lane), Some(heap)) if heap.key() < lane.key() => self.heap.pop(),
             (Some(_), _) => self.lane.pop_front(),
             (None, _) => self.heap.pop(),
-        }
+        }?;
+        self.queued[entry.to.index() as usize] -= 1;
+        Some(entry)
     }
 }
 
@@ -272,7 +280,7 @@ impl<M> SimNet<M> {
             channel_clock: (config.fifo && latency_can_fall).then(IdMap::default),
             config,
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            queue: EventQueue::new(num_nodes),
             next_seq: 0,
             num_nodes,
             rng,
@@ -320,6 +328,18 @@ impl<M> SimNet<M> {
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Number of events in flight to `node`: messages and local events
+    /// queued for it, a delivery the net will suppress included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the network.
+    #[must_use]
+    pub fn in_flight_to(&self, node: NodeId) -> usize {
+        self.assert_node(node);
+        self.queue.queued[node.index() as usize] as usize
     }
 
     /// Total deliveries performed so far.
@@ -1147,6 +1167,75 @@ mod tests {
         assert!(n.is_quiescent());
         assert_eq!(n.in_flight(), 0);
         assert_eq!(n.stats().max_in_flight(), 4);
+    }
+
+    /// The per-node counts against a recount of the lane and the heap.
+    fn assert_counts_match_the_queue(n: &SimNet<&'static str>) {
+        let mut recount = vec![0; n.num_nodes() as usize];
+        for entry in n.queue.lane.iter().chain(n.queue.heap.iter()) {
+            recount[entry.to.index() as usize] += 1;
+        }
+        let counts: Vec<usize> = n.nodes().map(|node| n.in_flight_to(node)).collect();
+        assert_eq!(counts, recount);
+    }
+
+    #[test]
+    fn in_flight_to_counts_what_is_queued_for_each_node() {
+        let us = SimTime::from_micros;
+        let (a, b, c, d) = (NodeId::new(0), NodeId::new(1), NodeId::new(2), NodeId::new(3));
+        // Node 3 crashes at 50 µs; node 0 is cut off until 30 µs.
+        let faults = FaultPlan::none()
+            .with_crash(d, us(50))
+            .with_partition([a], SimTime::ZERO, us(30));
+        let config = NetConfig::default()
+            .with_latency(LatencyModel::Constant(us(100)))
+            .with_faults(faults);
+        let mut n: SimNet<&'static str> = SimNet::new(config, 4);
+        n.send(b, c, "sent");
+        n.send(a, b, "partitioned"); // dropped at send: nothing queued
+        n.schedule_local(us(20), a, "local");
+        n.send(c, d, "to-be-suppressed"); // due at 100, after node 3's crash
+        assert_counts_match_the_queue(&n);
+        assert_eq!(
+            n.nodes().map(|node| n.in_flight_to(node)).collect::<Vec<_>>(),
+            vec![1, 0, 1, 1]
+        );
+        assert_eq!(n.next_delivery().unwrap().payload, "local");
+        assert_counts_match_the_queue(&n);
+        assert!(n.in_flight_to(a) == 0 && n.in_flight_to(c) == 1);
+        // The delivery to the crashed node is suppressed, and popped.
+        assert_eq!(n.next_delivery().unwrap().payload, "sent");
+        assert!(n.next_delivery().is_none());
+        assert_eq!(n.stats().fault_of_kind(FaultEvent::DestinationCrashed.label()), 1);
+        assert_eq!(n.in_flight_to(d), 0);
+        assert_counts_match_the_queue(&n);
+
+        // A dropped send queues nothing, a duplicated one two entries.
+        let lossy = NetConfig::default().with_faults(FaultPlan::none().with_drop_probability(1.0));
+        let mut n: SimNet<&'static str> = SimNet::new(lossy, 2);
+        n.send(a, b, "lost");
+        assert_eq!(n.in_flight_to(b), 0);
+        let twice =
+            NetConfig::default().with_faults(FaultPlan::none().with_duplicate_probability(1.0));
+        let mut n: SimNet<&'static str> = SimNet::new(twice, 2);
+        n.send(a, b, "twice");
+        n.send(b, b, "self");
+        assert_eq!(n.in_flight_to(b), 4);
+        assert_counts_match_the_queue(&n);
+        n.next_delivery().unwrap();
+        assert_eq!(n.in_flight_to(b), 3);
+        n.drain();
+        assert_eq!((n.in_flight_to(a), n.in_flight_to(b)), (0, 0));
+        assert_counts_match_the_queue(&n);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn a_far_future_local_event_panics_instead_of_landing_now() {
+        let mut n = net(LatencyModel::Constant(SimTime::from_micros(100)), 0);
+        n.send(NodeId::new(0), NodeId::new(1), "advance-clock");
+        n.next_delivery().unwrap();
+        n.schedule_local_in(SimTime::from_micros(u64::MAX - 10), NodeId::new(0), "far");
     }
 
     /// §4.3 Example 1 (`caex::workloads::example1`, N = 3, two raisers,

@@ -33,9 +33,17 @@ impl SimTime {
     }
 
     /// Creates a time point / duration from milliseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `millis` is more than `u64::MAX` microseconds, in
+    /// every build profile.
     #[must_use]
     pub fn from_millis(millis: u64) -> Self {
-        SimTime(millis * 1_000)
+        match millis.checked_mul(1_000) {
+            Some(micros) => SimTime(micros),
+            None => panic!("SimTime::from_millis overflow: {millis}ms"),
+        }
     }
 
     /// Returns the value in microseconds.
@@ -65,14 +73,24 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    /// # Panics
+    ///
+    /// Panics if the sum passes `u64::MAX` microseconds, in every build
+    /// profile: a wrapped sum would put a far-future time before now.
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        match self.0.checked_add(rhs.0) {
+            Some(micros) => SimTime(micros),
+            None => panic!("SimTime addition overflow: {self} + {rhs}"),
+        }
     }
 }
 
 impl AddAssign for SimTime {
+    /// # Panics
+    ///
+    /// As [`SimTime::add`](Add::add).
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -135,5 +153,31 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn sub_underflow_panics() {
         let _ = SimTime::from_micros(1) - SimTime::from_micros(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn add_overflow_panics() {
+        let _ = SimTime::from_micros(u64::MAX) + SimTime::from_micros(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn add_assign_overflow_panics() {
+        let mut t = SimTime::from_micros(u64::MAX - 1);
+        t += SimTime::from_micros(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn from_millis_overflow_panics() {
+        let _ = SimTime::from_millis(u64::MAX / 1_000 + 1);
+    }
+
+    #[test]
+    fn the_largest_sums_and_millis_are_exact() {
+        let max = SimTime::from_micros(u64::MAX);
+        assert_eq!(SimTime::from_micros(u64::MAX - 1) + SimTime::from_micros(1), max);
+        assert_eq!(SimTime::from_millis(u64::MAX / 1_000).as_micros(), u64::MAX / 1_000 * 1_000);
     }
 }

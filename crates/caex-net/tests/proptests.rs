@@ -176,9 +176,10 @@ proptest! {
     /// entry: whatever the interleaving of sends, local events and
     /// deliveries, the delivery sequence is strictly sorted by (time,
     /// call index), every entry is delivered exactly once, and the
-    /// in-flight count is entries made minus entries delivered. With
-    /// FIFO on and no reorder window, every channel delivers in send
-    /// order, whether the net clamps a channel's deliveries or not.
+    /// in-flight count is entries made minus entries delivered, in all
+    /// and per destination. With FIFO on and no reorder window, every
+    /// channel delivers in send order, whether the net clamps a
+    /// channel's deliveries or not.
     #[test]
     fn deliveries_are_sorted_by_time_then_call_index(
         calls in arb_calls(),
@@ -189,6 +190,8 @@ proptest! {
         let mut made = Vec::new();
         let mut delivered = Vec::new();
         let mut channel_of = HashMap::new();
+        // Entries made minus entries delivered, per destination.
+        let mut queued_for = [0usize; QUEUE_NODES as usize];
         for (i, call) in calls.iter().enumerate() {
             let payload = Payload { seq: i as u32, tag: 0 };
             match *call {
@@ -196,17 +199,25 @@ proptest! {
                     net.send(NodeId::new(from), NodeId::new(to), payload);
                     made.push(payload.seq);
                     channel_of.insert(payload.seq, (from, to));
+                    queued_for[to as usize] += 1;
                 }
                 Call::Local { at, node } => {
                     net.schedule_local(SimTime::from_micros(at), NodeId::new(node), payload);
                     made.push(payload.seq);
+                    queued_for[node as usize] += 1;
                 }
                 Call::Deliver => {
-                    delivered.extend(net.next_delivery().map(|d| (d.at, d.payload.seq)));
+                    if let Some(d) = net.next_delivery() {
+                        delivered.push((d.at, d.payload.seq));
+                        queued_for[d.to.index() as usize] -= 1;
+                    }
                 }
             }
             prop_assert_eq!(net.in_flight(), made.len() - delivered.len());
             prop_assert_eq!(net.is_quiescent(), made.len() == delivered.len());
+            for node in net.nodes() {
+                prop_assert_eq!(net.in_flight_to(node), queued_for[node.index() as usize]);
+            }
         }
         prop_assert!(net.stats().max_in_flight() <= made.len());
         delivered.extend(net.drain().into_iter().map(|d| (d.at, d.payload.seq)));

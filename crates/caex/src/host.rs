@@ -7,9 +7,13 @@
 //! ([`crate::drive::PortHost`]) and `caex-lint`'s model checker.
 //!
 //! [`SimHost`] is the only place under `crates/caex/src` that pulls
-//! deliveries off a `SimNet`: the net, a dense node-indexed table of
-//! [`Machine`]s, their per-run [`Machine::Shared`] state, the livelock
-//! guard, and one [`SimHost::step`]. Three machines run on it,
+//! deliveries off a `SimNet`: the net, its [`Machine`]s in a slab
+//! addressed through a dense node-to-slot table, their per-run
+//! [`Machine::Shared`] state, the livelock guard, and one
+//! [`SimHost::step`]. A front-end may [`SimHost::retire`] the machines
+//! of a node range nothing is queued for any more, and their slots are
+//! reused, so a fleet shard holds only what it is running. Three
+//! machines run on it,
 //! monomorphised: the §4.2 [`Participant`], observed through the
 //! [`ObsBridge`] with [`Manager`] as its shared state (front-ends:
 //! [`crate::Scenario::run_observed`] with a [`crate::RunReport`] as the
@@ -175,13 +179,21 @@ pub(crate) trait Sink {
 /// The baselines' front-ends learn nothing from a step.
 impl Sink for () {}
 
+/// `SimHost::slot_of` for a node without a machine.
+const NO_SLOT: u32 = u32::MAX;
+
 /// See the module documentation.
 pub(crate) struct SimHost<M: Machine> {
     /// The simulated network; front-ends schedule their set-up on it and
     /// read its clock and statistics.
     pub(crate) net: SimNet<M::Event>,
-    /// Dense: node ids are `< net.num_nodes()`.
-    nodes: Vec<Option<M>>,
+    /// Node -> its machine's slot in `machines`, or [`NO_SLOT`]. Dense:
+    /// node ids are `< net.num_nodes()`.
+    slot_of: Vec<u32>,
+    /// The machines; a retired slot is `None` and waits on `free`, so
+    /// the slab never grows past the most machines live at once.
+    machines: Vec<Option<M>>,
+    free: Vec<u32>,
     /// What every node's step may touch; front-ends read results here.
     pub(crate) shared: M::Shared,
     max_deliveries: u64,
@@ -197,9 +209,22 @@ impl<M: Machine> SimHost<M> {
         shared: M::Shared,
         max_deliveries: u64,
     ) -> Self {
+        let mut host = Self::empty(config, nodes.len() as u32, shared, max_deliveries);
+        for (n, machine) in (0..).zip(nodes) {
+            if let Some(machine) = machine {
+                host.place(NodeId::new(n), machine);
+            }
+        }
+        host
+    }
+
+    /// A net of `num_nodes` nodes without a machine.
+    fn empty(config: NetConfig, num_nodes: u32, shared: M::Shared, max_deliveries: u64) -> Self {
         SimHost {
-            net: SimNet::new(config, nodes.len() as u32),
-            nodes,
+            net: SimNet::new(config, num_nodes),
+            slot_of: vec![NO_SLOT; num_nodes as usize],
+            machines: Vec::new(),
+            free: Vec::new(),
             shared,
             max_deliveries,
             hit_delivery_limit: false,
@@ -208,7 +233,38 @@ impl<M: Machine> SimHost<M> {
 
     /// The machine on `node`, if any.
     pub(crate) fn node(&self, node: NodeId) -> Option<&M> {
-        self.nodes[node.index() as usize].as_ref()
+        let slot = self.slot_of[node.index() as usize];
+        self.machines.get(slot as usize)?.as_ref()
+    }
+
+    /// Runs `machine` on `node`, in place of the machine there, if any.
+    fn place(&mut self, node: NodeId, machine: M) {
+        let slot = &mut self.slot_of[node.index() as usize];
+        if *slot == NO_SLOT {
+            *slot = self.free.pop().unwrap_or_else(|| {
+                self.machines.push(None);
+                (self.machines.len() - 1) as u32
+            });
+        }
+        self.machines[*slot as usize] = Some(machine);
+    }
+
+    /// Drops the machines of `nodes` and frees their slots, unless the
+    /// net still holds an event for one of the nodes: then it keeps
+    /// them all and returns `false`. A later delivery to a retired node
+    /// panics, so retire only nodes nothing else will address.
+    pub(crate) fn retire(&mut self, nodes: &[NodeId]) -> bool {
+        if nodes.iter().any(|&n| self.net.in_flight_to(n) > 0) {
+            return false;
+        }
+        for &n in nodes {
+            let slot = std::mem::replace(&mut self.slot_of[n.index() as usize], NO_SLOT);
+            if slot != NO_SLOT {
+                self.machines[slot as usize] = None;
+                self.free.push(slot);
+            }
+        }
+        true
     }
 
     /// Delivers the next event to its node's machine. Returns the
@@ -225,8 +281,10 @@ impl<M: Machine> SimHost<M> {
             return None;
         }
         let (at, to) = (delivery.at, delivery.to);
-        self.nodes[to.index() as usize]
-            .as_mut()
+        let slot = self.slot_of[to.index() as usize] as usize;
+        self.machines
+            .get_mut(slot)
+            .and_then(Option::as_mut)
             .expect("delivery to unknown object")
             .step(delivery, &mut self.shared, &mut self.net, obs, sink);
         Some((at, to))
@@ -252,7 +310,7 @@ impl SimHost<Participant> {
             lines: ExitLines::default(),
             acceptance: acceptance.into_iter().collect(),
         };
-        Self::new(config, (0..num_nodes).map(|_| None).collect(), manager, max_deliveries)
+        Self::empty(config, num_nodes, manager, max_deliveries)
     }
 
     /// Brings `script` to life at `start`: the script's participant
@@ -265,7 +323,7 @@ impl SimHost<Participant> {
         start: SimTime,
     ) {
         for n in nodes {
-            self.nodes[n.index() as usize] = Some(script.participant(n));
+            self.place(n, script.participant(n));
         }
         assert!(script.handlers.is_empty(), "handler for unknown object");
         for (offset, object, event) in std::mem::take(&mut script.steps) {
@@ -280,12 +338,7 @@ impl SimHost<Participant> {
 
     /// Objects stuck mid-resolution, in ascending node order.
     pub(crate) fn deadlocked(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .flatten()
-            .filter(|p| !p.is_normal())
-            .map(Participant::id)
-            .collect()
+        self.net.nodes().filter(|&n| !self.is_normal(n)).collect()
     }
 }
 
@@ -402,5 +455,70 @@ impl<'a, E: Kinded + Clone> Flat<'a, E> {
                 self.send(peer, msg.clone());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workloads;
+
+    const N: u32 = 4;
+
+    /// `general_at(4, 2, 1)` instance `i`'s script and nodes.
+    fn instance(i: u32) -> (Script, Vec<NodeId>) {
+        let w = workloads::general_at(N, 2, 1, i * N, i * 2, NetConfig::default());
+        let nodes = (i * N..(i + 1) * N).map(NodeId::new).collect();
+        (w.scenario.script_for("a host test"), nodes)
+    }
+
+    /// Two at a time through one host, each retired once it is back to
+    /// normal and nothing is queued for it: the slab holds the live
+    /// instances' participants and no more.
+    #[test]
+    fn a_fleet_of_200_at_capacity_2_never_holds_more_than_2n_participants() {
+        const K: u32 = 200;
+        let mut host = SimHost::bridged(NetConfig::default(), K * N, u64::MAX, Vec::new());
+        let (mut next, mut live, mut retired, mut peak) = (0, Vec::new(), 0, 0);
+        let mut admit = |host: &mut SimHost<Participant>, live: &mut Vec<(u32, Vec<NodeId>)>| {
+            while live.len() < 2 && next < K {
+                let (mut script, nodes) = instance(next);
+                host.admit(&mut script, nodes.iter().copied(), host.net.now());
+                live.push((next, nodes));
+                next += 1;
+            }
+        };
+        admit(&mut host, &mut live);
+        while let Some((_, object)) = host.step(&mut (), &mut ()) {
+            peak = peak.max(host.machines.len());
+            let i = object.index() / N;
+            let Some(at) = live.iter().position(|(l, _)| *l == i) else { continue };
+            let nodes = &live[at].1;
+            if nodes.iter().all(|&n| host.is_normal(n)) && host.retire(nodes) {
+                live.remove(at);
+                retired += 1;
+                admit(&mut host, &mut live);
+            }
+        }
+        assert_eq!(retired, K);
+        assert_eq!(host.net.stats().sent_total(), u64::from(K) * 24);
+        assert_eq!(peak, 2 * N as usize);
+        assert_eq!(host.free.len(), peak, "every slot is free again");
+        assert!(host.deadlocked().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery to unknown object")]
+    fn a_delivery_to_a_retired_node_panics() {
+        let (mut script, nodes) = instance(0);
+        let mut host = SimHost::bridged(NetConfig::default(), N, u64::MAX, Vec::new());
+        host.admit(&mut script, nodes.iter().copied(), SimTime::ZERO);
+        assert!(!host.retire(&nodes), "its script is queued");
+        host.run(&mut (), &mut ());
+        assert!(host.retire(&nodes));
+        assert!(host.node(nodes[0]).is_none());
+        let late = Event::LeaveGranted(ActionId::new(0));
+        host.net.schedule_local(host.net.now(), nodes[0], late);
+        host.run(&mut (), &mut ());
     }
 }

@@ -55,6 +55,17 @@ pub(crate) fn obs_state(state: Option<PState>) -> ObsState {
     }
 }
 
+/// The distinct exception classes in a committed raised set — the
+/// paper's `P` — each counted at its first occurrence (the set holds a
+/// handful of entries).
+pub(crate) fn distinct_classes(raised: &[(NodeId, Exception)]) -> usize {
+    raised
+        .iter()
+        .enumerate()
+        .filter(|(i, (_, e))| raised[..*i].iter().all(|(_, seen)| seen.id() != e.id()))
+        .count()
+}
+
 /// Pre-`handle` snapshot of everything `post` needs to diff.
 struct PreSnapshot {
     object: NodeId,
@@ -368,19 +379,12 @@ impl ObsBridge {
                     round,
                     ObsKind::ResolverElected { resolver: *resolver },
                 ));
-                // Distinct raised classes: count each id at its first
-                // occurrence (`raised` holds a handful of entries).
-                let distinct = raised
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, (_, e))| raised[..*i].iter().all(|(_, seen)| seen.id() != e.id()))
-                    .count();
                 obs.on_event(&mk(
                     *action,
                     round,
                     ObsKind::ResolutionCommit {
                         resolved: resolved.id(),
-                        raised: distinct as u32,
+                        raised: distinct_classes(raised) as u32,
                     },
                 ));
                 self.close_round(*action);

@@ -23,11 +23,34 @@
 //!   admission, commit and completion times, message counts and the
 //!   §4.4 `(N−1)(2P+3Q+1)` law verdict, plus fleet-wide stats.
 //!
+//! A shard holds only the instances it is running. Once an instance
+//! has finished and the net holds nothing more for any of its nodes, it
+//! is retired: its participants leave the host (whose slab reuses their
+//! slots), its outcome is assembled from counters that can no longer
+//! move, and the instance — script, registry, tree — is dropped. So a
+//! shard's live state scales with its capacity, not with its batch; an
+//! instance that never gets there (a deadlock, the delivery cap, a last
+//! event suppressed at a crashed node) is reported when the shard goes
+//! quiescent.
+//!
+//! The law verdict comes from counts the shard keeps anyway: the
+//! message count is `NetStats`' per-action `sent`, and for each
+//! resolution round the shard hears in its notes — opened by a
+//! `Raised`, closed by the first `ResolutionCommitted` — it records `P`,
+//! the distinct classes of the committed raised set, and `Q`, the
+//! objects that aborted or waited for nested actions of the round's
+//! action; `N` is the action's declared participants. The metrics
+//! observer of `caex_obs`, attached through
+//! [`FleetEngine::run_observed`] with the same law, computes the same
+//! verdict from the event stream (`crates/caex/tests/shard.rs` holds
+//! the two equal).
+//!
 //! All measured quantities are *virtual time*: worker threads give
 //! wall-clock speedup, but reports are bit-identical for a given seed
 //! regardless of the host's scheduling.
 
 use crate::host::{SimHost, Sink, SHARD_DELIVERY_CAP};
+use crate::obs::distinct_classes;
 use crate::{Event, Note, Scenario, Script};
 use caex_action::ActionId;
 use caex_net::{IdMap, NetConfig, NetStats, NodeId, SimTime};
@@ -141,8 +164,9 @@ pub struct FleetConfig {
     pub capacity: usize,
     /// Network model template applied per shard.
     pub net: NetConfig,
-    /// §4.4 message law injected into the per-round metrics check,
-    /// e.g. [`crate::analysis::messages_general`].
+    /// §4.4 message law `f(n, p, q)` each instance's rounds are
+    /// checked against, e.g. [`crate::analysis::messages_general`];
+    /// `None` leaves every [`ActionOutcome::law_holds`] `None`.
     pub law: Option<fn(u64, u64, u64) -> u64>,
     /// Collect folded flame-graph stacks per shard (costs one string
     /// per distinct stack; off for pure throughput runs).
@@ -185,11 +209,15 @@ pub struct ActionOutcome {
     pub resolved: Option<Exception>,
     /// Protocol messages sent on behalf of this instance's actions.
     pub messages: u64,
-    /// The §4.4 prediction for the instance's rounds, when a law was
-    /// injected and applicable.
+    /// The §4.4 prediction for the instance: [`FleetConfig::law`]
+    /// summed over its committed rounds inside the closed form's domain
+    /// (`P ≥ 1`, `P + Q ≤ N`); `None` without a law or such a round.
+    /// The shard counts `N`, `P` and `Q` from the notes it hears (see
+    /// the module documentation).
     pub law_predicted: Option<u64>,
-    /// Per-instance law verdict: `Some(true)` iff every resolution
-    /// round of this instance matched the prediction.
+    /// Per-instance law verdict: `Some(true)` iff [`Self::messages`]
+    /// equals [`Self::law_predicted`]; `None` when there is no
+    /// prediction.
     pub law_holds: Option<bool>,
     /// Absolute deadline (arrival + budget), if one was attached.
     pub deadline: Option<SimTime>,
@@ -252,7 +280,9 @@ impl FleetReport {
         self.outcomes.iter().filter(|o| o.deadline_missed()).count()
     }
 
-    /// `true` iff the §4.4 law held on every instance it applied to.
+    /// `true` iff the §4.4 law held on every instance it applied to —
+    /// also when it applied to none: check
+    /// [`ActionOutcome::law_holds`] for a verdict that was reached.
     #[must_use]
     pub fn law_all_hold(&self) -> bool {
         self.outcomes.iter().all(|o| o.law_holds != Some(false))
@@ -301,7 +331,7 @@ impl FleetReport {
 /// let config = FleetConfig { law: Some(analysis::messages_general), ..Default::default() };
 /// let report = FleetEngine::new(config).run(instances);
 /// assert_eq!(report.committed_count(), 2);
-/// assert!(report.law_all_hold());
+/// assert!(report.outcomes.iter().all(|o| o.law_holds == Some(true)));
 /// assert_eq!(report.outcomes[0].messages, analysis::messages_general(3, 1, 0));
 /// ```
 #[derive(Debug, Default)]
@@ -334,23 +364,21 @@ impl FleetEngine {
         assert!(self.config.shards >= 1, "need at least one shard");
         assert!(self.config.capacity >= 1, "need at least one slot");
         let shards = self.config.shards;
-        let mut per_shard: Vec<Vec<(usize, ActionInstance)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for (i, inst) in instances.into_iter().enumerate() {
-            per_shard[i % shards].push((i, inst));
-        }
-
         let outputs: Vec<ShardOutput> = if shards == 1 {
-            let batch = per_shard.pop().expect("one shard");
-            vec![run_shard(batch, 0, &self.config, &mut ())]
+            vec![run_shard(instances, 0, 1, &self.config, &mut ())]
         } else {
+            let mut per_shard: Vec<Vec<ActionInstance>> =
+                (0..shards).map(|_| Vec::new()).collect();
+            for (i, inst) in instances.into_iter().enumerate() {
+                per_shard[i % shards].push(inst);
+            }
             std::thread::scope(|scope| {
                 let handles: Vec<_> = per_shard
                     .into_iter()
                     .enumerate()
                     .map(|(s, batch)| {
                         let config = &self.config;
-                        scope.spawn(move || run_shard(batch, s, config, &mut ()))
+                        scope.spawn(move || run_shard(batch, s, shards, config, &mut ()))
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("shard thread")).collect()
@@ -376,8 +404,7 @@ impl FleetEngine {
     ) -> FleetReport {
         assert_eq!(self.config.shards, 1, "run_observed is single-shard");
         assert!(self.config.capacity >= 1, "need at least one slot");
-        let batch = instances.into_iter().enumerate().collect();
-        let output = run_shard(batch, 0, &self.config, obs);
+        let output = run_shard(instances, 0, 1, &self.config, obs);
         merge_outputs(vec![output], self.config.collect_flame)
     }
 }
@@ -438,6 +465,21 @@ fn merge_outputs(outputs: Vec<ShardOutput>, collect_flame: bool) -> FleetReport 
     }
 }
 
+/// One resolution round of an instance's action, as the shard hears
+/// it: opened by a `Raised` note in the action while no round of it is
+/// open, closed by the round's first `ResolutionCommitted` (replicas of
+/// a resolver group commit the same result) — the rounds the
+/// observability bridge numbers.
+struct Round {
+    action: ActionId,
+    /// The distinct exception classes in the committed raised set
+    /// (signalled raises included): `P`. `None` while the round is open.
+    p: Option<u64>,
+    /// The objects that aborted or waited for nested actions to enter
+    /// the round: `Q`.
+    aborters: Vec<NodeId>,
+}
+
 /// Tracking state for one admitted instance.
 #[derive(Default)]
 struct Live {
@@ -447,21 +489,35 @@ struct Live {
     resolver: Option<NodeId>,
     resolved: Option<Exception>,
     handlers_open: u64,
+    /// The instance's resolution rounds, in the order they opened.
+    rounds: Vec<Round>,
 }
+
+impl Live {
+    /// The latest round of `action`, open or not.
+    fn round_of(&mut self, action: ActionId) -> Option<&mut Round> {
+        self.rounds.iter_mut().rev().find(|r| r.action == action)
+    }
+}
+
+/// `Tracker::node_owner` for a node no instance of the batch occupies.
+const NO_OWNER: u32 = u32::MAX;
 
 /// A shard's view of its instances, fed by the host's steps. The
 /// per-node table is dense: the shard's node ids are `< num_nodes`.
 struct Tracker {
-    /// node -> local slot in the batch.
-    node_owner: Vec<Option<usize>>,
-    /// action id -> local slot in the batch.
+    /// node -> local slot in the batch, or [`NO_OWNER`].
+    node_owner: Vec<u32>,
+    /// action id -> local slot in the batch, for the admitted and not
+    /// yet retired instances.
     action_owner: IdMap<ActionId, usize>,
     live: Vec<Option<Live>>,
 }
 
 impl Tracker {
     fn owner_of_node(&self, node: NodeId) -> Option<usize> {
-        self.node_owner[node.index() as usize]
+        let owner = self.node_owner[node.index() as usize];
+        (owner != NO_OWNER).then_some(owner as usize)
     }
 
     fn live_of_action(&mut self, action: ActionId) -> Option<&mut Live> {
@@ -481,18 +537,35 @@ impl Sink for Tracker {
 
     fn note(&mut self, at: SimTime, note: Note) {
         match note {
+            Note::Raised { action, .. } => {
+                if let Some(slot) = self.live_of_action(action) {
+                    if slot.round_of(action).is_none_or(|r| r.p.is_some()) {
+                        slot.rounds.push(Round { action, p: None, aborters: Vec::new() });
+                    }
+                }
+            }
+            Note::AbortedNested { object, outer, .. }
+            | Note::WaitingForNested { object, outer, .. } => {
+                if let Some(round) = self.live_of_action(outer).and_then(|s| s.round_of(outer)) {
+                    if !round.aborters.contains(&object) {
+                        round.aborters.push(object);
+                    }
+                }
+            }
             Note::ResolutionCommitted {
                 action,
                 resolver,
                 resolved,
-                ..
+                raised,
             } => {
-                if let Some(slot) = self.live_of_action(action) {
-                    if slot.committed.is_none() {
-                        slot.committed = Some(at);
-                        slot.resolver = Some(resolver);
-                        slot.resolved = Some(resolved);
-                    }
+                let Some(slot) = self.live_of_action(action) else { return };
+                if let Some(round) = slot.round_of(action).filter(|r| r.p.is_none()) {
+                    round.p = Some(distinct_classes(&raised) as u64);
+                }
+                if slot.committed.is_none() {
+                    slot.committed = Some(at);
+                    slot.resolver = Some(resolver);
+                    slot.resolved = Some(resolved);
                 }
             }
             Note::HandlerStarted { action, .. } => {
@@ -505,21 +578,93 @@ impl Sink for Tracker {
     }
 }
 
+/// The §4.4 verdict on an instance that sent `messages`: the law summed
+/// over its committed rounds inside the closed form's domain (`P ≥ 1`,
+/// `P + Q ≤ N`, `N` the action's participants), and whether the count
+/// equals it. `(None, None)` without a law or such a round.
+fn law_verdict(
+    law: Option<fn(u64, u64, u64) -> u64>,
+    inst: &ActionInstance,
+    rounds: &[Round],
+    messages: u64,
+) -> (Option<u64>, Option<bool>) {
+    let Some(law) = law else { return (None, None) };
+    let mut predicted = None;
+    for round in rounds {
+        let Some(p) = round.p else { continue };
+        let n = inst
+            .script
+            .registry
+            .scope(round.action)
+            .map_or(0, |scope| scope.participants().len() as u64);
+        let q = round.aborters.len() as u64;
+        if p >= 1 && p + q <= n {
+            *predicted.get_or_insert(0) += law(n, p, q);
+        }
+    }
+    (predicted, predicted.map(|want| want == messages))
+}
+
+/// The outcome of `inst`, fleet instance `instance` on `shard`, which
+/// `live` tracked if it was admitted.
+fn outcome(
+    inst: &ActionInstance,
+    instance: usize,
+    shard: usize,
+    live: Option<&Live>,
+    stats: &NetStats,
+    law: Option<fn(u64, u64, u64) -> u64>,
+) -> ActionOutcome {
+    let messages = inst
+        .action_range()
+        .map(|a| stats.action_counters(a).sent)
+        .sum();
+    let (law_predicted, law_holds) =
+        law_verdict(law, inst, live.map_or(&[], |l| &l.rounds), messages);
+    ActionOutcome {
+        instance,
+        shard,
+        key: inst.key,
+        arrival: inst.arrival,
+        admitted: live.map_or(inst.arrival, |l| l.admitted),
+        committed: live.and_then(|l| l.committed),
+        finished: live.and_then(|l| l.finished),
+        resolver: live.and_then(|l| l.resolver),
+        resolved: live.and_then(|l| l.resolved.clone()),
+        messages,
+        law_predicted,
+        law_holds,
+        deadline: inst.deadline.map(|d| inst.arrival + d),
+    }
+}
+
 /// Runs one shard to quiescence: interleave all assigned instances'
 /// deliveries in virtual-time order, admitting instances into
-/// `capacity` slots in arrival order.
+/// `capacity` slots in arrival order. Local slot `l` of the batch is
+/// fleet instance `l * stride + shard`.
+///
+/// An instance is retired once it has finished and the net holds
+/// nothing more for its nodes: its participants leave the host, its
+/// outcome is assembled (its message counters are final) and the
+/// instance is dropped. What never gets there — a deadlock, the
+/// delivery cap, a last event suppressed at a crashed node — is
+/// reported at the end.
 fn run_shard(
-    mut batch: Vec<(usize, ActionInstance)>,
+    batch: Vec<ActionInstance>,
     shard: usize,
+    stride: usize,
     config: &FleetConfig,
     obs: &mut dyn caex_obs::Observer,
 ) -> ShardOutput {
     let num_nodes = batch
         .iter()
-        .flat_map(|(_, inst)| inst.nodes.iter())
+        .flat_map(|inst| inst.nodes.iter())
         .map(|n| n.index() + 1)
         .max()
         .unwrap_or(0);
+    // Same size as the instance itself, so this reuses the batch's buffer.
+    let mut batch: Vec<Option<ActionInstance>> = batch.into_iter().map(Some).collect();
+    let instance = |local: usize| local * stride + shard;
 
     let mut net_config = config.net.clone();
     net_config.seed = net_config
@@ -527,30 +672,24 @@ fn run_shard(
         .wrapping_add(SHARD_SEED_STRIDE.wrapping_mul(shard as u64));
     let mut host = SimHost::bridged(net_config, num_nodes, SHARD_DELIVERY_CAP, Vec::new());
 
-    let mut metrics = match config.law {
-        Some(law) => caex_obs::MetricsRegistry::new().with_law(law),
-        None => caex_obs::MetricsRegistry::new(),
-    };
-    let mut flame = caex_obs::FlameBuilder::new();
-
     let mut tracker = Tracker {
-        node_owner: vec![None; num_nodes as usize],
+        node_owner: vec![NO_OWNER; num_nodes as usize],
         action_owner: IdMap::default(),
         live: (0..batch.len()).map(|_| None).collect(),
     };
-    for (local, (_, inst)) in batch.iter().enumerate() {
+    for (local, inst) in batch.iter().flatten().enumerate() {
         for &n in &inst.nodes {
             // Node ranges must be disjoint: one node serves one instance.
+            let owner = &mut tracker.node_owner[n.index() as usize];
             assert!(
-                tracker.node_owner[n.index() as usize].replace(local).is_none(),
+                *owner == NO_OWNER,
                 "node {n} assigned to two instances in shard {shard}"
             );
-        }
-        for a in inst.action_range() {
-            tracker.action_owner.insert(ActionId::new(a), local);
+            *owner = local as u32;
         }
     }
 
+    let mut outcomes = Vec::with_capacity(batch.len());
     let mut pending: VecDeque<usize> = (0..batch.len()).collect();
     let mut active = 0usize;
 
@@ -562,9 +701,12 @@ fn run_shard(
         () => {
             while active < config.capacity {
                 let Some(local) = pending.pop_front() else { break };
-                let inst = &mut batch[local].1;
+                let inst = batch[local].as_mut().expect("a pending instance is in the batch");
                 let start = inst.arrival.max(host.net.now());
                 host.admit(&mut inst.script, inst.nodes.iter().copied(), start);
+                for a in inst.action_range() {
+                    tracker.action_owner.insert(ActionId::new(a), local);
+                }
                 tracker.live[local] = Some(Live { admitted: start, ..Live::default() });
                 active += 1;
             }
@@ -572,80 +714,69 @@ fn run_shard(
     }
     admit_ready!();
 
-    // One fan-out for the whole shard; it borrows `metrics`, `flame`
-    // and `obs` until the loop ends.
-    let mut tee = caex_obs::Tee::new().with(&mut metrics);
-    if config.collect_flame {
-        tee = tee.with(&mut flame);
-    }
-    let mut tee = tee.with(obs);
-    while let Some((at, object)) = host.step(&mut tee, &mut tracker) {
-        // Completion check for the instance that just made progress:
-        // resolution committed, every handler it started has finished,
-        // and all of its participants are back to normal.
-        let Some(l) = tracker.owner_of_node(object) else { continue };
-        let Some(slot) = tracker.live[l].as_mut() else { continue };
-        if slot.finished.is_none()
-            && slot.committed.is_some()
-            && slot.handlers_open == 0
-            && batch[l].1.nodes.iter().all(|&n| host.is_normal(n))
-        {
-            slot.finished = Some(at);
-            active -= 1;
-            admit_ready!();
+    // One fan-out for the whole shard when flame stacks are collected;
+    // it borrows `flame` and `obs` until the loop ends.
+    let mut flame = config.collect_flame.then(caex_obs::FlameBuilder::new);
+    {
+        let mut tee;
+        let observer: &mut dyn caex_obs::Observer = match &mut flame {
+            Some(flame) => {
+                tee = caex_obs::Tee::new().with(flame).with(&mut *obs);
+                &mut tee
+            }
+            None => &mut *obs,
+        };
+        while let Some((at, object)) = host.step(observer, &mut tracker) {
+            let Some(l) = tracker.owner_of_node(object) else { continue };
+            let (Some(slot), Some(inst)) = (tracker.live[l].as_mut(), batch[l].as_ref()) else {
+                continue;
+            };
+            // Completion check for the instance that just made progress:
+            // resolution committed, every handler it started has
+            // finished, and all of its participants are back to normal.
+            let done = slot.finished.is_none()
+                && slot.committed.is_some()
+                && slot.handlers_open == 0
+                && inst.nodes.iter().all(|&n| host.is_normal(n));
+            if done {
+                slot.finished = Some(at);
+                active -= 1;
+            }
+            if slot.finished.is_some() && host.retire(&inst.nodes) {
+                let live = tracker.live[l].take();
+                for a in inst.action_range() {
+                    tracker.action_owner.remove(&ActionId::new(a));
+                }
+                outcomes.push(outcome(
+                    inst,
+                    instance(l),
+                    shard,
+                    live.as_ref(),
+                    host.net.stats(),
+                    config.law,
+                ));
+                batch[l] = None;
+            }
+            if done {
+                admit_ready!();
+            }
         }
     }
-    drop(tee);
     obs.on_run_end(host.net.now());
 
-    // Per-instance law verdicts from the metrics registry's rounds.
-    let mut law_predicted: Vec<Option<u64>> = vec![None; batch.len()];
-    let mut law_holds: Vec<Option<bool>> = vec![None; batch.len()];
-    for r in metrics.resolutions() {
-        if let Some(&l) = tracker.action_owner.get(&r.action) {
-            if let Some(pred) = r.predicted {
-                *law_predicted[l].get_or_insert(0) += pred;
-            }
-            if let Some(holds) = r.law_holds {
-                let verdict = law_holds[l].get_or_insert(true);
-                *verdict = *verdict && holds;
-            }
+    for (l, inst) in batch.iter().enumerate() {
+        if let Some(inst) = inst {
+            let live = tracker.live[l].as_ref();
+            outcomes.push(outcome(inst, instance(l), shard, live, host.net.stats(), config.law));
         }
     }
-
-    let outcomes = batch
-        .iter()
-        .enumerate()
-        .map(|(l, (global, inst))| {
-            let slot = tracker.live[l].as_ref();
-            let messages = inst
-                .action_range()
-                .map(|a| host.net.stats().action_counters(a).sent)
-                .sum();
-            ActionOutcome {
-                instance: *global,
-                shard,
-                key: inst.key,
-                arrival: inst.arrival,
-                admitted: slot.map_or(inst.arrival, |s| s.admitted),
-                committed: slot.and_then(|s| s.committed),
-                finished: slot.and_then(|s| s.finished),
-                resolver: slot.and_then(|s| s.resolver),
-                resolved: slot.and_then(|s| s.resolved.clone()),
-                messages,
-                law_predicted: law_predicted[l],
-                law_holds: law_holds[l],
-                deadline: inst.deadline.map(|d| inst.arrival + d),
-            }
-        })
-        .collect();
 
     ShardOutput {
         outcomes,
         finished_at: host.net.now(),
         deadlocked: host.deadlocked(),
         hit_delivery_limit: host.hit_delivery_limit,
-        folded: config.collect_flame.then(|| flame.folded()),
+        folded: flame.map(|flame| flame.folded()),
         stats: host.net.into_stats(),
     }
 }

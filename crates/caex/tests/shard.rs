@@ -9,7 +9,7 @@
 use caex::shard::{ActionInstance, FleetConfig, FleetEngine};
 use caex::{analysis, workloads, NestedStrategy, Note, Scenario};
 use caex_action::{ActionRegistry, ActionScope};
-use caex_net::{NetConfig, NodeId, SimTime};
+use caex_net::{LatencyModel, NetConfig, NodeId, SimTime};
 use caex_obs::{ObsEvent, Observer};
 use caex_tree::{chain_tree, Exception, ExceptionId};
 use proptest::prelude::*;
@@ -167,12 +167,7 @@ fn exit_line_acceptance_tests_are_refused_not_dropped() {
 /// through the default one-shard, capacity-8 engine with a metrics
 /// registry attached.
 fn fleet64() -> (caex::shard::FleetReport, caex_obs::MetricsRegistry) {
-    let instances = (0..64u32)
-        .map(|i| {
-            let w = workloads::general_at(4, 2, 1, i * 4, i * 2, NetConfig::default());
-            ActionInstance::from_scenario(w.scenario, SimTime::from_micros(u64::from(i) * 10))
-        })
-        .collect();
+    let instances = general_fleet(4, 2, 1, 64, 10);
     let config = FleetConfig {
         law: Some(analysis::messages_general),
         ..Default::default()
@@ -211,17 +206,153 @@ fn fleet_of_64_is_deterministic_and_prints_as_pinned() {
     assert_eq!(text, include_str!("fixtures/fleet64.txt"));
 }
 
+/// The fleet's own verdict, from the counts the shard keeps: every
+/// instance of the constant-latency fleet is one `(4, 2, 1)` round of
+/// 24 messages, and says so.
+#[test]
+fn every_outcome_of_fleet64_carries_the_law_verdict() {
+    let (report, _) = fleet64();
+    for o in &report.outcomes {
+        assert_eq!(o.law_predicted, Some(24), "instance {}", o.instance);
+        assert_eq!(o.law_holds, Some(true), "instance {}", o.instance);
+    }
+}
+
+/// `count` instances of `general_at(n, p, q)` relocated onto disjoint
+/// node and action ranges, arriving `gap_us` apart.
+fn general_fleet(n: u32, p: u32, q: u32, count: u32, gap_us: u64) -> Vec<ActionInstance> {
+    (0..count)
+        .map(|i| {
+            let w = workloads::general_at(n, p, q, i * n, i * (q + 1), NetConfig::default());
+            ActionInstance::from_scenario(w.scenario, SimTime::from_micros(u64::from(i) * gap_us))
+        })
+        .collect()
+}
+
+/// The jittered fleet: 200 `(6, 3, 2)` instances 100 µs apart under a
+/// `Uniform {10 µs, 400 µs}` latency, seed 7.
+fn jittered_fleet() -> (Vec<ActionInstance>, FleetConfig) {
+    let latency = LatencyModel::Uniform {
+        min: SimTime::from_micros(10),
+        max: SimTime::from_micros(400),
+    };
+    let config = FleetConfig {
+        net: NetConfig::default().with_latency(latency).with_seed(7),
+        law: Some(analysis::messages_general),
+        ..Default::default()
+    };
+    (general_fleet(6, 3, 2, 200, 100), config)
+}
+
+/// The fleet's verdicts against the reference: a `MetricsRegistry`
+/// with the law attached, on the same run's stream, its finalized
+/// rounds folded per instance (predictions summed, verdicts
+/// conjoined) by each instance's action range.
+#[test]
+fn fleet_verdicts_equal_the_metrics_registrys() {
+    let with_law = FleetConfig {
+        law: Some(analysis::messages_general),
+        ..Default::default()
+    };
+    let one = |s: Scenario| vec![ActionInstance::from_scenario(s, SimTime::ZERO)];
+    let example1 = one(workloads::example1(NetConfig::default()).0.scenario);
+    let example2 = one(workloads::example2(NetConfig::default()).0.scenario);
+    // (name, instances, config, actions per instance)
+    let fleets: Vec<(&str, Vec<ActionInstance>, FleetConfig, u32)> = vec![
+        ("example1", example1, with_law.clone(), u32::MAX),
+        ("example2", example2, with_law.clone(), u32::MAX),
+        ("(4,2,1)x64", general_fleet(4, 2, 1, 64, 10), with_law.clone(), 2),
+        ("(16,8,4)x20", general_fleet(16, 8, 4, 20, 50), with_law, 5),
+        {
+            let (instances, config) = jittered_fleet();
+            ("jittered (6,3,2)x200", instances, config, 3)
+        },
+    ];
+    for (name, instances, config, actions_per_instance) in fleets {
+        let count = instances.len();
+        let mut metrics = caex_obs::MetricsRegistry::new().with_law(analysis::messages_general);
+        let report = FleetEngine::new(config).run_observed(instances, &mut metrics);
+        let mut expected: Vec<(Option<u64>, Option<bool>)> = vec![(None, None); count];
+        for r in metrics.resolutions() {
+            let instance = (r.action.index() / actions_per_instance) as usize;
+            let (predicted, holds) = &mut expected[instance];
+            if let Some(p) = r.predicted {
+                *predicted.get_or_insert(0) += p;
+            }
+            if let Some(h) = r.law_holds {
+                *holds = Some(holds.unwrap_or(true) && h);
+            }
+        }
+        let got: Vec<_> = report.outcomes.iter().map(|o| (o.law_predicted, o.law_holds)).collect();
+        assert_eq!(got, expected, "{name}");
+        // Example 2's round lies outside the closed form's domain.
+        let applies = name != "example2";
+        assert!(got.iter().all(|v| v.1.is_some() == applies), "{name}: {got:?}");
+        if name.starts_with("jittered") {
+            assert!(got.iter().any(|v| v.1 == Some(false)), "{name}: a straggler-ACK elision");
+        } else {
+            assert!(report.law_all_hold(), "{name}");
+        }
+    }
+}
+
+/// FNV-1a over the bytes of `text`, continuing from `hash`.
+fn fnv1a(hash: u64, text: &str) -> u64 {
+    text.bytes()
+        .fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The jittered fleet's run, pinned: the digest of its obs stream, its
+/// outcomes (the law fields aside) and its `NetStats`. Some instance
+/// still receives a delivery after it finished, so an instance is
+/// retired only once the net holds nothing more for it.
+#[test]
+fn the_jittered_fleet_runs_as_pinned() {
+    let (instances, config) = jittered_fleet();
+    let mut recorder = Recorder::default();
+    let report = FleetEngine::new(config).run_observed(instances, &mut recorder);
+    let digest = recorder
+        .events
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, e| fnv1a(h, &format!("{e:?}\n")));
+    let mut text = format!("events {} digest {digest:016x}\n", recorder.events.len());
+    for o in &report.outcomes {
+        text.push_str(&format!(
+            "{} s{} {} arr {} adm {} com {:?} fin {:?} res {:?} {:?} msgs {} dl {:?}\n",
+            o.instance,
+            o.shard,
+            o.key,
+            o.arrival,
+            o.admitted,
+            o.committed,
+            o.finished,
+            o.resolver,
+            o.resolved.as_ref().map(caex_tree::Exception::id),
+            o.messages,
+            o.deadline
+        ));
+    }
+    text.push_str(&format!("{}", report.stats));
+    assert_eq!(text, include_str!("fixtures/jittered_fleet.txt"));
+
+    let late = report.outcomes.iter().any(|o| {
+        let finished = o.finished.expect("every instance finishes");
+        let nodes = (o.instance as u32 * 6)..(o.instance as u32 * 6 + 6);
+        recorder.events.iter().any(|e| {
+            e.at > finished
+                && nodes.contains(&e.object.index())
+                && matches!(e.kind, caex_obs::ObsKind::MessageReceived { .. })
+        })
+    });
+    assert!(late, "some instance receives a delivery after it finished");
+}
+
 /// One shard hands its `NetStats` over as it is and further shards
 /// fold into it: the merged counters do not depend on the shard count.
 #[test]
 fn merged_stats_do_not_depend_on_the_shard_count() {
     let run = |shards| {
-        let instances = (0..64u32)
-            .map(|i| {
-                let w = workloads::general_at(4, 2, 1, i * 4, i * 2, NetConfig::default());
-                ActionInstance::from_scenario(w.scenario, SimTime::from_micros(u64::from(i) * 10))
-            })
-            .collect();
+        let instances = general_fleet(4, 2, 1, 64, 10);
         let config = FleetConfig {
             shards,
             ..Default::default()

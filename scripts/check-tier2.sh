@@ -9,8 +9,10 @@
 #    only through `handle`/`handle_into`, the §4.2 effect dispatch
 #    exists once (`caex::route`; the producer `participant.rs`,
 #    `effect.rs` and `ObsBridge`'s read-only walk in `obs.rs` are
-#    exempt), `Machine::step` sees an `Outbox`, never a `SimNet`, and
-#    `NetStats` keeps no map keyed by a channel `(NodeId, NodeId)`;
+#    exempt), `Machine::step` sees an `Outbox`, never a `SimNet`,
+#    `NetStats` keeps no map keyed by a channel `(NodeId, NodeId)`, and
+#    the fleet shard takes its §4.4 verdict from its own counts, not
+#    from a private `MetricsRegistry`;
 # 2. the observability battery runs the invariant watchdog and the live
 #    §4.4 message-law checks over every built-in workload on the real
 #    engines, and the three examples that render the obs stream as text
@@ -48,8 +50,9 @@
 #    and the thread engine), the two-front-ends-one-host equivalence
 #    suite (`shard`: K=1 fleet == `Scenario::run`, obs stream included)
 #    with the algorithm and property suites that exercise the host's
-#    step and the allocation budget of a fleet action
-#    (`alloc_budget`), the baselines on the same host (`baseline_streams`:
+#    step, the allocation budget of a fleet action (`alloc_budget`)
+#    and the heap budget of a fleet instance (`heap_budget`: a shard
+#    holds the instances it runs, not its batch), the baselines on the same host (`baseline_streams`:
 #    their pinned streams; `stream_vs_stats`: every stream against the
 #    net counters, faults included; `causal`: the critical paths), the
 #    port hosts' side of "one script, admitted
@@ -58,7 +61,7 @@
 #    Example 2; `fixtures`: the script lints), `caex-net`'s unit and
 #    property tests in the benchmark's build profile (the event queue's
 #    total order, per-channel FIFO with and without the clamp, checked
-#    `SimTime` subtraction), then two real
+#    `SimTime` arithmetic), then two real
 #    multi-process runs — the elected resolver killed at its commit
 #    point, and a SIGSTOP zombie resumed after re-election whose stale
 #    commits must be fenced;
@@ -70,7 +73,8 @@
 #    deserter was ever reported (the run is assessed as a clean run);
 # 11. saturation smoke: the open-loop load generator drives ~200
 #    Poisson-arriving actions through all three engines (the sharded
-#    sim fleet, central, cr), asserting the per-action §4.4 law and
+#    sim fleet, central, cr), asserting the per-action §4.4 law (the
+#    sim run must print `law=true`: a missing verdict fails) and
 #    full completion under multiplexing, zero deadline misses at low
 #    load, and the checked-in BENCH_PR10.json against a live
 #    regeneration of the saturation study;
@@ -109,6 +113,10 @@ if grep -A8 "fn step<S: Sink" crates/caex/src/*.rs | grep "SimNet"; then
 fi
 if grep -n "(NodeId, NodeId)" crates/caex-net/src/stats.rs; then
     echo "NetStats keys a map by channel again: the load accounting needs only the destination"
+    exit 1
+fi
+if grep -n "MetricsRegistry" crates/caex/src/shard.rs; then
+    echo "the fleet shard feeds a MetricsRegistry again: its verdict comes from its own counts"
     exit 1
 fi
 
@@ -170,7 +178,7 @@ test -s "$TRACE_DIR/ex2-wire.folded" || { echo "empty folded output"; exit 1; }
 echo "== tier-2 [9/12]: resolver failover + host equivalence — crash grids, shard, commit-point kill, zombie =="
 cargo test -q --release -p caex --test failover
 cargo test -q --release -p caex --test shard --test algorithm --test proptests --test alloc_budget \
-    --test extensions
+    --test heap_budget --test extensions
 cargo test -q --release --test baseline_streams --test stream_vs_stats --test causal
 cargo test -q --release -p caex-wire --test cross_host
 cargo test -q --release -p caex-net --lib --test proptests
@@ -186,9 +194,13 @@ cargo run -q --release -p caex-wire --bin caex-wire -- --role coordinator \
     --scenario example1 --partition 3 --partition-ms 1000
 
 echo "== tier-2 [11/12]: saturation smoke — open-loop load, three engines, pin =="
-cargo run -q --release -p caex-load --bin caex-load -- run \
+LOAD_LINE=$(cargo run -q --release -p caex-load --bin caex-load -- run \
     --arrivals poisson:800 --actions 200 --engine sim --workers 2 --capacity 4 \
-    --deadline-ms 20 --seed 10 --assert-law --assert-no-misses
+    --deadline-ms 20 --seed 10 --assert-law --assert-no-misses)
+echo "$LOAD_LINE"
+if ! echo "$LOAD_LINE" | grep -q " law=true "; then
+    echo "the sim fleet's §4.4 verdict must read law=true"; exit 1
+fi
 cargo run -q --release -p caex-load --bin caex-load -- run \
     --arrivals poisson:800 --actions 200 --engine central --workers 2 --capacity 4 \
     --deadline-ms 20 --seed 10 --assert-no-misses
