@@ -48,7 +48,8 @@ impl fmt::Display for ActionId {
 /// raised within a CA action are declared together with the action
 /// declaration", each participant "knows all other participating objects
 /// of the same action and has the same resolution tree (which is
-/// statically declared)".
+/// statically declared)". A scope is fixed once declared, so its name
+/// and its sets are boxed slices with no spare capacity.
 ///
 /// # Examples
 ///
@@ -68,11 +69,11 @@ impl fmt::Display for ActionId {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ActionScope {
-    name: String,
-    participants: Vec<NodeId>,
+    name: Box<str>,
+    participants: Box<[NodeId]>,
     tree: Arc<ExceptionTree>,
     parent: Option<ActionId>,
-    declared: Option<Vec<ExceptionId>>,
+    declared: Option<Box<[ExceptionId]>>,
 }
 
 impl ActionScope {
@@ -89,8 +90,8 @@ impl ActionScope {
         participants.sort_unstable();
         participants.dedup();
         ActionScope {
-            name: name.into(),
-            participants,
+            name: name.into().into_boxed_str(),
+            participants: participants.into_boxed_slice(),
             tree,
             parent: None,
             declared: None,
@@ -157,7 +158,7 @@ impl ActionScope {
         let mut declared: Vec<ExceptionId> = raisables.into_iter().collect();
         declared.sort_unstable();
         declared.dedup();
-        self.declared = Some(declared);
+        self.declared = Some(declared.into_boxed_slice());
         self
     }
 

@@ -135,6 +135,9 @@ impl ActionRegistry {
                 }
             }
         }
+        // A registry is declared once and then read for the rest of
+        // the run: grow the table by exactly one slot, never more.
+        self.actions.reserve_exact(1);
         self.actions.push(scope);
         Ok(id)
     }

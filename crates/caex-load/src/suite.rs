@@ -37,7 +37,7 @@
 
 use crate::arrivals::ArrivalSpec;
 use crate::hist::LogHistogram;
-use caex::shard::{ActionInstance, FleetConfig, FleetEngine, FleetReport};
+use caex::shard::{ActionInstance, FleetConfig, FleetEngine};
 use caex::{analysis, central, cr, workloads};
 use caex_net::{NetConfig, NodeId, SimTime};
 use caex_obs::JsonValue;
@@ -207,13 +207,6 @@ impl LoadOutcome {
     }
 }
 
-/// The fleet's §4.4 verdict: `None` unless at least one instance
-/// carries one, so an empty set of verdicts never reads as a pass.
-fn law_verdict(report: &FleetReport) -> Option<bool> {
-    let any = report.outcomes.iter().any(|o| o.law_holds.is_some());
-    any.then(|| report.law_all_hold())
-}
-
 /// Runs one load cell against the configured engine.
 ///
 /// # Panics
@@ -282,7 +275,7 @@ fn run_fleet(config: &LoadConfig, arrivals: &[SimTime]) -> LoadOutcome {
         completed: report.committed_count(),
         achieved_per_sec: report.throughput_per_sec(),
         deadline_misses: report.deadline_misses(),
-        law_holds: law_verdict(&report),
+        law_holds: report.law_all_hold(),
         messages_per_action: report.outcomes.iter().map(|o| o.messages).max().unwrap_or(0),
         makespan_us: report.makespan().as_micros(),
         deadlocked: report.deadlocked.len(),
@@ -711,8 +704,9 @@ pub fn render_saturation_table(doc: &JsonValue) -> String {
 mod tests {
     use super::*;
 
-    /// A fleet run without the law carries no verdict, and the fold
-    /// reports none instead of a pass.
+    /// A fleet run without the law carries no verdict, and the fleet's
+    /// verdict is `None` instead of a pass; with the law it is
+    /// `Some(true)`, and so is the load cell's.
     #[test]
     fn a_fleet_without_verdicts_has_no_law_verdict() {
         let run = |law| {
@@ -727,8 +721,7 @@ mod tests {
         };
         let without = run(None);
         assert!(without.outcomes.iter().all(|o| o.law_holds.is_none()));
-        assert!(without.law_all_hold(), "an empty set passes the fold ...");
-        assert_eq!(law_verdict(&without), None, "... but not the verdict");
-        assert_eq!(law_verdict(&run(Some(analysis::messages_general))), Some(true));
+        assert_eq!(without.law_all_hold(), None, "an empty set of verdicts is no pass");
+        assert_eq!(run(Some(analysis::messages_general)).law_all_hold(), Some(true));
     }
 }

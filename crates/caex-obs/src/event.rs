@@ -246,13 +246,25 @@ pub trait Observer {
     fn on_run_end(&mut self, at: SimTime) {
         let _ = at;
     }
+
+    /// Whether this observer looks at events at all. Fixed for a run:
+    /// an engine may ask once, or before every step, and skip building
+    /// events when it reads `false`. The default is `true`.
+    fn observes(&self) -> bool {
+        true
+    }
 }
 
 /// The null observer: every event is dropped. `run()` delegates to
-/// `run_observed(…, &mut ())` so un-instrumented runs pay only a
-/// virtual call per event.
+/// `run_observed(…, &mut ())`, and since `()` does not observe, the
+/// engines' observed step applies each event to its participant and
+/// builds no snapshot, no [`ObsEvent`] and no round bookkeeping.
 impl Observer for () {
     fn on_event(&mut self, _event: &ObsEvent) {}
+
+    fn observes(&self) -> bool {
+        false
+    }
 }
 
 /// An observer that records every event for later export or assertion.
@@ -329,6 +341,10 @@ impl Observer for Tee<'_> {
             obs.on_run_end(at);
         }
     }
+
+    fn observes(&self) -> bool {
+        self.observers.iter().any(|obs| obs.observes())
+    }
 }
 
 #[cfg(test)]
@@ -373,5 +389,15 @@ mod tests {
         assert_eq!(b.events.len(), 2);
         assert_eq!(a.finished_at, Some(SimTime::from_micros(9)));
         assert_eq!(a.events[0].kind.label(), "action_enter");
+    }
+
+    #[test]
+    fn only_the_null_observer_and_a_tee_of_them_do_not_observe() {
+        let (mut quiet, mut also_quiet, mut rec) = ((), (), Recorder::new());
+        assert!(!quiet.observes());
+        assert!(rec.observes());
+        assert!(!Tee::new().observes());
+        assert!(!Tee::new().with(&mut quiet).with(&mut also_quiet).observes());
+        assert!(Tee::new().with(&mut quiet).with(&mut rec).observes());
     }
 }

@@ -1,7 +1,10 @@
 //! Property-based tests for the exception-tree invariants the resolution
 //! algorithm relies on.
 
-use caex_tree::{balanced_tree, chain_tree, ExceptionId, ExceptionTree, ReducedTree, TreeBuilder};
+use caex_tree::{
+    balanced_tree, chain_tree, ExceptionId, ExceptionTree, ReducedTree, TreeBuilder, TreeEdit,
+    TreeError,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random tree built by attaching each new node to a random
@@ -195,4 +198,164 @@ fn balanced_resolution_of_all_leaves_is_root() {
     let tree = balanced_tree(2, 3);
     let resolved = tree.resolve(tree.leaves()).unwrap();
     assert_eq!(resolved, tree.root());
+}
+
+/// The naive tree the flat table must agree with: a parent array and a
+/// name per class, every query answered by a scan.
+struct Naive {
+    parent: Vec<u32>,
+    names: Vec<String>,
+}
+
+impl Naive {
+    fn children(&self, id: u32) -> Vec<u32> {
+        (1..self.parent.len() as u32).filter(|&c| self.parent[c as usize] == id).collect()
+    }
+
+    fn path(&self, mut id: u32) -> Vec<u32> {
+        let mut path = vec![id];
+        while id != 0 {
+            id = self.parent[id as usize];
+            path.push(id);
+        }
+        path
+    }
+
+    fn depth(&self, id: u32) -> u32 {
+        self.path(id).len() as u32 - 1
+    }
+
+    fn lca(&self, a: u32, b: u32) -> u32 {
+        let above_b = self.path(b);
+        *self.path(a).iter().find(|x| above_b.contains(x)).unwrap()
+    }
+
+    fn subtree(&self, id: u32, out: &mut Vec<u32>) {
+        out.push(id);
+        for c in self.children(id) {
+            self.subtree(c, out);
+        }
+    }
+
+    fn display(&self, id: u32, indent: usize, out: &mut String) {
+        out.push_str(&format!("{:indent$}e{id} {}\n", "", self.names[id as usize]));
+        for c in self.children(id) {
+            self.display(c, indent + 2, out);
+        }
+    }
+
+    fn dot(&self) -> String {
+        let mut out = String::from("digraph exception_tree {\n  rankdir=TB;\n");
+        for (i, name) in self.names.iter().enumerate() {
+            out.push_str(&format!("  n{i} [label=\"{name}\"];\n"));
+        }
+        for (i, p) in self.parent.iter().enumerate().skip(1) {
+            out.push_str(&format!("  n{p} -> n{i};\n"));
+        }
+        out.push_str("}\n");
+        out
+    }
+
+    /// Every answer of `tree` against the scans, `probes` as extra
+    /// names to look up (hits and misses).
+    fn assert_matches(&self, tree: &ExceptionTree, probes: &[String]) {
+        let n = self.parent.len() as u32;
+        assert_eq!(tree.len(), n as usize);
+        let id = ExceptionId::new;
+        for i in 0..n {
+            let want_parent = (i != 0).then(|| id(self.parent[i as usize]));
+            assert_eq!(tree.parent(id(i)).unwrap(), want_parent, "parent of e{i}");
+            let kids: Vec<u32> = tree.children(id(i)).unwrap().map(ExceptionId::index).collect();
+            assert_eq!(kids, self.children(i), "children of e{i}");
+            assert_eq!(tree.depth(id(i)).unwrap(), self.depth(i), "depth of e{i}");
+            let path: Vec<u32> = tree.path_to_root(id(i)).unwrap().iter().map(|e| e.index()).collect();
+            assert_eq!(path, self.path(i));
+            let mut sub = Vec::new();
+            self.subtree(i, &mut sub);
+            let got: Vec<u32> = tree.subtree(id(i)).unwrap().iter().map(|e| e.index()).collect();
+            assert_eq!(got, sub, "subtree of e{i}");
+            assert_eq!(tree.name(id(i)).unwrap(), self.names[i as usize]);
+            assert_eq!(tree.id_of(&self.names[i as usize]).unwrap(), id(i));
+            for j in 0..n {
+                assert_eq!(tree.lca(id(i), id(j)).unwrap(), id(self.lca(i, j)));
+                assert_eq!(
+                    tree.is_ancestor(id(i), id(j)).unwrap(),
+                    self.path(j).contains(&i),
+                    "e{i} above e{j}"
+                );
+            }
+        }
+        assert!(tree.parent(id(n)).is_err() && tree.name(id(n)).is_err());
+        let leaves: Vec<u32> = (0..n).filter(|&i| self.children(i).is_empty()).collect();
+        assert_eq!(tree.leaves().iter().map(|e| e.index()).collect::<Vec<_>>(), leaves);
+        assert_eq!(tree.height(), (0..n).map(|i| self.depth(i)).max().unwrap());
+        for probe in probes {
+            match self.names.iter().position(|name| name == probe) {
+                Some(at) => assert_eq!(tree.id_of(probe).unwrap(), id(at as u32)),
+                None => assert_eq!(tree.id_of(probe), Err(TreeError::UnknownName(probe.clone()))),
+            }
+        }
+        let mut shown = String::new();
+        self.display(0, 0, &mut shown);
+        assert_eq!(tree.to_string(), shown);
+        assert_eq!(tree.to_dot(), self.dot());
+    }
+}
+
+proptest! {
+    /// The flat table answers every query as a naive parent array with
+    /// a name per class does, for random parent arrays and random
+    /// (possibly clashing, possibly empty) names, before and after an
+    /// insert-parent edit; duplicates are refused on both sides.
+    #[test]
+    fn flat_tree_matches_a_naive_reference(
+        nodes in prop::collection::vec((0usize..=usize::MAX, ".{0,3}"), 0..24),
+        probes in prop::collection::vec(".{0,3}", 0..6),
+        (insert, pick) in (".{0,3}", 0u64..=u64::MAX),
+    ) {
+        let mut reference = Naive { parent: vec![0], names: vec![String::new()] };
+        let mut b = TreeBuilder::new("");
+        for (choice, name) in nodes {
+            let parent = (choice % reference.parent.len()) as u32;
+            match b.child(name.clone(), ExceptionId::new(parent)) {
+                Ok(got) => {
+                    prop_assert_eq!(got.index() as usize, reference.parent.len());
+                    reference.parent.push(parent);
+                    reference.names.push(name);
+                }
+                Err(e) => {
+                    prop_assert_eq!(e, TreeError::DuplicateName(name.clone()));
+                    prop_assert!(reference.names.contains(&name));
+                }
+            }
+        }
+        let tree = b.build().unwrap();
+        reference.assert_matches(&tree, &probes);
+
+        // Group a random subset of the root's children under `insert`.
+        let roots = reference.children(0);
+        let grouped: Vec<ExceptionId> = roots
+            .iter()
+            .enumerate()
+            .filter(|(k, _)| pick >> (k % 64) & 1 == 1)
+            .map(|(_, &c)| ExceptionId::new(c))
+            .collect();
+        let edit = TreeEdit { name: insert.clone(), grouped: grouped.clone() };
+        match edit.apply(&tree) {
+            Ok(edited) => {
+                prop_assert!(!reference.names.contains(&insert));
+                let new = reference.parent.len() as u32;
+                reference.parent.push(0);
+                for c in &grouped {
+                    reference.parent[c.index() as usize] = new;
+                }
+                reference.names.push(insert);
+                reference.assert_matches(&edited, &probes);
+            }
+            Err(e) => {
+                prop_assert_eq!(e, TreeError::DuplicateName(insert.clone()));
+                prop_assert!(reference.names.contains(&insert));
+            }
+        }
+    }
 }

@@ -91,7 +91,9 @@ impl ActionInstance {
     /// cannot honour them.
     #[must_use]
     pub fn from_scenario(scenario: Scenario, arrival: SimTime) -> Self {
-        let script = scenario.script_for("an ActionInstance");
+        let mut script = scenario.script_for("an ActionInstance");
+        // A queued instance holds its script until admission: no slack.
+        script.steps.shrink_to_fit();
         let registry = &script.registry;
         let top = registry.top_level();
         assert_eq!(
@@ -280,12 +282,16 @@ impl FleetReport {
         self.outcomes.iter().filter(|o| o.deadline_missed()).count()
     }
 
-    /// `true` iff the §4.4 law held on every instance it applied to —
-    /// also when it applied to none: check
-    /// [`ActionOutcome::law_holds`] for a verdict that was reached.
+    /// The fleet's §4.4 verdict: `Some(true)` iff the law held on
+    /// every instance that carries a verdict, and `None` when none does
+    /// (no law configured, or no round the law covers), so an empty set
+    /// of verdicts never reads as a pass.
     #[must_use]
-    pub fn law_all_hold(&self) -> bool {
-        self.outcomes.iter().all(|o| o.law_holds != Some(false))
+    pub fn law_all_hold(&self) -> Option<bool> {
+        self.outcomes
+            .iter()
+            .filter_map(|o| o.law_holds)
+            .reduce(|all, holds| all && holds)
     }
 
     /// Arrival-to-commit latencies of all committed instances, µs.

@@ -53,8 +53,11 @@ const ACTIONS: u32 = 64;
 
 /// Heap allocations (`alloc` + `realloc`) one `general_at(4, 2, 1)`
 /// action may cost inside `FleetEngine::run`, shard set-up and the
-/// report included. The run measures 30 at this commit (1,979 over the
-/// 64 actions): 35 (2,272) while each shard fed a private
+/// report included. The run measures 28 at this commit (1,844 over the
+/// 64 actions): 30 (1,979) while the bridge built its snapshots,
+/// events and round entries for an un-instrumented run and each
+/// resolution kept `LO` and its outstanding ACKs in B-trees (E43), 35
+/// (2,272) while each shard fed a private
 /// `MetricsRegistry` and kept every instance to the end of its batch
 /// (E41), 40 before each `Participant` kept its per-action state in one
 /// record map instead of a first insert into several per-action maps,
@@ -66,7 +69,7 @@ const ACTIONS: u32 = 64;
 /// highest node id, and under a constant latency the net keeps no
 /// per-channel table at all (E38: 2,272 allocations over the 64
 /// actions, 2,283 with the two hashed channel tables they replaced).
-const BUDGET_PER_ACTION: u64 = 30;
+const BUDGET_PER_ACTION: u64 = 28;
 
 #[test]
 fn a_fleet_action_stays_within_its_allocation_budget() {
@@ -88,7 +91,7 @@ fn a_fleet_action_stays_within_its_allocation_budget() {
     let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert_eq!(report.committed_count(), ACTIONS as usize);
-    assert!(report.law_all_hold());
+    assert_eq!(report.law_all_hold(), Some(true));
     assert_eq!(report.stats.sent_total(), u64::from(ACTIONS) * 24);
     let per_action = spent / u64::from(ACTIONS);
     assert!(

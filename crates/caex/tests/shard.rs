@@ -86,7 +86,7 @@ fn example1_through_the_fleet_matches_the_scenario_engine() {
         both_ways(|| workloads::example1(NetConfig::default()).0.scenario);
     assert_golden_equivalence(&de, &fe, &fleet, &direct);
     assert_eq!(fleet.outcomes[0].resolver, Some(NodeId::new(2)));
-    assert!(fleet.law_all_hold());
+    assert_eq!(fleet.law_all_hold(), Some(true));
 }
 
 #[test]
@@ -195,7 +195,7 @@ fn fleet_of_64_is_deterministic_and_prints_as_pinned() {
     // Only the top-level actions (even ids) carry protocol messages.
     assert_eq!(seen, (0..64).map(|i| i * 2).collect::<Vec<u32>>());
     assert_eq!(first.committed_count(), 64);
-    assert!(first.law_all_hold());
+    assert_eq!(first.law_all_hold(), Some(true));
 
     let text = format!(
         "== stats ==\n{}== prometheus ==\n{}== snapshot ==\n{}\n",
@@ -291,8 +291,43 @@ fn fleet_verdicts_equal_the_metrics_registrys() {
         if name.starts_with("jittered") {
             assert!(got.iter().any(|v| v.1 == Some(false)), "{name}: a straggler-ACK elision");
         } else {
-            assert!(report.law_all_hold(), "{name}");
+            assert_eq!(report.law_all_hold(), applies.then_some(true), "{name}");
         }
+    }
+}
+
+/// An un-instrumented run (`()`, which does not observe, so the
+/// bridge only applies each event) reports exactly what a recorded run
+/// reports, on the scenario engine and on the fleet, the jittered fleet
+/// included.
+#[test]
+fn unobserved_runs_report_what_observed_runs_report() {
+    let scenarios: Vec<fn() -> Scenario> = vec![
+        || workloads::example1(NetConfig::default()).0.scenario,
+        || workloads::example2(NetConfig::default()).0.scenario,
+        || workloads::general(6, 3, 2, NetConfig::default()).scenario,
+    ];
+    for build in scenarios {
+        let mut recorder = Recorder::default();
+        let observed = build().run_observed(&mut recorder);
+        assert!(!recorder.events.is_empty());
+        assert_eq!(format!("{:?}", build().run()), format!("{observed:?}"));
+    }
+    let fleets: Vec<fn() -> (Vec<ActionInstance>, FleetConfig)> = vec![
+        || {
+            let config = FleetConfig { law: Some(analysis::messages_general), ..Default::default() };
+            (general_fleet(4, 2, 1, 64, 10), config)
+        },
+        jittered_fleet,
+    ];
+    for build in fleets {
+        let (instances, config) = build();
+        let engine = FleetEngine::new(config);
+        let mut recorder = Recorder::default();
+        let observed = engine.run_observed(instances, &mut recorder);
+        assert!(!recorder.events.is_empty());
+        let plain = engine.run(build().0);
+        assert_eq!(format!("{plain:?}"), format!("{observed:?}"));
     }
 }
 
@@ -432,7 +467,7 @@ proptest! {
             outcome.messages,
             analysis::messages_general(u64::from(n), u64::from(p), u64::from(q))
         );
-        prop_assert!(fleet.law_all_hold(), "§4.4 law after relocation");
+        prop_assert_eq!(fleet.law_all_hold(), Some(true), "§4.4 law after relocation");
         // Resolution pick: same resolver modulo the node relocation,
         // same exception, same commit time.
         let r = direct

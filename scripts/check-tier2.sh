@@ -10,9 +10,11 @@
 #    exists once (`caex::route`; the producer `participant.rs`,
 #    `effect.rs` and `ObsBridge`'s read-only walk in `obs.rs` are
 #    exempt), `Machine::step` sees an `Outbox`, never a `SimNet`,
-#    `NetStats` keeps no map keyed by a channel `(NodeId, NodeId)`, and
+#    `NetStats` keeps no map keyed by a channel `(NodeId, NodeId)`,
 #    the fleet shard takes its §4.4 verdict from its own counts, not
-#    from a private `MetricsRegistry`;
+#    from a private `MetricsRegistry`, and the exception tree stays a
+#    flat table (no `HashMap`, no `Vec<Vec<` in `caex-tree`'s
+#    `tree.rs`);
 # 2. the observability battery runs the invariant watchdog and the live
 #    §4.4 message-law checks over every built-in workload on the real
 #    engines, and the three examples that render the obs stream as text
@@ -51,8 +53,10 @@
 #    suite (`shard`: K=1 fleet == `Scenario::run`, obs stream included)
 #    with the algorithm and property suites that exercise the host's
 #    step, the allocation budget of a fleet action (`alloc_budget`)
-#    and the heap budget of a fleet instance (`heap_budget`: a shard
-#    holds the instances it runs, not its batch), the baselines on the same host (`baseline_streams`:
+#    and the heap budgets of a fleet instance (`heap_budget`: a shard
+#    holds the instances it runs, not its batch; `instance_budget`:
+#    the bytes and allocations of one queued instance and of its
+#    tree), the baselines on the same host (`baseline_streams`:
 #    their pinned streams; `stream_vs_stats`: every stream against the
 #    net counters, faults included; `causal`: the critical paths), the
 #    port hosts' side of "one script, admitted
@@ -119,6 +123,10 @@ if grep -n "MetricsRegistry" crates/caex/src/shard.rs; then
     echo "the fleet shard feeds a MetricsRegistry again: its verdict comes from its own counts"
     exit 1
 fi
+if grep -n "HashMap\|Vec<Vec<" crates/caex-tree/src/tree.rs; then
+    echo "the exception tree grew a map or nested lists again: it is one flat, immutable table"
+    exit 1
+fi
 
 echo "== tier-2 [2/12]: obs watchdog + §4.4 laws over every built-in workload =="
 cargo test -q --test observability
@@ -178,7 +186,7 @@ test -s "$TRACE_DIR/ex2-wire.folded" || { echo "empty folded output"; exit 1; }
 echo "== tier-2 [9/12]: resolver failover + host equivalence — crash grids, shard, commit-point kill, zombie =="
 cargo test -q --release -p caex --test failover
 cargo test -q --release -p caex --test shard --test algorithm --test proptests --test alloc_budget \
-    --test heap_budget --test extensions
+    --test heap_budget --test instance_budget --test extensions
 cargo test -q --release --test baseline_streams --test stream_vs_stats --test causal
 cargo test -q --release -p caex-wire --test cross_host
 cargo test -q --release -p caex-net --lib --test proptests
