@@ -2,10 +2,11 @@
 //! algorithm relies on.
 
 use caex_tree::{
-    balanced_tree, chain_tree, ExceptionId, ExceptionTree, ReducedTree, TreeBuilder, TreeEdit,
-    TreeError,
+    balanced_tree, chain_tree, Exception, ExceptionBuilder, ExceptionId, ExceptionTree,
+    ReducedTree, Severity, TreeBuilder, TreeEdit, TreeError,
 };
 use proptest::prelude::*;
+use std::hash::{Hash, Hasher};
 
 /// Strategy: a random tree built by attaching each new node to a random
 /// existing node, plus the node count.
@@ -356,6 +357,208 @@ proptest! {
                 prop_assert_eq!(e, TreeError::DuplicateName(insert.clone()));
                 prop_assert!(reference.names.contains(&insert));
             }
+        }
+    }
+}
+
+/// The exception value as it was before its two texts shared one
+/// string: two optional strings beside the id and the severity, every
+/// trait derived. [`Exception`] must answer exactly as this does.
+mod two_strings {
+    use caex_tree::{ExceptionId, Severity};
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct Exception {
+        pub id: ExceptionId,
+        pub severity: Severity,
+        pub origin: Option<String>,
+        pub detail: Option<String>,
+    }
+}
+
+impl two_strings::Exception {
+    fn display(&self) -> String {
+        let mut out = format!("{} ({})", self.id, self.severity);
+        if let Some(origin) = &self.origin {
+            out += &format!(" from {origin}");
+        }
+        if let Some(detail) = &self.detail {
+            out += &format!(": {detail}");
+        }
+        out
+    }
+}
+
+/// A hasher that keeps every byte it is fed, in order.
+#[derive(Default)]
+struct Recorded(Vec<u8>);
+
+impl Hasher for Recorded {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        0
+    }
+}
+
+fn hash_bytes(value: &impl Hash) -> Vec<u8> {
+    let mut h = Recorded::default();
+    value.hash(&mut h);
+    h.0
+}
+
+/// A text of one of five kinds: absent, empty, ASCII, multibyte, or
+/// longer than the 65,535 bytes a wire length can say.
+fn arb_text() -> impl Strategy<Value = Option<String>> {
+    (0u8..5, ".{0,6}", 0usize..4).prop_map(|(kind, ascii, extra)| match kind {
+        0 => None,
+        1 => Some(String::new()),
+        2 => Some(ascii),
+        3 => Some(ascii.chars().flat_map(|c| [c, 'é', '€', '𝄞']).collect()),
+        _ => Some(ascii + &"€".repeat(usize::from(u16::MAX) / 3 + 1 + extra)),
+    })
+}
+
+fn severity(k: u8) -> Severity {
+    match k % 3 {
+        0 => Severity::Recoverable,
+        1 => Severity::Serious,
+        _ => Severity::Fatal,
+    }
+}
+
+/// One setter, applied alike to the value and to the model: `0` sets
+/// the origin, `1` the detail, `2` the severity, `3` both texts at
+/// once, `4` starts over from an [`ExceptionBuilder`] with the origin.
+type Step = (u8, Option<String>, Option<String>, u8);
+
+fn apply(
+    (kind, a, b, sev): &Step,
+    exc: Exception,
+    mut model: two_strings::Exception,
+) -> (Exception, two_strings::Exception) {
+    match (kind, a) {
+        (0, Some(origin)) => {
+            model.origin = Some(origin.clone());
+            (exc.with_origin(origin.as_str()), model)
+        }
+        (1, Some(detail)) => {
+            model.detail = Some(detail.clone());
+            (exc.with_detail(detail.clone()), model)
+        }
+        (3, _) => {
+            (model.origin, model.detail) = (a.clone(), b.clone());
+            (exc.with_texts(a.as_deref(), b.as_deref()), model)
+        }
+        (4, Some(origin)) => {
+            let builder = ExceptionBuilder::for_origin(origin.as_str()).severity(severity(*sev));
+            let model = two_strings::Exception {
+                id: model.id,
+                severity: severity(*sev),
+                origin: Some(origin.clone()),
+                detail: None,
+            };
+            (builder.raise(model.id), model)
+        }
+        _ => {
+            model.severity = severity(*sev);
+            (exc.with_severity(severity(*sev)), model)
+        }
+    }
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec((0u8..5, arb_text(), arb_text(), 0u8..3), 0..5)
+}
+
+/// Builds the value and its model from `id` by `steps`.
+fn build(id: u32, steps: &[Step]) -> (Exception, two_strings::Exception) {
+    let id = ExceptionId::new(id);
+    let model = two_strings::Exception {
+        id,
+        severity: Severity::default(),
+        origin: None,
+        detail: None,
+    };
+    steps
+        .iter()
+        .fold((Exception::new(id), model), |(exc, model), step| apply(step, exc, model))
+}
+
+/// The value answers as the model does: accessors, `Display`, `Debug`
+/// and the `Hash` byte stream; its two texts sit side by side in one
+/// string.
+fn assert_matches(exc: &Exception, model: &two_strings::Exception) {
+    assert_eq!(exc.id(), model.id);
+    assert_eq!(exc.severity(), model.severity);
+    assert_eq!(exc.origin(), model.origin.as_deref());
+    assert_eq!(exc.detail(), model.detail.as_deref());
+    assert_eq!(exc.to_string(), model.display());
+    assert_eq!(format!("{exc:?}"), format!("{model:?}"));
+    assert_eq!(hash_bytes(exc), hash_bytes(model));
+    if let (Some(origin), Some(detail)) = (exc.origin(), exc.detail()) {
+        assert_eq!(origin.as_ptr() as usize + origin.len(), detail.as_ptr() as usize);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Exception` is the two-string value it replaced, whatever texts
+    /// it is given (absent, empty, multibyte, longer than a wire length)
+    /// and in whichever order: every answer, the hash bytes, and `Eq`
+    /// (two values are equal exactly when their models are). The same
+    /// final texts set in the other order, or at once, give an equal
+    /// value with the same hash bytes.
+    #[test]
+    fn exception_matches_its_two_string_model(
+        (id_a, id_b) in (0u32..3, 0u32..3),
+        steps_a in arb_steps(),
+        steps_b in arb_steps(),
+    ) {
+        let (a, model_a) = build(id_a, &steps_a);
+        let (b, model_b) = build(id_b, &steps_b);
+        assert_matches(&a, &model_a);
+        assert_matches(&b, &model_b);
+        prop_assert_eq!(a == b, model_a == model_b);
+        prop_assert_eq!(a.clone(), a.clone());
+
+        let plain = Exception::new(model_a.id).with_severity(model_a.severity);
+        let mut reversed = plain.clone();
+        if let Some(detail) = &model_a.detail {
+            reversed = reversed.with_detail(detail.as_str());
+        }
+        if let Some(origin) = &model_a.origin {
+            reversed = reversed.with_origin(origin.as_str());
+        }
+        let at_once = plain.with_texts(model_a.origin.as_deref(), model_a.detail.as_deref());
+        for same in [reversed, at_once] {
+            assert_matches(&same, &model_a);
+            prop_assert_eq!(&same, &a);
+            prop_assert_eq!(hash_bytes(&same), hash_bytes(&a));
+        }
+    }
+
+    /// An [`ExceptionBuilder`]'s raises share its origin string, and a
+    /// detail set on one of them leaves the others' origin shared.
+    #[test]
+    fn builder_raises_share_their_origin(origin in arb_text(), detail in arb_text()) {
+        let builder = match &origin {
+            Some(origin) => ExceptionBuilder::for_origin(origin.as_str()),
+            None => ExceptionBuilder::default(),
+        };
+        let (a, b) = (builder.raise(ExceptionId::new(1)), builder.raise(ExceptionId::new(2)));
+        let b = match detail {
+            Some(detail) => b.with_detail(detail),
+            None => b,
+        };
+        let c = builder.raise(ExceptionId::new(3));
+        prop_assert_eq!(a.origin(), origin.as_deref());
+        prop_assert_eq!(b.origin(), origin.as_deref());
+        if let (Some(x), Some(y)) = (a.origin(), c.origin()) {
+            prop_assert_eq!(x.as_ptr(), y.as_ptr());
         }
     }
 }

@@ -245,14 +245,11 @@ impl<'a> Reader<'a> {
             2 => Severity::Fatal,
             other => return Err(CodecError::BadSeverity(other)),
         };
-        let mut exc = Exception::new(id).with_severity(severity);
-        if let Some(origin) = self.opt_str()? {
-            exc = exc.with_origin(origin);
-        }
-        if let Some(detail) = self.opt_str()? {
-            exc = exc.with_detail(detail);
-        }
-        Ok(exc)
+        let origin = self.opt_str()?;
+        let detail = self.opt_str()?;
+        Ok(Exception::new(id)
+            .with_severity(severity)
+            .with_texts(origin, detail))
     }
 }
 

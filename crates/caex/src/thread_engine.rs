@@ -81,12 +81,21 @@ impl ThreadReport {
 }
 
 /// Observer adapter appending into a shared buffer (the worker threads
-/// cannot hold the caller's `&mut dyn Observer`).
-struct BufObs<'a>(&'a mut Vec<caex_obs::ObsEvent>);
+/// cannot hold the caller's `&mut dyn Observer`). It observes exactly
+/// when the caller's observer does, so an unobserved run builds no
+/// event to buffer.
+struct BufObs<'a> {
+    events: &'a mut Vec<caex_obs::ObsEvent>,
+    observes: bool,
+}
 
 impl caex_obs::Observer for BufObs<'_> {
     fn on_event(&mut self, event: &caex_obs::ObsEvent) {
-        self.0.push(event.clone());
+        self.events.push(event.clone());
+    }
+
+    fn observes(&self) -> bool {
+        self.observes
     }
 }
 
@@ -183,6 +192,7 @@ impl ThreadRunner {
         let stats = net.stats();
         let notes = Mutex::new(Vec::new());
         let sink: ObsSink = Mutex::new((crate::ObsBridge::new(), Vec::new()));
+        let observes = obs.observes();
         let start = Instant::now();
 
         // The scope joins every worker and passes a worker's panic on.
@@ -211,7 +221,8 @@ impl ThreadRunner {
                             let (bridge, events) = &mut *guard;
                             let mut fx = Vec::new();
                             let clock = || wall_stamp(start);
-                            bridge.handle(p, ev, from, clock, &mut BufObs(events), &mut fx);
+                            let mut buf = BufObs { events, observes };
+                            bridge.handle(p, ev, from, clock, &mut buf, &mut fx);
                             fx
                         },
                         |note| notes.lock().push(note),
@@ -229,5 +240,72 @@ impl ThreadRunner {
         let notes = notes.into_inner();
         let stats = stats.lock().clone();
         ThreadReport { notes, stats }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workloads::{self, Workload};
+    use caex_net::SimTime;
+    use caex_obs::Recorder;
+    use std::collections::BTreeMap;
+    use std::fmt;
+    use std::sync::Arc;
+
+    /// `workload`'s script with every step 2,000 times later: its
+    /// microsecond gaps become milliseconds, wide enough for thread
+    /// scheduling to keep the simulator's order of steps.
+    fn on_threads(workload: &Workload) -> Scenario {
+        let stretch = |t: SimTime| SimTime::from_micros(t.as_micros() * 2_000);
+        let scenario = &workload.scenario;
+        let mut out = Scenario::new(Arc::clone(scenario.registry()));
+        for (at, node, event) in scenario.scripted() {
+            out = match event {
+                Event::Enter(action) => out.enter_at(stretch(at), node, *action),
+                Event::Raise(exc) => out.raise_at(stretch(at), node, exc.clone()),
+                other => panic!("unscripted step {other:?}"),
+            };
+        }
+        out
+    }
+
+    /// What two threaded runs of one scenario must share whatever the
+    /// threads' interleaving: the notes per kind, the messages sent
+    /// and delivered per kind, and the agreed exception. Stale-message
+    /// notes are left out: an ACK that a commit overtook on another
+    /// channel is stale in one interleaving and not in the next.
+    fn summary(report: &ThreadReport, action: ActionId) -> impl PartialEq + fmt::Debug {
+        let mut notes: BTreeMap<String, usize> = BTreeMap::new();
+        for note in &report.notes {
+            if matches!(note, Note::StaleMessage { .. }) {
+                continue;
+            }
+            let text = format!("{note:?}");
+            let kind = text.split([' ', '(', '{']).next().unwrap_or_default();
+            *notes.entry(kind.to_owned()).or_default() += 1;
+        }
+        let sent: Vec<(String, u64)> =
+            report.stats.sent_by_kind().map(|(k, n)| (k.to_owned(), n)).collect();
+        let delivered = report.stats.delivered_total();
+        let agreed = report.agreed_exception(action).map(|e| e.id());
+        (notes, sent, delivered, agreed)
+    }
+
+    #[test]
+    fn run_reports_what_run_observed_with_a_recorder_does() {
+        let (example1, _) = workloads::example1(Default::default());
+        let general = workloads::general(4, 2, 1, Default::default());
+        for workload in [example1, general] {
+            let plain = ThreadRunner::new(on_threads(&workload)).run();
+            let mut recorder = Recorder::default();
+            let observed = ThreadRunner::new(on_threads(&workload)).run_observed(&mut recorder);
+            assert!(!recorder.events.is_empty(), "a recorder observes");
+            assert!(plain.agreed_exception(workload.action).is_some());
+            assert_eq!(
+                summary(&plain, workload.action),
+                summary(&observed, workload.action)
+            );
+        }
     }
 }

@@ -69,10 +69,12 @@ static GLOBAL: Tracking = Tracking;
 const K: usize = 1_000;
 
 /// Live heap bytes one queued `general_at(4, 2, 1)` instance holds,
-/// its inline size included: 1,146 measured once the tree became a
-/// flat table and scopes and scripts dropped their spare capacity
-/// (1,867 before, E43), plus 10 %.
-const INSTANCE_BYTES: usize = 1_260;
+/// its inline size included: 1,034 measured once an `Exception` packed
+/// its texts into one string (24 B instead of 40, so each script step
+/// is 64 B instead of 80; 1,146 before, E44), plus 10 %. 1,867 before
+/// the tree became a flat table and scopes and scripts dropped their
+/// spare capacity (E43).
+const INSTANCE_BYTES: usize = 1_138;
 /// Live allocations per instance, exactly as measured (24 before).
 const INSTANCE_BLOCKS: usize = 15;
 /// Live heap bytes of one `Arc<chain_tree(2)>`, the pointer included:

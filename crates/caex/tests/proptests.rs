@@ -337,3 +337,55 @@ proptest! {
         }
     }
 }
+
+/// A text of one of five kinds: absent, empty, ASCII, multibyte, or
+/// longer than the 65,535 bytes a wire length can say.
+fn arb_text() -> impl Strategy<Value = Option<String>> {
+    (0u8..5, ".{0,6}", 0usize..4).prop_map(|(kind, ascii, extra)| match kind {
+        0 => None,
+        1 => Some(String::new()),
+        2 => Some(ascii),
+        3 => Some(ascii.chars().flat_map(|c| [c, 'é', '€', '𝄞']).collect()),
+        _ => Some(ascii + &"€".repeat(usize::from(u16::MAX) / 3 + 1 + extra)),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any two texts, set in either order, cross the codec as their
+    /// longest prefixes a `u16` length can carry: the decoded exception
+    /// holds exactly those, in one string, and re-encodes to the bytes
+    /// it came from.
+    #[test]
+    fn codec_carries_every_kind_of_text(
+        origin in arb_text(),
+        detail in arb_text(),
+        detail_first in any::<bool>(),
+    ) {
+        use caex::{codec, Msg};
+        use caex_action::ActionId;
+
+        let cap = |s: &str| s[..s.floor_char_boundary(usize::from(u16::MAX))].to_owned();
+        let mut exc = Exception::new(ExceptionId::new(4));
+        let set = |exc: Exception, origin_now: bool| match (origin_now, &origin, &detail) {
+            (true, Some(o), _) => exc.with_origin(o.as_str()),
+            (false, _, Some(d)) => exc.with_detail(d.as_str()),
+            _ => exc,
+        };
+        exc = set(exc, !detail_first);
+        exc = set(exc, detail_first);
+        let msg = Msg::Commit { action: ActionId::new(1), from: NodeId::new(2), exc };
+        let bytes = codec::encode(&msg);
+        let Msg::Commit { exc: got, .. } = codec::decode(&bytes).unwrap() else {
+            panic!("a commit decodes as a commit");
+        };
+        prop_assert_eq!(got.origin().map(str::to_owned), origin.as_deref().map(cap));
+        prop_assert_eq!(got.detail().map(str::to_owned), detail.as_deref().map(cap));
+        if let (Some(o), Some(d)) = (got.origin(), got.detail()) {
+            prop_assert_eq!(o.as_ptr() as usize + o.len(), d.as_ptr() as usize);
+        }
+        let again = Msg::Commit { action: ActionId::new(1), from: NodeId::new(2), exc: got };
+        prop_assert_eq!(codec::encode(&again), bytes);
+    }
+}

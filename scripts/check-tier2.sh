@@ -12,9 +12,12 @@
 #    exempt), `Machine::step` sees an `Outbox`, never a `SimNet`,
 #    `NetStats` keeps no map keyed by a channel `(NodeId, NodeId)`,
 #    the fleet shard takes its §4.4 verdict from its own counts, not
-#    from a private `MetricsRegistry`, and the exception tree stays a
+#    from a private `MetricsRegistry`, the exception tree stays a
 #    flat table (no `HashMap`, no `Vec<Vec<` in `caex-tree`'s
-#    `tree.rs`);
+#    `tree.rs`), a `Participant`'s action records stay one sorted
+#    `Vec` (no `IdMap<ActionId, ActionRec>` in `participant.rs`) and an
+#    `Exception` keeps its texts in one string (at most one `Arc<str>`
+#    field in its struct);
 # 2. the observability battery runs the invariant watchdog and the live
 #    §4.4 message-law checks over every built-in workload on the real
 #    engines, and the three examples that render the obs stream as text
@@ -52,11 +55,13 @@
 #    and the thread engine), the two-front-ends-one-host equivalence
 #    suite (`shard`: K=1 fleet == `Scenario::run`, obs stream included)
 #    with the algorithm and property suites that exercise the host's
-#    step, the allocation budget of a fleet action (`alloc_budget`)
-#    and the heap budgets of a fleet instance (`heap_budget`: a shard
+#    step, the allocation budget of a fleet action (`alloc_budget`),
+#    the heap budgets of a fleet instance (`heap_budget`: a shard
 #    holds the instances it runs, not its batch; `instance_budget`:
 #    the bytes and allocations of one queued instance and of its
-#    tree), the baselines on the same host (`baseline_streams`:
+#    tree) and the size bounds of what every message is moved through
+#    (`type_sizes`: `Exception`, `Msg`, `Event`, `Effect`, `Note`),
+#    the baselines on the same host (`baseline_streams`:
 #    their pinned streams; `stream_vs_stats`: every stream against the
 #    net counters, faults included; `causal`: the critical paths), the
 #    port hosts' side of "one script, admitted
@@ -127,6 +132,15 @@ if grep -n "HashMap\|Vec<Vec<" crates/caex-tree/src/tree.rs; then
     echo "the exception tree grew a map or nested lists again: it is one flat, immutable table"
     exit 1
 fi
+if grep -n "IdMap<ActionId, ActionRec>" crates/caex/src/participant.rs; then
+    echo "a participant hashes its action records again: they are one Vec sorted by action"
+    exit 1
+fi
+if [ "$(sed -n '/^pub struct Exception {/,/^}/p' crates/caex-tree/src/exception.rs \
+    | grep -c "Arc<str>")" -gt 1 ]; then
+    echo "Exception holds its texts in more than one string again: one shared string holds both"
+    exit 1
+fi
 
 echo "== tier-2 [2/12]: obs watchdog + §4.4 laws over every built-in workload =="
 cargo test -q --test observability
@@ -186,7 +200,7 @@ test -s "$TRACE_DIR/ex2-wire.folded" || { echo "empty folded output"; exit 1; }
 echo "== tier-2 [9/12]: resolver failover + host equivalence — crash grids, shard, commit-point kill, zombie =="
 cargo test -q --release -p caex --test failover
 cargo test -q --release -p caex --test shard --test algorithm --test proptests --test alloc_budget \
-    --test heap_budget --test instance_budget --test extensions
+    --test heap_budget --test instance_budget --test type_sizes --test extensions
 cargo test -q --release --test baseline_streams --test stream_vs_stats --test causal
 cargo test -q --release -p caex-wire --test cross_host
 cargo test -q --release -p caex-net --lib --test proptests
