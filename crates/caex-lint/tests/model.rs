@@ -545,3 +545,32 @@ fn exit_line_scenarios_are_pinned() {
         assert_eq!(seen, counts, "{name}: (states, transitions, crash points)");
     }
 }
+
+/// A belated participant under the checker: O0 and O1 enter at 0 µs
+/// and raise at 5 µs, O2 enters only at 10 µs, so schedules deliver
+/// both raisers' exceptions to O2 before its entry and the second one
+/// finds the first held. Pins the only checker entry whose paths ask
+/// `delivery_silence` about a second belated message.
+#[test]
+fn belated_entry_scenario_is_pinned() {
+    let tree = Arc::new(chain_tree(3));
+    let mut reg = ActionRegistry::new();
+    let a = reg
+        .declare(ActionScope::top_level("A", (0..3).map(NodeId::new), tree))
+        .expect("valid scope");
+    let mut scenario = Scenario::new(Arc::new(reg));
+    for (object, exc) in [(0, 1), (1, 2)] {
+        let object = NodeId::new(object);
+        scenario = scenario.enter_at(SimTime::ZERO, object, a).raise_at(
+            SimTime::from_micros(5),
+            object,
+            Exception::new(ExceptionId::new(exc)),
+        );
+    }
+    let scenario = scenario.enter_at(SimTime::from_micros(10), NodeId::new(2), a);
+    let (lint, model) = Linter::new().model_check(&scenario, &ModelOptions::default());
+    assert!(!lint.has_denials(), "{}", lint.render());
+    assert!(model.verified(), "{model:?}");
+    let seen = (model.stats.states, model.stats.transitions, model.crash_points);
+    assert_eq!(seen, (130, 157, 0), "(states, transitions, crash points)");
+}

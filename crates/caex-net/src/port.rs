@@ -19,9 +19,11 @@ use std::time::Duration;
 /// - **Reliability while up**: a message to a live peer is eventually
 ///   delivered; [`FifoPort::send`] returning `false` means the peer is
 ///   known to be down (the message is dropped and accounted).
-/// - **Crash surfacing**: transports that can detect peer crashes
-///   (heartbeat timeout, connection teardown) report them through
-///   [`FifoPort::take_crashed`]; in-process transports never do.
+/// - **One input stream**: a transport with a failure detector
+///   (heartbeat timeout, connection teardown) returns its reports from
+///   [`FifoPort::recv_timeout`] as local events, in FIFO position among
+///   the messages — a report queued before a message is received before
+///   it. In-process transports have no detector.
 pub trait FifoPort<M> {
     /// This port's node id.
     fn id(&self) -> NodeId;
@@ -32,52 +34,42 @@ pub trait FifoPort<M> {
     /// Sends `payload` to `to`; `false` if the peer is known dead.
     fn send(&self, to: NodeId, payload: M) -> bool;
 
-    /// Blocks until a message arrives or `timeout` elapses.
+    /// Blocks until a message or a failure-detector report arrives, or
+    /// `timeout` elapses. A report comes as a local event paired with
+    /// the peer it is about (`caex-wire` returns `caex::Event`'s
+    /// `PeerSuspected`, `PeerRejoined` and `DeserterSuspected`); only a
+    /// message counts as a delivery in the transport's statistics.
     ///
     /// # Errors
     ///
-    /// [`RecvTimeoutError::Timeout`] when nothing arrived in time, or
-    /// earlier when the failure detector has news for the `take_*`
-    /// calls (a suspected peer is heard from again);
+    /// [`RecvTimeoutError::Timeout`] when nothing arrived in time;
     /// [`RecvTimeoutError::Disconnected`] when no message can ever
     /// arrive again.
     fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), RecvTimeoutError>;
 
-    /// Peers newly detected as crashed since the last call. Each
-    /// crashed peer is reported exactly once; transports without
-    /// failure detection return an empty list (the default).
-    ///
-    /// Transports with an *accrual* detector report here only peers
-    /// whose death is **confirmed** (suspicion sustained across polls,
-    /// or hard evidence like a torn-down connection that would not
-    /// redial); mere latency spikes surface through
-    /// [`FifoPort::take_suspected`] instead.
+    /// Retired: a detector's reports travel through
+    /// [`FifoPort::recv_timeout`]. Nothing in the workspace calls this
+    /// or overrides it; it stays, empty, until the benchmark's own port
+    /// wrapper stops forwarding it.
     fn take_crashed(&self) -> Vec<NodeId> {
         Vec::new()
     }
 
-    /// Peers newly *suspected* (silence beyond the detector's
-    /// suspicion threshold, but not yet confirmed dead) since the last
-    /// call. A peer may be reported here, recover, and be reported
-    /// again — unlike [`FifoPort::take_crashed`] this is not
-    /// once-only. Transports without an accrual detector return an
-    /// empty list (the default).
+    /// Retired, like [`FifoPort::take_crashed`].
     fn take_suspected(&self) -> Vec<NodeId> {
         Vec::new()
     }
 
-    /// Previously suspected peers heard from again (a suspicion flap)
-    /// since the last call — the cue for a survivor to run a
-    /// commit-forwarding round toward the returning peer. Transports
-    /// without reconnect support return an empty list (the default).
+    /// Retired, like [`FifoPort::take_crashed`].
     fn take_rejoined(&self) -> Vec<NodeId> {
         Vec::new()
     }
 
-    /// Called once when the node stops: drains messages still sitting
-    /// in the inbox, accounting each as a drop rather than a delivery,
-    /// and returns how many were drained. Transports without such
-    /// accounting return `0` (the default).
+    /// Called once when the node stops: drains what is still sitting
+    /// in the inbox, accounting each message as a drop rather than a
+    /// delivery (a queued detector report is no message and is not
+    /// counted), and returns how many messages were drained. Transports
+    /// without such accounting return `0` (the default).
     fn drain_undelivered(&self) -> usize {
         0
     }

@@ -22,9 +22,10 @@
 //!   frames, a per-peer writer thread for backlog, heartbeats and
 //!   reconnect-and-resume with incarnation-tagged
 //!   re-handshakes, and two-stage (`Suspected → Confirmed`) failure
-//!   detection that surfaces a confirmed-dead peer as a §4.2
-//!   *deserter* through [`caex_net::FifoPort::take_crashed`] and a
-//!   transient outage through `take_suspected` / `take_rejoined`.
+//!   detection whose reports travel in the port's one inbox, in FIFO
+//!   order with the messages: a confirmed-dead peer surfaces as a §4.2
+//!   *deserter* ([`caex::Event::DeserterSuspected`]) and a transient
+//!   outage as `PeerSuspected` then `PeerRejoined`.
 //! - [`scenario`] — the paper workloads (Examples 1 and 2, and the
 //!   general `(n, p, q)` family) re-packaged for wall-clock execution,
 //!   with the §4.4 message-count law attached where it applies.

@@ -26,30 +26,34 @@
 //! [`Frame::Heartbeat`] every [`WireConfig::heartbeat_interval`]. The
 //! receiving side timestamps every frame and feeds the gaps to a
 //! per-peer phi-accrual estimator; the current silence is scored as a
-//! continuous suspicion level φ with **two** thresholds:
+//! continuous suspicion level φ with **two** thresholds. The verdicts
+//! travel in the port's one inbox, in FIFO order with the messages:
+//! [`FifoPort::recv_timeout`] returns a report as a local
+//! [`caex::Event`] (paired with the peer it is about), and the drive
+//! loop applies it like any other event.
 //!
 //! - φ ≥ [`WireConfig::phi_suspect`] — the peer is *Suspected*:
-//!   reported (re-reportably) by [`FifoPort::take_suspected`], which
-//!   the drive loop hands the participant as
-//!   [`caex::Event::PeerSuspected`] — purely informational, nothing is
-//!   excluded. When the silence ends the
-//!   flap is reported by [`FifoPort::take_rejoined`] and the
-//!   participant re-forwards any commit the peer missed. A heartbeat
-//!   from a suspected peer also ends a waiting
-//!   [`FifoPort::recv_timeout`] early, so the drive loop reports the
-//!   rejoin before it handles a message that arrived after the
-//!   heartbeat — a commit accepted while the peer still counts as
-//!   suspected would be re-forwarded to it needlessly.
+//!   reported (re-reportably) as [`caex::Event::PeerSuspected`] —
+//!   purely informational, nothing is excluded. The first frame of any
+//!   kind from a suspected peer ends the suspicion: its reader counts
+//!   the flap and queues [`caex::Event::PeerRejoined`] *before* the
+//!   frame's own message, so a commit that ends the silence is handled
+//!   after the rejoin, and the participant re-forwards only a commit
+//!   the peer really missed.
 //! - φ ≥ [`WireConfig::phi_confirm`] **on two successive detector
 //!   polls at least one heartbeat apart** — the peer is *Confirmed*
-//!   dead: reported once by [`FifoPort::take_crashed`], which the
-//!   drive loop hands the participant as
-//!   [`caex::Event::DeserterSuspected`], so a crashed participant
-//!   surfaces as a §4.2 *deserter* instead of hanging resolution. The
+//!   dead: reported once as [`caex::Event::DeserterSuspected`], so a
+//!   crashed participant surfaces as a §4.2 *deserter* instead of
+//!   hanging resolution. The
 //!   second poll protects a process resuming from `SIGSTOP`: its
 //!   `last_seen` clocks are uniformly stale until its reader threads
 //!   drain the buffered heartbeats, and one heartbeat of grace is
 //!   exactly the time that takes.
+//!
+//! `recv_timeout` polls the detector before it waits and at least once
+//! per heartbeat interval while it waits, so detection latency does not
+//! depend on the caller's timeout; one poll's reports go in peer-id
+//! order.
 //!
 //! Hard evidence skips the accrual: a connection that ends without a
 //! [`Frame::Bye`] (and without a newer-incarnation replacement link),
@@ -71,7 +75,7 @@ use crate::frame::{encode_frame, read_frame, write_frame, Frame};
 use caex::Event;
 use caex_net::{FifoPort, Kinded, NetStats, NodeId, RecvTimeoutError};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -247,8 +251,7 @@ impl Write for WireStream {
 }
 
 /// Shared liveness bookkeeping, updated by reader/writer threads and
-/// consumed by the detector poll behind [`FifoPort::take_crashed`] /
-/// `take_suspected` / `take_rejoined`, and by the barrier.
+/// read by the detector poll and the barrier.
 #[derive(Default)]
 struct MeshState {
     last_seen: HashMap<NodeId, Instant>,
@@ -268,12 +271,6 @@ struct MeshState {
     /// marks a reconnect; a reader whose link breaks only marks the
     /// peer dead if no newer link has handshaked since.
     incarnations: HashMap<NodeId, u32>,
-    /// Undrained `Suspected` transitions for `take_suspected`.
-    suspect_events: Vec<NodeId>,
-    /// Undrained rejoin transitions for `take_rejoined`.
-    rejoin_events: Vec<NodeId>,
-    /// Undrained `Confirmed` transitions for `take_crashed`.
-    crashed_events: Vec<NodeId>,
     /// Per-peer minimum observed `recv_local_us − sent_us` over all
     /// protocol frames: one-way delay plus clock offset. The minimum
     /// is the tightest upper bound on the peer's clock being *behind*
@@ -282,11 +279,6 @@ struct MeshState {
     /// latency.
     skew_min: HashMap<NodeId, i64>,
 }
-
-/// What a reader hands the drive loop: a message, or `None`, a wake-up
-/// that makes `recv_timeout` return early so the loop polls the
-/// detector.
-type Delivery = Option<(NodeId, Event)>;
 
 /// A bound-but-unconnected endpoint: the listener exists (so peers can
 /// already dial it) but the mesh is not formed. Splitting bind from
@@ -372,7 +364,7 @@ impl WireBound {
             let state = Arc::clone(&state);
             let stats = Arc::clone(&stats);
             let shutdown = Arc::clone(&shutdown);
-            let inbox_tx: Sender<Delivery> = inbox_tx.clone();
+            let inbox_tx = inbox_tx.clone();
             let epoch = Arc::clone(&epoch);
             let config = config.clone();
             thread::spawn(move || {
@@ -386,7 +378,7 @@ impl WireBound {
             num_nodes,
             addr,
             config,
-            links: HashMap::new(),
+            links: BTreeMap::new(),
             writers: Vec::new(),
             acceptor: Some(acceptor),
             inbox_rx,
@@ -441,7 +433,7 @@ fn accept_loop(
     state: &Arc<Mutex<MeshState>>,
     stats: &Arc<Mutex<NetStats>>,
     shutdown: &AtomicBool,
-    inbox: &Sender<Delivery>,
+    inbox: &Sender<(NodeId, Event)>,
     epoch: &Arc<Mutex<Instant>>,
     config: &WireConfig,
 ) {
@@ -524,37 +516,48 @@ fn dial(
 /// Registers a Hello on the accepting side. A strictly higher
 /// incarnation than the recorded one is a mid-run reconnect: the peer
 /// survived its outage and is resuming, so any death evidence the
-/// silence accrued is withdrawn and the rejoin is queued (the drive
-/// loop turns it into a commit-forwarding round). Returns the link's
-/// incarnation for the reader to remember.
+/// silence accrued is withdrawn, and a peer that was suspected or
+/// reported dead rejoins (the drive loop turns the rejoin into a
+/// commit-forwarding round). Any other Hello is life like any frame.
 fn register_hello(
     state: &Mutex<MeshState>,
     stats: &Mutex<NetStats>,
+    inbox: &Sender<(NodeId, Event)>,
     peer: NodeId,
     incarnation: u32,
-) -> u32 {
-    let mut reconnected = false;
-    {
-        let mut st = state.lock();
-        st.last_seen.insert(peer, Instant::now());
-        let prev = st.incarnations.get(&peer).copied();
-        if prev.is_none_or(|p| incarnation > p) {
-            st.incarnations.insert(peer, incarnation);
-        }
-        if prev.is_some_and(|p| incarnation > p) {
-            reconnected = true;
-            st.dead.remove(&peer);
-            st.confirm_at.remove(&peer);
-            let was_reported = st.reported.remove(&peer);
-            if st.suspected.remove(&peer) || was_reported {
-                st.rejoin_events.push(peer);
-            }
-        }
+) {
+    let mut st = state.lock();
+    st.last_seen.insert(peer, Instant::now());
+    let prev = st.incarnations.get(&peer).copied();
+    if prev.is_none_or(|p| incarnation > p) {
+        st.incarnations.insert(peer, incarnation);
     }
-    if reconnected {
+    if prev.is_some_and(|p| incarnation > p) {
         stats.lock().record_recovery("reconnect");
+        st.dead.remove(&peer);
+        st.confirm_at.remove(&peer);
+        if st.suspected.remove(&peer) | st.reported.remove(&peer) {
+            let _ = inbox.send((peer, Event::PeerRejoined { peer }));
+        }
+    } else {
+        heard_from(&mut st, stats, inbox, peer);
     }
-    incarnation
+}
+
+/// Life from `peer`: a suspected peer rejoins. The flap is counted and
+/// the rejoin queued under the state lock, so it enters the inbox after
+/// every report the detector queued before it and before the message of
+/// the frame that ended the silence.
+fn heard_from(
+    st: &mut MeshState,
+    stats: &Mutex<NetStats>,
+    inbox: &Sender<(NodeId, Event)>,
+    peer: NodeId,
+) {
+    if st.suspected.remove(&peer) {
+        stats.lock().record_recovery("suspicion_flap");
+        let _ = inbox.send((peer, Event::PeerRejoined { peer }));
+    }
 }
 
 /// Inbound link: identify the peer from its Hello, then timestamp and
@@ -567,14 +570,15 @@ fn reader_loop(
     stream: WireStream,
     state: &Mutex<MeshState>,
     stats: &Mutex<NetStats>,
-    inbox: &Sender<Delivery>,
+    inbox: &Sender<(NodeId, Event)>,
     epoch: &Mutex<Instant>,
     config: &WireConfig,
 ) {
     let mut stream = io::BufReader::new(stream);
     let (peer, link_incarnation) = match read_frame(&mut stream) {
         Ok(Frame::Hello { id, incarnation }) => {
-            (id, register_hello(state, stats, id, incarnation))
+            register_hello(state, stats, inbox, id, incarnation);
+            (id, incarnation)
         }
         _ => return, // not a mesh peer; drop the connection
     };
@@ -582,15 +586,14 @@ fn reader_loop(
     let floor = config.heartbeat_interval.as_secs_f64();
     loop {
         match read_frame(&mut stream) {
+            // A repeated Hello on an open link: keep the bookkeeping
+            // current but nothing else changes.
+            Ok(Frame::Hello { id, incarnation }) => {
+                register_hello(state, stats, inbox, id, incarnation);
+            }
             Ok(frame) => {
                 let recv_us = i64::try_from(epoch.lock().elapsed().as_micros())
                     .unwrap_or(i64::MAX);
-                if let Frame::Hello { id, incarnation } = &frame {
-                    // A repeated Hello on an open link: keep the
-                    // bookkeeping current but nothing else changes.
-                    register_hello(state, stats, *id, *incarnation);
-                    continue;
-                }
                 let now = Instant::now();
                 let mut st = state.lock();
                 if let Some(prev) = st.last_seen.insert(peer, now) {
@@ -600,6 +603,7 @@ fn reader_loop(
                         .or_insert_with(|| PhiEstimator::new(window, floor))
                         .observe(gap);
                 }
+                heard_from(&mut st, stats, inbox, peer);
                 match frame {
                     Frame::Msg { from, sent_us, msg } => {
                         // One skew sample per protocol frame: one-way
@@ -613,9 +617,7 @@ fn reader_loop(
                             .entry(from)
                             .and_modify(|m| *m = (*m).min(sample))
                             .or_insert(sample);
-                        drop(st);
-                        let _ = inbox.send(Some((from, Event::Msg(msg))));
-                        continue;
+                        let _ = inbox.send((from, Event::Msg(msg)));
                     }
                     Frame::Ready => {
                         st.ready.insert(peer);
@@ -625,14 +627,6 @@ fn reader_loop(
                         return;
                     }
                     Frame::Heartbeat | Frame::Hello { .. } => {}
-                }
-                // Life from a suspected peer: wake the drive loop, so its
-                // detector poll reports the rejoin before the loop
-                // handles a message that arrives after this frame (a
-                // message wakes it by itself).
-                if st.suspected.contains(&peer) {
-                    drop(st);
-                    let _ = inbox.send(None);
                 }
             }
             Err(_) => {
@@ -871,7 +865,8 @@ pub struct WirePort {
     /// The listener's address, dialled once on drop to wake the acceptor.
     addr: WireAddr,
     config: WireConfig,
-    links: HashMap<NodeId, Arc<Link>>,
+    /// Outbound links by peer; the detector polls them in id order.
+    links: BTreeMap<NodeId, Arc<Link>>,
     /// Writer threads, joined on drop so every queued frame — above
     /// all the closing [`Frame::Bye`] — reaches the socket before the
     /// process may exit. Without the join, a fast exit races the Byes
@@ -879,11 +874,13 @@ pub struct WirePort {
     writers: Vec<thread::JoinHandle<()>>,
     /// The acceptor thread, joined on drop: the listener closes with it.
     acceptor: Option<thread::JoinHandle<()>>,
-    inbox_rx: Receiver<Delivery>,
+    /// The one inbox: protocol messages and detector reports, in the
+    /// order they happened.
+    inbox_rx: Receiver<(NodeId, Event)>,
     /// Keeps the inbox open even when every reader has exited, so the
     /// drive loop terminates on its idle rule, not on a spurious
-    /// disconnect. Also the self-delivery path.
-    inbox_tx: Sender<Delivery>,
+    /// disconnect. Also the self-delivery path and the detector's.
+    inbox_tx: Sender<(NodeId, Event)>,
     state: Arc<Mutex<MeshState>>,
     stats: Arc<Mutex<NetStats>>,
     shutdown: Arc<AtomicBool>,
@@ -959,30 +956,23 @@ impl WirePort {
 
     fn send_event(&self, to: NodeId, event: Event) -> bool {
         let kind = event.kind();
-        if to == self.id {
-            // Self-delivery short-circuits the sockets.
-            let ok = self.inbox_tx.send(Some((self.id, event))).is_ok();
-            let mut stats = self.stats.lock();
-            if ok {
-                stats.record_send(kind);
-                stats.record_channel(to);
-            } else {
-                stats.record_drop(kind);
-            }
-            return ok;
-        }
         let Event::Msg(msg) = event else {
-            // Local events never cross the wire; a caller handing one
-            // over is accounted as a drop, not a panic.
+            // Local events are no messages and never cross the wire; a
+            // caller handing one over is accounted as a drop, not a
+            // panic.
             self.stats.lock().record_drop(kind);
             return false;
         };
-        let Some(link) = self.links.get(&to) else {
-            self.stats.lock().record_drop(kind);
-            return false;
+        let ok = if to == self.id {
+            // Self-delivery short-circuits the sockets.
+            self.inbox_tx.send((self.id, Event::Msg(msg))).is_ok()
+        } else if let Some(link) = self.links.get(&to) {
+            let sent_us =
+                u64::try_from(self.epoch.lock().elapsed().as_micros()).unwrap_or(u64::MAX);
+            link.send(&Frame::Msg { from: self.id, sent_us, msg })
+        } else {
+            false
         };
-        let sent_us = u64::try_from(self.epoch.lock().elapsed().as_micros()).unwrap_or(u64::MAX);
-        let ok = link.send(&Frame::Msg { from: self.id, sent_us, msg });
         let mut stats = self.stats.lock();
         if ok {
             stats.record_send(kind);
@@ -1020,8 +1010,9 @@ impl WirePort {
 
     /// One failure-detector poll: scores every monitored peer's
     /// current silence as φ and walks the `Alive → Suspected →
-    /// Confirmed` ladder, queueing the transitions for the three
-    /// `take_*` drains.
+    /// Confirmed` ladder, queueing each transition in the inbox as its
+    /// local event, in peer-id order. (The way back to `Alive` is a
+    /// frame from the peer; its reader queues the rejoin.)
     ///
     /// Confirmation requires hard death evidence (reader EOF without a
     /// Bye, or a writer's reconnect rounds exhausted) *or* φ ≥
@@ -1034,75 +1025,71 @@ impl WirePort {
         let now = Instant::now();
         let hb = self.config.heartbeat_interval;
         let floor = hb.as_secs_f64();
-        let mut flaps = 0u64;
-        {
-            let mut st = self.state.lock();
-            for peer in self.links.keys() {
-                if st.departed.contains(peer) || st.reported.contains(peer) {
-                    continue;
-                }
-                let hard_dead = st.dead.contains(peer);
-                let silence = st
-                    .last_seen
-                    .get(peer)
-                    .map(|seen| now.duration_since(*seen).as_secs_f64())
-                    .unwrap_or(0.0);
-                let phi = st
-                    .estimators
-                    .get(peer)
-                    .map_or(silence / (floor * std::f64::consts::LN_10), |e| {
-                        e.phi(silence)
-                    });
-                // Suspicion level: informational, fully reversible.
-                if hard_dead || phi >= self.config.phi_suspect {
-                    if st.suspected.insert(*peer) {
-                        st.suspect_events.push(*peer);
-                    }
-                } else if st.suspected.remove(peer) {
-                    st.rejoin_events.push(*peer);
-                    flaps += 1;
-                }
-                // Confirmation: hard evidence now, accrual on the
-                // second poll.
-                let confirmed = if hard_dead {
-                    true
-                } else if phi >= self.config.phi_confirm {
-                    match st.confirm_at.get(peer) {
-                        Some(first) => now.duration_since(*first) >= hb,
-                        None => {
-                            st.confirm_at.insert(*peer, now);
-                            false
-                        }
-                    }
-                } else {
-                    st.confirm_at.remove(peer);
-                    false
-                };
-                if confirmed {
-                    st.reported.insert(*peer);
-                    st.suspected.remove(peer);
-                    st.confirm_at.remove(peer);
-                    st.crashed_events.push(*peer);
-                }
+        let mut st = self.state.lock();
+        for &peer in self.links.keys() {
+            if st.departed.contains(&peer) || st.reported.contains(&peer) {
+                continue;
             }
-        }
-        if flaps > 0 {
-            let mut stats = self.stats.lock();
-            for _ in 0..flaps {
-                stats.record_recovery("suspicion_flap");
+            let hard_dead = st.dead.contains(&peer);
+            let silence = st
+                .last_seen
+                .get(&peer)
+                .map(|seen| now.duration_since(*seen).as_secs_f64())
+                .unwrap_or(0.0);
+            let phi = st
+                .estimators
+                .get(&peer)
+                .map_or(silence / (floor * std::f64::consts::LN_10), |e| e.phi(silence));
+            // Suspicion level: informational, fully reversible.
+            if (hard_dead || phi >= self.config.phi_suspect) && st.suspected.insert(peer) {
+                let _ = self.inbox_tx.send((peer, Event::PeerSuspected { peer }));
+            }
+            // Confirmation: hard evidence now, accrual on the
+            // second poll.
+            let confirmed = if hard_dead {
+                true
+            } else if phi >= self.config.phi_confirm {
+                match st.confirm_at.get(&peer) {
+                    Some(first) => now.duration_since(*first) >= hb,
+                    None => {
+                        st.confirm_at.insert(peer, now);
+                        false
+                    }
+                }
+            } else {
+                st.confirm_at.remove(&peer);
+                false
+            };
+            if confirmed {
+                st.reported.insert(peer);
+                st.suspected.remove(&peer);
+                st.confirm_at.remove(&peer);
+                let _ = self.inbox_tx.send((peer, Event::DeserterSuspected { peer }));
             }
         }
     }
 
+    /// Polls the detector, then waits for the inbox's next entry, polling
+    /// again at least once per heartbeat interval until `timeout`. Only
+    /// a protocol message counts as a delivery.
     fn recv_event(&self, timeout: Duration) -> Result<(NodeId, Event), RecvTimeoutError> {
-        match self.inbox_rx.recv_timeout(timeout) {
-            Ok(Some((from, event))) => {
-                self.stats.lock().record_delivery(event.kind());
-                Ok((from, event))
+        let deadline = Instant::now() + timeout;
+        loop {
+            self.poll_detector();
+            let wait = deadline.saturating_duration_since(Instant::now());
+            match self.inbox_rx.recv_timeout(wait.min(self.config.heartbeat_interval)) {
+                Ok((from, event)) => {
+                    if let Event::Msg(_) = &event {
+                        self.stats.lock().record_delivery(event.kind());
+                    }
+                    return Ok((from, event));
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) if Instant::now() < deadline => {}
+                Err(mpsc::RecvTimeoutError::Timeout) => return Err(RecvTimeoutError::Timeout),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(RecvTimeoutError::Disconnected)
+                }
             }
-            Ok(None) => Err(RecvTimeoutError::Timeout),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvTimeoutError::Timeout),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvTimeoutError::Disconnected),
         }
     }
 }
@@ -1124,33 +1111,15 @@ impl FifoPort<Event> for WirePort {
         self.recv_event(timeout)
     }
 
-    fn take_crashed(&self) -> Vec<NodeId> {
-        self.poll_detector();
-        let mut crashed = std::mem::take(&mut self.state.lock().crashed_events);
-        crashed.sort_unstable();
-        crashed
-    }
-
-    fn take_suspected(&self) -> Vec<NodeId> {
-        self.poll_detector();
-        let mut suspected = std::mem::take(&mut self.state.lock().suspect_events);
-        suspected.sort_unstable();
-        suspected
-    }
-
-    fn take_rejoined(&self) -> Vec<NodeId> {
-        self.poll_detector();
-        let mut rejoined = std::mem::take(&mut self.state.lock().rejoin_events);
-        rejoined.sort_unstable();
-        rejoined
-    }
-
+    /// Drains the inbox: each protocol message is recorded as a drop;
+    /// queued detector reports are dropped uncounted.
     fn drain_undelivered(&self) -> usize {
         let mut drained = 0;
-        while let Ok(delivery) = self.inbox_rx.try_recv() {
-            let Some((_, event)) = delivery else { continue };
-            self.stats.lock().record_drop(event.kind());
-            drained += 1;
+        while let Ok((_, event)) = self.inbox_rx.try_recv() {
+            if let Event::Msg(_) = &event {
+                self.stats.lock().record_drop(event.kind());
+                drained += 1;
+            }
         }
         drained
     }

@@ -2,12 +2,14 @@
 //! real TCP link, sends that never wait on a stalled peer, a link reset
 //! under backlog, the listener's shutdown, whole-scenario runs over
 //! loopback TCP and Unix sockets, and the heartbeat failure detector
-//! distinguishing a silent crash from a graceful goodbye.
+//! distinguishing a silent crash from a graceful goodbye, its reports
+//! read off the port's one inbox in order with the messages.
 
-use caex::{Event, Msg};
-use caex_action::ActionId;
+use caex::drive::drive_node;
+use caex::{Event, Msg, NestedStrategy, Participant};
+use caex_action::{ActionId, ActionRegistry, ActionScope};
 use caex_net::{FifoPort, NodeId, RecvTimeoutError};
-use caex_tree::{Exception, ExceptionId};
+use caex_tree::{chain_tree, Exception, ExceptionId};
 use caex_wire::frame::{read_frame, write_frame, Frame};
 use caex_wire::harness::{run_local, Transport};
 use caex_wire::scenario::WireScenario;
@@ -15,7 +17,7 @@ use caex_wire::{WireAddr, WireBound, WireConfig, WirePort};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -265,18 +267,51 @@ fn port_with_fake_peer(config: &WireConfig) -> (WirePort, TcpStream) {
     (port, inbound)
 }
 
-/// Polls `take_crashed` until `deadline`, accumulating reports.
-fn poll_crashed(port: &WirePort, deadline: Duration) -> Vec<NodeId> {
-    let until = Instant::now() + deadline;
-    let mut crashed = Vec::new();
-    while Instant::now() < until {
-        crashed.extend(port.take_crashed());
-        if !crashed.is_empty() {
-            break;
+/// What `port`'s inbox yields within `window`, detector reports and
+/// messages in the order received; stops early after an event `last`
+/// accepts.
+fn receive_for(port: &WirePort, window: Duration, last: impl Fn(&Event) -> bool) -> Vec<Event> {
+    let deadline = Instant::now() + window;
+    let mut got = Vec::new();
+    loop {
+        match port.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok((_, event)) => {
+                let done = last(&event);
+                got.push(event);
+                if done {
+                    return got;
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => return got,
+            Err(RecvTimeoutError::Disconnected) => panic!("the inbox never disconnects"),
         }
-        thread::sleep(Duration::from_millis(10));
     }
-    crashed
+}
+
+fn is_crash(event: &Event) -> bool {
+    matches!(event, Event::DeserterSuspected { .. })
+}
+
+/// The peers `events` report as crashed, in order.
+fn crashes(events: &[Event]) -> Vec<NodeId> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            Event::DeserterSuspected { peer } => Some(*peer),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The fake peer's node id.
+fn fake() -> NodeId {
+    NodeId::new(1)
+}
+
+/// The fake peer's `i`-th protocol message.
+fn fake_ack(i: u32) -> Frame {
+    let msg = Msg::Ack { from: fake(), action: ActionId::new(i) };
+    Frame::Msg { from: fake(), sent_us: 0, msg }
 }
 
 #[test]
@@ -284,11 +319,11 @@ fn silent_peer_is_detected_by_heartbeat_timeout() {
     let config = twitchy_config();
     let (port, _inbound) = port_with_fake_peer(&config);
     // The fake said Hello and then went silent: no heartbeats, no Bye.
-    let crashed = poll_crashed(&port, Duration::from_secs(5));
-    assert_eq!(crashed, vec![NodeId::new(1)], "silence past the confirm threshold is a crash");
+    let got = receive_for(&port, Duration::from_secs(5), is_crash);
+    assert_eq!(crashes(&got), [fake()], "silence past the confirm threshold is a crash");
     // Exactly-once reporting: the same peer never surfaces again.
-    thread::sleep(Duration::from_millis(200));
-    assert!(port.take_crashed().is_empty());
+    let later = receive_for(&port, Duration::from_millis(200), is_crash);
+    assert!(crashes(&later).is_empty(), "{later:?}");
 }
 
 #[test]
@@ -297,11 +332,8 @@ fn goodbye_is_a_departure_not_a_crash() {
     let (port, mut inbound) = port_with_fake_peer(&config);
     write_frame(&mut inbound, &Frame::Bye).expect("fake bye");
     drop(inbound); // close the socket — with a Bye first, this is graceful
-    thread::sleep(Duration::from_millis(450));
-    assert!(
-        port.take_crashed().is_empty(),
-        "a peer that says Bye must never be reported crashed"
-    );
+    let got = receive_for(&port, Duration::from_millis(450), is_crash);
+    assert!(crashes(&got).is_empty(), "a peer that says Bye must never be reported crashed");
 }
 
 #[test]
@@ -309,56 +341,125 @@ fn abrupt_disconnect_without_bye_is_a_crash() {
     let config = twitchy_config();
     let (port, inbound) = port_with_fake_peer(&config);
     drop(inbound); // EOF with no Bye: the link died
-    let crashed = poll_crashed(&port, Duration::from_secs(5));
-    assert_eq!(crashed, vec![NodeId::new(1)]);
+    let got = receive_for(&port, Duration::from_secs(5), is_crash);
+    assert_eq!(crashes(&got), [fake()]);
 }
 
 /// The two-stage detector: a latency spike long enough to cross the
 /// *suspect* threshold but healed before the *confirm* threshold
-/// surfaces through `take_suspected` / `take_rejoined`, never through
-/// `take_crashed`.
+/// surfaces as `PeerSuspected` then `PeerRejoined`, never as
+/// `DeserterSuspected`.
 #[test]
 fn latency_spike_is_suspected_then_rejoined_not_crashed() {
     let config = twitchy_config();
     let (port, mut inbound) = port_with_fake_peer(&config);
     // φ crosses the suspect threshold (1.0) at ~69ms of silence at the
     // empty-history floor; the confirm threshold needs ~150ms.
-    thread::sleep(Duration::from_millis(100));
-    let suspected = port.take_suspected();
-    assert_eq!(suspected, vec![NodeId::new(1)], "a 100ms spike must raise suspicion");
-    assert!(port.take_crashed().is_empty(), "suspicion alone must never confirm");
+    let suspected = receive_for(&port, Duration::from_millis(100), is_crash);
+    assert_eq!(
+        suspected,
+        [Event::PeerSuspected { peer: fake() }],
+        "a 100ms spike must raise suspicion, and suspicion alone must never confirm"
+    );
 
     // The spike heals: one heartbeat clears φ back below the bar.
     write_frame(&mut inbound, &Frame::Heartbeat).expect("fake heartbeat");
-    let until = Instant::now() + Duration::from_secs(5);
-    let mut rejoined = Vec::new();
-    while Instant::now() < until && rejoined.is_empty() {
-        rejoined = port.take_rejoined();
-        thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(rejoined, vec![NodeId::new(1)], "a healed spike must surface as a rejoin");
-    assert!(port.take_crashed().is_empty(), "the flap must never be reported as a crash");
+    let rejoined = receive_for(&port, Duration::from_secs(5), |e| !is_crash(e));
+    assert_eq!(
+        rejoined,
+        [Event::PeerRejoined { peer: fake() }],
+        "a healed spike must surface as a rejoin, never as a crash"
+    );
     assert!(
         port.stats().lock().recovery_of_kind("suspicion_flap") >= 1,
         "the flap must be accounted in NetStats"
     );
 }
 
-/// A suspected peer's heartbeat ends a receive at once, so the drive
-/// loop reports the rejoin before it handles any message that arrives
-/// after the heartbeat (a healed partition's commit, say).
+/// A suspected peer's heartbeat ends a receive at once with its rejoin.
 #[test]
 fn a_suspected_peer_heard_from_again_cuts_a_receive_short() {
     let config = twitchy_config();
     let (port, mut inbound) = port_with_fake_peer(&config);
-    thread::sleep(Duration::from_millis(100));
-    assert_eq!(port.take_suspected(), vec![NodeId::new(1)], "a 100ms spike raises suspicion");
+    let suspected = receive_for(&port, Duration::from_millis(100), is_crash);
+    assert_eq!(suspected, [Event::PeerSuspected { peer: fake() }], "a 100ms spike");
 
     write_frame(&mut inbound, &Frame::Heartbeat).expect("fake heartbeat");
     let start = Instant::now();
     let woken = port.recv_timeout(Duration::from_secs(5));
-    assert!(matches!(woken, Err(RecvTimeoutError::Timeout)), "no message, got {woken:?}");
     let waited = start.elapsed();
+    assert_eq!(woken, Ok((fake(), Event::PeerRejoined { peer: fake() })));
     assert!(waited < Duration::from_secs(1), "the receive waited {waited:?}");
-    assert_eq!(port.take_rejoined(), vec![NodeId::new(1)]);
+}
+
+/// A suspected peer whose first frame after its silence is a protocol
+/// message, with no heartbeat before it: the drive loop hands its hook
+/// the rejoin before that message, so the participant clears the
+/// suspicion before it handles anything the peer sent.
+#[test]
+fn a_message_that_ends_a_suspicion_is_handled_after_the_rejoin() {
+    let config = twitchy_config();
+    let (port, mut inbound) = port_with_fake_peer(&config);
+    let mut registry = ActionRegistry::new();
+    let scope = ActionScope::top_level("A", (0..2).map(NodeId::new), Arc::new(chain_tree(2)));
+    registry.declare(scope).expect("valid scope");
+    let registry = Arc::new(registry);
+    let (seen_tx, seen) = mpsc::channel();
+    let node = thread::spawn(move || {
+        let mut p = Participant::new(NodeId::new(0), registry, NestedStrategy::Abort);
+        drive_node(
+            &port,
+            &mut p,
+            Vec::new(),
+            Instant::now(),
+            Duration::from_millis(300),
+            |p, ev, _| {
+                let _ = seen_tx.send(ev.clone());
+                p.handle(ev)
+            },
+            |_| {},
+        );
+    });
+    let first = seen.recv_timeout(Duration::from_secs(5)).expect("a report");
+    assert_eq!(first, Event::PeerSuspected { peer: fake() });
+    write_frame(&mut inbound, &fake_ack(0)).expect("fake message");
+    write_frame(&mut inbound, &Frame::Bye).expect("fake bye");
+    node.join().expect("the drive loop ends idle");
+    let rest: Vec<Event> = seen.try_iter().collect();
+    let Frame::Msg { msg, .. } = fake_ack(0) else { unreachable!("a message frame") };
+    assert_eq!(rest, [Event::PeerRejoined { peer: fake() }, Event::Msg(msg)]);
+}
+
+/// Detector reports travel in the inbox but are no deliveries: a port
+/// that reports a suspicion and a rejoin and receives k messages counts
+/// k delivered, and a report still queued at exit is drained uncounted.
+#[test]
+fn detector_reports_are_not_deliveries() {
+    const K: u32 = 3;
+    let config = twitchy_config();
+    let (port, mut inbound) = port_with_fake_peer(&config);
+    let suspected = receive_for(&port, Duration::from_millis(100), is_crash);
+    assert_eq!(suspected, [Event::PeerSuspected { peer: fake() }]);
+    for i in 0..K {
+        write_frame(&mut inbound, &fake_ack(i)).expect("fake message");
+    }
+    let got = receive_for(&port, Duration::from_secs(5), |e| {
+        matches!(e, Event::Msg(Msg::Ack { action, .. }) if action.index() == K - 1)
+    });
+    assert_eq!(got.len(), K as usize + 1, "{got:?}");
+    assert_eq!(got[0], Event::PeerRejoined { peer: fake() });
+    assert_eq!(port.stats().lock().delivered_total(), u64::from(K));
+
+    // Two more messages, then a silence past the suspect threshold: the
+    // next receive queues the suspicion behind them and takes the first.
+    write_frame(&mut inbound, &fake_ack(K)).expect("fake message");
+    write_frame(&mut inbound, &fake_ack(K + 1)).expect("fake message");
+    thread::sleep(Duration::from_millis(300));
+    let (from, event) = port.recv_timeout(Duration::ZERO).expect("a queued message");
+    assert_eq!(from, fake());
+    assert!(matches!(event, Event::Msg(_)), "{event:?}");
+    assert_eq!(port.drain_undelivered(), 1, "the message, not the report");
+    let stats = port.stats();
+    let stats = stats.lock();
+    assert_eq!((stats.delivered_total(), stats.dropped_total()), (u64::from(K) + 1, 1));
 }

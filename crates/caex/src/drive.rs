@@ -17,15 +17,15 @@
 //!
 //! The transport's failure detector is folded into the protocol as
 //! ordinary local events through the same `handle` hook as everything
-//! else: a [`FifoPort::take_crashed`] report becomes
-//! [`Event::DeserterSuspected`] — so a crashed peer surfaces as a
-//! *deserter* instead of hanging resolution — and an accrual
-//! detector's [`FifoPort::take_suspected`] /
-//! [`FifoPort::take_rejoined`] transitions become
-//! [`Event::PeerSuspected`] / [`Event::PeerRejoined`] (the rejoin
-//! re-forwards any commit the peer missed while it was unreachable).
-//! Every event a port host applies therefore passes the hook — for an
-//! instrumented caller, [`crate::ObsBridge::handle`].
+//! else: a port that has one returns its reports from
+//! [`FifoPort::recv_timeout`] in FIFO position among the messages — a
+//! confirmed death as [`Event::DeserterSuspected`] (so a crashed peer
+//! surfaces as a *deserter* instead of hanging resolution), an accrual
+//! detector's transitions as [`Event::PeerSuspected`] /
+//! [`Event::PeerRejoined`] (the rejoin re-forwards any commit the peer
+//! missed while it was unreachable). Every event a port host applies
+//! therefore passes the hook — for an instrumented caller,
+//! [`crate::ObsBridge::handle`].
 //!
 //! # The order of a turn
 //!
@@ -39,10 +39,9 @@
 //! 3. [`PortHost::end_turn`]: unless the halt deadline has passed, the
 //!    local events that fell due during the wait are handled first, as
 //!    in step 1 — a step due before the message was taken off the port
-//!    comes before it. Then at most one received event is handled, then
-//!    the detector's suspected, rejoined and crashed reports, in that
-//!    order, so a peer that flapped and died in one poll window is
-//!    handled in causal order. Then the effects are routed in the order
+//!    comes before it. Then at most one received event is handled: a
+//!    message, or a detector report, in the order the port's inbox
+//!    holds them. Then the effects are routed in the order
 //!    they were produced: the `After`s and `Note`s held before the
 //!    wait, then everything the turn's own events produced (`Send` to
 //!    the port, `After` onto the timer queue, `Note` to the hook); then
@@ -67,8 +66,8 @@ use caex_net::{FifoPort, NodeId, RecvTimeoutError, SimTime};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// The longest the shell blocks in one receive: the detector is polled
-/// and the idle and halt checks run at least this often.
+/// The longest the shell blocks in one receive: the idle and halt
+/// checks run at least this often.
 const MAX_WAIT: Duration = Duration::from_millis(10);
 
 /// What one node's drive loop did, beyond the protocol itself.
@@ -77,8 +76,9 @@ pub struct DriveSummary {
     /// Messages still undelivered in the inbox at exit; each was
     /// recorded as a per-kind drop by [`FifoPort::drain_undelivered`].
     pub drained: usize,
-    /// Peers the failure detector reported and the participant
-    /// excluded as deserters.
+    /// Peers the port's failure detector reported
+    /// ([`Event::DeserterSuspected`]) and the participant excluded as
+    /// deserters.
     pub deserted: usize,
 }
 
@@ -91,7 +91,7 @@ pub struct DriveSummary {
 /// `handle` is the event-application hook — the threaded engine passes
 /// a closure that wraps [`Participant::handle`] with the observability
 /// bridge; an un-instrumented caller passes `|p, ev, _| p.handle(ev)`.
-/// Its third argument is the sending node for events received off the
+/// Its third argument is the sending node for messages received off the
 /// transport and `None` for local events (timed steps and
 /// failure-detector reports), so instrumented callers can emit
 /// receive-side causality events. Every emitted [`Note`] (including
@@ -212,19 +212,16 @@ where
     }
 
     /// Ends the turn at `now` with what the wait produced: the event
-    /// `received` off the transport, if any, and the failure
-    /// detector's reports since the last turn. Local events that fell
-    /// due during the wait are handled first, as in
-    /// [`PortHost::begin_turn`]; then the effects held before the wait
-    /// and those of the turn's own events are routed, `Effect::Send`s
-    /// through `send`. Returns `false` once the node is idle.
+    /// `received` off the port, if any — a message, or a failure
+    /// detector's report. Local events that fell due during the wait
+    /// are handled first, as in [`PortHost::begin_turn`]; then the
+    /// effects held before the wait and those of the turn's own events
+    /// are routed, `Effect::Send`s through `send`. Returns `false` once
+    /// the node is idle.
     pub fn end_turn(
         &mut self,
         now: Instant,
         received: Option<(NodeId, Event)>,
-        suspected: Vec<NodeId>,
-        rejoined: Vec<NodeId>,
-        crashed: Vec<NodeId>,
         mut send: impl FnMut(NodeId, Event),
     ) -> bool {
         // The wait that followed these effects' steps is over.
@@ -233,17 +230,9 @@ where
             self.fire_due(now, &mut send);
         }
         if let Some((from, event)) = received {
-            self.apply(now, event, Some(from));
-        }
-        for peer in suspected {
-            self.apply(now, Event::PeerSuspected { peer }, None);
-        }
-        for peer in rejoined {
-            self.apply(now, Event::PeerRejoined { peer }, None);
-        }
-        for peer in crashed {
-            self.apply(now, Event::DeserterSuspected { peer }, None);
-            self.summary.deserted += 1;
+            let from = matches!(event, Event::Msg(_)).then_some(from);
+            self.summary.deserted += usize::from(matches!(event, Event::DeserterSuspected { .. }));
+            self.apply(now, event, from);
         }
         self.effects.splice(0..0, ready);
         self.flush(now, false, &mut send);
@@ -345,10 +334,7 @@ where
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break,
         };
-        let (suspected, rejoined, crashed) =
-            (port.take_suspected(), port.take_rejoined(), port.take_crashed());
-        let live = host.end_turn(Instant::now(), received, suspected, rejoined, crashed, &mut send);
-        if !live {
+        if !host.end_turn(Instant::now(), received, &mut send) {
             break;
         }
     }

@@ -2076,6 +2076,43 @@ mod tests {
         assert_eq!(p.state(), Some(PState::Suspended));
     }
 
+    /// The checker's τ-reduction asks `delivery_silence` before every
+    /// delivery: a second message for an action the object has not
+    /// entered yet finds the first one held, and must not be silent —
+    /// arrival order is replay order.
+    #[test]
+    fn a_second_belated_message_is_never_silent() {
+        let tree = Arc::new(chain_tree(4));
+        let mut reg = ActionRegistry::new();
+        let a0 = reg
+            .declare(ActionScope::top_level("A0", ids(3), Arc::clone(&tree)))
+            .unwrap();
+        let a1 = reg
+            .declare(ActionScope::nested("A1", ids(3), tree, a0))
+            .unwrap();
+        let mut p = Participant::new(NodeId::new(0), Arc::new(reg), NestedStrategy::Abort);
+        p.handle(Event::Enter(a0));
+        let belated = |from: u32, exc: u32| Msg::Exception {
+            action: a1,
+            from: NodeId::new(from),
+            exc: Exception::new(ExceptionId::new(exc)),
+        };
+        let (first, second) = (belated(1, 2), belated(2, 3));
+        assert_eq!(p.delivery_silence(&first), None);
+        p.handle(Event::Msg(first));
+        assert!(is(&p, a1, Life::Buffered(Vec::new())));
+        assert_eq!(p.delivery_silence(&second), None, "the second is held too");
+        p.handle(Event::Msg(second));
+        // Entry replays both, in arrival order: one ACK to each raiser.
+        let fx = p.handle(Event::Enter(a1));
+        let acks: Vec<NodeId> = sends(&fx)
+            .into_iter()
+            .filter(|(_, m)| matches!(m, Msg::Ack { .. }))
+            .map(|(to, _)| *to)
+            .collect();
+        assert_eq!(acks, [NodeId::new(1), NodeId::new(2)]);
+    }
+
     #[test]
     fn messages_for_aborted_actions_are_stale() {
         let (mut p, a0, _a1, a2) = nested_participant();

@@ -81,21 +81,15 @@ impl ThreadReport {
 }
 
 /// Observer adapter appending into a shared buffer (the worker threads
-/// cannot hold the caller's `&mut dyn Observer`). It observes exactly
-/// when the caller's observer does, so an unobserved run builds no
-/// event to buffer.
+/// cannot hold the caller's `&mut dyn Observer`). Only an observed run
+/// builds one.
 struct BufObs<'a> {
     events: &'a mut Vec<caex_obs::ObsEvent>,
-    observes: bool,
 }
 
 impl caex_obs::Observer for BufObs<'_> {
     fn on_event(&mut self, event: &caex_obs::ObsEvent) {
         self.events.push(event.clone());
-    }
-
-    fn observes(&self) -> bool {
-        self.observes
     }
 }
 
@@ -211,17 +205,22 @@ impl ThreadRunner {
                         steps,
                         start,
                         IDLE_TIMEOUT,
-                        // The lock is held across the handle so bridge round
-                        // state, event order and the wall timestamps stay
-                        // globally consistent — acceptable serialization for
-                        // a demo-grade engine (handler costs are queued, not
-                        // slept, so the critical section is short).
+                        // An observed run holds the lock across the handle so
+                        // bridge round state, event order and the wall
+                        // timestamps stay globally consistent — acceptable
+                        // serialization for a demo-grade engine (handler costs
+                        // are queued, not slept, so the critical section is
+                        // short). An unobserved one has nothing to keep
+                        // consistent and takes no lock.
                         |p, ev, from| {
+                            if !observes {
+                                return p.handle(ev);
+                            }
                             let mut guard = sink.lock();
                             let (bridge, events) = &mut *guard;
                             let mut fx = Vec::new();
                             let clock = || wall_stamp(start);
-                            let mut buf = BufObs { events, observes };
+                            let mut buf = BufObs { events };
                             bridge.handle(p, ev, from, clock, &mut buf, &mut fx);
                             fx
                         },

@@ -4,8 +4,9 @@
 //! shell: it feeds N hosts from one `SimNet<Event>` instead of N
 //! ports and a wall clock. A message is a net delivery; the end of a
 //! host's wait is a local event scheduled at the instant
-//! [`PortHost::begin_turn`] returned; a crash is
-//! [`PortHost::halt_at`]. Every `handle`, `send` and `note` call goes
+//! [`PortHost::begin_turn`] returned; a failure-detector report is an
+//! entry in the node's inbox like a message (the node sends it to
+//! itself); a crash is [`PortHost::halt_at`]. Every `handle`, `send` and `note` call goes
 //! to one log, stamped with the virtual microsecond it happened at, so
 //! each test asserts an exact call sequence.
 //!
@@ -65,9 +66,6 @@ struct Mesh<'a> {
     left: Vec<Option<(SimTime, Host<'a>)>>,
     /// The end of each node's current wait.
     wake_at: Vec<SimTime>,
-    /// Detector reports waiting for each node's next poll:
-    /// suspected, rejoined, crashed.
-    reports: Vec<[Vec<NodeId>; 3]>,
     /// Messages that arrived after the node left.
     undelivered: Vec<usize>,
     log: Rc<Log>,
@@ -109,10 +107,16 @@ impl<'a> Mesh<'a> {
             hosts,
             left: (0..n).map(|_| None).collect(),
             wake_at: vec![SimTime::ZERO; n],
-            reports: (0..n).map(|_| Default::default()).collect(),
             undelivered: vec![0; n],
             log,
         }
+    }
+
+    /// Queues a failure-detector report in `node`'s inbox, behind what
+    /// is already in flight to it.
+    fn report(&mut self, node: u32, event: Event) {
+        let node = NodeId::new(node);
+        self.net.send(node, node, event);
     }
 
     /// Crashes `node` at `t`: a method call on its host.
@@ -165,10 +169,9 @@ impl<'a> Mesh<'a> {
                 continue;
             };
             self.log.now.set(t.as_micros());
-            let [suspected, rejoined, crashed] = std::mem::take(&mut self.reports[i]);
             let (net, log) = (&mut self.net, &self.log);
             let now = instant(self.epoch, t);
-            let live = host.end_turn(now, received, suspected, rejoined, crashed, |dest, event| {
+            let live = host.end_turn(now, received, |dest, event| {
                 log.push(to, format!("send {} to {dest}", event.kind()));
                 net.send(to, dest, event);
             });
@@ -290,30 +293,33 @@ fn a_due_steps_sends_leave_at_once_and_its_notes_after_the_wait() {
     );
 }
 
-/// (c) A peer that flapped and died within one poll is reported in
-/// causal order — suspected, rejoined, crashed — after the message
-/// that ended the wait, and counted as one deserter; the notes follow
-/// once everything of the turn has been handled.
+/// (c) Detector reports come off the port in FIFO position among the
+/// messages, one per turn: a peer that flapped and died after its last
+/// message is handled in causal order — the message, then suspected,
+/// rejoined, crashed, each followed by its note — and counted as one
+/// deserter.
 #[test]
 fn detector_reports_are_handled_suspected_then_rejoined_then_crashed() {
     let (mut participants, a) = flat_action(2);
     let mut mesh = Mesh::new(NetConfig::default(), &mut participants, |_| Vec::new(), IDLE);
-    // O1's detector has all three reports about O0 ready at its first
-    // poll, which O0's last message (buffered: O1 has not entered the
-    // action) brings forward to 100 µs.
+    // O0's last message (buffered: O1 has not entered the action) is
+    // in O1's inbox ahead of the three reports about O0; all four
+    // arrive at 100 µs.
     let (o0, o1) = (NodeId::new(0), NodeId::new(1));
-    mesh.reports[1] = [vec![o0], vec![o0], vec![o0]];
     mesh.net.send(o0, o1, Event::Msg(Msg::Ack { from: o0, action: a }));
+    mesh.report(1, Event::PeerSuspected { peer: o0 });
+    mesh.report(1, Event::PeerRejoined { peer: o0 });
+    mesh.report(1, Event::DeserterSuspected { peer: o0 });
     mesh.run();
     assert_eq!(
         mesh.calls_of(1),
         [
             "100 O1 handle ack from O0",
             "100 O1 handle local_peer_suspected",
-            "100 O1 handle local_peer_rejoined",
-            "100 O1 handle local_deserter_suspected",
             "100 O1 note PeerSuspected",
+            "100 O1 handle local_peer_rejoined",
             "100 O1 note PeerRejoined",
+            "100 O1 handle local_deserter_suspected",
             "100 O1 note Deserted",
         ]
     );

@@ -6,7 +6,11 @@
 #    broken or private intra-doc link; the deleted modules, shim and
 #    options stay gone (the wire mesh's per-link `Sender<Frame>`
 #    channels among them), detector reports reach a `Participant`
-#    only through `handle`/`handle_into`, the §4.2 effect dispatch
+#    only through `handle`/`handle_into` and a port host only through
+#    the port's one inbox (no `take_suspected(`, `take_rejoined(` or
+#    `take_crashed(` call outside `caex-net`'s `port.rs`, which
+#    declares them, and no `Option<(NodeId, Event)>` wake-up inbox in
+#    `caex-wire`'s `wire.rs`), the §4.2 effect dispatch
 #    exists once (`caex::route`; the producer `participant.rs`,
 #    `effect.rs` and `ObsBridge`'s read-only walk in `obs.rs` are
 #    exempt), `Machine::step` sees an `Outbox`, never a `SimNet`,
@@ -109,6 +113,14 @@ fi
 if grep -rn "on_deserter(\|on_suspect(\|on_rejoin(" crates src tests examples \
     | grep -v "^crates/caex/src/participant.rs:"; then
     echo "a detector report bypasses Participant::handle"; exit 1
+fi
+if grep -rn "take_suspected(\|take_rejoined(\|take_crashed(" crates src tests examples \
+    | grep -v "^crates/caex-net/src/port.rs:"; then
+    echo "a detector report is polled beside the inbox: it travels in the message stream"; exit 1
+fi
+if grep -n "Option<(NodeId, Event)>" crates/caex-wire/src/wire.rs; then
+    echo "the wire inbox carries wake-ups again: it holds messages and detector reports only"
+    exit 1
 fi
 dispatch='Effect::(Send|After) \{[^}]*\} =>|Effect::Note\([a-z_]*\) =>'
 arms=$(grep -rnE "$dispatch" crates/*/src \
