@@ -48,9 +48,8 @@ pub trait FifoPort<M> {
     fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), RecvTimeoutError>;
 
     /// Retired: a detector's reports travel through
-    /// [`FifoPort::recv_timeout`]. Nothing in the workspace calls this
-    /// or overrides it; it stays, empty, until the benchmark's own port
-    /// wrapper stops forwarding it.
+    /// [`FifoPort::recv_timeout`]. Always empty; kept only because the
+    /// benchmark's own port wrapper still forwards it.
     fn take_crashed(&self) -> Vec<NodeId> {
         Vec::new()
     }
