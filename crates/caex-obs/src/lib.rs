@@ -56,5 +56,7 @@ pub use exporters::{ChromeTraceExporter, JsonlExporter};
 pub use flame::FlameBuilder;
 pub use stream::{EventCollector, TcpExporter};
 pub use json::JsonValue;
-pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, ResolutionMetrics};
+pub use metrics::{
+    Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, ResolutionMetrics, LAW_KINDS,
+};
 pub use watchdog::{Violation, Watchdog};

@@ -15,9 +15,10 @@ use std::fmt::Write as _;
 pub(crate) const DEFAULT_US_BOUNDS: [u64; 8] =
     [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
-/// Message kinds counted against the §4.4 bound. `leave_ready` is
-/// leave coordination, which the paper's count does not include.
-const LAW_KINDS: [&str; 5] =
+/// Message kinds counted against the §4.4 bound: the one list every
+/// law check reads. `leave_ready` is leave coordination, which the
+/// paper's count does not include.
+pub const LAW_KINDS: [&str; 5] =
     ["exception", "ack", "have_nested", "nested_completed", "commit"];
 
 /// A fixed-bucket histogram over `u64` samples (microseconds).

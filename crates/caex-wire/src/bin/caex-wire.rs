@@ -127,9 +127,6 @@ fn participant_main(args: &Args) -> Result<(), String> {
         rendezvous,
         obs: args.parse_as("obs")?,
         config: wire_config(args)?,
-        idle_timeout: args
-            .millis("idle-timeout-ms")?
-            .unwrap_or(Duration::from_millis(300)),
         crash_after: args.millis("crash-after-ms")?,
         crash_mode: args.parse_as("crash-mode")?.unwrap_or(CrashMode::Exit),
         crash_point: args.parse_as("crash-point")?.unwrap_or(CrashPoint::Barrier),
@@ -189,9 +186,6 @@ fn coordinator_options(args: &Args, scenario: String) -> Result<CoordinatorOptio
     }
     if let Some(ct) = args.millis("crash-timeout-ms")? {
         opts.config = opts.config.with_crash_timeout(ct);
-    }
-    if let Some(idle) = args.millis("idle-timeout-ms")? {
-        opts.idle_timeout = idle;
     }
     if let Some(deadline) = args.millis("deadline-ms")? {
         opts.deadline = deadline;

@@ -33,12 +33,12 @@
 
 use crate::scenario::{SimBaseline, WireScenario};
 use crate::wire::{WireAddr, WireBound, WireConfig, WirePort};
-use caex::drive::drive_node;
+use caex::drive::{self, drive_node};
 use caex::obs::wall_stamp;
 use caex::{Note, ObsBridge, Script};
 use caex_net::NodeId;
 use caex_obs::json::{self, JsonValue};
-use caex_obs::{causal, ObsEvent, Observer, TcpExporter, Watchdog};
+use caex_obs::{causal, ObsEvent, Observer, TcpExporter, Watchdog, LAW_KINDS};
 use caex_tree::ExceptionId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
@@ -161,8 +161,6 @@ pub struct ParticipantOptions {
     pub obs: Option<SocketAddr>,
     /// Transport tuning.
     pub config: WireConfig,
-    /// Drive-loop idle timeout.
-    pub idle_timeout: Duration,
     /// Crash this long after the barrier (the victim's script is
     /// suppressed).
     pub crash_after: Option<Duration>,
@@ -183,8 +181,12 @@ pub struct ParticipantOptions {
 pub struct NodeReport {
     /// The node.
     pub id: u32,
-    /// Protocol messages this node pushed onto the wire.
+    /// §4.4 protocol messages this node pushed onto the wire: the
+    /// kinds of [`caex_obs::LAW_KINDS`].
     pub sent: u64,
+    /// Exit-line announcements (`leave_ready`) it pushed onto the wire,
+    /// counted apart from [`NodeReport::sent`].
+    pub leave_ready: u64,
     /// Protocol messages delivered into its drive loop.
     pub delivered: u64,
     /// Messages dropped (undeliverable or drained at exit).
@@ -193,6 +195,9 @@ pub struct NodeReport {
     pub drained: u64,
     /// Deserter reports folded into the protocol.
     pub desertions: u64,
+    /// The drive loop ran into [`caex::drive::CAP`] instead of ending
+    /// at the exit line or when every peer had left the mesh.
+    pub capped: bool,
     /// Peers this node excluded as deserters.
     pub deserters: Vec<u32>,
     /// `(action, exception)` pairs whose handlers started here.
@@ -229,10 +234,12 @@ impl NodeReport {
         JsonValue::Obj(vec![
             ("id".into(), num(self.id)),
             ("sent".into(), JsonValue::num(self.sent)),
+            ("leave_ready".into(), JsonValue::num(self.leave_ready)),
             ("delivered".into(), JsonValue::num(self.delivered)),
             ("dropped".into(), JsonValue::num(self.dropped)),
             ("drained".into(), JsonValue::num(self.drained)),
             ("desertions".into(), JsonValue::num(self.desertions)),
+            ("capped".into(), JsonValue::Bool(self.capped)),
             ("deserters".into(), nums(&self.deserters)),
             ("handled".into(), JsonValue::Arr(handled.collect())),
             ("committed".into(), JsonValue::Arr(committed.collect())),
@@ -287,10 +294,15 @@ impl NodeReport {
         Ok(NodeReport {
             id: num(v, "id")?,
             sent: field("sent")?,
+            leave_ready: field("leave_ready")?,
             delivered: field("delivered")?,
             dropped: field("dropped")?,
             drained: field("drained")?,
             desertions: field("desertions")?,
+            capped: v
+                .get("capped")
+                .and_then(JsonValue::as_bool)
+                .ok_or("report missing boolean `capped`")?,
             deserters: list(v, "deserters")?,
             handled,
             committed,
@@ -306,8 +318,11 @@ pub struct RunSummary {
     pub scenario: String,
     /// Mesh size (spawned processes).
     pub num_nodes: u32,
-    /// Protocol messages that crossed real sockets (sum over nodes).
+    /// §4.4 protocol messages that crossed real sockets (sum over
+    /// nodes of [`NodeReport::sent`]).
     pub total_sent: u64,
+    /// Exit-line announcements that crossed them.
+    pub total_leave_ready: u64,
     /// The §4.4 closed-form count, when the workload has one.
     pub expected_messages: Option<u64>,
     /// What the simulator sent for the same spec.
@@ -341,6 +356,7 @@ impl RunSummary {
             ("scenario".into(), JsonValue::str(self.scenario.clone())),
             ("num_nodes".into(), JsonValue::num(u64::from(self.num_nodes))),
             ("total_sent".into(), JsonValue::num(self.total_sent)),
+            ("total_leave_ready".into(), JsonValue::num(self.total_leave_ready)),
             ("expected_messages".into(), opt(self.expected_messages)),
             ("sim_messages".into(), JsonValue::num(self.sim_messages)),
             ("resolved".into(), opt(self.resolved.map(u64::from))),
@@ -420,7 +436,6 @@ fn drive_wire_node(
     port: &WirePort,
     script: &mut Script,
     id: NodeId,
-    idle_timeout: Duration,
     suppress_steps: bool,
     commit_crash: Option<CrashMode>,
     obs: &mut dyn Observer,
@@ -436,12 +451,14 @@ fn drive_wire_node(
     // observation clock, so peer skew estimates translate directly
     // into per-stream timestamp corrections.
     port.rebase_epoch(start);
+    // A wire node never ends on silence: it ends at its exit line, once
+    // every peer has left the mesh (the port disconnects), or at the cap.
     let summary = drive_node(
         port,
         &mut participant,
         steps,
         start,
-        idle_timeout,
+        drive::CAP,
         |p, ev, from| {
             // Wall-clock micros since `start` stamp the events, as on
             // the threaded engine.
@@ -477,11 +494,13 @@ fn drive_wire_node(
     let stats = stats.lock();
     NodeReport {
         id: id.index(),
-        sent: stats.sent_total(),
+        sent: LAW_KINDS.iter().map(|kind| stats.sent_of_kind(kind)).sum(),
+        leave_ready: stats.sent_of_kind("leave_ready"),
         delivered: stats.delivered_total(),
         dropped: stats.dropped_total(),
         drained: summary.drained as u64,
         desertions: summary.deserted as u64,
+        capped: summary.capped,
         deserters: participant.deserters().iter().map(|d| d.index()).collect(),
         handled: notes
             .iter()
@@ -569,10 +588,10 @@ pub fn run_participant(opts: &ParticipantOptions) -> Result<(), String> {
 
     let report = match exporter.as_mut() {
         Some(obs) => drive_wire_node(
-            &port, &mut scenario.script, opts.id, opts.idle_timeout, barrier_crash, commit_crash, obs, start,
+            &port, &mut scenario.script, opts.id, barrier_crash, commit_crash, obs, start,
         ),
         None => drive_wire_node(
-            &port, &mut scenario.script, opts.id, opts.idle_timeout, barrier_crash, commit_crash, &mut (), start,
+            &port, &mut scenario.script, opts.id, barrier_crash, commit_crash, &mut (), start,
         ),
     };
     drop(exporter); // close the obs stream before reporting
@@ -619,8 +638,6 @@ pub struct CoordinatorOptions {
     pub partition: Option<(NodeId, Duration)>,
     /// Transport tuning handed to every child.
     pub config: WireConfig,
-    /// Children's drive-loop idle timeout.
-    pub idle_timeout: Duration,
     /// Hard wall-clock budget for the whole run.
     pub deadline: Duration,
 }
@@ -643,16 +660,16 @@ impl CoordinatorOptions {
             resume_after: None,
             partition: None,
             config: WireConfig::default(),
-            idle_timeout: Duration::from_millis(300),
             deadline: Duration::from_secs(30),
         }
     }
 
-    /// Injects a crash: victim, mode, and tuned timeouts so survivors
-    /// outlast detection (idle must exceed `crash_after` plus the
-    /// confirmation latency, or they would quiesce before deserting
-    /// the victim). The legacy 400ms timeout on a 40ms heartbeat maps
-    /// to φ ≈ 4.3 via [`WireConfig::with_crash_timeout`].
+    /// Injects a crash: victim, mode, and a detector tuned to confirm
+    /// it within a run: the legacy 400ms timeout on a 40ms heartbeat
+    /// maps to φ ≈ 4.3 via [`WireConfig::with_crash_timeout`].
+    /// Survivors wait for the victim in the resolution and at the exit
+    /// line until the detector reports it, so no timeout of theirs
+    /// needs tuning.
     #[must_use]
     pub fn with_crash(mut self, victim: NodeId, mode: CrashMode) -> Self {
         self.crash = Some(victim);
@@ -660,7 +677,6 @@ impl CoordinatorOptions {
         self.obs = false;
         self.config.heartbeat_interval = Duration::from_millis(40);
         self.config = self.config.with_crash_timeout(Duration::from_millis(400));
-        self.idle_timeout = Duration::from_millis(1500);
         self
     }
 
@@ -670,15 +686,14 @@ impl CoordinatorOptions {
     /// (the flap is observable) but confirmation would need 2.5× the
     /// outage of silence — the healed peer rejoins, resolution
     /// completes with every participant, and the §4.4 message law
-    /// still holds. Survivor idle timeouts are stretched past the
-    /// outage so nobody quiesces while the resolution waits for the
-    /// partitioned peer's ACK.
+    /// still holds. Survivors wait out the outage in the resolution,
+    /// which the partitioned peer's ACK completes; an outage must end
+    /// well inside [`caex::drive::CAP`].
     #[must_use]
     pub fn with_partition(mut self, victim: NodeId, outage: Duration) -> Self {
         self.partition = Some((victim, outage));
         self.config.heartbeat_interval = Duration::from_millis(40);
         self.config = self.config.with_crash_timeout(outage.mul_f64(2.5));
-        self.idle_timeout = outage + Duration::from_millis(1000);
         self.deadline = self.deadline.max(outage.mul_f64(4.0) + Duration::from_secs(15));
         self
     }
@@ -911,8 +926,6 @@ pub fn run_coordinator(opts: &CoordinatorOptions) -> Result<RunSummary, String> 
             })
             .arg("--sock-dir")
             .arg(&opts.sock_dir)
-            .arg("--idle-timeout-ms")
-            .arg(opts.idle_timeout.as_millis().to_string())
             .arg("--heartbeat-ms")
             .arg(opts.config.heartbeat_interval.as_millis().to_string())
             .arg("--phi-suspect")
@@ -1049,6 +1062,10 @@ pub fn run_coordinator(opts: &CoordinatorOptions) -> Result<RunSummary, String> 
     }
 
     let total_sent: u64 = reports.iter().map(|r| r.sent).sum();
+    let total_leave_ready: u64 = reports.iter().map(|r| r.leave_ready).sum();
+    for report in reports.iter().filter(|r| r.capped) {
+        failures.push(format!("node {} ran into the drive cap", report.id));
+    }
     let action = scenario.action.index();
     let mut resolved_set: BTreeSet<u32> = BTreeSet::new();
     let mut handled_count = 0usize;
@@ -1177,6 +1194,16 @@ pub fn run_coordinator(opts: &CoordinatorOptions) -> Result<RunSummary, String> 
                 scenario.participants.len()
             ));
         }
+        // Each built-in workload completes one action with peers, the
+        // resolving one (its nested actions are singletons or aborted):
+        // N(N−1) announcements at its exit line.
+        let k = scenario.participants.len() as u64;
+        if total_leave_ready != k * (k - 1) {
+            failures.push(format!(
+                "{total_leave_ready} exit-line announcements, expected N(N-1) = {}",
+                k * (k - 1)
+            ));
+        }
         if !deserters.is_empty() {
             failures.push(format!("clean run reported deserters {deserters:?}"));
         }
@@ -1186,6 +1213,7 @@ pub fn run_coordinator(opts: &CoordinatorOptions) -> Result<RunSummary, String> 
         scenario: opts.scenario.clone(),
         num_nodes: n,
         total_sent,
+        total_leave_ready,
         expected_messages: scenario.expected_messages,
         sim_messages: baseline.total_messages,
         resolved,
@@ -1202,7 +1230,7 @@ pub fn run_coordinator(opts: &CoordinatorOptions) -> Result<RunSummary, String> 
 pub struct LocalOutcome {
     /// Per-node reports, in node order.
     pub reports: Vec<NodeReport>,
-    /// Protocol messages across all ports.
+    /// §4.4 protocol messages across all ports (see [`NodeReport::sent`]).
     pub total_sent: u64,
     /// The exception resolution agreed on (asserted consistent).
     pub resolved: Option<ExceptionId>,
@@ -1224,7 +1252,6 @@ pub fn run_local(
     transport: Transport,
     sock_dir: &std::path::Path,
     config: &WireConfig,
-    idle_timeout: Duration,
 ) -> Result<LocalOutcome, String> {
     let scenario = WireScenario::build(spec)?;
     let n = scenario.num_nodes;
@@ -1243,7 +1270,6 @@ pub fn run_local(
     for (i, bound) in bounds.into_iter().enumerate() {
         let addrs = addrs.clone();
         let spec = spec.clone();
-        let idle = idle_timeout;
         joins.push(thread::spawn(move || -> Result<NodeReport, String> {
             // Each thread rebuilds the scenario: handler tables hold
             // closures and cannot be cloned across threads.
@@ -1251,7 +1277,7 @@ pub fn run_local(
             let id = NodeId::new(i as u32);
             let port = bound.connect(&addrs).map_err(|e| format!("connect {id}: {e}"))?;
             port.barrier(Duration::from_secs(10))?;
-            Ok(drive_wire_node(&port, &mut script, id, idle, false, None, &mut (), start))
+            Ok(drive_wire_node(&port, &mut script, id, false, None, &mut (), start))
         }));
     }
     let mut reports = Vec::with_capacity(n as usize);

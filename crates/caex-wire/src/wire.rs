@@ -53,7 +53,11 @@
 //! `recv_timeout` polls the detector before it waits and at least once
 //! per heartbeat interval while it waits, so detection latency does not
 //! depend on the caller's timeout; one poll's reports go in peer-id
-//! order.
+//! order. Once every peer has left the mesh with its Bye and the inbox
+//! is empty, nothing more can arrive: `recv_timeout` reports
+//! [`RecvTimeoutError::Disconnected`], which ends a drive loop whose
+//! peers all departed (a resumed zombie's, whose peers will never
+//! announce their exit to it).
 //!
 //! Hard evidence skips the accrual: a connection that ends without a
 //! [`Frame::Bye`] (and without a newer-incarnation replacement link),
@@ -725,6 +729,17 @@ impl Link {
         self.lock().closing = true;
         self.wake.notify_one();
     }
+
+    /// Waits up to `timeout` for the port to start closing; `true` once
+    /// it has.
+    fn closing_within(&self, timeout: Duration) -> bool {
+        let q = self.lock();
+        let (q, _) = self
+            .wake
+            .wait_timeout_while(q, timeout, |q| !q.closing)
+            .unwrap_or_else(PoisonError::into_inner);
+        q.closing
+    }
 }
 
 /// Writes as much of `bytes` as the socket takes without blocking. A
@@ -755,15 +770,17 @@ struct Redial {
 }
 
 impl Redial {
-    /// Replaces a broken connection and replays `frame` whole on it.
+    /// Replaces `link`'s broken connection and replays `frame` whole on
+    /// it.
     ///
     /// The rounds back off from [`WireConfig::reconnect_backoff`]
     /// (doubling, [`WireConfig::dial_retries`] rounds); each redial
     /// re-handshakes with a bumped-incarnation Hello. `None` if the
     /// peer is already known gone, or every round failed — hard
     /// evidence, so the peer is marked dead for immediate confirmation
-    /// (unless the port is `closing` anyway).
-    fn resume(&self, frame: &Queued, closing: bool) -> Option<WireStream> {
+    /// (unless the port is closing anyway) — or at once when the port
+    /// starts closing during a backoff.
+    fn resume(&self, link: &Link, frame: &Queued) -> Option<WireStream> {
         // No point resuming a link whose peer is already known gone
         // (reader EOF, departure, or a confirmed report) — reconnect
         // rounds are for peers that might come back.
@@ -774,7 +791,7 @@ impl Redial {
                 || st.reported.contains(&self.peer)
         };
         if gone {
-            if !closing {
+            if !link.lock().closing {
                 self.state.lock().dead.insert(self.peer);
             }
             return None;
@@ -783,7 +800,9 @@ impl Redial {
         // backoff schedule.
         let single = WireConfig { dial_retries: 0, ..self.config.clone() };
         for round in 0..=self.config.dial_retries {
-            thread::sleep(self.config.reconnect_backoff * 2u32.saturating_pow(round));
+            if link.closing_within(self.config.reconnect_backoff * 2u32.saturating_pow(round)) {
+                return None; // the port is dropping: its peer gets no more
+            }
             let generation = self.incarnation.fetch_add(1, Ordering::Relaxed) + 1;
             let Ok(mut s) = dial(&self.addr, &single, self.own_id, generation) else {
                 continue;
@@ -820,10 +839,9 @@ fn writer_loop(link: &Link, redial: &Redial) {
             stream.set_nonblocking(false);
             while let Some(frame) = q.pending.pop_front() {
                 let from = std::mem::take(&mut q.written);
-                let closing = q.closing;
                 drop(q);
                 if stream.write_all(&frame.bytes[from..]).is_err() {
-                    let Some(fresh) = redial.resume(&frame, closing) else {
+                    let Some(fresh) = redial.resume(link, &frame) else {
                         let mut q = link.lock();
                         q.closed = true;
                         q.pending.clear();
@@ -877,9 +895,9 @@ pub struct WirePort {
     /// The one inbox: protocol messages and detector reports, in the
     /// order they happened.
     inbox_rx: Receiver<(NodeId, Event)>,
-    /// Keeps the inbox open even when every reader has exited, so the
-    /// drive loop terminates on its idle rule, not on a spurious
-    /// disconnect. Also the self-delivery path and the detector's.
+    /// Keeps the inbox open even when every reader has exited: the
+    /// port reports a disconnect from its own view of the mesh, not the
+    /// channel's. Also the self-delivery path and the detector's.
     inbox_tx: Sender<(NodeId, Event)>,
     state: Arc<Mutex<MeshState>>,
     stats: Arc<Mutex<NetStats>>,
@@ -1021,13 +1039,20 @@ impl WirePort {
     /// uniformly stale `last_seen` clocks, and the grace poll gives
     /// its readers one heartbeat to drain the buffered evidence that
     /// everyone is actually fine.
-    fn poll_detector(&self) {
+    ///
+    /// Returns whether every peer has left the mesh with its Bye.
+    fn poll_detector(&self) -> bool {
         let now = Instant::now();
         let hb = self.config.heartbeat_interval;
         let floor = hb.as_secs_f64();
         let mut st = self.state.lock();
+        let mut departed = 0;
         for &peer in self.links.keys() {
-            if st.departed.contains(&peer) || st.reported.contains(&peer) {
+            if st.departed.contains(&peer) {
+                departed += 1;
+                continue;
+            }
+            if st.reported.contains(&peer) {
                 continue;
             }
             let hard_dead = st.dead.contains(&peer);
@@ -1067,22 +1092,32 @@ impl WirePort {
                 let _ = self.inbox_tx.send((peer, Event::DeserterSuspected { peer }));
             }
         }
+        departed > 0 && departed == self.links.len()
     }
 
     /// Polls the detector, then waits for the inbox's next entry, polling
     /// again at least once per heartbeat interval until `timeout`. Only
-    /// a protocol message counts as a delivery.
+    /// a protocol message counts as a delivery. Once every peer has
+    /// departed, an empty inbox is a disconnect.
     fn recv_event(&self, timeout: Duration) -> Result<(NodeId, Event), RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
         loop {
-            self.poll_detector();
+            let alone = self.poll_detector();
             let wait = deadline.saturating_duration_since(Instant::now());
-            match self.inbox_rx.recv_timeout(wait.min(self.config.heartbeat_interval)) {
+            let wait = if alone {
+                Duration::ZERO
+            } else {
+                wait.min(self.config.heartbeat_interval)
+            };
+            match self.inbox_rx.recv_timeout(wait) {
                 Ok((from, event)) => {
                     if let Event::Msg(_) = &event {
                         self.stats.lock().record_delivery(event.kind());
                     }
                     return Ok((from, event));
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) if alone => {
+                    return Err(RecvTimeoutError::Disconnected)
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) if Instant::now() < deadline => {}
                 Err(mpsc::RecvTimeoutError::Timeout) => return Err(RecvTimeoutError::Timeout),

@@ -9,7 +9,6 @@ use caex_net::{NetConfig, NodeId};
 use caex_tree::ExceptionId;
 use caex_wire::harness::{run_local, Transport};
 use caex_wire::WireConfig;
-use std::time::Duration;
 
 #[test]
 fn example2_over_unix_sockets_is_the_simulators_example2() {
@@ -23,14 +22,8 @@ fn example2_over_unix_sockets_is_the_simulators_example2() {
 
     let dir = std::env::temp_dir().join(format!("caex-wire-cross-host-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let wire = run_local(
-        "example2",
-        Transport::Unix,
-        &dir,
-        &WireConfig::default(),
-        Duration::from_millis(300),
-    )
-    .expect("example2 runs over Unix sockets");
+    let wire = run_local("example2", Transport::Unix, &dir, &WireConfig::default())
+        .expect("example2 runs over Unix sockets");
 
     // Exactly one node committed in A1: the resolver.
     let commits: Vec<(NodeId, Vec<ExceptionId>)> = wire
@@ -56,4 +49,9 @@ fn example2_over_unix_sockets_is_the_simulators_example2() {
     assert_eq!(commits, [(NodeId::new(2), vec![ids.e1, ids.e3])]);
     assert_eq!(wire.resolved, Some(ids.e1));
     assert_eq!(wire.total_sent, 37);
+    // Each of A1's four objects announced its exit to the other three,
+    // and every node left at its exit line.
+    let leave_ready: u64 = wire.reports.iter().map(|r| r.leave_ready).sum();
+    assert_eq!(leave_ready, 12);
+    assert!(wire.reports.iter().all(|r| r.drained == 0 && !r.capped));
 }

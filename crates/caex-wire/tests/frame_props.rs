@@ -72,8 +72,11 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             from: NodeId::new(f),
             exc,
         }),
-        (any::<u32>(), any::<u32>())
-            .prop_map(|(f, a)| Msg::LeaveReady { from: NodeId::new(f), action: ActionId::new(a) }),
+        (any::<u32>(), any::<u32>(), any::<bool>()).prop_map(|(f, a, handled)| Msg::LeaveReady {
+            from: NodeId::new(f),
+            action: ActionId::new(a),
+            handled,
+        }),
     ]
 }
 
@@ -295,9 +298,14 @@ fn the_bytes_on_the_wire_are_pinned() {
             "03041c0000003755318601000000393000000000000005020000000100000007000000000000",
         ),
         (
-            Msg::LeaveReady { from, action },
+            Msg::LeaveReady { from, action, handled: false },
             9,
             "030415000000339d3b62010000003930000000000000060100000002000000",
+        ),
+        (
+            Msg::LeaveReady { from, action, handled: true },
+            9,
+            "03041500000070894075010000003930000000000000070100000002000000",
         ),
     ];
     for (msg, len, wire) in table {

@@ -89,7 +89,6 @@ fn example1_over_loopback_tcp_matches_the_simulator() {
         Transport::Tcp,
         &scratch("tcp-ex1"),
         &WireConfig::default(),
-        Duration::from_millis(300),
     )
     .expect("example1 runs over TCP");
     let baseline = WireScenario::sim_baseline("example1").expect("sim oracle");
@@ -105,7 +104,6 @@ fn example1_over_unix_sockets_matches_the_simulator() {
         Transport::Unix,
         &scratch("uds-ex1"),
         &WireConfig::default(),
-        Duration::from_millis(300),
     )
     .expect("example1 runs over Unix sockets");
     let baseline = WireScenario::sim_baseline("example1").expect("sim oracle");
@@ -224,6 +222,29 @@ fn a_link_reset_under_backlog_redials_and_replays_whole_frames_in_order() {
     expect_bye(&mut second);
 }
 
+/// A port dropped while its writer redials a peer whose listener is
+/// gone stops redialling at once: the drop returns long before the
+/// writer's backoff schedule (25 ms doubling over seven rounds, 3.2 s)
+/// would have run out.
+#[test]
+fn a_port_dropped_while_redialling_returns_at_once() {
+    let (port, _, listener) = port_with_stalled_peer(&WireConfig::default());
+    let link = accept_link(&listener, 0);
+    drop(listener);
+    drop(link);
+    // Writes into the reset link fail, and the writer redials a
+    // listener that no longer exists.
+    for i in 0..3 {
+        let ack = Msg::Ack { from: NodeId::new(0), action: ActionId::new(i) };
+        assert!(port.send(fake(), Event::Msg(ack)), "send {i} accepted");
+        thread::sleep(Duration::from_millis(50));
+    }
+    let start = Instant::now();
+    drop(port);
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "drop took {took:?}");
+}
+
 #[test]
 fn dropping_a_port_closes_its_listener_promptly() {
     let (port, real_sock, _listener) = port_with_stalled_peer(&WireConfig::default());
@@ -282,8 +303,8 @@ fn receive_for(port: &WirePort, window: Duration, last: impl Fn(&Event) -> bool)
                     return got;
                 }
             }
-            Err(RecvTimeoutError::Timeout) => return got,
-            Err(RecvTimeoutError::Disconnected) => panic!("the inbox never disconnects"),
+            // Every peer departed: nothing more can arrive.
+            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => return got,
         }
     }
 }
@@ -334,6 +355,13 @@ fn goodbye_is_a_departure_not_a_crash() {
     drop(inbound); // close the socket — with a Bye first, this is graceful
     let got = receive_for(&port, Duration::from_millis(450), is_crash);
     assert!(crashes(&got).is_empty(), "a peer that says Bye must never be reported crashed");
+    // Its only peer left the mesh: the port has nothing more to deliver.
+    let start = Instant::now();
+    assert_eq!(
+        port.recv_timeout(Duration::from_secs(5)).map(|(from, _)| from),
+        Err(RecvTimeoutError::Disconnected)
+    );
+    assert!(start.elapsed() < Duration::from_millis(500), "{:?}", start.elapsed());
 }
 
 #[test]
@@ -424,7 +452,7 @@ fn a_message_that_ends_a_suspicion_is_handled_after_the_rejoin() {
     assert_eq!(first, Event::PeerSuspected { peer: fake() });
     write_frame(&mut inbound, &fake_ack(0)).expect("fake message");
     write_frame(&mut inbound, &Frame::Bye).expect("fake bye");
-    node.join().expect("the drive loop ends idle");
+    node.join().expect("the drive loop ends once its only peer departed");
     let rest: Vec<Event> = seen.try_iter().collect();
     let Frame::Msg { msg, .. } = fake_ack(0) else { unreachable!("a message frame") };
     assert_eq!(rest, [Event::PeerRejoined { peer: fake() }, Event::Msg(msg)]);

@@ -17,6 +17,8 @@
 //!   3 NestedCompleted  action:u32 from:u32 flag:u8 [exception]
 //!   4 Ack              from:u32 action:u32
 //!   5 Commit           action:u32 from:u32 exception
+//!   6 LeaveReady       from:u32 action:u32   (normal completion)
+//!   7 LeaveReady       from:u32 action:u32   (handled: after a resolution)
 //! exception := id:u32 severity:u8 origin:opt_str detail:opt_str
 //! opt_str   := 0:u8 | 1:u8 len:u16 utf8-bytes
 //! ```
@@ -89,6 +91,7 @@ const TAG_NESTED_COMPLETED: u8 = 3;
 const TAG_ACK: u8 = 4;
 const TAG_COMMIT: u8 = 5;
 const TAG_LEAVE_READY: u8 = 6;
+const TAG_LEAVE_HANDLED: u8 = 7;
 
 /// The part of `s` a `u16` length prefix can carry. An over-long
 /// string is cut at a char boundary, so what is sent still decodes.
@@ -166,8 +169,13 @@ pub fn encode_into(msg: &Msg, out: &mut Vec<u8>) {
             put_head(out, TAG_COMMIT, action.index(), from.index());
             put_exception(out, exc);
         }
-        Msg::LeaveReady { from, action } => {
-            put_head(out, TAG_LEAVE_READY, from.index(), action.index());
+        Msg::LeaveReady {
+            from,
+            action,
+            handled,
+        } => {
+            let tag = if *handled { TAG_LEAVE_HANDLED } else { TAG_LEAVE_READY };
+            put_head(out, tag, from.index(), action.index());
         }
     }
 }
@@ -290,9 +298,10 @@ pub fn decode(bytes: &[u8]) -> Result<Msg, CodecError> {
             from: NodeId::new(r.u32()?),
             exc: r.exception()?,
         },
-        TAG_LEAVE_READY => Msg::LeaveReady {
+        tag @ (TAG_LEAVE_READY | TAG_LEAVE_HANDLED) => Msg::LeaveReady {
             from: NodeId::new(r.u32()?),
             action: ActionId::new(r.u32()?),
+            handled: tag == TAG_LEAVE_HANDLED,
         },
         other => return Err(CodecError::BadTag(other)),
     };
@@ -342,7 +351,16 @@ mod tests {
                 from,
                 exc: bare,
             },
-            Msg::LeaveReady { from, action },
+            Msg::LeaveReady {
+                from,
+                action,
+                handled: false,
+            },
+            Msg::LeaveReady {
+                from,
+                action,
+                handled: true,
+            },
         ]
     }
 

@@ -45,7 +45,31 @@
 //!    they were produced: the `After`s and `Note`s held before the
 //!    wait, then everything the turn's own events produced (`Send` to
 //!    the port, `After` onto the timer queue, `Note` to the hook); then
-//!    the idle check.
+//!    the end checks below.
+//!
+//! # The end of a run
+//!
+//! A node's run ends where §4.2 says the object is done: "if Oi
+//! completes A then … leave A synchronously". Under
+//! [`crate::LeaveMode::Distributed`], which
+//! [`crate::Scenario::for_port_host`] always sets, a handler's end (or a
+//! scripted completion) brings the object to A's exit line, it
+//! announces `LeaveReady(A)` and leaves A once every live peer's
+//! announcement is in — on FIFO links the last thing each peer sends
+//! for A. The turn after which the participant has left its outermost
+//! action ([`Participant::is_through`]), with no local event pending and
+//! no effect held, is the node's last.
+//!
+//! Three other ends remain. The idle rule ends a quiet node — nothing
+//! handled for `idle_timeout`, no local event pending — but never one
+//! that waits for its peers ([`Participant::awaits_peers`]: in a
+//! resolution, or at an announced exit line). A port that reports
+//! [`RecvTimeoutError::Disconnected`] ends the loop (the wire does once
+//! every peer has left the mesh). And [`CAP`] after `start` a node that
+//! is still running is wedged — a peer it waits for is gone and no
+//! detector says so — and ends with [`DriveSummary::capped`] set.
+//! Under [`crate::LeaveMode::Managed`] the host grants the exit line, so
+//! only these three end a run.
 //!
 //! A due step's messages therefore leave with no lag, and a step's
 //! `After`s and `Note`s are applied only at the end of the wait that
@@ -70,6 +94,12 @@ use std::time::{Duration, Instant};
 /// checks run at least this often.
 const MAX_WAIT: Duration = Duration::from_millis(10);
 
+/// The longest a node's run lasts, from its `start`: a node still
+/// running then is wedged and ends with [`DriveSummary::capped`] set.
+/// Far beyond any run that reaches its exit line, including one that
+/// rides out a second-long partition.
+pub const CAP: Duration = Duration::from_secs(5);
+
 /// What one node's drive loop did, beyond the protocol itself.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DriveSummary {
@@ -80,12 +110,14 @@ pub struct DriveSummary {
     /// ([`Event::DeserterSuspected`]) and the participant excluded as
     /// deserters.
     pub deserted: usize,
+    /// The run ended at [`CAP`]: the node was wedged.
+    pub capped: bool,
 }
 
 /// One node's side of the port loop, without the port and without the
 /// clock: the participant, its timer queue, the effects of the turn in
-/// progress, the optional halt deadline, the idle clock and the
-/// [`DriveSummary`]. See the module documentation for the order of a
+/// progress, the optional halt deadline, the cap, the idle clock and
+/// the [`DriveSummary`]. See the module documentation for the order of a
 /// turn; [`drive_node`] is the shell that feeds it from a real port.
 ///
 /// `handle` is the event-application hook — the threaded engine passes
@@ -112,6 +144,8 @@ pub struct PortHost<'a, H, N> {
     /// of the wait that follows them.
     held: Vec<Effect>,
     halt_at: Option<Instant>,
+    /// `start` + [`CAP`].
+    cap_at: Instant,
     idle_timeout: Duration,
     /// When an event was last handled; starts at the first turn.
     last_activity: Option<Instant>,
@@ -125,8 +159,9 @@ where
 {
     /// A host for `participant` whose scenario `steps` fall due at
     /// their [`SimTime`] offset from `start` (micros become wall-clock
-    /// micros), idle once the timer queue is empty and nothing was
-    /// handled for longer than `idle_timeout`.
+    /// micros), idle once the timer queue is empty, the participant
+    /// waits for no peer and nothing was handled for longer than
+    /// `idle_timeout`.
     pub fn new(
         participant: &'a mut Participant,
         steps: Vec<(SimTime, Event)>,
@@ -148,6 +183,7 @@ where
             effects: Vec::new(),
             held: Vec::new(),
             halt_at: None,
+            cap_at: start + CAP,
             idle_timeout,
             last_activity: None,
             summary: DriveSummary::default(),
@@ -194,8 +230,8 @@ where
 
     /// Begins a turn at `now`: handles every local event due by then,
     /// sends their messages through `send`, and returns the instant to
-    /// wait for a message until, or `None` once the halt deadline has
-    /// passed.
+    /// wait for a message until, or `None` once the halt deadline or
+    /// the cap has passed.
     pub fn begin_turn(
         &mut self,
         now: Instant,
@@ -204,10 +240,14 @@ where
         if self.halted(now) {
             return None; // injected crash: stop mid-protocol, no farewell
         }
+        if now >= self.cap_at {
+            self.summary.capped = true;
+            return None;
+        }
         self.last_activity.get_or_insert(now);
         self.fire_due(now, &mut send);
         let next_due = self.timers.keys().next().map(|&(due, _)| due);
-        let deadlines = [Some(now + MAX_WAIT), next_due, self.halt_at];
+        let deadlines = [Some(now + MAX_WAIT), next_due, self.halt_at, Some(self.cap_at)];
         deadlines.into_iter().flatten().min()
     }
 
@@ -217,7 +257,8 @@ where
     /// are handled first, as in [`PortHost::begin_turn`]; then the
     /// effects held before the wait and those of the turn's own events
     /// are routed, `Effect::Send`s through `send`. Returns `false` once
-    /// the node is idle.
+    /// the participant has left its outermost action with nothing left
+    /// to route, or the node is idle (see the module documentation).
     pub fn end_turn(
         &mut self,
         now: Instant,
@@ -236,8 +277,14 @@ where
         }
         self.effects.splice(0..0, ready);
         self.flush(now, false, &mut send);
+        if !self.timers.is_empty() {
+            return true;
+        }
+        if self.held.is_empty() && self.participant.is_through() {
+            return false; // left at the exit line
+        }
         let idle_since = self.last_activity.unwrap_or(now);
-        !(self.timers.is_empty() && now.duration_since(idle_since) > self.idle_timeout)
+        now.duration_since(idle_since) <= self.idle_timeout || self.participant.awaits_peers()
     }
 
     /// The run's summary, given how many undelivered messages the
@@ -289,17 +336,18 @@ fn micros(time: SimTime) -> Duration {
     Duration::from_micros(time.as_micros())
 }
 
-/// Drives `participant` over `port` until quiescence: the blocking
+/// Drives `participant` over `port` until its run ends: the blocking
 /// shell of a [`PortHost`] built from `participant`, `steps`, `start`,
 /// `idle_timeout` and the two hooks (see [`PortHost`]).
 ///
-/// Termination is idle-based: the loop exits once the timer queue is
-/// empty and neither a message nor a local event has fired for
-/// `idle_timeout` (the paper's §4.5 points at group membership
-/// services for a production-grade rule). It also exits when the
-/// transport reports [`RecvTimeoutError::Disconnected`]. Messages still
-/// in the inbox at exit are drained into the per-kind drop statistics,
-/// so [`caex_net::NetStats`] stays balanced.
+/// The run ends at the participant's exit line: once it has left its
+/// outermost action under distributed leave, with no local event
+/// pending. Otherwise it ends when the node is quiet — nothing handled
+/// for `idle_timeout`, no local event pending, no peer awaited — when
+/// the transport reports [`RecvTimeoutError::Disconnected`], or at
+/// [`CAP`] (see the module documentation). Messages still in the inbox
+/// at exit are drained into the per-kind drop statistics, so
+/// [`caex_net::NetStats`] stays balanced.
 pub fn drive_node<P, H, N>(
     port: &P,
     participant: &mut Participant,

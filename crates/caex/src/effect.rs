@@ -29,10 +29,12 @@ pub enum LeaveMode {
     /// protocol messages, which matches the paper's accounting.
     #[default]
     Managed,
-    /// Decentralized: each participant broadcasts `LeaveReady` and
-    /// leaves once it has everyone's announcement — `N(N−1)` extra
+    /// Decentralized: each participant broadcasts `LeaveReady` when it
+    /// reaches the exit line — by completing the action, or at its
+    /// handler's end after a resolution — and leaves once it has every
+    /// live peer's announcement of the same kind: `N(N−1)` extra
     /// messages per completing action, counted separately from the
-    /// §4.4 resolution laws.
+    /// §4.4 resolution laws. The port hosts run this mode.
     Distributed,
 }
 

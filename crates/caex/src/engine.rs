@@ -525,10 +525,12 @@ impl Scenario {
     /// [`crate::drive`] loop per node over real channels or sockets
     /// (the thread engine, `caex-wire`): the fault plan's crashes
     /// reported as on the simulator, and, since such a host has no
-    /// central manager to grant a joint leave, scripted completions
-    /// switched to [`LeaveMode::Distributed`]. The network
-    /// configuration and the delivery limit stay behind: they describe
-    /// the simulator's net.
+    /// central manager to grant a joint leave, [`LeaveMode::Distributed`]:
+    /// each object leaves an action at its exit line, scripted or
+    /// reached at a handler's end, once every live peer announced it,
+    /// and the host ends a node's run when it has left its outermost
+    /// action. The network configuration and the delivery limit stay
+    /// behind: they describe the simulator's net.
     ///
     /// # Panics
     ///
@@ -538,13 +540,7 @@ impl Scenario {
     pub fn for_port_host(mut self) -> Script {
         self.report_planned_crashes();
         let mut script = self.script_for("a host without an action manager");
-        if script
-            .steps
-            .iter()
-            .any(|(_, _, e)| matches!(e, Event::Complete(_)))
-        {
-            script.leave_mode = LeaveMode::Distributed;
-        }
+        script.leave_mode = LeaveMode::Distributed;
         script
     }
 

@@ -26,7 +26,7 @@
 //! |---|---|
 //! | `S(Oi) := N; empty LE, LO, LP, SA` | `Participant::new` (no records; the `N` state is `res == None`) |
 //! | `if Oi enters A then <A> → SA; process messages having arrived` | `on_enter` (pushes `entered`; `Buffered` → `Entered`, the held messages replay through `on_msg`) |
-//! | `if Oi completes A then delete last element in SA; leave A synchronously` | `on_complete` (exit line: `Open` → `Requested` under `LeaveReady`-distributed leave, `Deferred` under a deeper exit line) / `on_leave_granted` (joint leave: pops `entered`, `Entered` → `Completed`, replays a `Deferred` parent); a handler's end completes its action in `on_handler_done` |
+//! | `if Oi completes A then delete last element in SA; leave A synchronously` | `on_complete` (exit line: `Open` → `Requested` under `LeaveReady`-distributed leave, `Deferred` under a deeper exit line) / `on_leave_granted` (joint leave: pops `entered`, `Entered` → `Completed`, replays a `Deferred` parent); a handler's end completes its action in `on_handler_done` (under distributed leave it brings the object to the exit line, `Handled`, and the outcome waits for the leave) |
 //! | `if Ei is raised in Oi then S(Oi) := X; <A,Oi,Ei> → LE; Exception ⇒ all Oj in G_A` | `on_raise` → `raise_in` |
 //! | `if Oi receives Exception or HaveNested then if Oi is in the action nested within A then HaveNested ⇒ all; abort all nested actions until A; empty LE, LO, LP; NestedCompleted(A,Oi,Ei) ⇒ all; …` | the trigger check in `on_msg` → `trigger_abortion` (innermost-first handler execution, §4.1 signal masking, each nested `Entered` → `Aborted`; the `Wait` strategy variant → `Completed`) → `on_abortion_done` |
 //! | `if Oi received Exception then <A,Oj,Ej> → LE; ACK ⇒ Oj` | the `Msg::Exception` arm of `on_msg` (`Resolution::ack`: deferred while aborting, per Example 2's narration) |

@@ -81,6 +81,11 @@ pub enum Msg {
         from: NodeId,
         /// The action being left.
         action: ActionId,
+        /// The sender reached the exit line at its handler's end, after
+        /// the action's resolution, rather than by completing it. A
+        /// resolution voids the exit line of normal completion, so a
+        /// receiver counts the two kinds of announcement apart.
+        handled: bool,
     },
 }
 
@@ -148,7 +153,14 @@ impl fmt::Display for Msg {
             Msg::Commit { action, from, exc } => {
                 write!(f, "Commit({action}, {from}, {})", exc.id())
             }
-            Msg::LeaveReady { from, action } => write!(f, "LeaveReady({from}, {action})"),
+            Msg::LeaveReady {
+                from,
+                action,
+                handled: false,
+            } => write!(f, "LeaveReady({from}, {action})"),
+            Msg::LeaveReady { from, action, .. } => {
+                write!(f, "LeaveReady({from}, {action}, handled)")
+            }
         }
     }
 }
@@ -308,7 +320,11 @@ mod tests {
                 from: o,
                 exc: exc(),
             },
-            Msg::LeaveReady { from: o, action: a },
+            Msg::LeaveReady {
+                from: o,
+                action: a,
+                handled: true,
+            },
         ];
         for m in msgs {
             assert_eq!(m.action(), a);
@@ -320,9 +336,17 @@ mod tests {
         let m = Msg::LeaveReady {
             from: NodeId::new(3),
             action: ActionId::new(1),
+            handled: false,
         };
         assert_eq!(m.kind(), "leave_ready");
         assert_eq!(m.to_string(), "LeaveReady(O3, A1)");
+        let m = Msg::LeaveReady {
+            from: NodeId::new(3),
+            action: ActionId::new(1),
+            handled: true,
+        };
+        assert_eq!(m.kind(), "leave_ready");
+        assert_eq!(m.to_string(), "LeaveReady(O3, A1, handled)");
     }
 
     #[test]

@@ -136,8 +136,9 @@ enum Life {
     /// replayed at `Enter` (belated participation, §3.3 problem 4).
     Buffered(Vec<Msg>),
     /// In `SA`, with the peers' `LeaveReady` announcements (distributed
-    /// leave) and how far this object's own completion has got.
-    Entered { ready: BTreeSet<NodeId>, exit: Exit },
+    /// leave) as `(handled, peer)` and how far this object's own
+    /// completion has got.
+    Entered { ready: BTreeSet<(bool, NodeId)>, exit: Exit },
     /// Left by the synchronised exit or completed by its handler
     /// (termination model); under [`NestedStrategy::Wait`], waited out.
     Completed,
@@ -155,6 +156,10 @@ enum Exit {
     Deferred,
     /// Distributed leave: at the exit line, `LeaveReady` announced.
     Requested,
+    /// Distributed leave: at the exit line after the action's handler
+    /// ended, `LeaveReady { handled: true }` announced; the handler's
+    /// outcome waits in [`Participant::exit_signal`].
+    Handled,
 }
 
 /// The per-action state only the failover and forwarding extensions
@@ -292,6 +297,10 @@ pub struct Participant {
     /// fencing — the legacy configuration the model checker's CAEX018
     /// flags as crash-vulnerable.
     failover: bool,
+    /// Distributed leave: the failure exception the active action's
+    /// handler signalled, raised (or reported) once the object leaves
+    /// it at the exit line ([`Exit::Handled`]).
+    exit_signal: Option<Exception>,
 }
 
 /// Everyone in `action`'s scope except `me` and the reported
@@ -341,6 +350,7 @@ impl Participant {
             deserters: IdSet::default(),
             suspects: IdSet::default(),
             failover: true,
+            exit_signal: None,
         }
     }
 
@@ -415,6 +425,38 @@ impl Participant {
         self.res.as_ref().map(|r| r.state)
     }
 
+    /// Whether this object is through with its run under distributed
+    /// leave: it has left its outermost action at the exit line and
+    /// entered no other, or it takes part in no declared action. Always
+    /// `false` under [`LeaveMode::Managed`], whose exit line is the
+    /// host's to grant.
+    #[must_use]
+    pub fn is_through(&self) -> bool {
+        self.leave_mode == LeaveMode::Distributed
+            && self.entered.is_empty()
+            && (self.actions.iter().any(|(_, rec)| matches!(rec.life, Life::Completed))
+                || !self.registry.iter().any(|(_, scope)| scope.is_participant(self.id)))
+    }
+
+    /// Whether this object waits for its peers: it is in a resolution,
+    /// or at an exit line it announced. What it waits for can only come
+    /// off the network, so no silence means it is done.
+    #[must_use]
+    pub fn awaits_peers(&self) -> bool {
+        self.res.is_some()
+            || self.active_action().is_some_and(|action| {
+                lookup(&self.actions, action).is_some_and(|rec| {
+                    matches!(
+                        rec.life,
+                        Life::Entered {
+                            exit: Exit::Requested | Exit::Handled,
+                            ..
+                        }
+                    )
+                })
+            })
+    }
+
     /// `true` while no resolution involves this object.
     #[must_use]
     pub fn is_normal(&self) -> bool {
@@ -472,12 +514,24 @@ impl Participant {
             return;
         }
         let exc = rec.resolved.clone().expect("only a commit is announced");
-        let commit = Msg::Commit {
-            action,
-            from: self.id,
-            exc,
+        // Under distributed leave a peer whose exit-line announcement
+        // after the resolution is in has the outcome already; once this
+        // object left the action, every live peer has.
+        let informed: BTreeSet<NodeId> = match &rec.life {
+            Life::Entered { ready, .. } => {
+                ready.iter().filter(|(handled, _)| *handled).map(|&(_, peer)| peer).collect()
+            }
+            Life::Completed if self.leave_mode == LeaveMode::Distributed => return,
+            _ => BTreeSet::new(),
         };
-        self.fan_out(action, None, commit, fx);
+        for to in self.peers(action).filter(|peer| !informed.contains(peer)) {
+            let msg = Msg::Commit {
+                action,
+                from: self.id,
+                exc: exc.clone(),
+            };
+            fx.push(Effect::Send { to, msg });
+        }
     }
 
     /// The peers reported so far as [`Event::DeserterSuspected`].
@@ -529,6 +583,9 @@ impl Participant {
             rec.recovery.hash(h);
         }
         sorted(&self.suspects).hash(h);
+        if let Some(signal) = &self.exit_signal {
+            signal.id().hash(h);
+        }
         match &self.res {
             None => 0u8.hash(h),
             Some(r) => {
@@ -593,6 +650,7 @@ impl Participant {
             res: self.res.clone(),
             deserters: self.deserters.clone(),
             suspects: self.suspects.clone(),
+            exit_signal: self.exit_signal.clone(),
             ..*self
         })
     }
@@ -640,6 +698,9 @@ impl Participant {
                 .is_ok_and(|s| s.is_participant(self.id));
             return (!mine).then_some(Silence::Always);
         };
+        if matches!(msg, Msg::LeaveReady { .. }) && matches!(rec.life, Life::Entered { .. }) {
+            return None; // may complete the exit line, as in `on_msg`
+        }
         match (&rec.resolved, &rec.life) {
             (Some(_), _) => {
                 // Stale post-commit traffic — silent unless it is about
@@ -1070,6 +1131,11 @@ impl Participant {
                 *exit = Exit::Deferred;
                 return;
             }
+            // The handler already brought the object to the exit line.
+            Some(Life::Entered {
+                exit: Exit::Handled,
+                ..
+            }) => return,
             Some(Life::Entered { exit, .. }) if distributed => *exit = Exit::Requested,
             Some(Life::Entered { .. }) => {}
             // An aborted action cannot complete, and a handler may
@@ -1089,26 +1155,41 @@ impl Participant {
             action,
         }));
         if distributed {
-            let ready = Msg::LeaveReady {
-                from: self.id,
-                action,
-            };
-            self.fan_out(action, None, ready, fx);
-            self.try_distributed_leave(action, fx);
+            self.announce_exit(action, false, fx);
         }
     }
 
+    /// Distributed leave: announces that this object reached `action`'s
+    /// exit line — by completing it, or with `handled` at its handler's
+    /// end — and leaves if every peer's matching announcement is in.
+    fn announce_exit(&mut self, action: ActionId, handled: bool, fx: &mut Vec<Effect>) {
+        let ready = Msg::LeaveReady {
+            from: self.id,
+            action,
+            handled,
+        };
+        self.fan_out(action, None, ready, fx);
+        self.try_distributed_leave(action, fx);
+    }
+
     /// Distributed leave: leaves once this object reached the exit line
-    /// and every peer's announcement is in.
+    /// and every live peer's announcement of the same kind is in. On
+    /// FIFO links that is also the proof that nothing a peer sent for
+    /// the action is still in flight: its announcement was the last.
     fn try_distributed_leave(&mut self, action: ActionId, fx: &mut Vec<Effect>) {
-        let ready = match lookup(&self.actions, action).map(|rec| &rec.life) {
+        let (ready, handled) = match lookup(&self.actions, action).map(|rec| &rec.life) {
             Some(Life::Entered {
                 ready,
                 exit: Exit::Requested,
-            }) if self.res.is_none() => ready,
+            }) if self.res.is_none() => (ready, false),
+            Some(Life::Entered {
+                ready,
+                exit: Exit::Handled,
+            }) => (ready, true),
             _ => return,
         };
-        if live_peers(&self.registry, &self.deserters, self.id, action).all(|p| ready.contains(&p))
+        if live_peers(&self.registry, &self.deserters, self.id, action)
+            .all(|p| ready.contains(&(handled, p)))
         {
             self.on_leave_granted(action, fx);
         }
@@ -1121,11 +1202,20 @@ impl Participant {
             return;
         }
         self.entered.pop();
-        record(&mut self.actions, action).life = Life::Completed;
-        fx.push(Effect::Note(Note::Completed {
-            object: self.id,
-            action,
-        }));
+        let life = std::mem::replace(&mut record(&mut self.actions, action).life, Life::Completed);
+        if let Life::Entered {
+            exit: Exit::Handled,
+            ..
+        } = life
+        {
+            let signal = self.exit_signal.take();
+            self.end_handled(action, signal, fx);
+        } else {
+            fx.push(Effect::Note(Note::Completed {
+                object: self.id,
+                action,
+            }));
+        }
         // Replay a completion that was waiting for this unwind.
         if let Some(next) = self.active_action() {
             if let Life::Entered {
@@ -1213,6 +1303,15 @@ impl Participant {
             }
         };
         let rec = &mut self.actions[at].1;
+        if let (Msg::LeaveReady { from, handled, .. }, Life::Entered { ready, .. }) =
+            (&msg, &mut rec.life)
+        {
+            // An exit-line announcement counts whatever the resolution
+            // state: a peer may have handled the outcome before this
+            // object learnt of it.
+            ready.insert((*handled, *from));
+            return self.try_distributed_leave(action, fx);
+        }
         match (&rec.resolved, &mut rec.life) {
             (Some(_), _) => {
                 // The resolution here already committed. A peer still
@@ -1326,13 +1425,7 @@ impl Participant {
                 self.accept_commit(action, from, exc, fx);
                 return;
             }
-            Msg::LeaveReady { from, .. } => {
-                if let Life::Entered { ready, .. } = &mut record(&mut self.actions, action).life {
-                    ready.insert(from);
-                }
-                self.try_distributed_leave(action, fx);
-                return;
-            }
+            Msg::LeaveReady { .. } => unreachable!("counted before the resolution checks"),
         }
         self.check_ready(fx);
     }
@@ -1357,6 +1450,9 @@ impl Participant {
             .expect("outer action is entered");
         let chain: Vec<ActionId> = self.entered[pos + 1..].iter().rev().copied().collect();
         self.entered.truncate(pos + 1);
+        // An outcome waiting at the exit line of the active action, the
+        // chain's innermost, is void with it.
+        self.exit_signal = None;
 
         // The nested resolution (if any) is eliminated: "empty LE_i,
         // LO_i, LP_i". A fresh context for the outer action replaces it.
@@ -1665,9 +1761,25 @@ impl Participant {
         if self.active_action() != Some(action) {
             return;
         }
+        if self.leave_mode == LeaveMode::Distributed {
+            // §4.2 "leave A synchronously": the handler's end brings the
+            // object to the exit line; its outcome waits for the leave.
+            if let Life::Entered { exit, .. } = &mut record(&mut self.actions, action).life {
+                *exit = Exit::Handled;
+            }
+            self.exit_signal = signal;
+            return self.announce_exit(action, true, fx);
+        }
         // The termination model: the handler completes the action.
         self.entered.pop();
         record(&mut self.actions, action).life = Life::Completed;
+        self.end_handled(action, signal, fx);
+    }
+
+    /// The outcome of a handled action this object has just left: it
+    /// completed, or it signals a failure exception into the containing
+    /// action (or out of the top level).
+    fn end_handled(&mut self, action: ActionId, signal: Option<Exception>, fx: &mut Vec<Effect>) {
         match signal {
             None => fx.push(Effect::Note(Note::Completed {
                 object: self.id,

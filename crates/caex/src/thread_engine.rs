@@ -13,11 +13,14 @@
 //! with the simulator host and `caex-wire`, stamped with wall-clock
 //! microseconds.
 //!
-//! Termination uses an idle timeout: a thread that has seen no traffic
-//! and has no due local events for the configured window assumes
-//! quiescence and exits. That is a demo-grade termination rule (the
-//! paper's §4.5 points at group membership services for the real
-//! thing); the simulator engine remains the measurement instrument.
+//! A thread ends where its object is done: the script runs with
+//! distributed leave ([`Scenario::for_port_host`]), so an object leaves
+//! each action at the §4.2 exit line once every live peer announced it,
+//! and its thread exits when it has left its outermost action. A
+//! thread whose object never gets that far — nobody raises or completes
+//! — ends after 300 ms with nothing to do and no peer awaited; one
+//! that waits for a peer that is gone (a crash with failover off) ends
+//! at [`crate::drive::CAP`].
 
 use crate::drive::{drive, PortHost};
 use crate::obs::wall_stamp;
@@ -29,8 +32,10 @@ use parking_lot::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How long a node thread may be idle before it assumes quiescence.
-const IDLE_TIMEOUT: Duration = Duration::from_millis(300);
+/// How long a quiet node thread — in no resolution, at no announced
+/// exit line, with no local event pending — waits for a message before
+/// it ends.
+const QUIET: Duration = Duration::from_millis(300);
 
 /// Outcome of a threaded run.
 #[derive(Debug)]
@@ -151,8 +156,8 @@ impl ThreadRunner {
         ThreadRunner { scenario }
     }
 
-    /// Spawns one thread per object, runs to (idle-detected)
-    /// quiescence, and joins.
+    /// Spawns one thread per object, runs each to its exit line (see
+    /// the module documentation), and joins.
     ///
     /// # Panics
     ///
@@ -204,7 +209,7 @@ impl ThreadRunner {
                         &mut participant,
                         steps,
                         start,
-                        IDLE_TIMEOUT,
+                        QUIET,
                         // An observed run holds the lock across the handle so
                         // bridge round state, event order and the wall
                         // timestamps stay globally consistent — acceptable

@@ -18,10 +18,16 @@
 //! and a step's notes and continuations wait for the end of the wait
 //! that follows it
 //! ([`completed_is_noted_only_after_the_wait_that_follows_handler_done`]).
+//!
+//! The rest pin where a run ends: at the §4.2 exit line, once every
+//! live peer's `LeaveReady` is in, and never on the idle rule while the
+//! participant waits for a peer.
 
 use caex::drive::{DriveSummary, PortHost};
 use caex::{workloads, Effect, Event, Msg, NestedStrategy, Note, Participant};
-use caex_action::{AbortionOutcome, ActionId, ActionRegistry, ActionScope, HandlerTable};
+use caex_action::{
+    AbortionOutcome, ActionId, ActionRegistry, ActionScope, HandlerOutcome, HandlerTable,
+};
 use caex_net::{DeliverySource, Kinded, LatencyModel, NetConfig, NodeId, SimNet, SimTime};
 use caex_tree::{chain_tree, Exception, ExceptionId};
 use std::cell::{Cell, RefCell};
@@ -29,13 +35,15 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Every hook call of a run, as `"<micros> <node> <what>"`, and every
-/// note in full.
+/// Every hook call of a run, as `"<micros> <node> <what>"`, every note
+/// in full, and in one order each message's delivery and each
+/// completion as `(node, action, completed)`.
 #[derive(Default)]
 struct Log {
     now: Cell<u64>,
     calls: RefCell<Vec<String>>,
     notes: RefCell<Vec<Note>>,
+    deliveries: RefCell<Vec<(NodeId, ActionId, bool)>>,
 }
 
 impl Log {
@@ -88,11 +96,17 @@ impl<'a> Mesh<'a> {
                 let node = p.id();
                 let (on_handle, on_note) = (Rc::clone(&log), Rc::clone(&log));
                 let handle: Handle<'a> = Box::new(move |p, event, from| {
+                    if let Event::Msg(msg) = &event {
+                        on_handle.deliveries.borrow_mut().push((node, msg.action(), false));
+                    }
                     let from = from.map_or(String::new(), |f| format!(" from {f}"));
                     on_handle.push(node, format!("handle {}{from}", event.kind()));
                     p.handle(event)
                 });
                 let note = Box::new(move |note: Note| {
+                    if let Note::Completed { action, .. } = note {
+                        on_note.deliveries.borrow_mut().push((node, action, true));
+                    }
                     let debug = format!("{note:?}");
                     let name = debug.split([' ', '{']).next().unwrap_or_default();
                     on_note.push(node, format!("note {name}"));
@@ -210,6 +224,25 @@ impl<'a> Mesh<'a> {
     fn handles_of(&self, node: u32) -> Vec<String> {
         self.calls_of(node).into_iter().filter(|c| c.contains(" handle ")).collect()
     }
+
+    /// The messages handled by a node after it completed their action.
+    fn late_deliveries(&self) -> Vec<(NodeId, ActionId)> {
+        let mut completed = Vec::new();
+        let mut late = Vec::new();
+        for &(node, action, done) in self.log.deliveries.borrow().iter() {
+            if done {
+                completed.push((node, action));
+            } else if completed.contains(&(node, action)) {
+                late.push((node, action));
+            }
+        }
+        late
+    }
+}
+
+/// When a call was made: the micros that start it.
+fn micros_of(call: &str) -> u64 {
+    call.split(' ').next().and_then(|t| t.parse().ok()).expect("a stamped call")
 }
 
 const IDLE: Duration = Duration::from_millis(25);
@@ -222,13 +255,18 @@ fn exc(id: u32) -> Exception {
     Exception::new(ExceptionId::new(id))
 }
 
-/// `n` participants of one top-level action over a two-exception chain.
-fn flat_action(n: u32) -> (Vec<Participant>, ActionId) {
+/// One top-level action of `n` objects over a two-exception chain.
+fn flat_registry(n: u32) -> (Arc<ActionRegistry>, ActionId) {
     let mut registry = ActionRegistry::new();
     let action = registry
         .declare(ActionScope::top_level("A", (0..n).map(NodeId::new), Arc::new(chain_tree(2))))
         .unwrap();
-    let registry = Arc::new(registry);
+    (Arc::new(registry), action)
+}
+
+/// `n` participants of one top-level action over a two-exception chain.
+fn flat_action(n: u32) -> (Vec<Participant>, ActionId) {
+    let (registry, action) = flat_registry(n);
     let participants = (0..n)
         .map(|i| Participant::new(NodeId::new(i), Arc::clone(&registry), NestedStrategy::Abort))
         .collect();
@@ -375,23 +413,41 @@ fn idle_exit_waits_for_an_empty_timer_queue() {
     assert_eq!(mesh.finish()[0].0, ms(80));
 }
 
-/// One `general(3, 2, 1)` run over three hosts, jittered by `seed`.
-fn general_run(seed: u64) -> Vec<String> {
+/// `general(n, p, q)` through [`caex::Scenario::for_port_host`] over
+/// `n` hosts on links jittered by `seed` (FIFO per link, as the port
+/// hosts' transports are); returns the mesh after the run.
+fn general_mesh<'a>(
+    (n, p, q): (u32, u32, u32),
+    seed: u64,
+    participants: &'a mut Vec<Participant>,
+) -> Mesh<'a> {
     let config = NetConfig::default().with_seed(seed).with_latency(LatencyModel::Uniform {
         min: SimTime::from_micros(50),
         max: SimTime::from_micros(400),
     });
-    let workload = workloads::general(3, 2, 1, NetConfig::default());
-    let top = workload.action;
+    let workload = workloads::general(n, p, q, NetConfig::default());
     let mut script = workload.scenario.for_port_host();
-    let mut participants: Vec<Participant> =
-        workload.participants.iter().map(|&node| script.participant(node)).collect();
-    let mut mesh = Mesh::new(config, &mut participants, |node| script.steps_for(node), IDLE);
+    *participants = workload.participants.iter().map(|&node| script.participant(node)).collect();
+    let mut mesh = Mesh::new(config, participants, |node| script.steps_for(node), IDLE);
     mesh.run();
+    mesh
+}
+
+/// One `general(3, 2, 1)` run over three hosts, jittered by `seed`: each
+/// host ends at its exit line, at the turn that notes its `Completed`.
+fn general_run(seed: u64) -> Vec<String> {
+    let top = workloads::general(3, 2, 1, NetConfig::default()).action;
+    let mut participants = Vec::new();
+    let mesh = general_mesh((3, 2, 1), seed, &mut participants);
     let calls = mesh.calls();
     let sends = calls.iter().filter(|c| c.contains(" send ")).count();
-    assert_eq!(sends, 16, "§4.4: (N−1)(2P+3Q+1) = 16 messages");
-    assert_eq!(mesh.net.stats().sent_total(), 16);
+    let leave_ready = calls.iter().filter(|c| c.contains(" send leave_ready ")).count();
+    assert_eq!(sends - leave_ready, 16, "§4.4: (N−1)(2P+3Q+1) = 16 messages");
+    assert_eq!(leave_ready, 6, "the exit line: N(N−1) = 6 announcements");
+    assert_eq!(mesh.net.stats().sent_total(), 22);
+    assert_eq!(mesh.late_deliveries(), []);
+    let last_calls: Vec<String> =
+        (0..3).map(|node| mesh.calls_of(node).last().cloned().unwrap()).collect();
     let handled: Vec<ExceptionId> = mesh
         .log
         .notes
@@ -403,13 +459,18 @@ fn general_run(seed: u64) -> Vec<String> {
         })
         .collect();
     assert_eq!(handled, [ExceptionId::new(1); 3], "agreement on the resolved exception");
-    assert!(mesh.finish().iter().all(|(_, s)| *s == DriveSummary::default()));
-    assert!(participants.iter().all(Participant::is_normal));
+    for ((left, summary), last) in mesh.finish().into_iter().zip(last_calls) {
+        assert_eq!(summary, DriveSummary::default(), "nothing drained, deserted or capped");
+        assert!(last.ends_with(" note Completed"), "the last call is the leave: {last}");
+        assert_eq!(left.as_micros(), micros_of(&last), "no turn after the leave: {last}");
+    }
+    assert!(participants.iter().all(|p| p.is_normal() && p.is_through()));
     calls
 }
 
 /// (f) The §4.4 general workload over three hosts: agreement on the
-/// resolved exception, exactly 16 messages, and a replayable run.
+/// resolved exception, exactly 16 messages plus the exit line's 6, each
+/// host ending at its exit line, and a replayable run.
 #[test]
 fn general_3_2_1_agrees_in_16_messages_and_replays() {
     let first = general_run(7);
@@ -417,16 +478,18 @@ fn general_3_2_1_agrees_in_16_messages_and_replays() {
     assert_ne!(first, general_run(8), "the seed reaches the net");
 }
 
-/// (g) A `Note` waits for the end of the wait that follows the step
-/// that produced it, so `Completed` is reported only after a straggler
-/// arriving in that wait has been handled; an `After` of a due step
-/// reaches the timer queue only at `end_turn`.
+/// (g) The handler's end brings O1 to the exit line, not out of the
+/// action: O0's stragglers, its `NestedCompleted` and `Ack`, are
+/// handled before O1 leaves on O0's `LeaveReady`, which they precede on
+/// the link. An `After` of a due step reaches the timer queue only at
+/// `end_turn`, and a `Note` waits for the end of the wait that follows
+/// the step that produced it.
 #[test]
 fn completed_is_noted_only_after_the_wait_that_follows_handler_done() {
     // general(3, 2, 1): O0 is in the nested action and takes 5 ms to
     // abort it, and its link to O1 takes 5 ms, so O1 accepts the
     // `Commit` at 5 302 µs and O0's `NestedCompleted` and `Ack` reach
-    // it only at 10 102 µs.
+    // it only at 10 102 µs, its `LeaveReady` at 10 302 µs.
     let workload = workloads::general(3, 2, 1, NetConfig::default());
     // `general` declares O0's nested action right after the top one.
     let (o0, o1, nested) = (NodeId::new(0), NodeId::new(1), ActionId::new(1));
@@ -446,13 +509,18 @@ fn completed_is_noted_only_after_the_wait_that_follows_handler_done() {
             "5302 O1 handle commit from O2",
             "5302 O1 note HandlerStarted",
             "5302 O1 handle local_handler_done",
+            "5302 O1 send leave_ready to O0",
+            "5302 O1 send leave_ready to O2",
+            "5302 O1 handle leave_ready from O2",
             "10102 O1 handle nested_completed from O0",
-            "10102 O1 note Completed",
             "10102 O1 note StaleMessage",
             "10102 O1 handle ack from O0",
             "10102 O1 note StaleMessage",
+            "10302 O1 handle leave_ready from O0",
+            "10302 O1 note Completed",
         ]
     );
+    assert_eq!(mesh.late_deliveries(), []);
 
     // One participant: its raise commits at once, and the handler's
     // `After` is scheduled at the end of the wait, not at 0 µs.
@@ -466,4 +534,123 @@ fn completed_is_noted_only_after_the_wait_that_follows_handler_done() {
         calls[calls.len() - 2..],
         ["10000 O0 handle local_handler_done", "20000 O0 note Completed"]
     );
+}
+
+/// A `Participant` of `action` for each of `n` nodes of a
+/// [`caex::Scenario::for_port_host`] script: distributed leave.
+fn port_host_participants(script: &mut caex::Script, n: u32) -> Vec<Participant> {
+    (0..n).map(|i| script.participant(NodeId::new(i))).collect()
+}
+
+/// (h) A survivor at its exit line waits for the halted O2 far past its
+/// idle timeout, and leaves when the detector reports O2 deserted: at
+/// that turn, with nothing sent after its exit announcement.
+#[test]
+fn with_one_host_halted_and_deserted_the_survivors_leave_without_it() {
+    let (registry, a) = flat_registry(3);
+    let scenario = caex::Scenario::new(registry)
+        .enter_all_at(SimTime::ZERO, a)
+        .raise_at(SimTime::ZERO, NodeId::new(0), exc(1));
+    let mut script = scenario.for_port_host();
+    let mut participants = port_host_participants(&mut script, 3);
+    // O2 acknowledges at 100 µs and halts at 150 µs, before O0's commit
+    // reaches it; each survivor's report about O2 arrives at 50 ms.
+    let mut config = NetConfig::default();
+    for survivor in [NodeId::new(0), NodeId::new(1)] {
+        config = config.with_link_latency(survivor, survivor, LatencyModel::Constant(ms(50)));
+    }
+    let mut mesh = Mesh::new(config, &mut participants, |node| script.steps_for(node), IDLE);
+    mesh.crash(2, SimTime::from_micros(150));
+    let o2 = NodeId::new(2);
+    mesh.report(0, Event::DeserterSuspected { peer: o2 });
+    mesh.report(1, Event::DeserterSuspected { peer: o2 });
+    mesh.run();
+    for node in [0, 1] {
+        let calls = mesh.calls_of(node);
+        let announced = calls.iter().rposition(|c| c.contains(" send leave_ready ")).unwrap();
+        assert!(micros_of(&calls[announced]) < 1_000, "{calls:#?}");
+        assert_eq!(
+            calls[calls.len() - 3..],
+            [
+                format!("50000 O{node} handle local_deserter_suspected"),
+                format!("50000 O{node} note Deserted"),
+                format!("50000 O{node} note Completed"),
+            ],
+        );
+        assert!(!calls[announced + 1..].iter().any(|c| c.contains(" send ")), "{calls:#?}");
+    }
+    let summaries = mesh.finish();
+    assert_eq!(summaries[2].0, SimTime::from_micros(150), "O2 halted");
+    for (left, summary) in &summaries[..2] {
+        assert_eq!(*left, ms(50), "left at the report, not on the idle rule");
+        assert_eq!(summary.deserted, 1);
+        assert!(!summary.capped);
+    }
+    assert!(participants[..2].iter().all(Participant::is_through));
+}
+
+/// (i) A seed sweep over every `general(n, p, q)` with n ≤ 5: no node
+/// handles a message for an action after it completed it, and none
+/// arrives after a node's run ended.
+#[test]
+fn no_message_for_an_action_reaches_a_node_after_it_completed_it() {
+    for n in 2..=5u32 {
+        for p in 1..=n {
+            for q in 0..=n - p {
+                for seed in 0..8 {
+                    let mut participants = Vec::new();
+                    let mesh = general_mesh((n, p, q), seed, &mut participants);
+                    let late = mesh.late_deliveries();
+                    assert_eq!(late, [], "general({n},{p},{q}) seed {seed}");
+                    for (left, summary) in mesh.finish() {
+                        let at = format!("general({n},{p},{q}) seed {seed}, left at {left}");
+                        assert_eq!(summary, DriveSummary::default(), "{at}");
+                    }
+                    assert!(participants.iter().all(Participant::is_through));
+                }
+            }
+        }
+    }
+}
+
+/// (j) As in `extensions.rs`'s `exception_during_distributed_leave_takes_over`:
+/// O0 and O1 complete and announce their exit while O2 raises, and the
+/// resolution takes over. O0's announcement from before the resolution
+/// does not count toward the exit after it: O1 leaves only on O0's
+/// second `LeaveReady`, sent when O0's 5 ms handler ends.
+#[test]
+fn a_leave_ready_from_before_the_resolution_does_not_count_after_it() {
+    let (registry, a) = flat_registry(3);
+    let mut slow = HandlerTable::recover_all(Arc::new(chain_tree(2)));
+    slow.on_outcome(ExceptionId::new(1), ms(5), HandlerOutcome::Recovered);
+    let o = NodeId::new;
+    let scenario = caex::Scenario::new(registry)
+        .enter_all_at(SimTime::ZERO, a)
+        .complete_at(SimTime::ZERO, o(0), a)
+        .complete_at(SimTime::ZERO, o(1), a)
+        .raise_at(SimTime::ZERO, o(2), exc(1))
+        .handlers(o(0), a, slow);
+    let mut script = scenario.for_port_host();
+    let mut participants = port_host_participants(&mut script, 3);
+    let steps = |node| script.steps_for(node);
+    let mut mesh = Mesh::new(NetConfig::default(), &mut participants, steps, IDLE);
+    mesh.run();
+    let o1 = mesh.calls_of(1);
+    let from_o0: Vec<&String> =
+        o1.iter().filter(|c| c.ends_with("handle leave_ready from O0")).collect();
+    assert_eq!(from_o0.len(), 2, "one before the resolution, one after: {o1:#?}");
+    let completed = o1.iter().find(|c| c.ends_with(" note Completed")).unwrap();
+    assert!(micros_of(from_o0[1]) >= 5_000, "{o1:#?}");
+    assert_eq!(micros_of(completed), micros_of(from_o0[1]), "{o1:#?}");
+    let handled = mesh
+        .log
+        .notes
+        .borrow()
+        .iter()
+        .filter(|n| matches!(n, Note::HandlerStarted { .. }))
+        .count();
+    assert_eq!(handled, 3, "the resolution took over at every object");
+    assert_eq!(mesh.net.stats().sent_of_kind("leave_ready"), 4 + 6);
+    assert_eq!(mesh.late_deliveries(), []);
+    assert!(mesh.finish().iter().all(|(_, s)| *s == DriveSummary::default()));
 }

@@ -275,7 +275,7 @@ proptest! {
             2 => Msg::NestedCompleted { action, from, exc: with_exc.then_some(exc) },
             3 => Msg::Ack { from, action },
             4 => Msg::Commit { action, from, exc },
-            _ => Msg::LeaveReady { from, action },
+            _ => Msg::LeaveReady { from, action, handled: with_exc },
         };
         let msg = build(e);
         let bytes = codec::encode(&msg);

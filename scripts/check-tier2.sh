@@ -5,7 +5,8 @@
 #    exits nonzero on deny-level findings; the API docs build with no
 #    broken or private intra-doc link; the deleted modules, shim and
 #    options stay gone (the wire mesh's per-link `Sender<Frame>`
-#    channels among them), detector reports reach a `Participant`
+#    channels and `caex-wire`'s idle timeout among them: a wire node
+#    ends at its exit line), detector reports reach a `Participant`
 #    only through `handle`/`handle_into` and a port host only through
 #    the port's one inbox (no `take_suspected(`, `take_rejoined(` or
 #    `take_crashed(` call outside `caex-net`'s `port.rs`, which
@@ -109,6 +110,10 @@ if grep -rnw "crossbeam\|nvp\|recovery_block\|RecoveryBlock\|NVersion\|threaded_
 fi
 if grep -rn "Sender<Frame>" crates/caex-wire/src; then
     echo "the wire mesh's per-link frame channels are back"; exit 1
+fi
+if grep -rn "idle_timeout\|idle-timeout-ms" crates/caex-wire/src; then
+    echo "a hand-tuned idle timeout is back in caex-wire: a wire node ends at its exit line"
+    exit 1
 fi
 if grep -rn "on_deserter(\|on_suspect(\|on_rejoin(" crates src tests examples \
     | grep -v "^crates/caex/src/participant.rs:"; then
